@@ -51,7 +51,6 @@ from .solvers import (
     mm_solve,
 )
 from .spd_core import (
-    EigenPair,
     check_spd,
     exp_m,
     frob_inner,

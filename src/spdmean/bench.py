@@ -20,19 +20,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
-from .solvers import (
-    SolverConfig,
-    SolverResult,
-    arithmetic_mean_init,
-    gd_fixed_step_solve,
-    gd_linesearch_solve,
-    mm_solve,
-)
+from .solvers import SOLVERS, SolverConfig, SolverResult, arithmetic_mean_init
 from .spd_core import sym
-
-SOLVER_KINDS = ("mm", "gd-ls", "gd-fixed")
 
 
 @dataclass(frozen=True)
@@ -103,7 +94,7 @@ class SolverSpec:
     id: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in SOLVER_KINDS:
+        if self.kind not in SOLVERS:
             raise DomainError(f"unknown solver kind {self.kind!r}")
 
     @property
@@ -115,9 +106,7 @@ class SolverSpec:
         return f"{self.kind}-nu{self.config.nu:g}"
 
     def run(self, e: Ensemble, x0) -> SolverResult:
-        fn = {"mm": mm_solve, "gd-ls": gd_linesearch_solve,
-              "gd-fixed": gd_fixed_step_solve}[self.kind]
-        return fn(e, self.config, x0)
+        return SOLVERS[self.kind](e, self.config, x0)
 
     def to_dict(self) -> dict:
         cfg = self.config
@@ -258,7 +247,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     children = np.random.SeedSequence(spec.seed).spawn(spec.runs)
     for r in range(spec.runs):
         rng = np.random.Generator(np.random.PCG64(children[r]))
-        ensemble = generate_ensemble(spec, rng)
+        try:
+            ensemble = generate_ensemble(spec, rng)
+        except SpdMeanError as exc:  # an invalid draw fails only its run
+            errors.append(f"run {r} ensemble: {exc}")
+            for ident in ids:
+                results[ident].append(None)
+            continue
         x0 = arithmetic_mean_init(ensemble)
         for solver in spec.solvers:
             try:

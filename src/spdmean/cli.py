@@ -9,8 +9,9 @@ Three subcommands:
 * ``check`` — run the oracle/consistency suite and print a pass/fail
   table.
 
-Exit codes: 0 success/converged, 1 input error, 2 iteration cap hit
-without convergence, 3 failed consistency check.
+Exit codes: 0 success/converged, 1 input error, 2 a solve that did not
+converge or failed (also any failed ``bench`` run), 3 failed
+consistency check.
 """
 
 import argparse
@@ -25,22 +26,7 @@ from .bench import ExperimentSpec, run_experiment, write_report
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .selfcheck import run_checks
-from .solvers import (
-    STATUS_CONVERGED,
-    SolverConfig,
-    arithmetic_mean_init,
-    gd_fixed_step_solve,
-    gd_linesearch_solve,
-    mm_solve,
-)
-
-SOLVE_FNS = {
-    "mm": mm_solve,
-    "gd-ls": gd_linesearch_solve,
-    "gd-fixed": gd_fixed_step_solve,
-}
-
-ENSEMBLE_SYM_TOL = 1e-12
+from .solvers import SOLVERS, STATUS_CONVERGED, SolverConfig, arithmetic_mean_init
 
 
 class InputError(Exception):
@@ -48,7 +34,11 @@ class InputError(Exception):
 
 
 def read_ensemble(path) -> Ensemble:
-    """Parse ``{"dim": p, "matrices": [...]}`` into a validated ensemble."""
+    """Parse ``{"dim": p, "matrices": [...]}`` into a validated ensemble.
+
+    Only the file format is checked here; ``Ensemble.from_matrices``
+    validates the matrices and names the first bad one.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -69,13 +59,6 @@ def read_ensemble(path) -> Ensemble:
         a = np.asarray(entry, dtype=float)
         if a.shape != (p, p):
             raise InputError(f"matrix {i} has shape {a.shape}, expected ({p}, {p})")
-        scale = max(np.linalg.norm(a), 1e-300)
-        if np.linalg.norm(a - a.T) > ENSEMBLE_SYM_TOL * scale:
-            raise InputError(f"matrix {i} is not symmetric")
-        w = np.linalg.eigvalsh((a + a.T) / 2.0)
-        if w[0] <= 0:
-            raise InputError(
-                f"matrix {i} is not positive definite (eigenvalue {w[0]:.6g})")
         mats.append(a)
     try:
         return Ensemble.from_matrices(mats)
@@ -108,12 +91,16 @@ def _write_trace_csv(path, trace) -> None:
 def cmd_mean(args) -> int:
     try:
         ensemble = read_ensemble(args.input)
-    except InputError as exc:
+        cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol,
+                           nu=args.nu, c=args.c)
+    except (InputError, SpdMeanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol,
-                       nu=args.nu, c=args.c)
-    result = SOLVE_FNS[args.solver](ensemble, cfg, arithmetic_mean_init(ensemble))
+    try:
+        result = SOLVERS[args.solver](ensemble, cfg, arithmetic_mean_init(ensemble))
+    except SpdMeanError as exc:
+        print(f"error: {args.solver} solve failed: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".mean.json")
     write_ensemble(out, [result.mean])
     _write_trace_csv(out.with_suffix(".trace.csv"), result.trace)
@@ -152,13 +139,17 @@ def cmd_bench(args) -> int:
         return 1
     if args.seed is not None:
         spec = ExperimentSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    report = run_experiment(spec)
+    try:
+        report = run_experiment(spec)
+    except DomainError as exc:  # duplicate solver ids
+        print(f"error: invalid experiment spec: {exc}", file=sys.stderr)
+        return 1
     out_base = args.out or Path(args.spec).stem
     write_report(report, str(out_base))
     for msg in report.errors:
         print(f"warning: {msg}", file=sys.stderr)
     print(f"report written to {out_base}.csv (+ {out_base}.json)")
-    return 0
+    return 2 if report.errors else 0
 
 
 def cmd_check(_args) -> int:
@@ -181,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mean = sub.add_parser("mean", help="compute the mean of an ensemble file")
     p_mean.add_argument("input", help="ensemble JSON file")
-    p_mean.add_argument("--solver", choices=sorted(SOLVE_FNS), default="mm")
+    p_mean.add_argument("--solver", choices=sorted(SOLVERS), default="mm")
     p_mean.add_argument("--nu", type=float, default=1.0,
                         help="start step size for gradient descent")
     p_mean.add_argument("--c", type=float, default=0.5,
@@ -189,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--tol", type=float, default=None,
                         help="gradient-sum norm tolerance (default 1e-10 * n)")
     p_mean.add_argument("--max-iters", type=int, default=500)
-    p_mean.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface symmetry; unused here")
     p_mean.add_argument("--out", default=None, help="output mean JSON path")
     p_mean.set_defaults(func=cmd_mean)
 

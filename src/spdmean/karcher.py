@@ -45,10 +45,14 @@ class Ensemble:
 
     @classmethod
     def from_matrices(cls, mats: Sequence[np.ndarray]) -> "Ensemble":
-        """Validate each matrix as SPD and precompute its square roots."""
+        """Validate each matrix as SPD and precompute its square roots.
+
+        Every error names the offending matrix by its index, e.g.
+        ``matrix 1 is not symmetric``; the CLI prints it as is.
+        """
         if len(mats) == 0:
             raise DomainError("ensemble must contain at least one matrix")
-        checked = [check_spd(a) for a in mats]
+        checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(mats)]
         p = checked[0].shape[0]
         for i, a in enumerate(checked):
             if a.shape[0] != p:

@@ -32,13 +32,15 @@ class CheckResult:
     detail: str
 
 
-def _random_spd(rng, p, lo=0.5, hi=5.0):
+def random_spd(rng, p, lo=0.5, hi=5.0):
+    """Random SPD matrix with eigenvalues drawn uniformly from [lo, hi]."""
     u = random_orthogonal(p, rng)
     return sym((u * rng.uniform(lo, hi, size=p)) @ u.T)
 
 
-def _random_ensemble(rng, n, p):
-    return Ensemble.from_matrices([_random_spd(rng, p) for _ in range(n)])
+def random_ensemble(rng, n, p, lo=0.5, hi=5.0):
+    """Ensemble of n independent :func:`random_spd` matrices."""
+    return Ensemble.from_matrices([random_spd(rng, p, lo, hi) for _ in range(n)])
 
 
 def _check_scalar_oracle(rng) -> CheckResult:
@@ -71,7 +73,7 @@ def _check_two_matrix_oracle(rng) -> CheckResult:
     worst = 0.0
     for _ in range(5):
         p = int(rng.integers(2, 7))
-        a, b = _random_spd(rng, p), _random_spd(rng, p)
+        a, b = random_spd(rng, p), random_spd(rng, p)
         e = Ensemble.from_matrices([a, b])
         res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
         worst = max(worst, riem_dist(res.mean, two_matrix_oracle(a, b)))
@@ -92,9 +94,9 @@ def _check_majorization(rng) -> CheckResult:
     worst = -np.inf
     for _ in range(25):
         p = int(rng.integers(1, 6))
-        e = _random_ensemble(rng, int(rng.integers(1, 5)), p)
-        x = _random_spd(rng, p)
-        xp = _random_spd(rng, p)
+        e = random_ensemble(rng, int(rng.integers(1, 5)), p)
+        x = random_spd(rng, p)
+        xp = random_spd(rng, p)
         f_x = karcher.objective(e, x)
         slack = surrogate_value(surrogate_coeffs(e, xp), x) - f_x
         worst = max(worst, -slack / (1.0 + abs(f_x)))
@@ -106,7 +108,7 @@ def _check_minimizer_stationarity(rng) -> CheckResult:
     worst = 0.0
     for _ in range(25):
         p = int(rng.integers(1, 7))
-        c1, c2 = _random_spd(rng, p), _random_spd(rng, p)
+        c1, c2 = random_spd(rng, p), random_spd(rng, p)
         x = surrogate_minimizer(c1, c2)
         xi = inv_m(x)
         resid = np.linalg.norm(c1 - xi @ c2 @ xi) / np.linalg.norm(c1)
@@ -118,7 +120,7 @@ def _check_minimizer_stationarity(rng) -> CheckResult:
 def _check_mm_descent(rng) -> CheckResult:
     worst = -np.inf
     for _ in range(5):
-        e = _random_ensemble(rng, 5, 5)
+        e = random_ensemble(rng, 5, 5)
         res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
         f_vals = [t.objective for t in res.trace]
         for prev, cur in zip(f_vals, f_vals[1:]):
@@ -130,7 +132,7 @@ def _check_mm_descent(rng) -> CheckResult:
 def _check_cross_solver(rng) -> CheckResult:
     worst = 0.0
     for _ in range(3):
-        e = _random_ensemble(rng, 4, 5)
+        e = random_ensemble(rng, 4, 5)
         x0 = arithmetic_mean_init(e)
         a = mm_solve(e, SolverConfig(), x0)
         b = gd_linesearch_solve(e, SolverConfig(nu=1.0, c=0.5), x0)
@@ -145,8 +147,8 @@ def _check_gradient_fd(rng) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         p = int(rng.integers(1, 5))
-        e = _random_ensemble(rng, int(rng.integers(1, 4)), p)
-        x = _random_spd(rng, p, lo=1.0, hi=3.0)
+        e = random_ensemble(rng, int(rng.integers(1, 4)), p)
+        x = random_spd(rng, p, lo=1.0, hi=3.0)
         h_dir = sym(rng.standard_normal((p, p)))
         h_dir /= np.linalg.norm(h_dir)
         fd = finite_diff_directional(lambda m: karcher.objective(e, m), x, h_dir)
@@ -157,7 +159,7 @@ def _check_gradient_fd(rng) -> CheckResult:
 
 
 def _check_stationarity_at_convergence(rng) -> CheckResult:
-    e = _random_ensemble(rng, 5, 6)
+    e = random_ensemble(rng, 5, 6)
     res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
     gnorm = float(np.linalg.norm(grad_sum(e, res.mean)))
     ok = res.converged and gnorm < 10 * SolverConfig().effective_grad_tol(e.n)

@@ -1,7 +1,8 @@
 """Karcher-mean solvers with per-iteration traces.
 
-Three solvers share the same stopping rule (Frobenius norm of the
-unnormalized gradient sum below ``grad_tol``, default ``1e-10 * n``):
+Three solvers share one loop and its stopping rule (Frobenius norm of
+the unnormalized gradient sum below ``grad_tol``, default
+``1e-10 * n``); each supplies only a step function:
 
 * :func:`mm_solve` — parameter-free majorization-minimization; each step
   minimizes the surrogate in closed form and the objective never
@@ -97,33 +98,58 @@ class SolverResult:
     status: str = STATUS_MAX_ITERS
 
 
-def _log_error(grad_norm: float) -> float:
-    return math.log(grad_norm) if grad_norm > 0 else float("-inf")
+def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
+    """The loop all solvers share: trace, stopping rule and result.
 
+    ``steps(e, cfg, x)`` yields ``(x, objective, grad_sum)`` once per
+    trace record, starting at the validated start point. After each
+    record the run stops as converged (gradient norm below tolerance),
+    diverged (objective above ``DIVERGENCE_FACTOR`` times its first
+    value; only fixed-step GD can raise its objective) or at the cap of
+    ``max_iters + 1`` records, tested in that order. A step function
+    that returns has stalled: its last probe failed, and the loop
+    records that probe at the current point without the cap test.
+    """
+    x = check_spd(x0)
+    tol = cfg.effective_grad_tol(e.n)
+    t0 = perf_counter()
+    trace: List[TraceRecord] = []
 
-class _Tracer:
-    def __init__(self):
-        self.t0 = perf_counter()
-        self.trace: List[TraceRecord] = []
+    def record(f_val, gnorm):
+        log_error = math.log(gnorm) if gnorm > 0 else float("-inf")
+        trace.append(TraceRecord(iter=len(trace), objective=f_val,
+                                 grad_norm=gnorm, log_error=log_error,
+                                 elapsed=perf_counter() - t0))
 
-    def record(self, e: Ensemble, x, f_val=None, gnorm=None):
-        if f_val is None:
-            f_val = objective(e, x)
-        if gnorm is None:
-            gnorm = float(np.linalg.norm(grad_sum(e, x)))
-        self.trace.append(TraceRecord(
-            iter=len(self.trace),
-            objective=f_val,
-            grad_norm=gnorm,
-            log_error=_log_error(gnorm),
-            elapsed=perf_counter() - self.t0,
-        ))
-        return f_val, gnorm
+    status = STATUS_MAX_ITERS
+    for x, f_val, g in steps(e, cfg, x):
+        gnorm = float(np.linalg.norm(g))
+        record(f_val, gnorm)
+        if gnorm < tol:
+            status = STATUS_CONVERGED
+            break
+        if f_val > DIVERGENCE_FACTOR * trace[0].objective:
+            status = STATUS_DIVERGED
+            break
+        if len(trace) > cfg.max_iters:
+            break
+    else:
+        record(f_val, gnorm)
+        status = STATUS_LINE_SEARCH_STALLED
+    return SolverResult(mean=x, trace=trace,
+                        converged=status == STATUS_CONVERGED,
+                        iters_used=len(trace) - 1, status=status)
 
 
 def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
     """Arithmetic mean (1/n) Σ Aᵢ, the common starting iterate."""
     return sym(np.mean(e.mats, axis=0))
+
+
+def _mm_steps(e: Ensemble, cfg: SolverConfig, x):
+    while True:
+        yield x, objective(e, x), grad_sum(e, x)
+        x = surrogate_minimizer(*_f12(e, x))
 
 
 def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
@@ -132,24 +158,28 @@ def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     Each iterate is the closed-form minimizer of the surrogate built at
     the previous one; the objective trace is nonincreasing.
     """
-    x = check_spd(x0)
-    tol = cfg.effective_grad_tol(e.n)
-    tracer = _Tracer()
-    for k in range(cfg.max_iters + 1):
-        _, gnorm = tracer.record(e, x)
-        if gnorm < tol:
-            return SolverResult(mean=x, trace=tracer.trace, converged=True,
-                                iters_used=k, status=STATUS_CONVERGED)
-        if k == cfg.max_iters:
-            break
-        c1, c2 = _f12(e, x)
-        x = surrogate_minimizer(c1, c2)
-    return SolverResult(mean=x, trace=tracer.trace, converged=False,
-                        iters_used=cfg.max_iters, status=STATUS_MAX_ITERS)
+    return _solve(_mm_steps, e, cfg, x0)
 
 
 def _exp_step(x, sqrt_x, step, d):
     return sym(sqrt_x @ exp_m(step * d) @ sqrt_x)
+
+
+def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, x):
+    f_cur, g = objective(e, x), grad_sum(e, x)
+    while True:
+        yield x, f_cur, g
+        sqrt_x = sqrt_m(x)
+        d = g / e.n
+        for j in range(cfg.ls_max_j + 1):
+            x_trial = _exp_step(x, sqrt_x, cfg.c**j * cfg.nu, d)
+            f_trial = objective(e, x_trial)
+            if f_trial <= f_cur:
+                x, f_cur, g = x_trial, f_trial, grad_sum(e, x_trial)
+                break
+            if j == cfg.ls_max_j:
+                return  # stalled; the loop records this last probe
+            yield x, f_cur, g
 
 
 def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
@@ -163,44 +193,16 @@ def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     magnitude. Every inner probe appends one trace record, so
     ``max_iters`` caps the total probe count; if every probe up to
     ``ls_max_j`` increases the objective the run stops with status
-    ``line_search_stalled``.
+    ``line_search_stalled``, even when that last probe reaches the cap.
     """
-    x = check_spd(x0)
-    tol = cfg.effective_grad_tol(e.n)
-    tracer = _Tracer()
-    f_cur, gnorm = tracer.record(e, x)
-    if gnorm < tol:
-        return SolverResult(mean=x, trace=tracer.trace, converged=True,
-                            iters_used=0, status=STATUS_CONVERGED)
+    return _solve(_gd_linesearch_steps, e, cfg, x0)
+
+
+def _gd_fixed_steps(e: Ensemble, cfg: SolverConfig, x):
     while True:
-        d = grad_sum(e, x) / e.n
-        sqrt_x = sqrt_m(x)
-        accepted = False
-        for j in range(cfg.ls_max_j + 1):
-            if len(tracer.trace) > cfg.max_iters:
-                return SolverResult(mean=x, trace=tracer.trace, converged=False,
-                                    iters_used=len(tracer.trace) - 1,
-                                    status=STATUS_MAX_ITERS)
-            x_trial = _exp_step(x, sqrt_x, cfg.c**j * cfg.nu, d)
-            f_trial = objective(e, x_trial)
-            if f_trial <= f_cur:
-                x = x_trial
-                f_cur, gnorm = tracer.record(e, x, f_val=f_trial)
-                accepted = True
-                break
-            tracer.record(e, x, f_val=f_cur, gnorm=gnorm)
-        if not accepted:
-            return SolverResult(mean=x, trace=tracer.trace, converged=False,
-                                iters_used=len(tracer.trace) - 1,
-                                status=STATUS_LINE_SEARCH_STALLED)
-        if gnorm < tol:
-            return SolverResult(mean=x, trace=tracer.trace, converged=True,
-                                iters_used=len(tracer.trace) - 1,
-                                status=STATUS_CONVERGED)
-        if len(tracer.trace) > cfg.max_iters:
-            return SolverResult(mean=x, trace=tracer.trace, converged=False,
-                                iters_used=len(tracer.trace) - 1,
-                                status=STATUS_MAX_ITERS)
+        f_val, g = objective(e, x), grad_sum(e, x)
+        yield x, f_val, g
+        x = _exp_step(x, sqrt_m(x), cfg.nu, g / e.n)
 
 
 def gd_fixed_step_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
@@ -209,23 +211,12 @@ def gd_fixed_step_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     The trace may be nonmonotone; the run stops with status ``diverged``
     once the objective exceeds 1e6 times its initial value.
     """
-    x = check_spd(x0)
-    tol = cfg.effective_grad_tol(e.n)
-    tracer = _Tracer()
-    f0 = None
-    for k in range(cfg.max_iters + 1):
-        f_val, gnorm = tracer.record(e, x)
-        if f0 is None:
-            f0 = f_val
-        if gnorm < tol:
-            return SolverResult(mean=x, trace=tracer.trace, converged=True,
-                                iters_used=k, status=STATUS_CONVERGED)
-        if f_val > DIVERGENCE_FACTOR * f0:
-            return SolverResult(mean=x, trace=tracer.trace, converged=False,
-                                iters_used=k, status=STATUS_DIVERGED)
-        if k == cfg.max_iters:
-            break
-        d = grad_sum(e, x) / e.n
-        x = _exp_step(x, sqrt_m(x), cfg.nu, d)
-    return SolverResult(mean=x, trace=tracer.trace, converged=False,
-                        iters_used=cfg.max_iters, status=STATUS_MAX_ITERS)
+    return _solve(_gd_fixed_steps, e, cfg, x0)
+
+
+# The one list of solver kinds: SolverSpec and the CLI read it.
+SOLVERS = {
+    "mm": mm_solve,
+    "gd-ls": gd_linesearch_solve,
+    "gd-fixed": gd_fixed_step_solve,
+}

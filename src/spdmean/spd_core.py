@@ -6,7 +6,7 @@ functions take and return plain ``numpy`` arrays; SPD inputs are
 validated with :func:`check_spd` at API boundaries.
 """
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -16,15 +16,7 @@ from .errors import DimensionMismatch, DomainError, NonConvergence
 SYM_TOL = 1e-12
 ORTHO_TOL = 1e-10
 RECON_TOL = 1e-10
-COMMUTE_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-13
-
-
-class EigenPair(NamedTuple):
-    """Orthonormal eigenvectors and descending eigenvalues of a symmetric matrix."""
-
-    vectors: np.ndarray
-    values: np.ndarray
 
 
 def sym(a):
@@ -37,32 +29,40 @@ def check_dims(a, b):
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def check_symmetric(a, tol=SYM_TOL):
-    """Validate near-symmetry and return the symmetrized matrix."""
+def check_symmetric(a, tol=SYM_TOL, name="matrix"):
+    """Validate near-symmetry and return the symmetrized matrix.
+
+    ``name`` is how error messages refer to ``a``.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
     scale = np.linalg.norm(a)
     if np.linalg.norm(a - a.T) > tol * max(scale, 1e-300):
-        raise DomainError("matrix is not symmetric")
+        raise DomainError(f"{name} is not symmetric")
     return sym(a)
 
 
-def check_spd(a, tol=SYM_TOL):
+def check_spd(a, tol=SYM_TOL, name="matrix"):
     """Validate that ``a`` is SPD; returns the symmetrized matrix.
 
     Positivity uses a relative floor: the smallest eigenvalue must exceed
     ``POSITIVITY_FLOOR`` times the largest, so the check survives rescaling.
+    ``name`` is how error messages refer to ``a``.
 
     Raises
     ------
     DomainError
-        If ``a`` is not symmetric or has a non-positive eigenvalue.
+        If ``a`` has a NaN or infinite entry, is not symmetric, or has a
+        non-positive eigenvalue.
     """
-    a = check_symmetric(a, tol=tol)
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} has a non-finite entry")
+    a = check_symmetric(a, tol=tol, name=name)
     w = np.linalg.eigvalsh(a)
     if w[0] <= POSITIVITY_FLOOR * abs(w[-1]):
-        raise DomainError(f"matrix is not positive definite (eigenvalue {w[0]:.6g})")
+        raise DomainError(f"{name} is not positive definite (eigenvalue {w[0]:.6g})")
     return a
 
 
@@ -76,7 +76,7 @@ def sym_eig(m):
 
     Returns
     -------
-    EigenPair
+    (vectors, values)
         Orthogonal ``vectors`` and descending ``values`` with
         ``vectors @ diag(values) @ vectors.T == m`` up to round-off.
     """
@@ -85,16 +85,26 @@ def sym_eig(m):
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenPair(vectors=np.ascontiguousarray(u[:, ::-1]), values=w[::-1].copy())
+    return np.ascontiguousarray(u[:, ::-1]), w[::-1].copy()
 
 
-def _spectral_apply(m, fvals_of):
-    """Rebuild U diag(f(λ)) Uᵀ from a vectorized eigenvalue map."""
+def _spectral_apply(m, fvals_of, positive=None, invert=False):
+    """Rebuild U diag(f(λ)) Uᵀ from a vectorized eigenvalue map.
+
+    ``positive`` names the calling function when f needs a positive
+    definite argument; the spectrum is then checked for positivity,
+    otherwise f(λ) is checked for finite values. ``invert`` rebuilds
+    U diag(1/f(λ)) Uᵀ instead, dividing rather than multiplying by a
+    reciprocal.
+    """
     u, w = sym_eig(m)
+    if positive is not None and w[-1] <= 0:
+        raise DomainError(f"{positive} requires a positive definite matrix "
+                          f"(eigenvalue {w[-1]:.6g})")
     fw = fvals_of(w)
-    if not np.all(np.isfinite(fw)):
+    if positive is None and not np.all(np.isfinite(fw)):
         raise DomainError("scalar function not finite on the spectrum")
-    return sym((u * fw) @ u.T)
+    return sym(((u / fw) if invert else (u * fw)) @ u.T)
 
 
 def matrix_fn(m, f: Callable[[float], float]):
@@ -116,17 +126,9 @@ def matrix_fn(m, f: Callable[[float], float]):
     return _spectral_apply(m, fvals)
 
 
-def _require_positive_spectrum(w, what):
-    if w[-1] <= 0:
-        raise DomainError(f"{what} requires a positive definite matrix "
-                          f"(eigenvalue {w[-1]:.6g})")
-
-
 def log_m(a):
     """Matrix logarithm of an SPD matrix."""
-    u, w = sym_eig(a)
-    _require_positive_spectrum(w, "log_m")
-    return sym((u * np.log(w)) @ u.T)
+    return _spectral_apply(a, np.log, "log_m")
 
 
 def exp_m(a):
@@ -136,30 +138,22 @@ def exp_m(a):
 
 def sqrt_m(a):
     """Principal square root of an SPD matrix."""
-    u, w = sym_eig(a)
-    _require_positive_spectrum(w, "sqrt_m")
-    return sym((u * np.sqrt(w)) @ u.T)
+    return _spectral_apply(a, np.sqrt, "sqrt_m")
 
 
 def inv_sqrt_m(a):
     """Inverse principal square root of an SPD matrix."""
-    u, w = sym_eig(a)
-    _require_positive_spectrum(w, "inv_sqrt_m")
-    return sym((u / np.sqrt(w)) @ u.T)
+    return _spectral_apply(a, np.sqrt, "inv_sqrt_m", invert=True)
 
 
 def inv_m(a):
     """Inverse of an SPD matrix via its eigendecomposition."""
-    u, w = sym_eig(a)
-    _require_positive_spectrum(w, "inv_m")
-    return sym((u / w) @ u.T)
+    return _spectral_apply(a, lambda w: w, "inv_m", invert=True)
 
 
 def pow_m(a, t):
     """Real matrix power ``a**t`` of an SPD matrix."""
-    u, w = sym_eig(a)
-    _require_positive_spectrum(w, "pow_m")
-    return sym((u * w**float(t)) @ u.T)
+    return _spectral_apply(a, lambda w: w**float(t), "pow_m")
 
 
 def frob_inner(a, b):

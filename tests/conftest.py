@@ -6,18 +6,8 @@ from spdmean.karcher import Ensemble
 from spdmean.spd_core import sym
 
 
-def random_spd(rng, p, lo=0.5, hi=5.0):
-    """Random SPD matrix with eigenvalues drawn uniformly from [lo, hi]."""
-    u = random_orthogonal(p, rng)
-    return sym((u * rng.uniform(lo, hi, size=p)) @ u.T)
-
-
 def random_sym(rng, p, scale=1.0):
     return sym(rng.standard_normal((p, p))) * scale
-
-
-def random_ensemble(rng, n, p, lo=0.5, hi=5.0):
-    return Ensemble.from_matrices([random_spd(rng, p, lo, hi) for _ in range(n)])
 
 
 def commuting_ensemble(rng, n, p, lo=0.5, hi=5.0):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import commuting_ensemble, random_spd, random_sym
+from conftest import commuting_ensemble, random_sym
 from spdmean.bench import (
     ExperimentSpec,
     SolverSpec,
@@ -34,6 +34,7 @@ from spdmean.oracle import (
     scalar_karcher_oracle,
     two_matrix_oracle,
 )
+from spdmean.selfcheck import random_spd
 from spdmean.solvers import SolverConfig, arithmetic_mean_init, mm_solve
 from spdmean.spd_core import frob_inner, inv_m, log_m, riem_dist, sym
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-import spdmean.bench as bench
+import spdmean.solvers as solvers
 from spdmean.bench import (
     ExperimentSpec,
     SolverSpec,
@@ -223,7 +223,7 @@ class TestRunExperiment:
         def boom(e, cfg, x0):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(bench, "mm_solve", boom)
+        monkeypatch.setitem(solvers.SOLVERS, "mm", boom)
         spec = small_spec(solvers=[SolverSpec(kind="mm"),
                                    SolverSpec(kind="gd-ls")], runs=2)
         rep = run_experiment(spec)
@@ -233,6 +233,21 @@ class TestRunExperiment:
         # the healthy solver column is still aggregated
         assert np.all(np.isfinite(rep.mean_log_error[:, 1]))
         assert np.all(np.isnan(rep.mean_log_error[:, 0]))
+
+
+    def test_ensemble_error_collected_not_raised(self):
+        # 1e300 and 1e-300 are 600 orders of magnitude apart, far below
+        # the relative positivity floor, so every draw is rejected
+        spec = small_spec(
+            n=2, p=2, spectrum=SpectrumSpec(kind="explicit", dim=2,
+                                            values=[1e300, 1e-300]),
+            solvers=[SolverSpec(kind="mm"), SolverSpec(kind="gd-ls")])
+        with np.errstate(over="ignore"):
+            rep = run_experiment(spec)
+        assert len(rep.errors) == 2
+        assert rep.errors[0].startswith("run 0 ensemble: matrix 0")
+        assert rep.results == {"mm": [None, None], "gd-ls-nu1": [None, None]}
+        assert rep.mean_log_error.shape == (0, 2)
 
 
 class TestReportOutput:

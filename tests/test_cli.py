@@ -71,6 +71,37 @@ class TestMean:
         err = capsys.readouterr().err
         assert "positive definite" in err and "-2" in err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected_with_index(self, tmp_path, capsys, value):
+        # json writes these as Infinity / -Infinity / NaN, which it also reads
+        inp = ensemble_file(
+            tmp_path, [[[value, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        out = tmp_path / "m.json"
+        assert main(["mean", inp, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "matrix 0" in err and "non-finite" in err
+        assert not out.exists()
+
+    def test_invalid_config_rejected(self, tmp_path, capsys):
+        inp = ensemble_file(tmp_path, [[[1.0]], [[4.0]]])
+        assert main(["mean", inp, "--c", "2"]) == 1
+        assert "c must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_failed_solve_exit_code(self, tmp_path, capsys, rng):
+        # a fixed step of 4 throws the iterate out of the SPD cone
+        mats = [selfcheck.random_spd(rng, 4, lo=1.0, hi=10.0).tolist()
+                for _ in range(5)]
+        inp = ensemble_file(tmp_path, mats)
+        out = tmp_path / "m.json"
+        code = main(["mean", inp, "--solver", "gd-fixed", "--nu", "4",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gd-fixed solve failed: ")
+        assert "positive definite" in err
+        assert not out.exists()
+        assert not (tmp_path / "m.trace.csv").exists()
+
     def test_shape_mismatch_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]]], dim=2)
         assert main(["mean", inp]) == 1
@@ -99,9 +130,7 @@ class TestMean:
 
 class TestEnsembleRoundTrip:
     def test_bitwise(self, tmp_path, rng):
-        from conftest import random_spd
-
-        mats = [random_spd(rng, 4) for _ in range(3)]
+        mats = [selfcheck.random_spd(rng, 4) for _ in range(3)]
         path = tmp_path / "rt.json"
         write_ensemble(path, mats)
         again = read_ensemble(path)
@@ -140,6 +169,29 @@ class TestBench:
         spec = write_json(tmp_path / "spec.json", payload)
         assert main(["bench", spec]) == 1
         assert "temperature" in capsys.readouterr().err
+
+    def test_run_errors_exit_code(self, tmp_path, capsys):
+        # spectra 1e300 and 1e-300 fail ensemble validation in every run
+        payload = {
+            "n": 2, "p": 2, "runs": 2, "seed": 0,
+            "spectrum": {"kind": "explicit", "dim": 2, "values": [1e300, 1e-300]},
+            "solvers": [{"kind": "mm"}],
+        }
+        spec = write_json(tmp_path / "spec.json", payload)
+        base = tmp_path / "rep"
+        with np.errstate(over="ignore"):
+            assert main(["bench", spec, "--out", str(base)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("warning: run ") == 2
+        assert (tmp_path / "rep.csv").read_text() == "iter,mm\n"
+        assert json.loads((tmp_path / "rep.json").read_text())["n"] == 2
+
+    def test_duplicate_solver_ids_rejected(self, tmp_path, capsys):
+        payload = self.spec_payload()
+        payload["solvers"] = [{"kind": "mm"}, {"kind": "mm"}]
+        spec = write_json(tmp_path / "spec.json", payload)
+        assert main(["bench", spec]) == 1
+        assert "duplicate solver ids" in capsys.readouterr().err
 
     def test_missing_spec_file(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope.json")]) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ensemble, random_spd, random_sym
+from conftest import random_sym
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.karcher import (
     Ensemble,
@@ -20,6 +20,7 @@ from spdmean.karcher import (
     surrogate_value,
 )
 from spdmean.oracle import finite_diff_directional
+from spdmean.selfcheck import random_ensemble, random_spd
 from spdmean.spd_core import check_spd, frob_inner, inv_m, sym
 
 
@@ -44,6 +45,18 @@ class TestEnsemble:
     def test_non_spd_rejected(self):
         with pytest.raises(DomainError):
             Ensemble.from_matrices([np.diag([1.0, -1.0])])
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "matrix 1 is not symmetric"),
+        ([[1.0, 0.0], [0.0, -2.0]],
+         "matrix 1 is not positive definite (eigenvalue -2)"),
+        ([[1.0, 0.0], [0.0, np.inf]], "matrix 1 has a non-finite entry"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "matrix 1 has a non-finite entry"),
+    ])
+    def test_diagnostic_names_matrix(self, bad, message):
+        with pytest.raises(DomainError) as info:
+            Ensemble.from_matrices([np.eye(2), np.array(bad)])
+        assert str(info.value) == message
 
 
 class TestObjective:

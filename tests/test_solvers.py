@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_ensemble, random_ensemble, random_spd
+from conftest import commuting_ensemble
 from spdmean.errors import DomainError
 from spdmean.karcher import Ensemble, grad_sum
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
+from spdmean.selfcheck import random_ensemble, random_spd
 from spdmean.solvers import (
+    SOLVERS as REGISTRY,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_LINE_SEARCH_STALLED,
@@ -263,3 +265,53 @@ class TestInvarianceAndAgreement:
         e = random_ensemble(rng, 3, 3)
         with pytest.raises(DomainError):
             solve(e, SolverConfig(), np.diag([1.0, 1.0, -1.0]))
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("solve, kwargs, vals, x0, status, records", [
+        # probe cap and ls_max_j run out on the same record: stall wins
+        (gd_linesearch_solve, dict(nu=30.0, ls_max_j=1, max_iters=2),
+         (1.0, 4.0), 2.5, STATUS_LINE_SEARCH_STALLED, 3),
+        (gd_linesearch_solve, dict(nu=30.0, ls_max_j=1, max_iters=1),
+         (1.0, 4.0), 2.5, STATUS_MAX_ITERS, 2),
+        (gd_linesearch_solve, dict(nu=30.0, ls_max_j=1, max_iters=50),
+         (1.0, 4.0), 2.5, STATUS_LINE_SEARCH_STALLED, 3),
+        (gd_linesearch_solve, dict(nu=20.0, max_iters=3),
+         (1.0, 4.0), 2.5, STATUS_MAX_ITERS, 4),
+        (gd_linesearch_solve, dict(), (1.0, 4.0), 2.5, STATUS_CONVERGED, None),
+        (mm_solve, dict(max_iters=1), (1.0, 4.0), 2.5, STATUS_MAX_ITERS, 2),
+        (mm_solve, dict(), (1.0, 4.0), 2.5, STATUS_CONVERGED, None),
+        (mm_solve, dict(), (1.0, 4.0), 2.0, STATUS_CONVERGED, 1),
+        # each step of nu = 4 multiplies log x by -3, from 0.01 past the
+        # 1e6 guard (|log x| > 10) after 7 steps
+        (gd_fixed_step_solve, dict(nu=4.0), (1.0,), math.exp(0.01),
+         STATUS_DIVERGED, 8),
+        (gd_fixed_step_solve, dict(nu=0.5, max_iters=5),
+         (1.0, 4.0), 2.5, STATUS_MAX_ITERS, 6),
+    ])
+    def test_status_and_trace_length(self, solve, kwargs, vals, x0, status,
+                                     records):
+        cfg = SolverConfig(**kwargs)
+        res = solve(scalar_ensemble(*vals), cfg, np.array([[x0]]))
+        assert res.status == status
+        assert res.converged == (status == STATUS_CONVERGED)
+        assert res.iters_used == len(res.trace) - 1
+        assert len(res.trace) <= cfg.max_iters + 1
+        if records is not None:
+            assert len(res.trace) == records
+
+    def test_registry_is_the_one_list_of_kinds(self):
+        import argparse
+
+        from spdmean.bench import SolverSpec
+        from spdmean.cli import build_parser
+
+        assert list(REGISTRY.values()) == SOLVERS
+        for kind in REGISTRY:
+            assert SolverSpec(kind=kind).kind == kind
+        with pytest.raises(DomainError):
+            SolverSpec(kind="newton")
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        solver = next(a for a in sub.choices["mean"]._actions if a.dest == "solver")
+        assert sorted(solver.choices) == sorted(REGISTRY)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spd, random_sym
+from conftest import random_sym
 from spdmean.errors import DimensionMismatch, DomainError
+from spdmean.selfcheck import random_spd
 from spdmean.spd_core import (
     ORTHO_TOL,
     RECON_TOL,
@@ -77,6 +78,26 @@ class TestCheckSpd:
     def test_relative_floor_survives_scaling(self, rng):
         a = random_spd(rng, 3) * 1e4
         check_spd(a)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, value, where):
+        a = np.eye(2)
+        a[where] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            check_spd(a)
+
+
+@pytest.mark.parametrize("fn, name", [
+    (log_m, "log_m"),
+    (sqrt_m, "sqrt_m"),
+    (inv_sqrt_m, "inv_sqrt_m"),
+    (inv_m, "inv_m"),
+    (lambda a: pow_m(a, 0.5), "pow_m"),
+])
+def test_spd_functions_reject_indefinite(fn, name):
+    with pytest.raises(DomainError, match=rf"^{name} requires a positive definite"):
+        fn(np.diag([1.0, -2.0]))
 
 
 class TestMatrixFn:
