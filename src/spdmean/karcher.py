@@ -6,10 +6,13 @@ surrogate ``G(X, X') = ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0`` built from the scal
 weights :func:`g1_scalar` / :func:`g2_scalar`, and minimizes G in closed
 form (:func:`surrogate_minimizer`).
 
-All ensemble sums are reduced in ascending matrix index order so results
-are bitwise reproducible.
+Every ensemble sum comes from one stacked eigendecomposition of the
+matrices Yᵢ = Aᵢ^{-1/2} X Aᵢ^{-1/2} (:func:`_karcher_terms`); sums over i
+are single matrix products over the stack, so results are bitwise
+reproducible for a given numpy and BLAS.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,12 +21,13 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 from .spd_core import (
     check_spd,
+    check_spd_stack,
+    eigh,
     frob_inner,
     inv_m,
     inv_sqrt_m,
     sqrt_m,
     sym,
-    sym_eig,
 )
 
 
@@ -48,22 +52,27 @@ class Ensemble:
         """Validate each matrix as SPD and precompute its square roots.
 
         Every error names the offending matrix by its index, e.g.
-        ``matrix 1 is not symmetric``; the CLI prints it as is.
+        ``matrix 1 is not symmetric``; the CLI prints it as is. The first
+        bad matrix is reported; a dimension mismatch only when every
+        matrix is SPD on its own.
         """
         if len(mats) == 0:
             raise DomainError("ensemble must contain at least one matrix")
-        checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(mats)]
-        p = checked[0].shape[0]
-        for i, a in enumerate(checked):
-            if a.shape[0] != p:
-                raise DimensionMismatch(
-                    f"matrix {i} has dim {a.shape[0]}, expected {p}")
-        stack = np.array(checked)
-        return cls(
-            mats=stack,
-            sqrts=np.array([sqrt_m(a) for a in checked]),
-            inv_sqrts=np.array([inv_sqrt_m(a) for a in checked]),
-        )
+        arrs = [np.asarray(a, dtype=float) for a in mats]
+        shape = arrs[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or \
+                any(a.shape != shape for a in arrs):
+            # no stack: the per-matrix checks or the dimension check raise
+            checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(arrs)]
+            for i, a in enumerate(checked):
+                if a.shape[0] != shape[0]:
+                    raise DimensionMismatch(
+                        f"matrix {i} has dim {a.shape[0]}, expected {shape[0]}")
+        stack, w, u = check_spd_stack(np.array(arrs))
+        root = np.sqrt(w)[:, None, :]
+        ut = np.swapaxes(u, 1, 2)
+        return cls(mats=stack, sqrts=sym((u * root) @ ut),
+                   inv_sqrts=sym((u / root) @ ut))
 
     @property
     def n(self) -> int:
@@ -120,7 +129,7 @@ def g2_scalar(x: float) -> float:
 
 def _g12_values(w):
     """Vectorized (g1, g2) on a positive spectrum, cancellation-safe."""
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise DomainError("g1/g2 require a positive definite argument")
     z = np.log(w)
     s = np.sqrt(z * z + 1.0)
@@ -129,17 +138,73 @@ def _g12_values(w):
     return g1, g2
 
 
+def _spectra(e: Ensemble, x, vectors=True):
+    """Stacked eigendecomposition of Yᵢ = Aᵢ^{-1/2} X Aᵢ^{-1/2}.
+
+    Returns the (n, p) ascending eigenvalues and, with ``vectors``, the
+    (n, p, p) eigenvectors Uᵢ (else ``None``). The eigensolver reads the
+    lower triangle only, so the products are not symmetrized first.
+    Every Yᵢ must be positive definite; a NaN spectrum fails that test.
+    """
+    x = _check_point(e, x)
+    w, u = eigh(e.inv_sqrts @ x @ e.inv_sqrts, vectors)
+    if not np.all(w[:, 0] > 0):
+        raise DomainError("objective requires a positive definite point")
+    return w, u
+
+
+def _sum_sq(log_w):
+    """Σ (log w)², summed exactly.
+
+    Line-search GD compares objectives that differ by a few ulps near
+    convergence; an exact sum does not depend on the summation order,
+    and its smaller rounding noise lets fewer runs stall there.
+    """
+    return math.fsum(np.square(log_w).ravel())
+
+
+def _sandwich(ft, weights):
+    """Σᵢ Fᵢ diag(weightsᵢ) Fᵢᵀ from the stacked transposes Fᵢᵀ.
+
+    The rows of all Fᵢᵀ form one (n·p, p) matrix, so the sum over i is a
+    single matrix product.
+    """
+    rows = ft.reshape(-1, ft.shape[-1])
+    return sym(rows.T @ (rows * weights.reshape(-1, 1)))
+
+
+def _log_sum(x, bt, w, log_w):
+    """Σᵢ log(X^{-1/2} Aᵢ X^{-1/2}) = −X^{-1/2} [Σᵢ Bᵢ D(wᵢ log wᵢ) Bᵢᵀ] X^{-1/2}.
+
+    Bᵢ = Aᵢ^{1/2} Uᵢ (``bt`` holds the Bᵢᵀ) satisfies Bᵢ D(wᵢ) Bᵢᵀ = X,
+    so X^{-1/2} Bᵢ D(wᵢ)^{1/2} is orthogonal and the congruence is the
+    matrix logarithm of X^{-1/2} Aᵢ X^{-1/2} = (X^{-1/2} Bᵢ)(X^{-1/2} Bᵢ)ᵀ.
+    """
+    xi = inv_sqrt_m(x)
+    return -sym(xi @ _sandwich(bt, w * log_w) @ xi)
+
+
+def _karcher_terms(e: Ensemble, x):
+    """Objective, gradient sum and surrogate coefficients at x.
+
+    Returns ``(objective, grad_sum, c1, c2)`` from one stacked
+    eigendecomposition Yᵢ = Uᵢ D(wᵢ) Uᵢᵀ of Aᵢ^{-1/2} X Aᵢ^{-1/2}:
+    the objective is Σ (log w)², c1 = Σᵢ Aᵢ^{-1/2} Uᵢ D(g1(wᵢ)) Uᵢᵀ Aᵢ^{-1/2},
+    c2 = Σᵢ Bᵢ D(g2(wᵢ)) Bᵢᵀ with Bᵢ = Aᵢ^{1/2} Uᵢ, and the gradient sum
+    is the congruence form of :func:`_log_sum`, which reuses Bᵢ.
+    """
+    w, u = _spectra(e, x)
+    ut = np.swapaxes(u, 1, 2)
+    bt = ut @ e.sqrts
+    log_w = np.log(w)
+    g1, g2 = _g12_values(w)
+    return (_sum_sq(log_w), _log_sum(x, bt, w, log_w),
+            _sandwich(ut @ e.inv_sqrts, g1), _sandwich(bt, g2))
+
+
 def objective(e: Ensemble, x) -> float:
     """Sum of squared affine-invariant distances from x to the ensemble."""
-    x = _check_point(e, x)
-    total = 0.0
-    for i in range(e.n):
-        si = e.inv_sqrts[i]
-        w = np.linalg.eigvalsh(sym(si @ x @ si))
-        if w[0] <= 0:
-            raise DomainError("objective requires a positive definite point")
-        total += float(np.sum(np.log(w) ** 2))
-    return total
+    return _sum_sq(np.log(_spectra(e, x, vectors=False)[0]))
 
 
 def grad_sum(e: Ensemble, x) -> np.ndarray:
@@ -148,15 +213,8 @@ def grad_sum(e: Ensemble, x) -> np.ndarray:
     Its Frobenius norm is the convergence measure recorded by all
     solvers (the logarithmic-error quantity is its natural log).
     """
-    x = _check_point(e, x)
-    xi = inv_sqrt_m(x)
-    acc = np.zeros_like(x)
-    for i in range(e.n):
-        u, w = sym_eig(sym(xi @ e.mats[i] @ xi))
-        if w[-1] <= 0:
-            raise DomainError("gradient requires a positive definite point")
-        acc = acc + sym((u * np.log(w)) @ u.T)
-    return sym(acc)
+    w, u = _spectra(e, x)
+    return _log_sum(x, np.swapaxes(u, 1, 2) @ e.sqrts, w, np.log(w))
 
 
 def grad_direction(e: Ensemble, x) -> np.ndarray:
@@ -171,41 +229,18 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     point) back through Aᵢ^{-1/2}; used by finite-difference validation,
     not by the solvers.
     """
-    x = _check_point(e, x)
-    acc = np.zeros_like(x)
-    for i in range(e.n):
-        si = e.inv_sqrts[i]
-        u, w = sym_eig(sym(si @ x @ si))
-        if w[-1] <= 0:
-            raise DomainError("gradient requires a positive definite point")
-        inner = sym((u * (2.0 * np.log(w) / w)) @ u.T)
-        acc = acc + si @ inner @ si
-    return sym(acc)
-
-
-def _f12(e: Ensemble, x):
-    """Both surrogate coefficient matrices from one decomposition per term."""
-    x = _check_point(e, x)
-    c1 = np.zeros_like(x)
-    c2 = np.zeros_like(x)
-    for i in range(e.n):
-        si = e.inv_sqrts[i]
-        u, w = sym_eig(sym(si @ x @ si))
-        g1w, g2w = _g12_values(w)
-        c1 = c1 + si @ sym((u * g1w) @ u.T) @ si
-        s = e.sqrts[i]
-        c2 = c2 + s @ sym((u * g2w) @ u.T) @ s
-    return sym(c1), sym(c2)
+    w, u = _spectra(e, x)
+    return _sandwich(np.swapaxes(u, 1, 2) @ e.inv_sqrts, 2.0 * np.log(w) / w)
 
 
 def f1(e: Ensemble, x) -> np.ndarray:
     """Σᵢ Aᵢ^{-1/2} g1(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{-1/2}."""
-    return _f12(e, x)[0]
+    return _karcher_terms(e, x)[2]
 
 
 def f2(e: Ensemble, x) -> np.ndarray:
     """Σᵢ Aᵢ^{1/2} g2(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{1/2}."""
-    return _f12(e, x)[1]
+    return _karcher_terms(e, x)[3]
 
 
 def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
@@ -215,8 +250,8 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     which makes the touching condition hold by construction.
     """
     xp = _check_point(e, xp)
-    c1, c2 = _f12(e, xp)
-    c0 = objective(e, xp) - frob_inner(c1, xp) - frob_inner(c2, inv_m(xp))
+    f_xp, _, c1, c2 = _karcher_terms(e, xp)
+    c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, inv_m(xp))
     return SurrogateCoeffs(c1=c1, c2=c2, c0=c0)
 
 

@@ -9,8 +9,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DomainError, NotCommuting
-from .karcher import Ensemble
-from .spd_core import exp_m, geodesic, log_m, sym
+from .karcher import Ensemble, g1_scalar, g2_scalar
+from .spd_core import exp_m, geodesic, inv_m, inv_sqrt_m, log_m, matrix_fn, sqrt_m, sym
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -84,3 +84,30 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
         if w[0] <= 0:
             raise DomainError("perturbed matrix is not positive definite")
     return (f(x + h * h_dir) - f(x - h * h_dir)) / (2.0 * h)
+
+
+def per_matrix_terms(e: Ensemble, x) -> dict:
+    """The ensemble sums of :mod:`karcher` by their per-matrix definitions.
+
+    A loop over i with Yᵢ = Aᵢ^{-1/2} x Aᵢ^{-1/2}, the roots recomputed
+    from Aᵢ, and one matrix function per term: ``objective`` Σ ‖log Yᵢ‖²,
+    ``grad_sum`` Σ log(x^{-1/2} Aᵢ x^{-1/2}), ``f1`` Σ Aᵢ^{-1/2} g1(Yᵢ)
+    Aᵢ^{-1/2}, ``f2`` Σ Aᵢ^{1/2} g2(Yᵢ) Aᵢ^{1/2} and ``euclidean_gradient``
+    Σ Aᵢ^{-1/2} 2 Yᵢ⁻¹ log Yᵢ Aᵢ^{-1/2}.
+    """
+    x = np.asarray(x, dtype=float)
+    xi = inv_sqrt_m(x)
+    zero = np.zeros_like(x)
+    out = {"objective": 0.0, "grad_sum": zero, "f1": zero, "f2": zero,
+           "euclidean_gradient": zero}
+    for a in e.mats:
+        s, si = sqrt_m(a), inv_sqrt_m(a)
+        y = sym(si @ x @ si)
+        log_y = log_m(y)
+        out["objective"] += float(np.sum(log_y * log_y))
+        out["grad_sum"] = out["grad_sum"] + log_m(sym(xi @ a @ xi))
+        out["f1"] = out["f1"] + sym(si @ matrix_fn(y, g1_scalar) @ si)
+        out["f2"] = out["f2"] + sym(s @ matrix_fn(y, g2_scalar) @ s)
+        out["euclidean_gradient"] = out["euclidean_gradient"] + \
+            sym(si @ (2.0 * inv_m(y) @ log_y) @ si)
+    return out

@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DomainError
-from .karcher import Ensemble, _f12, grad_sum, objective, surrogate_minimizer
+from .karcher import Ensemble, _karcher_terms, grad_sum, objective, surrogate_minimizer
 from .spd_core import check_spd, exp_m, sqrt_m, sym
 
 DEFAULT_MAX_ITERS = 500
@@ -108,7 +108,9 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     value; only fixed-step GD can raise its objective) or at the cap of
     ``max_iters + 1`` records, tested in that order. A step function
     that returns has stalled: its last probe failed, and the loop
-    records that probe at the current point without the cap test.
+    records that probe at the current point without the cap test. A
+    NaN objective or gradient norm raises :class:`DomainError`, so no
+    run ends with a NaN mean.
     """
     x = check_spd(x0)
     tol = cfg.effective_grad_tol(e.n)
@@ -124,6 +126,9 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     status = STATUS_MAX_ITERS
     for x, f_val, g in steps(e, cfg, x):
         gnorm = float(np.linalg.norm(g))
+        if math.isnan(f_val) or math.isnan(gnorm):
+            raise DomainError(f"iterate {len(trace)} has objective {f_val} "
+                              f"and gradient norm {gnorm}")
         record(f_val, gnorm)
         if gnorm < tol:
             status = STATUS_CONVERGED
@@ -148,8 +153,9 @@ def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
 
 def _mm_steps(e: Ensemble, cfg: SolverConfig, x):
     while True:
-        yield x, objective(e, x), grad_sum(e, x)
-        x = surrogate_minimizer(*_f12(e, x))
+        f_val, g, c1, c2 = _karcher_terms(e, x)
+        yield x, f_val, g
+        x = surrogate_minimizer(c1, c2)
 
 
 def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:

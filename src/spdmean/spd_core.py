@@ -20,8 +20,8 @@ POSITIVITY_FLOOR = 1e-13
 
 
 def sym(a):
-    """Symmetrize a square matrix as (A + Aᵀ)/2."""
-    return (a + a.T) / 2.0
+    """Symmetrize a square matrix, or each matrix of a stack, as (A + Aᵀ)/2."""
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def check_dims(a, b):
@@ -52,18 +52,66 @@ def check_spd(a, tol=SYM_TOL, name="matrix"):
 
     Raises
     ------
+    DimensionMismatch
+        If ``a`` is not a square matrix.
     DomainError
         If ``a`` has a NaN or infinite entry, is not symmetric, or has a
         non-positive eigenvalue.
     """
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise DomainError(f"{name} has a non-finite entry")
-    a = check_symmetric(a, tol=tol, name=name)
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= POSITIVITY_FLOOR * abs(w[-1]):
-        raise DomainError(f"{name} is not positive definite (eigenvalue {w[0]:.6g})")
-    return a
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
+    return check_spd_stack(a[None], tol, lambda i: name)[0][0]
+
+
+def check_spd_stack(mats, tol=SYM_TOL, name_of=lambda i: f"matrix {i}"):
+    """Validate a (k, p, p) stack as SPD with one stacked eigendecomposition.
+
+    Each matrix gets the tests of :func:`check_spd`. The first matrix
+    that fails one raises, with the first test it fails in the order
+    non-finite, symmetric, positive definite; ``name_of(i)`` names
+    matrix i in the message.
+
+    Returns
+    -------
+    (mats, w, u)
+        The symmetrized stack and its eigendecomposition from
+        :func:`eigh`, eigenvalues ascending.
+    """
+    mats = np.asarray(mats, dtype=float)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        mats = np.where(finite[:, None, None], mats, 0.0)
+    skew = np.linalg.norm(mats - np.swapaxes(mats, 1, 2), axis=(1, 2)) > \
+        tol * np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)
+    mats = sym(mats)
+    w, u = eigh(mats)
+    weak = w[:, 0] <= POSITIVITY_FLOOR * np.abs(w[:, -1])
+    bad = np.flatnonzero(~finite | skew | weak)
+    if bad.size:
+        i = int(bad[0])
+        if not finite[i]:
+            raise DomainError(f"{name_of(i)} has a non-finite entry")
+        if skew[i]:
+            raise DomainError(f"{name_of(i)} is not symmetric")
+        raise DomainError(f"{name_of(i)} is not positive definite "
+                          f"(eigenvalue {w[i, 0]:.6g})")
+    return mats, w, u
+
+
+def eigh(m, vectors=True):
+    """Ascending eigenvalues (and eigenvectors) of a symmetric matrix or stack.
+
+    ``np.linalg.eigh``, or ``np.linalg.eigvalsh`` without ``vectors``
+    (the vectors are then ``None``), with no validation of the input; a
+    LAPACK failure is raised as :class:`NonConvergence`.
+    """
+    try:
+        if vectors:
+            return np.linalg.eigh(m)
+        return np.linalg.eigvalsh(m), None
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def sym_eig(m):
@@ -80,11 +128,7 @@ def sym_eig(m):
         Orthogonal ``vectors`` and descending ``values`` with
         ``vectors @ diag(values) @ vectors.T == m`` up to round-off.
     """
-    m = check_symmetric(m)
-    try:
-        w, u = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    w, u = eigh(check_symmetric(m))
     return np.ascontiguousarray(u[:, ::-1]), w[::-1].copy()
 
 

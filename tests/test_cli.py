@@ -102,6 +102,19 @@ class TestMean:
         assert not out.exists()
         assert not (tmp_path / "m.trace.csv").exists()
 
+    @pytest.mark.parametrize("mats", [
+        [[[1e300, 0.0], [0.0, 1e300]], [[3e-300, 0.0], [0.0, 1e-300]]],
+        [[[1e200, 0.0], [0.0, 1e200]], [[1e-200, 0.0], [0.0, 1e-200]]],
+    ])
+    def test_extreme_magnitudes_fail_without_mean(self, tmp_path, capsys, mats):
+        # the start point overflows Aᵢ^{-1/2} X Aᵢ^{-1/2}: a clean error, no NaN mean
+        inp = ensemble_file(tmp_path, mats)
+        out = tmp_path / "m.json"
+        with np.errstate(all="ignore"):
+            assert main(["mean", inp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: mm solve failed: ")
+        assert not out.exists()
+
     def test_shape_mismatch_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]]], dim=2)
         assert main(["mean", inp]) == 1

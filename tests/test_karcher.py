@@ -14,14 +14,17 @@ from spdmean.karcher import (
     g1_scalar,
     g2_scalar,
     grad_direction,
+    grad_sum,
     objective,
     surrogate_coeffs,
     surrogate_minimizer,
     surrogate_value,
 )
-from spdmean.oracle import finite_diff_directional
+from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
+from spdmean.oracle import finite_diff_directional, per_matrix_terms
 from spdmean.selfcheck import random_ensemble, random_spd
-from spdmean.spd_core import check_spd, frob_inner, inv_m, sym
+from spdmean.solvers import arithmetic_mean_init
+from spdmean.spd_core import check_spd, frob_inner, inv_m, inv_sqrt_m, sqrt_m, sym
 
 
 class TestEnsemble:
@@ -57,6 +60,36 @@ class TestEnsemble:
         with pytest.raises(DomainError) as info:
             Ensemble.from_matrices([np.eye(2), np.array(bad)])
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("mats, error, message", [
+        # the first bad matrix is reported, whatever the later ones fail
+        ([np.eye(2), np.diag([1.0, -1.0]), np.diag([np.nan, 1.0])], DomainError,
+         "matrix 1 is not positive definite (eigenvalue -1)"),
+        # within a matrix: non-finite, then symmetric, then positive definite
+        ([np.array([[np.nan, 0.5], [0.0, -1.0]])], DomainError,
+         "matrix 0 has a non-finite entry"),
+        ([np.array([[1.0, 0.5], [0.0, -1.0]])], DomainError,
+         "matrix 0 is not symmetric"),
+        # the positivity floor is relative to the largest eigenvalue
+        ([np.diag([1.0, 1e-14])], DomainError,
+         "matrix 0 is not positive definite (eigenvalue 1e-14)"),
+        # a dimension mismatch only when every matrix is SPD on its own
+        ([np.eye(2), np.eye(3), np.diag([1.0, -1.0])], DomainError,
+         "matrix 2 is not positive definite (eigenvalue -1)"),
+        ([np.eye(2), np.eye(3)], DimensionMismatch,
+         "matrix 1 has dim 3, expected 2"),
+    ])
+    def test_first_bad_matrix_in_check_order(self, mats, error, message):
+        with pytest.raises(error) as info:
+            Ensemble.from_matrices(mats)
+        assert str(info.value) == message
+
+    def test_roots_match_matrix_functions(self, rng):
+        e = random_ensemble(rng, 5, 4)
+        for i in range(e.n):
+            s, si = sqrt_m(e.mats[i]), inv_sqrt_m(e.mats[i])
+            assert np.linalg.norm(e.sqrts[i] - s) <= 1e-14 * np.linalg.norm(s)
+            assert np.linalg.norm(e.inv_sqrts[i] - si) <= 1e-14 * np.linalg.norm(si)
 
 
 class TestObjective:
@@ -167,6 +200,43 @@ class TestCoefficientMatrices:
         x = random_spd(rng, 4)
         check_spd(f1(e, x))
         check_spd(f2(e, x))
+
+
+def _geometric_regime(rng):
+    # spectra 10^0 .. 10^8.1: the condition-1e8 regime of acceptance criterion 10
+    spec = ExperimentSpec(
+        n=10, p=10, spectrum=SpectrumSpec(kind="geometric", dim=10, a=0.9),
+        runs=1, seed=0, solvers=[SolverSpec(kind="mm")])
+    e = generate_ensemble(spec, rng)
+    return [(e, arithmetic_mean_init(e)), (e, random_spd(rng, 10))]
+
+
+AGREEMENT_REGIMES = {
+    "random": lambda rng: [(random_ensemble(rng, n, p), random_spd(rng, p))
+                           for n, p in ((2, 3), (5, 4), (10, 10), (4, 1))],
+    "single-matrix": lambda rng: [(random_ensemble(rng, 1, p), random_spd(rng, p))
+                                  for p in (1, 3, 6)],
+    "condition-1e8": _geometric_regime,
+}
+
+
+class TestStackedKernelAgreement:
+    """The stacked kernel against the per-matrix definitions in the oracle."""
+
+    @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
+    def test_matches_per_matrix_loop(self, regime, rng):
+        views = {"objective": objective, "grad_sum": grad_sum, "f1": f1, "f2": f2,
+                 "euclidean_gradient": euclidean_gradient}
+        for e, x in AGREEMENT_REGIMES[regime](rng):
+            # Both sides round differently; to first order their results
+            # differ by round-off times the largest condition number of the
+            # decomposed Yᵢ, which is about 1e8 in the geometric regime.
+            w = np.linalg.eigvalsh(e.inv_sqrts @ x @ e.inv_sqrts)
+            tol = max(1e-12, np.finfo(float).eps * np.max(w[:, -1] / w[:, 0]))
+            ref = per_matrix_terms(e, x)
+            for name, view in views.items():
+                err = np.linalg.norm(view(e, x) - ref[name]) / np.linalg.norm(ref[name])
+                assert err <= tol, f"{regime} {name}: {err:.3g} > {tol:.3g}"
 
 
 class TestSurrogate:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import commuting_ensemble
-from spdmean.errors import DomainError
+from spdmean import solvers
+from spdmean.errors import DomainError, SpdMeanError
 from spdmean.karcher import Ensemble, grad_sum
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import random_ensemble, random_spd
@@ -315,3 +316,65 @@ class TestSharedLoop:
                    if isinstance(a, argparse._SubParsersAction))
         solver = next(a for a in sub.choices["mean"]._actions if a.dest == "solver")
         assert sorted(solver.choices) == sorted(REGISTRY)
+
+
+# Spectra so far apart that Aᵢ^{-1/2} X Aᵢ^{-1/2} overflows at the start
+# point; the mean exists but is out of reach without rescaling.
+EXTREME_PAIRS = {
+    "1e300": [np.eye(2) * 1e300, np.diag([3e-300, 1e-300])],
+    "1e200": [np.eye(2) * 1e200, np.eye(2) * 1e-200],
+}
+
+
+class TestFiniteOrFail:
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("pair", sorted(EXTREME_PAIRS))
+    def test_extreme_magnitudes_raise(self, solve, pair):
+        with np.errstate(all="ignore"):
+            e = Ensemble.from_matrices(EXTREME_PAIRS[pair])
+            with pytest.raises(SpdMeanError):
+                solve(e, SolverConfig(), arithmetic_mean_init(e))
+
+    @pytest.mark.parametrize("f_val, grad", [
+        (float("nan"), np.ones((1, 1))),
+        (1.0, np.full((1, 1), np.nan)),
+    ])
+    def test_nan_record_raises(self, f_val, grad):
+        def steps(e, cfg, x):
+            yield x, 1.0, np.ones((1, 1))
+            yield x, f_val, grad
+
+        with pytest.raises(DomainError, match="iterate 1 has objective"):
+            solvers._solve(steps, scalar_ensemble(1.0, 4.0), SolverConfig(),
+                           np.array([[2.0]]))
+
+
+class TestSpectralCost:
+    def test_one_mm_iteration_is_one_stacked_pass(self, monkeypatch, rng):
+        # Count symmetric eigensolver calls and the matrices they cover; a
+        # (k, p, p) stack counts k. One MM iteration is the difference
+        # between runs capped at two and at one iteration.
+        n = 6
+        e = random_ensemble(rng, n, 4)
+        x0 = arithmetic_mean_init(e)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, **kwargs):
+                calls.append(math.prod(np.shape(a)[:-2]))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        counts = []
+        for cap in (1, 2):
+            calls.clear()
+            res = mm_solve(e, SolverConfig(max_iters=cap, grad_tol=1e-300), x0)
+            assert res.iters_used == cap
+            counts.append((len(calls), sum(calls)))
+        n_calls = counts[1][0] - counts[0][0]
+        n_mats = counts[1][1] - counts[0][1]
+        # objective, gradient and coefficients share one stacked pass (n
+        # matrices) plus X^{-1/2} (1); the minimizer takes two more
+        assert n_calls <= 4, counts
+        assert n_mats <= n + 3, counts
