@@ -20,13 +20,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .spd_core import (
+    _spectral_apply,
     check_spd,
     check_spd_stack,
     eigh,
     frob_inner,
     inv_m,
-    inv_sqrt_m,
-    sqrt_m,
     sym,
 )
 
@@ -127,15 +126,16 @@ def g2_scalar(x: float) -> float:
     return float(x / (s + z))
 
 
-def _g12_values(w):
-    """Vectorized (g1, g2) on a positive spectrum, cancellation-safe."""
-    if not np.all(w > 0):
-        raise DomainError("g1/g2 require a positive definite argument")
-    z = np.log(w)
-    s = np.sqrt(z * z + 1.0)
-    g1 = np.where(z >= 0, (s + z) / w, 1.0 / (w * (s - z)))
-    g2 = np.where(z <= 0, (s - z) * w, w / (s + z))
-    return g1, g2
+def _g12_values(w, log_w):
+    """Vectorized (g1, g2) on a positive spectrum, cancellation-safe.
+
+    With t = √(z² + 1) + |z|, z = log w, the factor √(z² + 1) + z is t
+    for z ≥ 0 and 1/t for z < 0, so neither branch subtracts. w is not
+    tested here: :func:`_spectra` has required it to be positive.
+    """
+    t = np.sqrt(log_w * log_w + 1.0) + np.abs(log_w)
+    r = np.where(log_w >= 0, t, 1.0 / t)
+    return r / w, w / r
 
 
 def _spectra(e: Ensemble, x, vectors=True):
@@ -145,10 +145,16 @@ def _spectra(e: Ensemble, x, vectors=True):
     (n, p, p) eigenvectors Uᵢ (else ``None``). The eigensolver reads the
     lower triangle only, so the products are not symmetrized first.
     Every Yᵢ must be positive definite; a NaN spectrum fails that test.
+    x is not validated: the public views check it with :func:`_check_point`,
+    the solvers once at the start point.
     """
-    x = _check_point(e, x)
-    w, u = eigh(e.inv_sqrts @ x @ e.inv_sqrts, vectors)
+    y = e.inv_sqrts @ x @ e.inv_sqrts
+    w, u = eigh(y, vectors)
     if not np.all(w[:, 0] > 0):
+        finite = np.isfinite(y).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"A^(-1/2) X A^(-1/2) overflows float64 for matrix "
+                              f"{int(np.argmin(finite))}")
         raise DomainError("objective requires a positive definite point")
     return w, u
 
@@ -179,8 +185,9 @@ def _log_sum(x, bt, w, log_w):
     Bᵢ = Aᵢ^{1/2} Uᵢ (``bt`` holds the Bᵢᵀ) satisfies Bᵢ D(wᵢ) Bᵢᵀ = X,
     so X^{-1/2} Bᵢ D(wᵢ)^{1/2} is orthogonal and the congruence is the
     matrix logarithm of X^{-1/2} Aᵢ X^{-1/2} = (X^{-1/2} Bᵢ)(X^{-1/2} Bᵢ)ᵀ.
+    x has passed :func:`_spectra`, so X^{-1/2} skips the symmetry check.
     """
-    xi = inv_sqrt_m(x)
+    xi = _spectral_apply(sym(x), np.sqrt, "grad_sum", invert=True)
     return -sym(xi @ _sandwich(bt, w * log_w) @ xi)
 
 
@@ -191,20 +198,21 @@ def _karcher_terms(e: Ensemble, x):
     eigendecomposition Yᵢ = Uᵢ D(wᵢ) Uᵢᵀ of Aᵢ^{-1/2} X Aᵢ^{-1/2}:
     the objective is Σ (log w)², c1 = Σᵢ Aᵢ^{-1/2} Uᵢ D(g1(wᵢ)) Uᵢᵀ Aᵢ^{-1/2},
     c2 = Σᵢ Bᵢ D(g2(wᵢ)) Bᵢᵀ with Bᵢ = Aᵢ^{1/2} Uᵢ, and the gradient sum
-    is the congruence form of :func:`_log_sum`, which reuses Bᵢ.
+    is the congruence form of :func:`_log_sum`, which reuses Bᵢ. x must
+    be a validated p×p point.
     """
     w, u = _spectra(e, x)
     ut = np.swapaxes(u, 1, 2)
     bt = ut @ e.sqrts
     log_w = np.log(w)
-    g1, g2 = _g12_values(w)
+    g1, g2 = _g12_values(w, log_w)
     return (_sum_sq(log_w), _log_sum(x, bt, w, log_w),
             _sandwich(ut @ e.inv_sqrts, g1), _sandwich(bt, g2))
 
 
 def objective(e: Ensemble, x) -> float:
     """Sum of squared affine-invariant distances from x to the ensemble."""
-    return _sum_sq(np.log(_spectra(e, x, vectors=False)[0]))
+    return _sum_sq(np.log(_spectra(e, _check_point(e, x), vectors=False)[0]))
 
 
 def grad_sum(e: Ensemble, x) -> np.ndarray:
@@ -213,6 +221,7 @@ def grad_sum(e: Ensemble, x) -> np.ndarray:
     Its Frobenius norm is the convergence measure recorded by all
     solvers (the logarithmic-error quantity is its natural log).
     """
+    x = _check_point(e, x)
     w, u = _spectra(e, x)
     return _log_sum(x, np.swapaxes(u, 1, 2) @ e.sqrts, w, np.log(w))
 
@@ -229,18 +238,18 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     point) back through Aᵢ^{-1/2}; used by finite-difference validation,
     not by the solvers.
     """
-    w, u = _spectra(e, x)
+    w, u = _spectra(e, _check_point(e, x))
     return _sandwich(np.swapaxes(u, 1, 2) @ e.inv_sqrts, 2.0 * np.log(w) / w)
 
 
 def f1(e: Ensemble, x) -> np.ndarray:
     """Σᵢ Aᵢ^{-1/2} g1(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{-1/2}."""
-    return _karcher_terms(e, x)[2]
+    return _karcher_terms(e, _check_point(e, x))[2]
 
 
 def f2(e: Ensemble, x) -> np.ndarray:
     """Σᵢ Aᵢ^{1/2} g2(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{1/2}."""
-    return _karcher_terms(e, x)[3]
+    return _karcher_terms(e, _check_point(e, x))[3]
 
 
 def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
@@ -264,12 +273,28 @@ def surrogate_value(s: SurrogateCoeffs, x) -> float:
 def surrogate_minimizer(c1, c2) -> np.ndarray:
     """Closed-form minimizer of ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ over SPD X.
 
-    Returns ``c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}``, the root
-    of the stationarity equation c1 − X⁻¹ c2 X⁻¹ = 0.
+    The minimizer is the unique SPD root of the stationarity equation
+    X c1 X = c2. With the Cholesky factor c2 = R Rᵀ and Rᵀ c1 R = V D Vᵀ
+    it is X = (RV) D^{-1/2} (RV)ᵀ: one Cholesky factorization and one
+    eigendecomposition, equal to c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2}
+    c2^{1/2} (:func:`spdmean.oracle.two_root_minimizer`). Both factors
+    read the lower triangles of c1 and c2 only.
+
+    Raises
+    ------
+    DomainError
+        If c1 or c2 is not positive definite.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if c1.shape != c2.shape:
         raise DimensionMismatch(f"shape mismatch: {c1.shape} vs {c2.shape}")
-    s2 = sqrt_m(c2)
-    return sym(s2 @ inv_sqrt_m(sym(s2 @ c1 @ s2)) @ s2)
+    try:
+        r = np.linalg.cholesky(c2)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("surrogate_minimizer requires a positive definite c2") from exc
+    w, v = eigh(r.T @ c1 @ r)
+    if not np.all(w > 0):
+        raise DomainError("surrogate_minimizer requires positive definite c1 and c2")
+    rv = r @ v
+    return sym((rv / np.sqrt(w)) @ rv.T)

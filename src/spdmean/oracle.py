@@ -48,6 +48,16 @@ def two_matrix_oracle(a, b) -> np.ndarray:
     return geodesic(a, b, 0.5)
 
 
+def two_root_minimizer(c1, c2) -> np.ndarray:
+    """Minimizer of ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ as c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}.
+
+    The square-root form of :func:`spdmean.karcher.surrogate_minimizer`,
+    which computes the same matrix from a Cholesky factor of c2.
+    """
+    s2 = sqrt_m(c2)
+    return sym(s2 @ inv_sqrt_m(sym(s2 @ c1 @ s2)) @ s2)
+
+
 def grid_minimize_1d(f: Callable[[float], float], lo: float, hi: float,
                      points: int) -> Tuple[float, float]:
     """Grid argmin of a scalar function, log-spaced when lo > 0.

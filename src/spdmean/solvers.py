@@ -22,7 +22,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DomainError
-from .karcher import Ensemble, _karcher_terms, grad_sum, objective, surrogate_minimizer
+from .karcher import (Ensemble, _check_point, _karcher_terms, grad_sum, objective,
+                      surrogate_minimizer)
 from .spd_core import check_spd, exp_m, sqrt_m, sym
 
 DEFAULT_MAX_ITERS = 500
@@ -102,17 +103,18 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """The loop all solvers share: trace, stopping rule and result.
 
     ``steps(e, cfg, x)`` yields ``(x, objective, grad_sum)`` once per
-    trace record, starting at the validated start point. After each
-    record the run stops as converged (gradient norm below tolerance),
-    diverged (objective above ``DIVERGENCE_FACTOR`` times its first
-    value; only fixed-step GD can raise its objective) or at the cap of
-    ``max_iters + 1`` records, tested in that order. A step function
-    that returns has stalled: its last probe failed, and the loop
-    records that probe at the current point without the cap test. A
-    NaN objective or gradient norm raises :class:`DomainError`, so no
-    run ends with a NaN mean.
+    trace record, starting at the start point, which is validated here
+    once (SPD, ensemble dimension); the MM iterates are not validated
+    again. After each record the run stops as converged (gradient norm
+    below tolerance), diverged (objective above ``DIVERGENCE_FACTOR``
+    times its first value; only fixed-step GD can raise its objective)
+    or at the cap of ``max_iters + 1`` records, tested in that order. A
+    step function that returns has stalled: its last probe failed, and
+    the loop records that probe at the current point without the cap
+    test. A NaN objective or gradient norm raises :class:`DomainError`,
+    so no run ends with a NaN mean.
     """
-    x = check_spd(x0)
+    x = _check_point(e, check_spd(x0))
     tol = cfg.effective_grad_tol(e.n)
     t0 = perf_counter()
     trace: List[TraceRecord] = []

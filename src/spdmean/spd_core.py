@@ -37,10 +37,31 @@ def check_symmetric(a, tol=SYM_TOL, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > tol * max(scale, 1e-300):
+    if _skewed(a[None], tol)[0]:
         raise DomainError(f"{name} is not symmetric")
     return sym(a)
+
+
+def _skewed(mats, tol):
+    """Which matrices of a (k, p, p) stack have ‖A − Aᵀ‖_F > tol · ‖A‖_F.
+
+    Where ‖A‖_F falls outside (1e-100, 1e100), squaring the entries may
+    have overflowed or lost the skew part to underflow; both norms are
+    then taken again of A divided by its largest |entry|, which leaves
+    their ratio unchanged, so the test holds at any float64 scale.
+    """
+    def norms(m):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return (np.linalg.norm(m - np.swapaxes(m, 1, 2), axis=(1, 2)),
+                    np.linalg.norm(m, axis=(1, 2)))
+
+    skew, size = norms(mats)
+    if not 1e-100 < np.minimum.reduce(size) <= np.maximum.reduce(size) < 1e100:
+        redo = ~((size > 1e-100) & (size < 1e100))
+        m = mats[redo]
+        top = np.max(np.abs(m), axis=(1, 2))
+        skew[redo], size[redo] = norms(m / np.where(top > 0, top, 1.0)[:, None, None])
+    return skew > tol * size
 
 
 def check_spd(a, tol=SYM_TOL, name="matrix"):
@@ -82,8 +103,7 @@ def check_spd_stack(mats, tol=SYM_TOL, name_of=lambda i: f"matrix {i}"):
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         mats = np.where(finite[:, None, None], mats, 0.0)
-    skew = np.linalg.norm(mats - np.swapaxes(mats, 1, 2), axis=(1, 2)) > \
-        tol * np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)
+    skew = _skewed(mats, tol)
     mats = sym(mats)
     w, u = eigh(mats)
     weak = w[:, 0] <= POSITIVITY_FLOOR * np.abs(w[:, -1])
@@ -128,20 +148,26 @@ def sym_eig(m):
         Orthogonal ``vectors`` and descending ``values`` with
         ``vectors @ diag(values) @ vectors.T == m`` up to round-off.
     """
-    w, u = eigh(check_symmetric(m))
+    return _desc_eig(check_symmetric(m))
+
+
+def _desc_eig(m):
+    w, u = eigh(m)
     return np.ascontiguousarray(u[:, ::-1]), w[::-1].copy()
 
 
 def _spectral_apply(m, fvals_of, positive=None, invert=False):
     """Rebuild U diag(f(λ)) Uᵀ from a vectorized eigenvalue map.
 
-    ``positive`` names the calling function when f needs a positive
+    The raw path: ``m`` must already be symmetric and is not validated;
+    the public matrix functions validate with :func:`check_symmetric`
+    first. ``positive`` names the calling function when f needs a positive
     definite argument; the spectrum is then checked for positivity,
     otherwise f(λ) is checked for finite values. ``invert`` rebuilds
     U diag(1/f(λ)) Uᵀ instead, dividing rather than multiplying by a
     reciprocal.
     """
-    u, w = sym_eig(m)
+    u, w = _desc_eig(m)
     if positive is not None and w[-1] <= 0:
         raise DomainError(f"{positive} requires a positive definite matrix "
                           f"(eigenvalue {w[-1]:.6g})")
@@ -167,37 +193,37 @@ def matrix_fn(m, f: Callable[[float], float]):
                 raise DomainError(f"eigenvalue {x:.6g} outside function domain") from exc
         return out
 
-    return _spectral_apply(m, fvals)
+    return _spectral_apply(check_symmetric(m), fvals)
 
 
 def log_m(a):
     """Matrix logarithm of an SPD matrix."""
-    return _spectral_apply(a, np.log, "log_m")
+    return _spectral_apply(check_symmetric(a), np.log, "log_m")
 
 
 def exp_m(a):
     """Matrix exponential of a symmetric matrix."""
-    return _spectral_apply(a, np.exp)
+    return _spectral_apply(check_symmetric(a), np.exp)
 
 
 def sqrt_m(a):
     """Principal square root of an SPD matrix."""
-    return _spectral_apply(a, np.sqrt, "sqrt_m")
+    return _spectral_apply(check_symmetric(a), np.sqrt, "sqrt_m")
 
 
 def inv_sqrt_m(a):
     """Inverse principal square root of an SPD matrix."""
-    return _spectral_apply(a, np.sqrt, "inv_sqrt_m", invert=True)
+    return _spectral_apply(check_symmetric(a), np.sqrt, "inv_sqrt_m", invert=True)
 
 
 def inv_m(a):
     """Inverse of an SPD matrix via its eigendecomposition."""
-    return _spectral_apply(a, lambda w: w, "inv_m", invert=True)
+    return _spectral_apply(check_symmetric(a), lambda w: w, "inv_m", invert=True)
 
 
 def pow_m(a, t):
     """Real matrix power ``a**t`` of an SPD matrix."""
-    return _spectral_apply(a, lambda w: w**float(t), "pow_m")
+    return _spectral_apply(check_symmetric(a), lambda w: w**float(t), "pow_m")
 
 
 def frob_inner(a, b):

@@ -115,6 +115,16 @@ class TestMean:
         assert capsys.readouterr().err.startswith("error: mm solve failed: ")
         assert not out.exists()
 
+    def test_overflow_named_without_mean(self, tmp_path, capsys):
+        inp = ensemble_file(tmp_path, [[[1e300, 0.0], [0.0, 1e300]],
+                                       [[3e-300, 0.0], [0.0, 1e-300]]])
+        out = tmp_path / "m.json"
+        with np.errstate(all="ignore"):
+            assert main(["mean", inp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: mm solve failed: A^(-1/2) X A^(-1/2) overflows float64 for matrix 1")
+        assert not out.exists()
+
     def test_shape_mismatch_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]]], dim=2)
         assert main(["mean", inp]) == 1

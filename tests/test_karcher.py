@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from spdmean.karcher import (
     surrogate_minimizer,
     surrogate_value,
 )
-from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
-from spdmean.oracle import finite_diff_directional, per_matrix_terms
+from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble,
+                           random_orthogonal)
+from spdmean.oracle import finite_diff_directional, per_matrix_terms, two_root_minimizer
 from spdmean.selfcheck import random_ensemble, random_spd
 from spdmean.solvers import arithmetic_mean_init
 from spdmean.spd_core import check_spd, frob_inner, inv_m, inv_sqrt_m, sqrt_m, sym
@@ -83,6 +85,16 @@ class TestEnsemble:
         with pytest.raises(error) as info:
             Ensemble.from_matrices(mats)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_asymmetry_seen_at_any_scale(self, scale):
+        # entries beyond about 1e±154 overflow or underflow the Frobenius
+        # norms; the matrix must still be rejected, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError) as info:
+                Ensemble.from_matrices([np.array([[1.0, 0.5], [0.0, 1.0]]) * scale])
+        assert str(info.value) == "matrix 0 is not symmetric"
 
     def test_roots_match_matrix_functions(self, rng):
         e = random_ensemble(rng, 5, 4)
@@ -306,6 +318,61 @@ class TestSurrogateMinimizer:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             surrogate_minimizer(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("c1, c2", [
+        (np.eye(2), np.diag([1.0, -1.0])),
+        (np.eye(2), np.zeros((2, 2))),
+        (np.diag([1.0, -1.0]), np.eye(2)),
+        (np.eye(2), np.full((2, 2), np.nan)),
+    ])
+    def test_non_positive_definite_raises(self, c1, c2):
+        with pytest.raises(DomainError, match="^surrogate_minimizer requires"):
+            surrogate_minimizer(c1, c2)
+
+
+def _geometric_spd(rng, p, cond):
+    u = random_orthogonal(p, rng)
+    return sym((u * np.geomspace(1.0, cond, p)) @ u.T)
+
+
+def _mm_like_pairs(rng):
+    # c2 = X^{1/2} R X^{1/2} and c1 = X^{-1/2} R X^{-1/2}, the shape of an MM
+    # step near an ill-conditioned mean X: c1 and c2 have condition numbers
+    # near 1e8, the minimizer is X
+    pairs = []
+    for p in (2, 4, 6, 10):
+        x, r = _geometric_spd(rng, p, 1e8), random_spd(rng, p)
+        s, si = sqrt_m(x), inv_sqrt_m(x)
+        pairs.append((sym(si @ r @ si), sym(s @ r @ s)))
+    return pairs
+
+
+MINIMIZER_REGIMES = {
+    "random": lambda rng: [(random_spd(rng, p), random_spd(rng, p)) for p in (2, 3, 5, 8)],
+    "p=1": lambda rng: [(np.array([[a]]), np.array([[b]]))
+                        for a, b in rng.uniform(1e-3, 1e3, size=(8, 2))],
+    "condition-1e8": _mm_like_pairs,
+    # c1 and c2 near 1e4 each, c2^{1/2} c1 c2^{1/2} up to 1e8
+    "product-1e8": lambda rng: [
+        (_geometric_spd(rng, p, 1e4), _geometric_spd(rng, p, 1e4)) for p in (2, 4, 6, 10)],
+}
+
+
+class TestMinimizerAgreement:
+    """The Cholesky form against the two-root form in the oracle."""
+
+    @pytest.mark.parametrize("regime", sorted(MINIMIZER_REGIMES))
+    def test_matches_two_root_form(self, regime, rng):
+        for c1, c2 in MINIMIZER_REGIMES[regime](rng):
+            # Both forms factor c2 and decompose a matrix similar to
+            # M = c2^{1/2} c1 c2^{1/2}; to first order they differ by
+            # round-off times the largest condition number of c1, c2 and M.
+            w = np.linalg.eigvalsh(sym(sqrt_m(c2) @ c1 @ sqrt_m(c2)))
+            kappa = max(np.linalg.cond(c1), np.linalg.cond(c2), w[-1] / w[0])
+            tol = max(1e-12, np.finfo(float).eps * kappa)
+            ref = two_root_minimizer(c1, c2)
+            err = np.linalg.norm(surrogate_minimizer(c1, c2) - ref) / np.linalg.norm(ref)
+            assert err <= tol, f"{regime} p={len(c1)}: {err:.3g} > {tol:.3g}"
 
 
 class TestDerivatives:

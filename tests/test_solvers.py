@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import commuting_ensemble
-from spdmean import solvers
-from spdmean.errors import DomainError, SpdMeanError
+from spdmean import solvers, spd_core
+from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
 from spdmean.karcher import Ensemble, grad_sum
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import random_ensemble, random_spd
@@ -335,6 +335,21 @@ class TestFiniteOrFail:
             with pytest.raises(SpdMeanError):
                 solve(e, SolverConfig(), arithmetic_mean_init(e))
 
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("pair", sorted(EXTREME_PAIRS))
+    def test_overflow_names_matrix(self, solve, pair):
+        # the start point is SPD; A₁^{-1/2} X A₁^{-1/2} is what overflows
+        with np.errstate(all="ignore"):
+            e = Ensemble.from_matrices(EXTREME_PAIRS[pair])
+            with pytest.raises(DomainError) as info:
+                solve(e, SolverConfig(), arithmetic_mean_init(e))
+        assert str(info.value) == "A^(-1/2) X A^(-1/2) overflows float64 for matrix 1"
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_start_point_dimension_checked(self, solve):
+        with pytest.raises(DimensionMismatch, match="ensemble dim is 1"):
+            solve(scalar_ensemble(1.0, 4.0), SolverConfig(), np.eye(2))
+
     @pytest.mark.parametrize("f_val, grad", [
         (float("nan"), np.ones((1, 1))),
         (1.0, np.full((1, 1), np.nan)),
@@ -357,7 +372,7 @@ class TestSpectralCost:
         n = 6
         e = random_ensemble(rng, n, 4)
         x0 = arithmetic_mean_init(e)
-        calls = []
+        calls, checks = [], []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
 
@@ -366,15 +381,24 @@ class TestSpectralCost:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        real_check = spd_core.check_symmetric
+
+        def counted_check(*args, **kwargs):
+            checks.append(1)
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(spd_core, "check_symmetric", counted_check)
         counts = []
         for cap in (1, 2):
             calls.clear()
+            checks.clear()
             res = mm_solve(e, SolverConfig(max_iters=cap, grad_tol=1e-300), x0)
             assert res.iters_used == cap
-            counts.append((len(calls), sum(calls)))
-        n_calls = counts[1][0] - counts[0][0]
-        n_mats = counts[1][1] - counts[0][1]
+            counts.append((len(calls), sum(calls), len(checks)))
+        n_calls, n_mats, n_checks = np.subtract(counts[1], counts[0])
         # objective, gradient and coefficients share one stacked pass (n
-        # matrices) plus X^{-1/2} (1); the minimizer takes two more
-        assert n_calls <= 4, counts
-        assert n_mats <= n + 3, counts
+        # matrices) plus X^{-1/2} (1); the minimizer takes one more after
+        # its Cholesky factorization; the iterates are never re-validated
+        assert n_calls <= 3, counts
+        assert n_mats <= n + 2, counts
+        assert n_checks == 0, counts

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spdmean.spd_core import (
     ORTHO_TOL,
     RECON_TOL,
     check_spd,
+    check_symmetric,
     exp_m,
     frob_inner,
     geodesic,
@@ -63,6 +65,17 @@ class TestSymEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             sym_eig(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e307])
+    def test_symmetry_test_at_any_scale(self, scale):
+        # the Frobenius norms overflow or underflow at these scales
+        skew = np.array([[1.0, 0.5], [0.0, 1.0]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="^matrix is not symmetric$"):
+                check_symmetric(skew)
+            assert np.array_equal(check_symmetric(sym(skew)), sym(skew))
+            assert np.array_equal(check_symmetric(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 class TestCheckSpd:
