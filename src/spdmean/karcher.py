@@ -6,10 +6,12 @@ surrogate ``G(X, X') = ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0`` built from the scal
 weights :func:`g1_scalar` / :func:`g2_scalar`, and minimizes G in closed
 form (:func:`surrogate_minimizer`).
 
-Every ensemble sum comes from one stacked eigendecomposition of the
-matrices Yᵢ = Aᵢ^{-1/2} X Aᵢ^{-1/2} (:func:`_karcher_terms`); sums over i
-are single matrix products over the stack, so results are bitwise
-reproducible for a given numpy and BLAS.
+Every ensemble sum comes from one stacked eigendecomposition. The MM
+kernel :func:`_frame_terms` works in the frame of a factor G of X = G Gᵀ,
+where the surrogate coefficients are weighted sums of eigenvectors; the
+gradient-descent views decompose Yᵢ = Aᵢ^{-1/2} X Aᵢ^{-1/2}
+(:func:`_spectra`). Sums over i are single matrix products over the
+stack, so results are bitwise reproducible for a given numpy and BLAS.
 """
 
 import math
@@ -126,29 +128,23 @@ def g2_scalar(x: float) -> float:
     return float(x / (s + z))
 
 
-def _g12_values(w, log_w):
-    """Vectorized (g1, g2) on a positive spectrum, cancellation-safe.
-
-    With t = √(z² + 1) + |z|, z = log w, the factor √(z² + 1) + z is t
-    for z ≥ 0 and 1/t for z < 0, so neither branch subtracts. w is not
-    tested here: :func:`_spectra` has required it to be positive.
-    """
-    t = np.sqrt(log_w * log_w + 1.0) + np.abs(log_w)
-    r = np.where(log_w >= 0, t, 1.0 / t)
-    return r / w, w / r
-
-
 def _spectra(e: Ensemble, x, vectors=True):
     """Stacked eigendecomposition of Yᵢ = Aᵢ^{-1/2} X Aᵢ^{-1/2}.
 
     Returns the (n, p) ascending eigenvalues and, with ``vectors``, the
-    (n, p, p) eigenvectors Uᵢ (else ``None``). The eigensolver reads the
-    lower triangle only, so the products are not symmetrized first.
-    Every Yᵢ must be positive definite; a NaN spectrum fails that test.
-    x is not validated: the public views check it with :func:`_check_point`,
-    the solvers once at the start point.
+    (n, p, p) eigenvectors Uᵢ (else ``None``); see :func:`_positive_eigh`.
+    x is not validated: the public views check it with :func:`_check_point`.
     """
-    y = e.inv_sqrts @ x @ e.inv_sqrts
+    return _positive_eigh(e.inv_sqrts @ x @ e.inv_sqrts, vectors)
+
+
+def _positive_eigh(y, vectors=True):
+    """:func:`eigh` of the Yᵢ, or of a stack with their spectra; all must be positive definite.
+
+    The eigensolver reads the lower triangle only, so the stack is not
+    symmetrized first. A NaN spectrum fails the positivity test; when a
+    matrix of the stack is not finite, the error names the first one.
+    """
     w, u = eigh(y, vectors)
     if not np.all(w[:, 0] > 0):
         finite = np.isfinite(y).all(axis=(1, 2))
@@ -173,7 +169,7 @@ def _sandwich(ft, weights):
     """Σᵢ Fᵢ diag(weightsᵢ) Fᵢᵀ from the stacked transposes Fᵢᵀ.
 
     The rows of all Fᵢᵀ form one (n·p, p) matrix, so the sum over i is a
-    single matrix product.
+    single matrix product; ``ft`` may already be that matrix.
     """
     rows = ft.reshape(-1, ft.shape[-1])
     return sym(rows.T @ (rows * weights.reshape(-1, 1)))
@@ -191,23 +187,49 @@ def _log_sum(x, bt, w, log_w):
     return -sym(xi @ _sandwich(bt, w * log_w) @ xi)
 
 
-def _karcher_terms(e: Ensemble, x):
-    """Objective, gradient sum and surrogate coefficients at x.
+def _frame_terms(e: Ensemble, g):
+    """Objective, gradient and surrogate coefficients in the frame of G.
 
-    Returns ``(objective, grad_sum, c1, c2)`` from one stacked
-    eigendecomposition Yᵢ = Uᵢ D(wᵢ) Uᵢᵀ of Aᵢ^{-1/2} X Aᵢ^{-1/2}:
-    the objective is Σ (log w)², c1 = Σᵢ Aᵢ^{-1/2} Uᵢ D(g1(wᵢ)) Uᵢᵀ Aᵢ^{-1/2},
-    c2 = Σᵢ Bᵢ D(g2(wᵢ)) Bᵢᵀ with Bᵢ = Aᵢ^{1/2} Uᵢ, and the gradient sum
-    is the congruence form of :func:`_log_sum`, which reuses Bᵢ. x must
-    be a validated p×p point.
+    With X = G Gᵀ and Wᵢ = Aᵢ^{-1/2} G, the Gram matrices
+    Ŷᵢ = Wᵢᵀ Wᵢ = Gᵀ Aᵢ⁻¹ G have the spectra wᵢ of Aᵢ^{-1/2} X Aᵢ^{-1/2}.
+    One stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ gives, with
+    z = log w and r = √(z² + 1) + z = e^{asinh z} = w·g1(w) = w / g2(w):
+
+    * the objective Σ z²;
+    * the gradient sum in G's frame, −Σᵢ Ûᵢ D(zᵢ) Ûᵢᵀ
+      = Qᵀ [Σᵢ log(X^{-1/2} Aᵢ X^{-1/2})] Q with Q = X^{-1/2} G orthogonal,
+      so its Frobenius norm is that of :func:`grad_sum`;
+    * c̃1 = Gᵀ c1 G = Σᵢ Ûᵢ D(rᵢ) Ûᵢᵀ and c̃2 = G⁻¹ c2 G⁻ᵀ = Σᵢ Ûᵢ D(1/rᵢ) Ûᵢᵀ,
+      the surrogate coefficients for X̃ in X = G X̃ Gᵀ.
+
+    Returns ``(objective, gradient, c̃1, c̃2)``. √r is taken as
+    exp(asinh(z) / 2), which does not subtract for either sign of z, and
+    c̃1, c̃2 are the Gram matrices aᵀa of the eigenvector rows scaled by √r
+    and 1/√r. G is not validated: the solvers check the start point once.
     """
-    w, u = _spectra(e, x)
-    ut = np.swapaxes(u, 1, 2)
-    bt = ut @ e.sqrts
+    wm = e.inv_sqrts @ g
+    w, u = _positive_eigh(np.swapaxes(wm, 1, 2) @ wm)
     log_w = np.log(w)
-    g1, g2 = _g12_values(w, log_w)
-    return (_sum_sq(log_w), _log_sum(x, bt, w, log_w),
-            _sandwich(ut @ e.inv_sqrts, g1), _sandwich(bt, g2))
+    root_r = np.exp(0.5 * np.arcsinh(log_w)).reshape(-1, 1)
+    rows = np.swapaxes(u, 1, 2).reshape(-1, g.shape[-1])
+    a1, a2 = rows * root_r, rows / root_r
+    return _sum_sq(log_w), -_sandwich(rows, log_w), a1.T @ a1, a2.T @ a2
+
+
+def _coeffs(e: Ensemble, x):
+    """Objective, c1 and c2 at x: :func:`_frame_terms` at G = X^{1/2}.
+
+    c1 = X^{-1/2} c̃1 X^{-1/2} and c2 = X^{1/2} c̃2 X^{1/2}, with both
+    roots of x from one eigendecomposition.
+    """
+    x = _check_point(e, x)
+    w, u = eigh(sym(x))
+    if not w[0] > 0:
+        raise DomainError("objective requires a positive definite point")
+    root = np.sqrt(w)
+    s, si = sym((u * root) @ u.T), sym((u / root) @ u.T)
+    f_val, _, c1, c2 = _frame_terms(e, s)
+    return f_val, sym(si @ c1 @ si), sym(s @ c2 @ s)
 
 
 def objective(e: Ensemble, x) -> float:
@@ -244,12 +266,12 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
 
 def f1(e: Ensemble, x) -> np.ndarray:
     """Σᵢ Aᵢ^{-1/2} g1(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{-1/2}."""
-    return _karcher_terms(e, _check_point(e, x))[2]
+    return _coeffs(e, x)[1]
 
 
 def f2(e: Ensemble, x) -> np.ndarray:
     """Σᵢ Aᵢ^{1/2} g2(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{1/2}."""
-    return _karcher_terms(e, _check_point(e, x))[3]
+    return _coeffs(e, x)[2]
 
 
 def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
@@ -258,8 +280,7 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     c0 is fixed so the surrogate equals the objective at xp exactly,
     which makes the touching condition hold by construction.
     """
-    xp = _check_point(e, xp)
-    f_xp, _, c1, c2 = _karcher_terms(e, xp)
+    f_xp, c1, c2 = _coeffs(e, xp)
     c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, inv_m(xp))
     return SurrogateCoeffs(c1=c1, c2=c2, c0=c0)
 
@@ -274,11 +295,9 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     """Closed-form minimizer of ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ over SPD X.
 
     The minimizer is the unique SPD root of the stationarity equation
-    X c1 X = c2. With the Cholesky factor c2 = R Rᵀ and Rᵀ c1 R = V D Vᵀ
-    it is X = (RV) D^{-1/2} (RV)ᵀ: one Cholesky factorization and one
-    eigendecomposition, equal to c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2}
-    c2^{1/2} (:func:`spdmean.oracle.two_root_minimizer`). Both factors
-    read the lower triangles of c1 and c2 only.
+    X c1 X = c2, returned as F Fᵀ with F from :func:`_minimizer_factor`;
+    it equals c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}
+    (:func:`spdmean.oracle.two_root_minimizer`).
 
     Raises
     ------
@@ -289,6 +308,19 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     c2 = np.asarray(c2, dtype=float)
     if c1.shape != c2.shape:
         raise DimensionMismatch(f"shape mismatch: {c1.shape} vs {c2.shape}")
+    f = _minimizer_factor(c1, c2)
+    return f @ f.T
+
+
+def _minimizer_factor(c1, c2):
+    """A factor F of the surrogate minimizer X = F Fᵀ.
+
+    With the Cholesky factor c2 = R Rᵀ and Rᵀ c1 R = V D Vᵀ, X c1 X = c2
+    holds for X = (RV) D^{-1/2} (RV)ᵀ, so F = R V D^{-1/4}: one Cholesky
+    factorization and one eigendecomposition, reading the lower
+    triangles of c1 and c2 only. A non-positive-definite or NaN c1 or c2
+    raises :class:`DomainError`.
+    """
     try:
         r = np.linalg.cholesky(c2)
     except np.linalg.LinAlgError as exc:
@@ -296,5 +328,4 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     w, v = eigh(r.T @ c1 @ r)
     if not np.all(w > 0):
         raise DomainError("surrogate_minimizer requires positive definite c1 and c2")
-    rv = r @ v
-    return sym((rv / np.sqrt(w)) @ rv.T)
+    return (r @ v) / np.sqrt(np.sqrt(w))

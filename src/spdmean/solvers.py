@@ -22,8 +22,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DomainError
-from .karcher import (Ensemble, _check_point, _karcher_terms, grad_sum, objective,
-                      surrogate_minimizer)
+from .karcher import (Ensemble, _check_point, _frame_terms, _minimizer_factor, grad_sum,
+                      objective)
 from .spd_core import check_spd, exp_m, sqrt_m, sym
 
 DEFAULT_MAX_ITERS = 500
@@ -105,10 +105,12 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     ``steps(e, cfg, x)`` yields ``(x, objective, grad_sum)`` once per
     trace record, starting at the start point, which is validated here
     once (SPD, ensemble dimension); the MM iterates are not validated
-    again. After each record the run stops as converged (gradient norm
-    below tolerance), diverged (objective above ``DIVERGENCE_FACTOR``
-    times its first value; only fixed-step GD can raise its objective)
-    or at the cap of ``max_iters + 1`` records, tested in that order. A
+    again. Only the Frobenius norm of ``grad_sum`` is used, so MM may
+    yield it in another orthonormal basis. After each record the run
+    stops as converged (gradient norm below tolerance), diverged
+    (objective above ``DIVERGENCE_FACTOR`` times its first value; only
+    fixed-step GD can raise its objective) or at the cap of
+    ``max_iters + 1`` records, tested in that order. A
     step function that returns has stalled: its last probe failed, and
     the loop records that probe at the current point without the cap
     test. A NaN objective or gradient norm raises :class:`DomainError`,
@@ -154,17 +156,26 @@ def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
 
 
 def _mm_steps(e: Ensemble, cfg: SolverConfig, x):
+    # The iterate is carried as a factor G of X = G Gᵀ.
+    try:
+        g = np.linalg.cholesky(x)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("mm_solve requires a start point with a Cholesky factor") from exc
     while True:
-        f_val, g, c1, c2 = _karcher_terms(e, x)
-        yield x, f_val, g
-        x = surrogate_minimizer(c1, c2)
+        f_val, grad, c1, c2 = _frame_terms(e, g)
+        yield x, f_val, grad
+        g = g @ _minimizer_factor(c1, c2)
+        x = g @ g.T
 
 
 def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """Majorization-minimization fixed-point iteration.
 
     Each iterate is the closed-form minimizer of the surrogate built at
-    the previous one; the objective trace is nonincreasing.
+    the previous one; the objective trace is nonincreasing. An iteration
+    is one stacked eigendecomposition of n matrices, one Cholesky
+    factorization and one p×p eigendecomposition, all in the frame of
+    the current iterate's factor.
     """
     return _solve(_mm_steps, e, cfg, x0)
 

@@ -20,8 +20,14 @@ POSITIVITY_FLOOR = 1e-13
 
 
 def sym(a):
-    """Symmetrize a square matrix, or each matrix of a stack, as (A + Aᵀ)/2."""
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
+    """Symmetrize a square matrix, or each matrix of a stack, as (A + Aᵀ)/2.
+
+    Both halves are taken before adding, so entries near the float64
+    maximum do not overflow; for entries above about 1e-307 in magnitude
+    the result is bitwise that of (A + Aᵀ)/2, since halving is exact.
+    """
+    half = a * 0.5
+    return half + np.swapaxes(half, -1, -2)
 
 
 def check_dims(a, b):

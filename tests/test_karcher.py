@@ -8,6 +8,7 @@ from conftest import random_sym
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.karcher import (
     Ensemble,
+    _frame_terms,
     SurrogateCoeffs,
     euclidean_gradient,
     f1,
@@ -25,7 +26,7 @@ from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, generate_en
                            random_orthogonal)
 from spdmean.oracle import finite_diff_directional, per_matrix_terms, two_root_minimizer
 from spdmean.selfcheck import random_ensemble, random_spd
-from spdmean.solvers import arithmetic_mean_init
+from spdmean.solvers import SolverConfig, arithmetic_mean_init, mm_solve
 from spdmean.spd_core import check_spd, frob_inner, inv_m, inv_sqrt_m, sqrt_m, sym
 
 
@@ -95,6 +96,20 @@ class TestEnsemble:
             with pytest.raises(DomainError) as info:
                 Ensemble.from_matrices([np.array([[1.0, 0.5], [0.0, 1.0]]) * scale])
         assert str(info.value) == "matrix 0 is not symmetric"
+
+    def test_entries_near_float64_max(self):
+        # (A + Aᵀ)/2 would overflow here: accepted with finite roots, or
+        # rejected by name, never with inf roots or a warning
+        big = np.eye(2) * 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            e = Ensemble.from_matrices([big])
+            with pytest.raises(DomainError) as info:
+                Ensemble.from_matrices([np.diag([1e308, 1.0])])
+        assert str(info.value) == "matrix 0 is not positive definite (eigenvalue 1)"
+        assert np.array_equal(e.mats[0], big)
+        assert np.all(np.isfinite(e.sqrts)) and np.all(np.isfinite(e.inv_sqrts))
+        assert np.allclose(e.inv_sqrts[0] @ e.sqrts[0], np.eye(2), rtol=0, atol=1e-15)
 
     def test_roots_match_matrix_functions(self, rng):
         e = random_ensemble(rng, 5, 4)
@@ -232,23 +247,48 @@ AGREEMENT_REGIMES = {
 }
 
 
+def _agreement_tol(e, x):
+    # Both sides round differently; to first order their results differ by
+    # round-off times the largest condition number of the decomposed Yᵢ,
+    # which is about 1e8 in the geometric regime.
+    w = np.linalg.eigvalsh(e.inv_sqrts @ x @ e.inv_sqrts)
+    return max(1e-12, np.finfo(float).eps * np.max(w[:, -1] / w[:, 0]))
+
+
 class TestStackedKernelAgreement:
-    """The stacked kernel against the per-matrix definitions in the oracle."""
+    """The stacked kernels against the per-matrix definitions in the oracle."""
 
     @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
     def test_matches_per_matrix_loop(self, regime, rng):
         views = {"objective": objective, "grad_sum": grad_sum, "f1": f1, "f2": f2,
                  "euclidean_gradient": euclidean_gradient}
         for e, x in AGREEMENT_REGIMES[regime](rng):
-            # Both sides round differently; to first order their results
-            # differ by round-off times the largest condition number of the
-            # decomposed Yᵢ, which is about 1e8 in the geometric regime.
-            w = np.linalg.eigvalsh(e.inv_sqrts @ x @ e.inv_sqrts)
-            tol = max(1e-12, np.finfo(float).eps * np.max(w[:, -1] / w[:, 0]))
+            tol = _agreement_tol(e, x)
             ref = per_matrix_terms(e, x)
             for name, view in views.items():
                 err = np.linalg.norm(view(e, x) - ref[name]) / np.linalg.norm(ref[name])
                 assert err <= tol, f"{regime} {name}: {err:.3g} > {tol:.3g}"
+
+    @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
+    def test_mm_step_matches_two_root_minimizer(self, regime, rng):
+        # one MM step in the frame of a factor of x against the minimizer
+        # of the surrogate built from the per-matrix f1 and f2 at x
+        for e, x in AGREEMENT_REGIMES[regime](rng):
+            tol = _agreement_tol(e, x)
+            ref = per_matrix_terms(e, x)
+            want = two_root_minimizer(ref["f1"], ref["f2"])
+            got = mm_solve(e, SolverConfig(max_iters=1, grad_tol=1e-300), x).mean
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
+
+    @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
+    def test_frame_gradient_norm_matches_grad_sum(self, regime, rng):
+        for e, x in AGREEMENT_REGIMES[regime](rng):
+            tol = _agreement_tol(e, x)
+            frame_grad = _frame_terms(e, np.linalg.cholesky(x))[1]
+            want = np.linalg.norm(grad_sum(e, x))
+            err = abs(np.linalg.norm(frame_grad) - want) / want
+            assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
 
 
 class TestSurrogate:

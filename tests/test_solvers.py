@@ -5,6 +5,7 @@ import pytest
 
 from conftest import commuting_ensemble
 from spdmean import solvers, spd_core
+from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
 from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
 from spdmean.karcher import Ensemble, grad_sum
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
@@ -143,6 +144,22 @@ class TestMmSolve:
         res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
         assert [t.iter for t in res.trace] == list(range(len(res.trace)))
         assert all(t.elapsed >= 0 for t in res.trace)
+
+    def test_long_run_reaches_two_matrix_mean(self, rng):
+        # fig3 regime: A₁ scaled by 1e4 slows MM to over 100 iterations;
+        # the carried factor of the iterate must not drift over that many
+        # updates. The objective is 2n-strongly geodesically convex, so a
+        # converged mean lies within grad_tol / n of the exact one.
+        p = 10
+        spectrum = SpectrumSpec(kind="uniform", dim=p, lo=1.0, hi=10.0)
+        spec = ExperimentSpec(n=2, p=p, spectrum=spectrum, runs=1, seed=0,
+                              scale_first_by=1e4, solvers=[SolverSpec(kind="mm")])
+        e = generate_ensemble(spec, rng)
+        cfg = SolverConfig()
+        res = mm_solve(e, cfg, arithmetic_mean_init(e))
+        assert res.converged and res.iters_used >= 50
+        dist = riem_dist(res.mean, two_matrix_oracle(e.mats[0], e.mats[1]))
+        assert dist <= 2.0 * cfg.effective_grad_tol(e.n) / e.n
 
 
 class TestGdLinesearch:
@@ -345,6 +362,14 @@ class TestFiniteOrFail:
                 solve(e, SolverConfig(), arithmetic_mean_init(e))
         assert str(info.value) == "A^(-1/2) X A^(-1/2) overflows float64 for matrix 1"
 
+    def test_start_point_without_cholesky_factor(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(DomainError, match="start point with a Cholesky factor"):
+            mm_solve(scalar_ensemble(1.0, 4.0), SolverConfig(), np.array([[2.0]]))
+
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_start_point_dimension_checked(self, solve):
         with pytest.raises(DimensionMismatch, match="ensemble dim is 1"):
@@ -366,39 +391,40 @@ class TestFiniteOrFail:
 
 class TestSpectralCost:
     def test_one_mm_iteration_is_one_stacked_pass(self, monkeypatch, rng):
-        # Count symmetric eigensolver calls and the matrices they cover; a
-        # (k, p, p) stack counts k. One MM iteration is the difference
-        # between runs capped at two and at one iteration.
+        # Count symmetric eigensolver calls and the matrices they cover (a
+        # (k, p, p) stack counts k), symmetry checks and Cholesky
+        # factorizations. One MM iteration is the difference between runs
+        # capped at two and at one iteration.
         n = 6
         e = random_ensemble(rng, n, 4)
         x0 = arithmetic_mean_init(e)
-        calls, checks = [], []
+        calls, checks, factors = [], [], []
+
+        def counting(real, log, weigh=lambda a: 1):
+            def counted(a, *args, **kwargs):
+                log.append(weigh(a))
+                return real(a, *args, **kwargs)
+            return counted
+
         for name in ("eigh", "eigvalsh"):
-            real = getattr(np.linalg, name)
-
-            def counted(a, *args, _real=real, **kwargs):
-                calls.append(math.prod(np.shape(a)[:-2]))
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        real_check = spd_core.check_symmetric
-
-        def counted_check(*args, **kwargs):
-            checks.append(1)
-            return real_check(*args, **kwargs)
-
-        monkeypatch.setattr(spd_core, "check_symmetric", counted_check)
+            monkeypatch.setattr(np.linalg, name, counting(
+                getattr(np.linalg, name), calls, lambda a: math.prod(np.shape(a)[:-2])))
+        monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, factors))
+        monkeypatch.setattr(spd_core, "check_symmetric",
+                            counting(spd_core.check_symmetric, checks))
         counts = []
         for cap in (1, 2):
-            calls.clear()
-            checks.clear()
+            for log in (calls, checks, factors):
+                log.clear()
             res = mm_solve(e, SolverConfig(max_iters=cap, grad_tol=1e-300), x0)
             assert res.iters_used == cap
-            counts.append((len(calls), sum(calls), len(checks)))
-        n_calls, n_mats, n_checks = np.subtract(counts[1], counts[0])
+            counts.append((len(calls), sum(calls), len(checks), len(factors)))
+        n_calls, n_mats, n_checks, n_factors = np.subtract(counts[1], counts[0])
         # objective, gradient and coefficients share one stacked pass (n
-        # matrices) plus X^{-1/2} (1); the minimizer takes one more after
-        # its Cholesky factorization; the iterates are never re-validated
-        assert n_calls <= 3, counts
-        assert n_mats <= n + 2, counts
+        # matrices) in the iterate's frame; the minimizer takes one more
+        # after its Cholesky factorization; the iterates are never
+        # re-validated
+        assert n_calls <= 2, counts
+        assert n_mats <= n + 1, counts
         assert n_checks == 0, counts
+        assert n_factors == 1, counts

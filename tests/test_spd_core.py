@@ -78,6 +78,21 @@ class TestSymEig:
             assert np.array_equal(check_symmetric(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
+class TestSym:
+    def test_bitwise_unchanged_in_normal_range(self, rng):
+        # halving before adding is exact wherever the halves stay normal
+        for scale in 10.0 ** rng.uniform(-300, 300, size=200):
+            a = rng.standard_normal((2, 4, 4)) * scale
+            assert np.array_equal(sym(a), (a + np.swapaxes(a, 1, 2)) / 2.0)
+
+    def test_no_overflow_near_float64_max(self):
+        a = np.array([[1.5e308, 1.2e308], [1.7e308, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = sym(a)
+        assert np.array_equal(s, [[1.5e308, 1.45e308], [1.45e308, 1.5e308]])
+
+
 class TestCheckSpd:
     def test_accepts_spd(self, rng):
         a = random_spd(rng, 4)
