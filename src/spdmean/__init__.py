@@ -38,6 +38,7 @@ from .oracle import (
     commuting_oracle,
     finite_diff_directional,
     grid_minimize_1d,
+    matrix_fn,
     scalar_karcher_oracle,
     two_matrix_oracle,
 )
@@ -58,7 +59,6 @@ from .spd_core import (
     inv_m,
     inv_sqrt_m,
     log_m,
-    matrix_fn,
     pow_m,
     riem_dist,
     sqrt_m,

@@ -6,12 +6,13 @@ surrogate ``G(X, X') = ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0`` built from the scal
 weights :func:`g1_scalar` / :func:`g2_scalar`, and minimizes G in closed
 form (:func:`surrogate_minimizer`).
 
-Every ensemble sum comes from one stacked eigendecomposition. The MM
+Every ensemble sum comes from one stacked eigendecomposition. The one
 kernel :func:`_frame_terms` works in the frame of a factor G of X = G Gᵀ,
-where the surrogate coefficients are weighted sums of eigenvectors; the
-gradient-descent views decompose Yᵢ = Aᵢ^{-1/2} X Aᵢ^{-1/2}
-(:func:`_spectra`). Sums over i are single matrix products over the
-stack, so results are bitwise reproducible for a given numpy and BLAS.
+where the gradient and the surrogate coefficients are weighted sums of
+eigenvectors. All three solvers carry such a factor; the public views
+evaluate the kernel at G = X^{1/2}. Sums over i are single matrix
+products over the stack, so results are bitwise reproducible for a given
+numpy and BLAS.
 """
 
 import math
@@ -21,36 +22,28 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .spd_core import (
-    _spectral_apply,
-    check_spd,
-    check_spd_stack,
-    eigh,
-    frob_inner,
-    inv_m,
-    sym,
-)
+from .spd_core import check_spd, check_spd_stack, eigh, frob_inner, inv_m, sym
 
 
 @dataclass(frozen=True)
 class Ensemble:
-    """The problem instance {A_1..A_n} with cached square roots.
+    """The problem instance {A_1..A_n} with cached inverse factors.
 
     Attributes
     ----------
     mats : ndarray, shape (n, p, p)
         The SPD matrices A_i.
-    sqrts, inv_sqrts : ndarray, shape (n, p, p)
-        Cached A_i^{1/2} and A_i^{-1/2}.
+    inv_factors : ndarray, shape (n, p, p)
+        Lᵢ⁻¹ = D(wᵢ)^{-1/2} Uᵢᵀ from Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ, so that
+        Lᵢ⁻ᵀ Lᵢ⁻¹ = Aᵢ⁻¹ and Lᵢ⁻¹ Aᵢ Lᵢ⁻ᵀ = I.
     """
 
     mats: np.ndarray
-    sqrts: np.ndarray = field(repr=False)
-    inv_sqrts: np.ndarray = field(repr=False)
+    inv_factors: np.ndarray = field(repr=False)
 
     @classmethod
     def from_matrices(cls, mats: Sequence[np.ndarray]) -> "Ensemble":
-        """Validate each matrix as SPD and precompute its square roots.
+        """Validate each matrix as SPD and keep its inverse factor.
 
         Every error names the offending matrix by its index, e.g.
         ``matrix 1 is not symmetric``; the CLI prints it as is. The first
@@ -70,10 +63,7 @@ class Ensemble:
                     raise DimensionMismatch(
                         f"matrix {i} has dim {a.shape[0]}, expected {shape[0]}")
         stack, w, u = check_spd_stack(np.array(arrs))
-        root = np.sqrt(w)[:, None, :]
-        ut = np.swapaxes(u, 1, 2)
-        return cls(mats=stack, sqrts=sym((u * root) @ ut),
-                   inv_sqrts=sym((u / root) @ ut))
+        return cls(mats=stack, inv_factors=np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None])
 
     @property
     def n(self) -> int:
@@ -128,23 +118,18 @@ def g2_scalar(x: float) -> float:
     return float(x / (s + z))
 
 
-def _spectra(e: Ensemble, x, vectors=True):
-    """Stacked eigendecomposition of Yᵢ = Aᵢ^{-1/2} X Aᵢ^{-1/2}.
+def _frame_eigh(e: Ensemble, g, vectors=True):
+    """:func:`eigh` of the Gram stack Ŷᵢ = (Lᵢ⁻¹G)ᵀ(Lᵢ⁻¹G) = Gᵀ Aᵢ⁻¹ G; all must be positive definite.
 
+    The Ŷᵢ have the spectra of Aᵢ^{-1/2} X Aᵢ^{-1/2} for X = G Gᵀ.
     Returns the (n, p) ascending eigenvalues and, with ``vectors``, the
-    (n, p, p) eigenvectors Uᵢ (else ``None``); see :func:`_positive_eigh`.
-    x is not validated: the public views check it with :func:`_check_point`.
+    (n, p, p) eigenvectors (else ``None``). The eigensolver reads the
+    lower triangle only, so the stack is not symmetrized first. A NaN
+    spectrum fails the positivity test; when a matrix of the stack is not
+    finite, the error names the first one.
     """
-    return _positive_eigh(e.inv_sqrts @ x @ e.inv_sqrts, vectors)
-
-
-def _positive_eigh(y, vectors=True):
-    """:func:`eigh` of the Yᵢ, or of a stack with their spectra; all must be positive definite.
-
-    The eigensolver reads the lower triangle only, so the stack is not
-    symmetrized first. A NaN spectrum fails the positivity test; when a
-    matrix of the stack is not finite, the error names the first one.
-    """
+    wm = e.inv_factors @ g
+    y = np.swapaxes(wm, 1, 2) @ wm
     w, u = eigh(y, vectors)
     if not np.all(w[:, 0] > 0):
         finite = np.isfinite(y).all(axis=(1, 2))
@@ -165,76 +150,62 @@ def _sum_sq(log_w):
     return math.fsum(np.square(log_w).ravel())
 
 
-def _sandwich(ft, weights):
-    """Σᵢ Fᵢ diag(weightsᵢ) Fᵢᵀ from the stacked transposes Fᵢᵀ.
-
-    The rows of all Fᵢᵀ form one (n·p, p) matrix, so the sum over i is a
-    single matrix product; ``ft`` may already be that matrix.
-    """
-    rows = ft.reshape(-1, ft.shape[-1])
-    return sym(rows.T @ (rows * weights.reshape(-1, 1)))
-
-
-def _log_sum(x, bt, w, log_w):
-    """Σᵢ log(X^{-1/2} Aᵢ X^{-1/2}) = −X^{-1/2} [Σᵢ Bᵢ D(wᵢ log wᵢ) Bᵢᵀ] X^{-1/2}.
-
-    Bᵢ = Aᵢ^{1/2} Uᵢ (``bt`` holds the Bᵢᵀ) satisfies Bᵢ D(wᵢ) Bᵢᵀ = X,
-    so X^{-1/2} Bᵢ D(wᵢ)^{1/2} is orthogonal and the congruence is the
-    matrix logarithm of X^{-1/2} Aᵢ X^{-1/2} = (X^{-1/2} Bᵢ)(X^{-1/2} Bᵢ)ᵀ.
-    x has passed :func:`_spectra`, so X^{-1/2} skips the symmetry check.
-    """
-    xi = _spectral_apply(sym(x), np.sqrt, "grad_sum", invert=True)
-    return -sym(xi @ _sandwich(bt, w * log_w) @ xi)
+def _frame_objective(e: Ensemble, g) -> float:
+    """The objective at X = G Gᵀ from the spectra of the Ŷᵢ alone."""
+    return _sum_sq(np.log(_frame_eigh(e, g, vectors=False)[0]))
 
 
 def _frame_terms(e: Ensemble, g):
     """Objective, gradient and surrogate coefficients in the frame of G.
 
-    With X = G Gᵀ and Wᵢ = Aᵢ^{-1/2} G, the Gram matrices
-    Ŷᵢ = Wᵢᵀ Wᵢ = Gᵀ Aᵢ⁻¹ G have the spectra wᵢ of Aᵢ^{-1/2} X Aᵢ^{-1/2}.
-    One stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ gives, with
-    z = log w and r = √(z² + 1) + z = e^{asinh z} = w·g1(w) = w / g2(w):
+    With X = G Gᵀ, one stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ of
+    the Gram matrices of :func:`_frame_eigh` gives, with z = log w and
+    r = √(z² + 1) + z = e^{asinh z} = w·g1(w) = w / g2(w):
 
     * the objective Σ z²;
-    * the gradient sum in G's frame, −Σᵢ Ûᵢ D(zᵢ) Ûᵢᵀ
+    * the gradient sum in G's frame, ĝ = −Σᵢ Ûᵢ D(zᵢ) Ûᵢᵀ
       = Qᵀ [Σᵢ log(X^{-1/2} Aᵢ X^{-1/2})] Q with Q = X^{-1/2} G orthogonal,
-      so its Frobenius norm is that of :func:`grad_sum`;
+      so its Frobenius norm is that of :func:`grad_sum`, and at
+      G = X^{1/2} (Q = I) it is :func:`grad_sum`;
     * c̃1 = Gᵀ c1 G = Σᵢ Ûᵢ D(rᵢ) Ûᵢᵀ and c̃2 = G⁻¹ c2 G⁻ᵀ = Σᵢ Ûᵢ D(1/rᵢ) Ûᵢᵀ,
       the surrogate coefficients for X̃ in X = G X̃ Gᵀ.
 
-    Returns ``(objective, gradient, c̃1, c̃2)``. √r is taken as
-    exp(asinh(z) / 2), which does not subtract for either sign of z, and
-    c̃1, c̃2 are the Gram matrices aᵀa of the eigenvector rows scaled by √r
-    and 1/√r. G is not validated: the solvers check the start point once.
+    Returns ``(objective, gradient, c̃1, c̃2)``. The rows of all Ûᵢᵀ form
+    one (n·p, p) matrix, so each sum over i is a single matrix product.
+    √r is taken as exp(asinh(z) / 2), which does not subtract for either
+    sign of z, and c̃1, c̃2 are the Gram matrices aᵀa of the eigenvector
+    rows scaled by √r and 1/√r. G is not validated: the solvers check the
+    start point once.
     """
-    wm = e.inv_sqrts @ g
-    w, u = _positive_eigh(np.swapaxes(wm, 1, 2) @ wm)
+    w, u = _frame_eigh(e, g)
     log_w = np.log(w)
     root_r = np.exp(0.5 * np.arcsinh(log_w)).reshape(-1, 1)
     rows = np.swapaxes(u, 1, 2).reshape(-1, g.shape[-1])
     a1, a2 = rows * root_r, rows / root_r
-    return _sum_sq(log_w), -_sandwich(rows, log_w), a1.T @ a1, a2.T @ a2
+    grad = -sym(rows.T @ (rows * log_w.reshape(-1, 1)))
+    return _sum_sq(log_w), grad, a1.T @ a1, a2.T @ a2
 
 
-def _coeffs(e: Ensemble, x):
-    """Objective, c1 and c2 at x: :func:`_frame_terms` at G = X^{1/2}.
-
-    c1 = X^{-1/2} c̃1 X^{-1/2} and c2 = X^{1/2} c̃2 X^{1/2}, with both
-    roots of x from one eigendecomposition.
-    """
+def _roots(e: Ensemble, x):
+    """X^{1/2} and X^{-1/2} from one eigendecomposition; the views take G = X^{1/2}."""
     x = _check_point(e, x)
     w, u = eigh(sym(x))
     if not w[0] > 0:
         raise DomainError("objective requires a positive definite point")
     root = np.sqrt(w)
-    s, si = sym((u * root) @ u.T), sym((u / root) @ u.T)
+    return sym((u * root) @ u.T), sym((u / root) @ u.T)
+
+
+def _coeffs(e: Ensemble, x):
+    """Objective, c1 = X^{-1/2} c̃1 X^{-1/2} and c2 = X^{1/2} c̃2 X^{1/2} at x."""
+    s, si = _roots(e, x)
     f_val, _, c1, c2 = _frame_terms(e, s)
     return f_val, sym(si @ c1 @ si), sym(s @ c2 @ s)
 
 
 def objective(e: Ensemble, x) -> float:
     """Sum of squared affine-invariant distances from x to the ensemble."""
-    return _sum_sq(np.log(_spectra(e, _check_point(e, x), vectors=False)[0]))
+    return _frame_objective(e, _roots(e, x)[0])
 
 
 def grad_sum(e: Ensemble, x) -> np.ndarray:
@@ -243,9 +214,7 @@ def grad_sum(e: Ensemble, x) -> np.ndarray:
     Its Frobenius norm is the convergence measure recorded by all
     solvers (the logarithmic-error quantity is its natural log).
     """
-    x = _check_point(e, x)
-    w, u = _spectra(e, x)
-    return _log_sum(x, np.swapaxes(u, 1, 2) @ e.sqrts, w, np.log(w))
+    return _frame_terms(e, _roots(e, x)[0])[1]
 
 
 def grad_direction(e: Ensemble, x) -> np.ndarray:
@@ -256,12 +225,12 @@ def grad_direction(e: Ensemble, x) -> np.ndarray:
 def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     """Euclidean derivative of the objective at x.
 
-    Each term transports 2 Y⁻¹ log Y (Y the congruence-transformed
-    point) back through Aᵢ^{-1/2}; used by finite-difference validation,
-    not by the solvers.
+    Σᵢ Aᵢ^{-1/2} 2 Yᵢ⁻¹ log Yᵢ Aᵢ^{-1/2} with Yᵢ = Aᵢ^{-1/2} x Aᵢ^{-1/2},
+    which equals −2 x^{-1/2} [:func:`grad_sum`] x^{-1/2}; used by
+    finite-difference validation, not by the solvers.
     """
-    w, u = _spectra(e, _check_point(e, x))
-    return _sandwich(np.swapaxes(u, 1, 2) @ e.inv_sqrts, 2.0 * np.log(w) / w)
+    s, si = _roots(e, x)
+    return -2.0 * sym(si @ _frame_terms(e, s)[1] @ si)
 
 
 def f1(e: Ensemble, x) -> np.ndarray:

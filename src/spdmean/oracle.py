@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import DomainError, NotCommuting
 from .karcher import Ensemble, g1_scalar, g2_scalar
-from .spd_core import exp_m, geodesic, inv_m, inv_sqrt_m, log_m, matrix_fn, sqrt_m, sym
+from .spd_core import (_eig_apply, check_symmetric, exp_m, geodesic, inv_m, inv_sqrt_m,
+                       log_m, sqrt_m, sym)
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -94,6 +95,25 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
         if w[0] <= 0:
             raise DomainError("perturbed matrix is not positive definite")
     return (f(x + h * h_dir) - f(x - h * h_dir)) / (2.0 * h)
+
+
+def matrix_fn(m, f: Callable[[float], float]):
+    """Apply a scalar function to a symmetric matrix through its eigenvalues.
+
+    ``f`` is called once per eigenvalue; a ``ValueError`` or non-finite
+    result is reported as :class:`DomainError`.
+    """
+
+    def fvals(w):
+        out = np.empty_like(w)
+        for i, x in enumerate(w):
+            try:
+                out[i] = f(float(x))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"eigenvalue {x:.6g} outside function domain") from exc
+        return out
+
+    return _eig_apply(check_symmetric(m), fvals)
 
 
 def per_matrix_terms(e: Ensemble, x) -> dict:

@@ -12,6 +12,14 @@ the unnormalized gradient sum below ``grad_tol``, default
   trace record.
 * :func:`gd_fixed_step_solve` — the same update with a constant step;
   no descent guarantee, with a divergence guard.
+
+Every solver carries its iterate as a factor G of X = G Gᵀ, starting
+from the Cholesky factor of the start point, and works in G's frame
+through the one kernel :func:`spdmean.karcher._frame_terms`. There
+X^{1/2} = G Qᵀ with Q orthogonal, so the Riemannian step
+X^{1/2} exp(t D) X^{1/2} along D = Q ĝ Qᵀ / n, with ĝ the frame
+gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
+ĝ/n = V Λ Vᵀ: one p×p eigendecomposition serves every step length t.
 """
 
 import math
@@ -22,9 +30,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DomainError
-from .karcher import (Ensemble, _check_point, _frame_terms, _minimizer_factor, grad_sum,
-                      objective)
-from .spd_core import check_spd, exp_m, sqrt_m, sym
+from .karcher import Ensemble, _check_point, _frame_objective, _frame_terms, _minimizer_factor
+from .spd_core import check_spd, eigh, sym
 
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
@@ -151,16 +158,26 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
 
 
 def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
-    """Arithmetic mean (1/n) Σ Aᵢ, the common starting iterate."""
-    return sym(np.mean(e.mats, axis=0))
+    """Arithmetic mean (1/n) Σ Aᵢ, the common starting iterate.
+
+    The Aᵢ are scaled by s = 2^-⌈log₂ n⌉ before summing, so the sum cannot
+    overflow; a power-of-two scaling is exact, so the result is that of
+    the plain sum wherever that sum does not overflow.
+    """
+    s = 2.0 ** -math.ceil(math.log2(e.n))
+    return sym(np.mean(e.mats * s, axis=0)) / s
+
+
+def _start_factor(x):
+    """The Cholesky factor G of the start point X = G Gᵀ, for every solver."""
+    try:
+        return np.linalg.cholesky(x)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("solve requires a start point with a Cholesky factor") from exc
 
 
 def _mm_steps(e: Ensemble, cfg: SolverConfig, x):
-    # The iterate is carried as a factor G of X = G Gᵀ.
-    try:
-        g = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("mm_solve requires a start point with a Cholesky factor") from exc
+    g = _start_factor(x)
     while True:
         f_val, grad, c1, c2 = _frame_terms(e, g)
         yield x, f_val, grad
@@ -180,25 +197,25 @@ def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     return _solve(_mm_steps, e, cfg, x0)
 
 
-def _exp_step(x, sqrt_x, step, d):
-    return sym(sqrt_x @ exp_m(step * d) @ sqrt_x)
-
-
 def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, x):
-    f_cur, g = objective(e, x), grad_sum(e, x)
+    g = _start_factor(x)
+    f_cur, grad, _, _ = _frame_terms(e, g)
     while True:
-        yield x, f_cur, g
-        sqrt_x = sqrt_m(x)
-        d = g / e.n
+        yield x, f_cur, grad
+        lam, v = eigh(grad / e.n)
+        gv = g @ v
         for j in range(cfg.ls_max_j + 1):
-            x_trial = _exp_step(x, sqrt_x, cfg.c**j * cfg.nu, d)
-            f_trial = objective(e, x_trial)
+            g_trial = gv * np.exp(0.5 * cfg.c**j * cfg.nu * lam)
+            f_trial = _frame_objective(e, g_trial)
             if f_trial <= f_cur:
-                x, f_cur, g = x_trial, f_trial, grad_sum(e, x_trial)
+                g, x = g_trial, g_trial @ g_trial.T
+                # the kernel's objective, not the probe's: measured in the
+                # fig1 regime, keeping f_trial stalls twice as many runs
+                f_cur, grad, _, _ = _frame_terms(e, g)
                 break
             if j == cfg.ls_max_j:
                 return  # stalled; the loop records this last probe
-            yield x, f_cur, g
+            yield x, f_cur, grad
 
 
 def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
@@ -213,22 +230,29 @@ def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     ``max_iters`` caps the total probe count; if every probe up to
     ``ls_max_j`` increases the objective the run stops with status
     ``line_search_stalled``, even when that last probe reaches the cap.
+    A probe is one values-only stacked eigendecomposition of n matrices;
+    an accepted point gets the full kernel.
     """
     return _solve(_gd_linesearch_steps, e, cfg, x0)
 
 
 def _gd_fixed_steps(e: Ensemble, cfg: SolverConfig, x):
+    g = _start_factor(x)
     while True:
-        f_val, g = objective(e, x), grad_sum(e, x)
-        yield x, f_val, g
-        x = _exp_step(x, sqrt_m(x), cfg.nu, g / e.n)
+        f_val, grad, _, _ = _frame_terms(e, g)
+        yield x, f_val, grad
+        lam, v = eigh(grad / e.n)
+        g = (g @ v) * np.exp(0.5 * cfg.nu * lam)
+        x = g @ g.T
 
 
 def gd_fixed_step_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """Gradient descent with the constant step ``nu``.
 
     The trace may be nonmonotone; the run stops with status ``diverged``
-    once the objective exceeds 1e6 times its initial value.
+    once the objective exceeds 1e6 times its initial value. An iteration
+    is one stacked eigendecomposition of n matrices and one p×p
+    eigendecomposition.
     """
     return _solve(_gd_fixed_steps, e, cfg, x0)
 

@@ -6,8 +6,6 @@ functions take and return plain ``numpy`` arrays; SPD inputs are
 validated with :func:`check_spd` at API boundaries.
 """
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonConvergence
@@ -162,7 +160,7 @@ def _desc_eig(m):
     return np.ascontiguousarray(u[:, ::-1]), w[::-1].copy()
 
 
-def _spectral_apply(m, fvals_of, positive=None, invert=False):
+def _eig_apply(m, fvals_of, positive=None, invert=False):
     """Rebuild U diag(f(λ)) Uᵀ from a vectorized eigenvalue map.
 
     The raw path: ``m`` must already be symmetric and is not validated;
@@ -183,53 +181,34 @@ def _spectral_apply(m, fvals_of, positive=None, invert=False):
     return sym(((u / fw) if invert else (u * fw)) @ u.T)
 
 
-def matrix_fn(m, f: Callable[[float], float]):
-    """Apply a scalar function to a symmetric matrix through its eigenvalues.
-
-    ``f`` is called once per eigenvalue; a ``ValueError`` or non-finite
-    result is reported as :class:`DomainError`.
-    """
-
-    def fvals(w):
-        out = np.empty_like(w)
-        for i, x in enumerate(w):
-            try:
-                out[i] = f(float(x))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise DomainError(f"eigenvalue {x:.6g} outside function domain") from exc
-        return out
-
-    return _spectral_apply(check_symmetric(m), fvals)
-
-
 def log_m(a):
     """Matrix logarithm of an SPD matrix."""
-    return _spectral_apply(check_symmetric(a), np.log, "log_m")
+    return _eig_apply(check_symmetric(a), np.log, "log_m")
 
 
 def exp_m(a):
     """Matrix exponential of a symmetric matrix."""
-    return _spectral_apply(check_symmetric(a), np.exp)
+    return _eig_apply(check_symmetric(a), np.exp)
 
 
 def sqrt_m(a):
     """Principal square root of an SPD matrix."""
-    return _spectral_apply(check_symmetric(a), np.sqrt, "sqrt_m")
+    return _eig_apply(check_symmetric(a), np.sqrt, "sqrt_m")
 
 
 def inv_sqrt_m(a):
     """Inverse principal square root of an SPD matrix."""
-    return _spectral_apply(check_symmetric(a), np.sqrt, "inv_sqrt_m", invert=True)
+    return _eig_apply(check_symmetric(a), np.sqrt, "inv_sqrt_m", invert=True)
 
 
 def inv_m(a):
     """Inverse of an SPD matrix via its eigendecomposition."""
-    return _spectral_apply(check_symmetric(a), lambda w: w, "inv_m", invert=True)
+    return _eig_apply(check_symmetric(a), lambda w: w, "inv_m", invert=True)
 
 
 def pow_m(a, t):
     """Real matrix power ``a**t`` of an SPD matrix."""
-    return _spectral_apply(check_symmetric(a), lambda w: w**float(t), "pow_m")
+    return _eig_apply(check_symmetric(a), lambda w: w**float(t), "pow_m")
 
 
 def frob_inner(a, b):

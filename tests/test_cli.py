@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestMean:
         assert main(["mean", inp, "--solver", solver, "--out", str(out)]) == 0
         got = json.loads(out.read_text())["matrices"][0][0][0]
         assert abs(got - 2.0) <= 1e-8
+
+    def test_entries_summing_past_float64_max(self, tmp_path):
+        # two copies of 1.5e308·I: their sum overflows, their mean does not
+        big = [[1.5e308, 0.0], [0.0, 1.5e308]]
+        inp = ensemble_file(tmp_path, [big, big])
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["mean", inp, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["matrices"][0] == big
 
     def test_asymmetric_rejected_with_index(self, tmp_path, capsys):
         inp = ensemble_file(

@@ -26,19 +26,17 @@ from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, generate_en
                            random_orthogonal)
 from spdmean.oracle import finite_diff_directional, per_matrix_terms, two_root_minimizer
 from spdmean.selfcheck import random_ensemble, random_spd
-from spdmean.solvers import SolverConfig, arithmetic_mean_init, mm_solve
-from spdmean.spd_core import check_spd, frob_inner, inv_m, inv_sqrt_m, sqrt_m, sym
+from spdmean.solvers import SolverConfig, arithmetic_mean_init, gd_fixed_step_solve, mm_solve
+from spdmean.spd_core import check_spd, exp_m, frob_inner, inv_m, inv_sqrt_m, sqrt_m, sym
 
 
 class TestEnsemble:
     def test_cache_coherence(self, rng):
         e = random_ensemble(rng, 4, 5)
         for i in range(e.n):
-            a = e.mats[i]
-            assert np.linalg.norm(e.sqrts[i] @ e.sqrts[i] - a) \
-                <= 1e-10 * np.linalg.norm(a)
-            assert np.linalg.norm(e.inv_sqrts[i] @ e.sqrts[i] - np.eye(e.dim)) \
-                <= 1e-10
+            a, li = e.mats[i], e.inv_factors[i]
+            assert np.linalg.norm(li.T @ li @ a - np.eye(e.dim)) <= 1e-10
+            assert np.linalg.norm(li @ a @ li.T - np.eye(e.dim)) <= 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -98,8 +96,8 @@ class TestEnsemble:
         assert str(info.value) == "matrix 0 is not symmetric"
 
     def test_entries_near_float64_max(self):
-        # (A + Aᵀ)/2 would overflow here: accepted with finite roots, or
-        # rejected by name, never with inf roots or a warning
+        # (A + Aᵀ)/2 would overflow here: accepted with finite factors, or
+        # rejected by name, never with inf factors or a warning
         big = np.eye(2) * 1.5e308
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -108,15 +106,15 @@ class TestEnsemble:
                 Ensemble.from_matrices([np.diag([1e308, 1.0])])
         assert str(info.value) == "matrix 0 is not positive definite (eigenvalue 1)"
         assert np.array_equal(e.mats[0], big)
-        assert np.all(np.isfinite(e.sqrts)) and np.all(np.isfinite(e.inv_sqrts))
-        assert np.allclose(e.inv_sqrts[0] @ e.sqrts[0], np.eye(2), rtol=0, atol=1e-15)
+        li = e.inv_factors[0]
+        assert np.all(np.isfinite(li))
+        assert np.allclose(li @ big @ li.T, np.eye(2), rtol=0, atol=1e-15)
 
     def test_roots_match_matrix_functions(self, rng):
         e = random_ensemble(rng, 5, 4)
         for i in range(e.n):
-            s, si = sqrt_m(e.mats[i]), inv_sqrt_m(e.mats[i])
-            assert np.linalg.norm(e.sqrts[i] - s) <= 1e-14 * np.linalg.norm(s)
-            assert np.linalg.norm(e.inv_sqrts[i] - si) <= 1e-14 * np.linalg.norm(si)
+            li, ai = e.inv_factors[i], inv_m(e.mats[i])
+            assert np.linalg.norm(li.T @ li - ai) <= 1e-14 * np.linalg.norm(ai)
 
 
 class TestObjective:
@@ -251,7 +249,7 @@ def _agreement_tol(e, x):
     # Both sides round differently; to first order their results differ by
     # round-off times the largest condition number of the decomposed Yᵢ,
     # which is about 1e8 in the geometric regime.
-    w = np.linalg.eigvalsh(e.inv_sqrts @ x @ e.inv_sqrts)
+    w = np.linalg.eigvalsh(e.inv_factors @ x @ np.swapaxes(e.inv_factors, 1, 2))
     return max(1e-12, np.finfo(float).eps * np.max(w[:, -1] / w[:, 0]))
 
 
@@ -278,6 +276,20 @@ class TestStackedKernelAgreement:
             ref = per_matrix_terms(e, x)
             want = two_root_minimizer(ref["f1"], ref["f2"])
             got = mm_solve(e, SolverConfig(max_iters=1, grad_tol=1e-300), x).mean
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
+
+    @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
+    def test_gd_step_matches_sandwich_form(self, regime, rng):
+        # one fixed GD step in the frame of a factor of x against
+        # X^{1/2} exp(ν D) X^{1/2} with D from the per-matrix gradient sum
+        cfg = SolverConfig(max_iters=1, grad_tol=1e-300)
+        for e, x in AGREEMENT_REGIMES[regime](rng):
+            tol = _agreement_tol(e, x)
+            d = per_matrix_terms(e, x)["grad_sum"] / e.n
+            s = sqrt_m(x)
+            want = s @ exp_m(cfg.nu * d) @ s
+            got = gd_fixed_step_solve(e, cfg, x).mean
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
 

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from spdmean.solvers import (
     gd_linesearch_solve,
     mm_solve,
 )
-from spdmean.spd_core import check_spd, riem_dist
+from spdmean.spd_core import check_spd, riem_dist, sym
 
 SOLVERS = [mm_solve, gd_linesearch_solve, gd_fixed_step_solve]
 
@@ -367,8 +369,29 @@ class TestFiniteOrFail:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
-        with pytest.raises(DomainError, match="start point with a Cholesky factor"):
-            mm_solve(scalar_ensemble(1.0, 4.0), SolverConfig(), np.array([[2.0]]))
+        for solve in SOLVERS:
+            with pytest.raises(DomainError, match="^solve requires a start point with a "
+                                                  "Cholesky factor$"):
+                solve(scalar_ensemble(1.0, 4.0), SolverConfig(), np.array([[2.0]]))
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_start_point_sum_near_float64_max(self, solve):
+        # the entries of the two matrices sum past the float64 maximum
+        big = np.eye(2) * 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            e = Ensemble.from_matrices([big, big])
+            x0 = arithmetic_mean_init(e)
+            res = solve(e, SolverConfig(), x0)
+        assert np.array_equal(x0, big)
+        assert res.converged and np.array_equal(res.mean, big)
+
+    def test_start_point_is_the_plain_mean(self, rng):
+        # scaling by a power of two before summing is exact
+        for scale in (1e-200, 1.0, 1e200):
+            for n in (1, 2, 3, 7, 10):
+                e = Ensemble.from_matrices([random_spd(rng, 3) * scale for _ in range(n)])
+                assert np.array_equal(arithmetic_mean_init(e), sym(np.mean(e.mats, axis=0)))
 
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_start_point_dimension_checked(self, solve):
@@ -390,14 +413,15 @@ class TestFiniteOrFail:
 
 
 class TestSpectralCost:
-    def test_one_mm_iteration_is_one_stacked_pass(self, monkeypatch, rng):
-        # Count symmetric eigensolver calls and the matrices they cover (a
-        # (k, p, p) stack counts k), symmetry checks and Cholesky
-        # factorizations. One MM iteration is the difference between runs
-        # capped at two and at one iteration.
-        n = 6
-        e = random_ensemble(rng, n, 4)
-        x0 = arithmetic_mean_init(e)
+    @staticmethod
+    def per_record(monkeypatch, solve, e, cfg, x0):
+        """Work between the first and the second trace record after the start.
+
+        Counts symmetric eigensolver calls and the matrices they cover (a
+        (k, p, p) stack counts k), symmetry checks and Cholesky
+        factorizations, as the difference between runs capped at two and
+        at one record after the start point.
+        """
         calls, checks, factors = [], [], []
 
         def counting(real, log, weigh=lambda a: 1):
@@ -412,19 +436,46 @@ class TestSpectralCost:
         monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, factors))
         monkeypatch.setattr(spd_core, "check_symmetric",
                             counting(spd_core.check_symmetric, checks))
-        counts = []
+        counts, traces = [], []
         for cap in (1, 2):
             for log in (calls, checks, factors):
                 log.clear()
-            res = mm_solve(e, SolverConfig(max_iters=cap, grad_tol=1e-300), x0)
+            res = solve(e, replace(cfg, max_iters=cap, grad_tol=1e-300), x0)
             assert res.iters_used == cap
             counts.append((len(calls), sum(calls), len(checks), len(factors)))
-        n_calls, n_mats, n_checks, n_factors = np.subtract(counts[1], counts[0])
+            traces.append(res.trace)
+        return np.subtract(counts[1], counts[0]), traces[1]
+
+    def test_one_mm_iteration_is_one_stacked_pass(self, monkeypatch, rng):
+        n = 6
+        e = random_ensemble(rng, n, 4)
+        (n_calls, n_mats, n_checks, n_factors), _ = self.per_record(
+            monkeypatch, mm_solve, e, SolverConfig(), arithmetic_mean_init(e))
         # objective, gradient and coefficients share one stacked pass (n
         # matrices) in the iterate's frame; the minimizer takes one more
         # after its Cholesky factorization; the iterates are never
         # re-validated
-        assert n_calls <= 2, counts
-        assert n_mats <= n + 1, counts
-        assert n_checks == 0, counts
-        assert n_factors == 1, counts
+        assert n_calls <= 2
+        assert n_mats <= n + 1
+        assert n_checks == 0
+        assert n_factors == 1
+
+    def test_one_gd_fixed_iteration_is_one_stacked_pass(self, monkeypatch, rng):
+        n = 6
+        e = random_ensemble(rng, n, 4)
+        (n_calls, n_mats, n_checks, n_factors), _ = self.per_record(
+            monkeypatch, gd_fixed_step_solve, e, SolverConfig(), arithmetic_mean_init(e))
+        # the stacked pass of the kernel, then one p×p eigendecomposition
+        # of the frame gradient for the step
+        assert (n_calls, n_mats, n_checks, n_factors) == (2, n + 1, 0, 0)
+
+    def test_one_gd_linesearch_probe_is_one_stacked_values_pass(self, monkeypatch, rng):
+        n = 6
+        e = random_ensemble(rng, n, 4)
+        # steps of 64 and 32 times the descent direction overshoot, so the
+        # first two probes are rejected and the second is one record
+        (n_calls, n_mats, n_checks, n_factors), trace = self.per_record(
+            monkeypatch, gd_linesearch_solve, e, SolverConfig(nu=64.0),
+            arithmetic_mean_init(e))
+        assert [t.objective for t in trace] == [trace[0].objective] * 3
+        assert (n_calls, n_mats, n_checks, n_factors) == (1, n, 0, 0)

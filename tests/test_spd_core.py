@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_sym
 from spdmean.errors import DimensionMismatch, DomainError
+from spdmean.oracle import matrix_fn
 from spdmean.selfcheck import random_spd
 from spdmean.spd_core import (
     ORTHO_TOL,
@@ -18,7 +19,6 @@ from spdmean.spd_core import (
     inv_m,
     inv_sqrt_m,
     log_m,
-    matrix_fn,
     pow_m,
     riem_dist,
     sqrt_m,
