@@ -6,13 +6,16 @@ surrogate ``G(X, X') = ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0`` built from the scal
 weights :func:`g1_scalar` / :func:`g2_scalar`, and minimizes G in closed
 form (:func:`surrogate_minimizer`).
 
-Every ensemble sum comes from one stacked eigendecomposition. The one
-kernel :func:`_frame_terms` works in the frame of a factor G of X = G Gᵀ,
-where the gradient and the surrogate coefficients are weighted sums of
-eigenvectors. All three solvers carry such a factor; the public views
-evaluate the kernel at G = X^{1/2}. Sums over i are single matrix
-products over the stack, so results are bitwise reproducible for a given
-numpy and BLAS.
+Every ensemble sum comes from one stacked eigendecomposition
+(:func:`_frame_eigh`) in the frame of a factor G of X = G Gᵀ, where the
+gradient and the surrogate coefficients are weighted sums of
+eigenvectors. Two reductions read it: :func:`_frame_terms`, the MM
+kernel, builds c̃1 and c̃2 as two Gram products and takes the gradient
+as their difference; :func:`_frame_grad`, for GD and the gradient views,
+builds the gradient alone in one product. All three solvers carry such a
+factor; the public views evaluate the reductions at G = X^{1/2}. Sums
+over i are single matrix products over the stack, so results are bitwise
+reproducible for a given numpy and BLAS.
 """
 
 import math
@@ -131,7 +134,7 @@ def _frame_eigh(e: Ensemble, g, vectors=True):
     wm = e.inv_factors @ g
     y = np.swapaxes(wm, 1, 2) @ wm
     w, u = eigh(y, vectors)
-    if not np.all(w[:, 0] > 0):
+    if not (w[:, 0] > 0).all():
         finite = np.isfinite(y).all(axis=(1, 2))
         if not finite.all():
             raise DomainError(f"A^(-1/2) X A^(-1/2) overflows float64 for matrix "
@@ -147,7 +150,7 @@ def _sum_sq(log_w):
     convergence; an exact sum does not depend on the summation order,
     and its smaller rounding noise lets fewer runs stall there.
     """
-    return math.fsum(np.square(log_w).ravel())
+    return math.fsum(np.square(log_w).ravel().tolist())
 
 
 def _frame_objective(e: Ensemble, g) -> float:
@@ -155,35 +158,49 @@ def _frame_objective(e: Ensemble, g) -> float:
     return _sum_sq(np.log(_frame_eigh(e, g, vectors=False)[0]))
 
 
-def _frame_terms(e: Ensemble, g):
-    """Objective, gradient and surrogate coefficients in the frame of G.
+def _frame_grad(e: Ensemble, g):
+    """Objective and gradient in the frame of G, without the coefficients.
 
-    With X = G Gᵀ, one stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ of
-    the Gram matrices of :func:`_frame_eigh` gives, with z = log w and
-    r = √(z² + 1) + z = e^{asinh z} = w·g1(w) = w / g2(w):
-
-    * the objective Σ z²;
-    * the gradient sum in G's frame, ĝ = −Σᵢ Ûᵢ D(zᵢ) Ûᵢᵀ
-      = Qᵀ [Σᵢ log(X^{-1/2} Aᵢ X^{-1/2})] Q with Q = X^{-1/2} G orthogonal,
-      so its Frobenius norm is that of :func:`grad_sum`, and at
-      G = X^{1/2} (Q = I) it is :func:`grad_sum`;
-    * c̃1 = Gᵀ c1 G = Σᵢ Ûᵢ D(rᵢ) Ûᵢᵀ and c̃2 = G⁻¹ c2 G⁻ᵀ = Σᵢ Ûᵢ D(1/rᵢ) Ûᵢᵀ,
-      the surrogate coefficients for X̃ in X = G X̃ Gᵀ.
-
-    Returns ``(objective, gradient, c̃1, c̃2)``. The rows of all Ûᵢᵀ form
-    one (n·p, p) matrix, so each sum over i is a single matrix product.
-    √r is taken as exp(asinh(z) / 2), which does not subtract for either
-    sign of z, and c̃1, c̃2 are the Gram matrices aᵀa of the eigenvector
-    rows scaled by √r and 1/√r. G is not validated: the solvers check the
-    start point once.
+    With X = G Gᵀ and the stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ of
+    :func:`_frame_eigh`, z = log w, returns ``(objective, gradient)``:
+    the objective Σ z² and ĝ = −Σᵢ Ûᵢ D(zᵢ) Ûᵢᵀ
+    = Qᵀ [Σᵢ log(X^{-1/2} Aᵢ X^{-1/2})] Q with Q = X^{-1/2} G orthogonal,
+    so its Frobenius norm is that of :func:`grad_sum`, and at G = X^{1/2}
+    (Q = I) it is :func:`grad_sum`. The rows of all Ûᵢᵀ form one
+    (n·p, p) matrix, so the sum over i is one matrix product. GD uses
+    this reduction: it never needs c̃1 and c̃2.
     """
     w, u = _frame_eigh(e, g)
     log_w = np.log(w)
-    root_r = np.exp(0.5 * np.arcsinh(log_w)).reshape(-1, 1)
     rows = np.swapaxes(u, 1, 2).reshape(-1, g.shape[-1])
-    a1, a2 = rows * root_r, rows / root_r
-    grad = -sym(rows.T @ (rows * log_w.reshape(-1, 1)))
-    return _sum_sq(log_w), grad, a1.T @ a1, a2.T @ a2
+    return _sum_sq(log_w), -sym(rows.T @ (rows * log_w.reshape(-1, 1)))
+
+
+def _frame_terms(e: Ensemble, g):
+    """Objective, gradient and surrogate coefficients in the frame of G: the MM kernel.
+
+    From the eigendecomposition of :func:`_frame_eigh`, with z = log w
+    and r = √(z² + 1) + z = e^{asinh z} = w·g1(w) = w / g2(w), the
+    surrogate coefficients for X̃ in X = G X̃ Gᵀ are
+    c̃1 = Gᵀ c1 G = Σᵢ Ûᵢ D(rᵢ) Ûᵢᵀ and c̃2 = G⁻¹ c2 G⁻ᵀ = Σᵢ Ûᵢ D(1/rᵢ) Ûᵢᵀ,
+    the two Gram matrices aᵀa of the (n·p, p) eigenvector rows scaled by
+    √r and 1/√r. √r is taken as exp(asinh(z) / 2), which does not
+    subtract for either sign of z. Since r − 1/r = 2z, the gradient of
+    :func:`_frame_grad` is ĝ = (c̃2 − c̃1)/2, so no third product is
+    needed; it serves MM only as the stopping test, and it agrees with
+    :func:`_frame_grad` to round-off in c̃1 and c̃2.
+
+    Returns ``(objective, gradient, c̃1, c̃2)``. G is not validated: the
+    solvers check the start point once.
+    """
+    w, u = _frame_eigh(e, g)
+    log_w = np.log(w)
+    root_r = np.exp(0.5 * np.arcsinh(log_w))[:, :, None]
+    rows = np.swapaxes(u, 1, 2)
+    a1 = np.multiply(rows, root_r, order="C").reshape(-1, g.shape[-1])
+    a2 = np.divide(rows, root_r, order="C").reshape(-1, g.shape[-1])
+    c1, c2 = a1.T @ a1, a2.T @ a2
+    return _sum_sq(log_w), 0.5 * (c2 - c1), c1, c2
 
 
 def _roots(e: Ensemble, x):
@@ -214,7 +231,7 @@ def grad_sum(e: Ensemble, x) -> np.ndarray:
     Its Frobenius norm is the convergence measure recorded by all
     solvers (the logarithmic-error quantity is its natural log).
     """
-    return _frame_terms(e, _roots(e, x)[0])[1]
+    return _frame_grad(e, _roots(e, x)[0])[1]
 
 
 def grad_direction(e: Ensemble, x) -> np.ndarray:
@@ -230,7 +247,7 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     finite-difference validation, not by the solvers.
     """
     s, si = _roots(e, x)
-    return -2.0 * sym(si @ _frame_terms(e, s)[1] @ si)
+    return -2.0 * sym(si @ _frame_grad(e, s)[1] @ si)
 
 
 def f1(e: Ensemble, x) -> np.ndarray:
@@ -295,6 +312,6 @@ def _minimizer_factor(c1, c2):
     except np.linalg.LinAlgError as exc:
         raise DomainError("surrogate_minimizer requires a positive definite c2") from exc
     w, v = eigh(r.T @ c1 @ r)
-    if not np.all(w > 0):
+    if not (w > 0).all():
         raise DomainError("surrogate_minimizer requires positive definite c1 and c2")
     return (r @ v) / np.sqrt(np.sqrt(w))

@@ -14,14 +14,18 @@ the unnormalized gradient sum below ``grad_tol``, default
   no descent guarantee, with a divergence guard.
 
 Every solver carries its iterate as a factor G of X = G Gᵀ, starting
-from the Cholesky factor of the start point, and works in G's frame
-through the one kernel :func:`spdmean.karcher._frame_terms`. There
+from the Cholesky factor of the start point, and works in G's frame on
+one stacked eigendecomposition per point. MM reduces it with
+:func:`spdmean.karcher._frame_terms` (two Gram products: c̃1, c̃2 and
+the gradient as their difference); GD, which needs the gradient only,
+with :func:`spdmean.karcher._frame_grad` (one product). There
 X^{1/2} = G Qᵀ with Q orthogonal, so the Riemannian step
 X^{1/2} exp(t D) X^{1/2} along D = Q ĝ Qᵀ / n, with ĝ the frame
 gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
 ĝ/n = V Λ Vᵀ: one p×p eigendecomposition serves every step length t.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -30,7 +34,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DomainError
-from .karcher import Ensemble, _check_point, _frame_objective, _frame_terms, _minimizer_factor
+from .karcher import (Ensemble, _check_point, _frame_grad, _frame_objective, _frame_terms,
+                      _minimizer_factor)
 from .spd_core import check_spd, eigh, sym
 
 DEFAULT_MAX_ITERS = 500
@@ -190,16 +195,16 @@ def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
 
     Each iterate is the closed-form minimizer of the surrogate built at
     the previous one; the objective trace is nonincreasing. An iteration
-    is one stacked eigendecomposition of n matrices, one Cholesky
-    factorization and one p×p eigendecomposition, all in the frame of
-    the current iterate's factor.
+    is one stacked eigendecomposition of n matrices, two Gram products
+    over its eigenvectors, one Cholesky factorization and one p×p
+    eigendecomposition, all in the frame of the current iterate's factor.
     """
     return _solve(_mm_steps, e, cfg, x0)
 
 
 def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, x):
     g = _start_factor(x)
-    f_cur, grad, _, _ = _frame_terms(e, g)
+    f_cur, grad = _frame_grad(e, g)
     while True:
         yield x, f_cur, grad
         lam, v = eigh(grad / e.n)
@@ -211,7 +216,7 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, x):
                 g, x = g_trial, g_trial @ g_trial.T
                 # the kernel's objective, not the probe's: measured in the
                 # fig1 regime, keeping f_trial stalls twice as many runs
-                f_cur, grad, _, _ = _frame_terms(e, g)
+                f_cur, grad = _frame_grad(e, g)
                 break
             if j == cfg.ls_max_j:
                 return  # stalled; the loop records this last probe
@@ -231,28 +236,36 @@ def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     ``ls_max_j`` increases the objective the run stops with status
     ``line_search_stalled``, even when that last probe reaches the cap.
     A probe is one values-only stacked eigendecomposition of n matrices;
-    an accepted point gets the full kernel.
+    an accepted point gets the stacked pass with eigenvectors and the
+    gradient-only reduction.
     """
     return _solve(_gd_linesearch_steps, e, cfg, x0)
 
 
 def _gd_fixed_steps(e: Ensemble, cfg: SolverConfig, x):
     g = _start_factor(x)
-    while True:
-        f_val, grad, _, _ = _frame_terms(e, g)
+    f_val, grad = _frame_grad(e, g)
+    for k in itertools.count(1):
         yield x, f_val, grad
         lam, v = eigh(grad / e.n)
         g = (g @ v) * np.exp(0.5 * cfg.nu * lam)
         x = g @ g.T
+        try:
+            f_val, grad = _frame_grad(e, g)
+        except DomainError as exc:
+            raise DomainError(f"gd-fixed step nu={cfg.nu:g} left the positive definite "
+                              f"cone at iterate {k}: {exc}") from exc
 
 
 def gd_fixed_step_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """Gradient descent with the constant step ``nu``.
 
     The trace may be nonmonotone; the run stops with status ``diverged``
-    once the objective exceeds 1e6 times its initial value. An iteration
-    is one stacked eigendecomposition of n matrices and one p×p
-    eigendecomposition.
+    once the objective exceeds 1e6 times its initial value. A step that
+    leaves the positive definite cone in float64 before that raises
+    :class:`DomainError` naming the step and the iterate. An iteration
+    is one stacked eigendecomposition of n matrices, the gradient-only
+    reduction and one p×p eigendecomposition.
     """
     return _solve(_gd_fixed_steps, e, cfg, x0)
 

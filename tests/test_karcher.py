@@ -8,6 +8,7 @@ from conftest import random_sym
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.karcher import (
     Ensemble,
+    _frame_grad,
     _frame_terms,
     SurrogateCoeffs,
     euclidean_gradient,
@@ -301,6 +302,38 @@ class TestStackedKernelAgreement:
             want = np.linalg.norm(grad_sum(e, x))
             err = abs(np.linalg.norm(frame_grad) - want) / want
             assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
+
+    @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
+    def test_mm_gradient_matches_gradient_reduction(self, regime, rng):
+        # the MM kernel's ĝ = (c̃2 − c̃1)/2 against GD's −Σᵢ Ûᵢ D(log wᵢ) Ûᵢᵀ
+        for e, x in AGREEMENT_REGIMES[regime](rng):
+            tol = _agreement_tol(e, x)
+            g = np.linalg.cholesky(x)
+            want = _frame_grad(e, g)[1]
+            err = np.linalg.norm(_frame_terms(e, g)[1] - want) / np.linalg.norm(want)
+            assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
+
+    @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
+    def test_coefficient_difference_is_twice_the_gradient(self, regime, rng):
+        # r − 1/r = 2 log w, so c̃1 − c̃2 = −2ĝ; at G = X^{1/2}, ĝ is the
+        # per-matrix gradient sum
+        for e, x in AGREEMENT_REGIMES[regime](rng):
+            tol = _agreement_tol(e, x)
+            want = -2.0 * per_matrix_terms(e, x)["grad_sum"]
+            _, _, c1, c2 = _frame_terms(e, sqrt_m(x))
+            err = np.linalg.norm(c1 - c2 - want) / np.linalg.norm(want)
+            assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
+
+    def test_gradient_floor_in_condition_1e8_regime(self, rng):
+        # MM still converges at the default tolerance, and at its mean the
+        # difference form moves ĝ by far less than the tolerance
+        e, x0 = _geometric_regime(rng)[0]
+        cfg = SolverConfig()
+        tol = cfg.effective_grad_tol(e.n)
+        res = mm_solve(e, cfg, x0)
+        assert res.converged and res.trace[-1].grad_norm < tol
+        g = np.linalg.cholesky(res.mean)
+        assert np.linalg.norm(_frame_terms(e, g)[1] - _frame_grad(e, g)[1]) <= 1e-3 * tol
 
 
 class TestSurrogate:

@@ -225,6 +225,15 @@ class TestGdFixedStep:
         assert res.status == STATUS_DIVERGED
         assert not res.converged
 
+    def test_step_leaving_the_cone_names_step_and_iterate(self, rng):
+        # the ensemble of the CLI's failed-solve test: cond(X) reaches 3e11
+        # while the objective is still below the divergence guard
+        e = Ensemble.from_matrices([random_spd(rng, 4, lo=1.0, hi=10.0) for _ in range(5)])
+        with pytest.raises(DomainError, match=r"^gd-fixed step nu=4 left the positive definite "
+                                              r"cone at iterate \d+: objective requires a "
+                                              r"positive definite point$"):
+            gd_fixed_step_solve(e, SolverConfig(nu=4.0), arithmetic_mean_init(e))
+
     def test_small_step_converges_slower_than_unit(self, rng):
         e = random_ensemble(rng, 5, 4)
         x0 = arithmetic_mean_init(e)
@@ -335,6 +344,31 @@ class TestSharedLoop:
                    if isinstance(a, argparse._SubParsersAction))
         solver = next(a for a in sub.choices["mean"]._actions if a.dest == "solver")
         assert sorted(solver.choices) == sorted(REGISTRY)
+
+    def test_layer_entry_points_are_module_globals(self):
+        # the benchmark's layer split wraps these names in spdmean.solvers
+        for name in ("_solve", "_frame_terms", "_frame_grad", "_frame_objective",
+                     "_minimizer_factor"):
+            assert callable(getattr(solvers, name, None)), name
+
+    @pytest.mark.parametrize("solve", [gd_linesearch_solve, gd_fixed_step_solve])
+    def test_gd_never_builds_the_coefficients(self, solve, monkeypatch, rng):
+        def records(res):
+            return [(t.iter, t.objective, t.grad_norm, t.log_error) for t in res.trace]
+
+        def fail(e, g):
+            raise AssertionError("surrogate coefficients built")
+
+        e = random_ensemble(rng, 5, 4)
+        x0 = arithmetic_mean_init(e)
+        want = solve(e, SolverConfig(), x0)
+        monkeypatch.setattr(solvers, "_frame_terms", fail)
+        with pytest.raises(AssertionError, match="coefficients built"):
+            mm_solve(e, SolverConfig(), x0)
+        got = solve(e, SolverConfig(), x0)
+        assert got.status == want.status
+        assert records(got) == records(want)
+        assert np.array_equal(got.mean, want.mean)
 
 
 # Spectra so far apart that Aᵢ^{-1/2} X Aᵢ^{-1/2} overflows at the start
