@@ -15,8 +15,8 @@ a given spec and unaffected by any parallel scheduling of runs.
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
 
@@ -24,6 +24,34 @@ from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .solvers import SOLVERS, SolverConfig, SolverResult, arithmetic_mean_init
 from .spd_core import sym
+
+
+_SCALARS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _checked_fields(cls, d, what: str) -> dict:
+    """A copy of the JSON object ``d`` whose keys are fields of ``cls``.
+
+    A value for an int, float or str field must have that type, or be
+    null if the field is optional. bool is not a number and a float is
+    not an integer, so ``"dim": true`` or ``"n": 2.5`` is rejected here,
+    naming the field.
+    """
+    if not isinstance(d, dict):
+        raise DomainError(f"{what} spec must be a JSON object, got {d!r}")
+    hints = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(hints)
+    if unknown:
+        raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
+    for name, value in d.items():
+        types = get_args(hints[name]) if get_origin(hints[name]) is Union else (hints[name],)
+        want = next((t for t in types if t in _SCALARS), None)
+        if want is None or (value is None and type(None) in types):
+            continue
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise DomainError(f"{what} field {name!r} must be {_SCALARS[want]}, got {value!r}")
+    return dict(d)
 
 
 @dataclass(frozen=True)
@@ -49,12 +77,12 @@ class SpectrumSpec:
             if self.lo is None or self.hi is None or not 0 < self.lo < self.hi:
                 raise DomainError("uniform spectrum requires 0 < lo < hi")
         elif self.kind == "geometric":
-            if self.a is None or self.a <= 0:
+            if self.a is None or not self.a > 0:
                 raise DomainError("geometric spectrum requires a > 0")
         elif self.kind == "explicit":
             if self.values is None or len(self.values) != self.dim:
                 raise DomainError("explicit spectrum requires dim values")
-            if any(v <= 0 for v in self.values):
+            if not all(v > 0 for v in self.values):
                 raise DomainError("explicit spectrum values must be positive")
         else:
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
@@ -78,11 +106,7 @@ class SpectrumSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumSpec":
-        known = {"kind", "dim", "lo", "hi", "a", "values"}
-        unknown = set(d) - known
-        if unknown:
-            raise DomainError(f"unknown spectrum fields: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**_checked_fields(cls, d, "spectrum"))
 
 
 @dataclass(frozen=True)
@@ -109,26 +133,19 @@ class SolverSpec:
         return SOLVERS[self.kind](e, self.config, x0)
 
     def to_dict(self) -> dict:
-        cfg = self.config
-        d = {"kind": self.kind, "max_iters": cfg.max_iters,
-             "grad_tol": cfg.grad_tol, "nu": cfg.nu, "c": cfg.c,
-             "ls_max_j": cfg.ls_max_j}
+        d = {"kind": self.kind, **asdict(self.config)}
         if self.id is not None:
             d["id"] = self.id
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverSpec":
-        d = dict(d)
-        kind = d.pop("kind", None)
-        if kind is None:
-            raise DomainError("solver spec requires a 'kind' field")
-        ident = d.pop("id", None)
-        known = {"max_iters", "grad_tol", "nu", "c", "ls_max_j"}
-        unknown = set(d) - known
-        if unknown:
-            raise DomainError(f"unknown solver fields: {sorted(unknown)}")
-        return cls(kind=kind, config=SolverConfig(**d), id=ident)
+        if not isinstance(d, dict) or d.get("kind") is None:
+            raise DomainError(f"solver spec requires a 'kind' field, got {d!r}")
+        head = _checked_fields(cls, {"kind": d["kind"], "id": d.get("id")}, "solver")
+        config = {k: v for k, v in d.items() if k not in head}
+        return cls(config=SolverConfig(**_checked_fields(SolverConfig, config, "solver")),
+                   **head)
 
 
 @dataclass(frozen=True)
@@ -148,7 +165,9 @@ class ExperimentSpec:
             raise DomainError("n and p must be >= 1")
         if self.runs < 1:
             raise DomainError("runs must be >= 1")
-        if self.scale_first_by <= 0:
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
+        if not self.scale_first_by > 0:
             raise DomainError("scale_first_by must be positive")
         if self.spectrum.dim != self.p:
             raise DomainError("spectrum dim must equal p")
@@ -168,12 +187,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
-        known = {"n", "p", "spectrum", "scale_first_by", "runs", "seed",
-                 "solvers"}
-        unknown = set(d) - known
-        if unknown:
-            raise DomainError(f"unknown experiment fields: {sorted(unknown)}")
+        d = _checked_fields(cls, d, "experiment")
         try:
             spectrum = SpectrumSpec.from_dict(d.pop("spectrum"))
         except KeyError:
@@ -181,13 +195,13 @@ class ExperimentSpec:
         except TypeError as exc:
             raise DomainError(f"invalid spectrum: {exc}") from exc
         solvers_raw = d.pop("solvers", None)
-        if not solvers_raw:
+        if not solvers_raw or not isinstance(solvers_raw, list):
             raise DomainError("experiment spec requires a 'solvers' list")
         solvers = [SolverSpec.from_dict(s) for s in solvers_raw]
         try:
             return cls(spectrum=spectrum, solvers=solvers, **d)
-        except TypeError as exc:
-            raise DomainError(f"invalid experiment spec: {exc}") from exc
+        except TypeError as exc:  # a required field is missing
+            raise DomainError(str(exc)) from exc
 
 
 def random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,8 +6,9 @@ Three subcommands:
   ensemble file and write the mean plus a trace CSV.
 * ``bench`` — run an experiment spec (a JSON file or the name of a
   bundled spec) and write the report CSV with its JSON sidecar.
-* ``check`` — run the oracle/consistency suite and print a pass/fail
-  table.
+* ``check`` — run the table of paper checks in
+  :mod:`spdmean.selfcheck` (the acceptance criteria's functions at small
+  counts) and print a pass/fail line per check.
 
 Exit codes: 0 success/converged, 1 input error, 2 a solve that did not
 converge or failed (also any failed ``bench`` run), 3 failed
@@ -33,33 +34,42 @@ class InputError(Exception):
     """A malformed or invalid input file (exit code 1)."""
 
 
+def _load_json(path):
+    """Parse a UTF-8 JSON file; any failure to read or parse is an InputError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise InputError(f"{path} is not valid JSON: {exc}")
+
+
 def read_ensemble(path) -> Ensemble:
     """Parse ``{"dim": p, "matrices": [...]}`` into a validated ensemble.
 
     Only the file format is checked here; ``Ensemble.from_matrices``
     validates the matrices and names the first bad one.
     """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}")
+    data = _load_json(Path(path))
     if not isinstance(data, dict) or "dim" not in data or "matrices" not in data:
         raise InputError(f"{path} must be an object with 'dim' and 'matrices'")
     p = data["dim"]
     raw = data["matrices"]
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise InputError("'dim' must be a positive integer")
     if not isinstance(raw, list) or not raw:
         raise InputError("'matrices' must be a nonempty list")
     mats = []
     for i, entry in enumerate(raw):
-        a = np.asarray(entry, dtype=float)
+        try:
+            a = np.asarray(entry)
+        except ValueError:  # ragged rows
+            a = None
+        if a is None or a.dtype.kind not in "iuf":
+            raise InputError(f"matrix {i} is not an array of numbers")
         if a.shape != (p, p):
             raise InputError(f"matrix {i} has shape {a.shape}, expected ({p}, {p})")
-        mats.append(a)
+        mats.append(np.asarray(a, dtype=float))
     try:
         return Ensemble.from_matrices(mats)
     except SpdMeanError as exc:
@@ -114,35 +124,25 @@ def _resolve_spec_path(name: str):
     path = Path(name)
     if path.exists():
         return path
-    bundled = resources.files("spdmean").joinpath("specs", name)
-    if bundled.is_file():
-        return bundled
-    bundled = resources.files("spdmean").joinpath("specs", name + ".json")
-    if bundled.is_file():
-        return bundled
+    for file_name in (name, name + ".json"):
+        bundled = resources.files("spdmean").joinpath("specs", file_name)
+        if bundled.is_file():
+            return bundled
     raise InputError(f"spec file {name!r} not found (and no bundled spec matches)")
 
 
 def cmd_bench(args) -> int:
     try:
-        path = _resolve_spec_path(args.spec)
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}")
+        data = _load_json(_resolve_spec_path(args.spec))
         try:
             spec = ExperimentSpec.from_dict(data)
+            if args.seed is not None:
+                spec = ExperimentSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+            report = run_experiment(spec)  # raises only on duplicate solver ids
         except DomainError as exc:
             raise InputError(f"invalid experiment spec: {exc}")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        spec = ExperimentSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    try:
-        report = run_experiment(spec)
-    except DomainError as exc:  # duplicate solver ids
-        print(f"error: invalid experiment spec: {exc}", file=sys.stderr)
         return 1
     out_base = args.out or Path(args.spec).stem
     write_report(report, str(out_base))
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None, help="output base path")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_check = sub.add_parser("check", help="run the consistency suite")
+    p_check = sub.add_parser("check", help="run the paper checks at small counts")
     p_check.set_defaults(func=cmd_check)
     return parser
 

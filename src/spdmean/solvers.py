@@ -66,9 +66,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
-        if self.grad_tol is not None and self.grad_tol <= 0:
+        if self.grad_tol is not None and not self.grad_tol > 0:  # NaN fails too
             raise DomainError("grad_tol must be positive")
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise DomainError("nu must be positive")
         if not 0 < self.c < 1:
             raise DomainError("c must lie in (0, 1)")

@@ -1,21 +1,6 @@
 import numpy as np
 import pytest
 
-from spdmean.bench import random_orthogonal
-from spdmean.karcher import Ensemble
-from spdmean.spd_core import sym
-
-
-def random_sym(rng, p, scale=1.0):
-    return sym(rng.standard_normal((p, p))) * scale
-
-
-def commuting_ensemble(rng, n, p, lo=0.5, hi=5.0):
-    """Ensemble sharing one eigenbasis, so all members commute."""
-    u = random_orthogonal(p, rng)
-    return Ensemble.from_matrices(
-        [sym((u * rng.uniform(lo, hi, size=p)) @ u.T) for _ in range(n)])
-
 
 @pytest.fixture
 def rng():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestExperimentSpec:
         again = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 
+    def test_solver_spec_round_trip_carries_every_config_field(self):
+        cfg = SolverConfig(max_iters=7, grad_tol=1e-6, nu=2.5, c=0.25, ls_max_j=9)
+        assert all(getattr(cfg, f.name) != f.default for f in fields(SolverConfig))
+        spec = SolverSpec(kind="gd-ls", config=cfg, id="tuned")
+        d = json.loads(json.dumps(spec.to_dict()))
+        assert list(d) == ["kind"] + [f.name for f in fields(SolverConfig)] + ["id"]
+        assert SolverSpec.from_dict(d) == spec
+
     def test_solver_ids(self):
         assert SolverSpec(kind="mm").solver_id == "mm"
         assert SolverSpec(kind="gd-ls",
@@ -141,6 +150,7 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("n", 0), ("p", 0), ("runs", 0), ("scale_first_by", 0.0),
+        ("scale_first_by", float("nan")), ("seed", -1),
     ])
     def test_rejects_invalid_scalars(self, field, value):
         with pytest.raises(DomainError):

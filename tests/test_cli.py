@@ -1,12 +1,14 @@
+import itertools
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import spdmean.selfcheck as selfcheck
+from spdmean import karcher, oracle, solvers
 from spdmean.cli import main, read_ensemble, write_ensemble
-from spdmean.errors import DomainError
 
 
 def write_json(path, payload):
@@ -162,6 +164,48 @@ class TestMean:
         assert "max_iters" in capsys.readouterr().out
 
 
+SPEC = {"n": 1, "p": 1, "runs": 1, "seed": 5,
+        "spectrum": {"kind": "explicit", "dim": 1, "values": [3.0]},
+        "solvers": [{"kind": "mm"}]}
+
+# (command, file content) pairs that used to end in a traceback or,
+# for "dim": true, be accepted as dim 1
+MALFORMED = {
+    "mean-string-entry": ("mean", {"dim": 1, "matrices": [[["a"]]]}),
+    "mean-ragged-rows": ("mean", {"dim": 2, "matrices": [[[1.0, 0.0], [0.0]]]}),
+    "mean-not-utf8": ("mean", b'{"dim": 1, "matrices": [[[1\xff]]]}'),
+    "mean-dim-true": ("mean", {"dim": True, "matrices": [[[2.0]]]}),
+    "bench-directory": ("bench", None),
+    "bench-not-utf8": ("bench", b'{"n": 1\xff}'),
+    "bench-top-level-list": ("bench", [SPEC]),
+    "bench-solver-not-object": ("bench", {**SPEC, "solvers": ["mm"]}),
+    "bench-max-iters-string": ("bench", {**SPEC, "solvers": [{"kind": "mm", "max_iters": "x"}]}),
+    "bench-nu-string": ("bench", {**SPEC, "solvers": [{"kind": "mm", "nu": "x"}]}),
+    "bench-n-float": ("bench", {**SPEC, "n": 2.5}),
+    "bench-spectrum-dim-true": ("bench", {**SPEC, "spectrum": {**SPEC["spectrum"], "dim": True}}),
+    "bench-negative-seed": ("bench", {**SPEC, "seed": -1}),
+    "bench-missing-n": ("bench", {k: v for k, v in SPEC.items() if k != "n"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
+    command, content = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        write_json(path, content)
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "invalid experiment spec: invalid experiment spec" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestEnsembleRoundTrip:
     def test_bitwise(self, tmp_path, rng):
         mats = [selfcheck.random_spd(rng, 4) for _ in range(3)]
@@ -254,6 +298,49 @@ class TestBench:
         assert header.startswith("iter,mm")
 
 
+def _noisy_objective(frame_terms):
+    # MM records an objective that alternates ±1e-6 around the true one
+    sign = itertools.cycle([1.0, -1.0])
+
+    def terms(e, g):
+        f_val, *rest = frame_terms(e, g)
+        return (f_val + 1e-6 * next(sign), *rest)
+    return terms
+
+
+def _biased_grad(frame_grad):
+    # GD descends along a gradient with a constant bias, so it stops elsewhere
+    def grad(e, g):
+        f_val, gr = frame_grad(e, g)
+        return f_val, gr + 1e-3 * np.eye(len(gr))
+    return grad
+
+
+# one fault per `spdmean check` line, as (module, attribute, wrapper of
+# the original); each flips its own line and no other
+CHECK_FAULTS = {
+    "scalar oracle agreement":
+        (oracle, "scalar_karcher_oracle", lambda f: lambda vals: 1.01 * f(vals)),
+    "commuting oracle agreement":
+        (oracle, "commuting_oracle", lambda f: lambda e: 1.01 * f(e)),
+    "two-matrix oracle agreement":
+        (oracle, "two_matrix_oracle", lambda f: lambda a, b: 1.01 * f(a, b)),
+    "g1*g2 == 1 across [1e-12, 1e12]":
+        (karcher, "g2_scalar", lambda f: lambda x: 1.1 * f(x)),
+    # lifted by 1e-6, the surrogate still majorizes F but no longer touches it
+    "surrogate majorizes objective":
+        (karcher, "surrogate_value", lambda f: lambda s, x: f(s, x) + 1e-6),
+    "closed-form minimizer stationarity":
+        (karcher, "_minimizer_factor", lambda f: lambda c1, c2: 1.01 * f(c1, c2)),
+    "mm objective descent": (solvers, "_frame_terms", _noisy_objective),
+    "mm vs gd line-search agreement": (solvers, "_frame_grad", _biased_grad),
+    "objective gradient vs finite differences":
+        (karcher, "euclidean_gradient", lambda f: lambda e, x: 1.01 * f(e, x)),
+    "gradient vanishes at mm fixed point":
+        (karcher, "grad_sum", lambda f: lambda e, x: f(e, x) + 1e-6 * np.eye(len(x))),
+}
+
+
 class TestCheck:
     def test_all_pass(self, capsys):
         assert main(["check"]) == 0
@@ -261,12 +348,17 @@ class TestCheck:
         assert "10/10 checks passed" in out
         assert "FAIL" not in out
 
-    def test_fault_injection(self, capsys, monkeypatch):
-        import spdmean.karcher as karcher
+    def test_lines_name_their_criterion(self, capsys):
+        main(["check"])
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        criteria = [re.search(r" \(criterion (\d+)\)  ", line) for line in lines]
+        assert [m and int(m[1]) for m in criteria] == [1, 1, 1, 10, 2, 3, 4, None, 8, None]
 
-        # breaking g2 must be caught by the g1·g2 ≡ 1 identity check
-        monkeypatch.setattr(karcher, "g2_scalar",
-                            lambda x: 1.1 / karcher.g1_scalar(x))
+    @pytest.mark.parametrize("line", [name for name, *_ in selfcheck.TABLE],
+                             ids=lambda line: CHECK_FAULTS[line][1])
+    def test_each_line_catches_its_fault(self, capsys, monkeypatch, line):
+        module, attr, wrap = CHECK_FAULTS[line]
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
         assert main(["check"]) == 3
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+        failed = [ln for ln in capsys.readouterr().out.splitlines() if "  FAIL  " in ln]
+        assert len(failed) == 1 and failed[0].startswith(line)

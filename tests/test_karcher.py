@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_sym
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.karcher import (
     Ensemble,
@@ -25,8 +24,9 @@ from spdmean.karcher import (
 )
 from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble,
                            random_orthogonal)
-from spdmean.oracle import finite_diff_directional, per_matrix_terms, two_root_minimizer
-from spdmean.selfcheck import random_ensemble, random_spd
+from spdmean.oracle import per_matrix_terms, two_root_minimizer
+from spdmean import selfcheck
+from spdmean.selfcheck import fd_gap, random_ensemble, random_spd, random_sym
 from spdmean.solvers import SolverConfig, arithmetic_mean_init, gd_fixed_step_solve, mm_solve
 from spdmean.spd_core import check_spd, exp_m, frob_inner, inv_m, inv_sqrt_m, sqrt_m, sym
 
@@ -345,24 +345,9 @@ class TestSurrogate:
         assert np.allclose(s.c2, a, atol=1e-10)
         assert abs(s.c0 - (-2 * 3)) <= 1e-9
 
-    def test_touches_objective_at_expansion_point(self, rng):
-        for _ in range(10):
-            p = int(rng.integers(1, 6))
-            e = random_ensemble(rng, int(rng.integers(1, 5)), p)
-            xp = random_spd(rng, p)
-            f_xp = objective(e, xp)
-            g_xp = surrogate_value(surrogate_coeffs(e, xp), xp)
-            assert abs(g_xp - f_xp) <= 1e-10 * (1.0 + abs(f_xp))
-
     def test_majorizes_objective(self, rng):
-        for _ in range(50):
-            p = int(rng.integers(1, 7))
-            e = random_ensemble(rng, int(rng.integers(1, 6)), p)
-            x = random_spd(rng, p)
-            xp = random_spd(rng, p)
-            f_x = objective(e, x)
-            g_x = surrogate_value(surrogate_coeffs(e, xp), x)
-            assert g_x >= f_x - 1e-9 * (1.0 + abs(f_x))
+        # and touches it at the expansion point
+        assert selfcheck.check_majorization(rng, 50)[-1]
 
     def test_value_examples(self):
         s = SurrogateCoeffs(c1=np.eye(2), c2=np.eye(2), c0=0.0)
@@ -379,12 +364,7 @@ class TestSurrogateMinimizer:
         assert np.allclose(out, 2.0 * np.eye(2), atol=1e-12)
 
     def test_stationarity(self, rng):
-        for _ in range(20):
-            p = int(rng.integers(1, 7))
-            c1, c2 = random_spd(rng, p), random_spd(rng, p)
-            x = surrogate_minimizer(c1, c2)
-            xi = inv_m(x)
-            assert np.linalg.norm(c1 - xi @ c2 @ xi) <= 1e-9 * np.linalg.norm(c1)
+        assert selfcheck.check_minimizer_stationarity(rng, 20)[-1]
 
     def test_beats_random_perturbations(self, rng):
         c1, c2 = random_spd(rng, 3), random_spd(rng, 3)
@@ -462,15 +442,7 @@ class TestMinimizerAgreement:
 
 class TestDerivatives:
     def test_objective_gradient_matches_finite_differences(self, rng):
-        for _ in range(20):
-            p = int(rng.integers(1, 5))
-            e = random_ensemble(rng, int(rng.integers(1, 4)), p)
-            x = random_spd(rng, p, lo=1.0, hi=3.0)
-            h = random_sym(rng, p)
-            h /= np.linalg.norm(h)
-            fd = finite_diff_directional(lambda m: objective(e, m), x, h, 1e-6)
-            an = frob_inner(euclidean_gradient(e, x), h)
-            assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
+        assert selfcheck.check_gradient_fd(rng, 20)[-1]
 
     def test_inverse_inner_derivative(self, rng):
         # d<X^{-1}, A> = -X^{-1} A X^{-1}
@@ -480,11 +452,8 @@ class TestDerivatives:
             a = random_sym(rng, p)
             h = random_sym(rng, p)
             h /= np.linalg.norm(h)
-            fd = finite_diff_directional(
-                lambda m: frob_inner(inv_m(sym(m)), a), x, h, 1e-6)
             xi = inv_m(x)
-            an = frob_inner(-xi @ a @ xi, h)
-            assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
+            assert fd_gap(lambda m: frob_inner(inv_m(sym(m)), a), -xi @ a @ xi, x, h) <= 1e-5
 
     def test_quadratic_form_derivative(self, rng):
         # d tr(A X A X) = 2 A X A
@@ -494,7 +463,4 @@ class TestDerivatives:
             a = random_sym(rng, p)
             h = random_sym(rng, p)
             h /= np.linalg.norm(h)
-            fd = finite_diff_directional(
-                lambda m: frob_inner(m, a @ m @ a), x, h, 1e-6)
-            an = frob_inner(2.0 * a @ x @ a, h)
-            assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
+            assert fd_gap(lambda m: frob_inner(m, a @ m @ a), 2.0 * a @ x @ a, x, h) <= 1e-5

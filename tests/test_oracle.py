@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_ensemble
 from spdmean.errors import DomainError, NotCommuting
 from spdmean.karcher import Ensemble, grad_direction, objective
 from spdmean.oracle import (
@@ -13,7 +12,7 @@ from spdmean.oracle import (
     scalar_karcher_oracle,
     two_matrix_oracle,
 )
-from spdmean.selfcheck import random_spd
+from spdmean.selfcheck import commuting_ensemble, random_spd
 from spdmean.spd_core import frob_inner, riem_dist, sym
 
 

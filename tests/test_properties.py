@@ -21,14 +21,8 @@ from hypothesis import strategies as st
 
 from spdmean.bench import random_orthogonal
 from spdmean.karcher import Ensemble
-from spdmean.selfcheck import random_spd
-from spdmean.solvers import (
-    DEFAULT_GRAD_TOL_PER_MAT,
-    STATUS_CONVERGED,
-    SolverConfig,
-    arithmetic_mean_init,
-    mm_solve,
-)
+from spdmean.selfcheck import random_spd, solve_mm
+from spdmean.solvers import DEFAULT_GRAD_TOL_PER_MAT, STATUS_CONVERGED
 from spdmean.spd_core import inv_m, riem_dist, sym
 
 FLOOR = 2 * DEFAULT_GRAD_TOL_PER_MAT
@@ -46,8 +40,7 @@ def instances(draw):
 
 
 def mm_mean(mats):
-    e = Ensemble.from_matrices(mats)
-    res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
+    res = solve_mm(Ensemble.from_matrices(mats))
     assert res.status == STATUS_CONVERGED, res.status
     return res.mean
 

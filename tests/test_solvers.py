@@ -5,13 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import commuting_ensemble
-from spdmean import solvers, spd_core
+from spdmean import selfcheck, solvers, spd_core
 from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
 from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
 from spdmean.karcher import Ensemble, grad_sum
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
-from spdmean.selfcheck import random_ensemble, random_spd
+from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd, solve_mm
 from spdmean.solvers import (
     SOLVERS as REGISTRY,
     STATUS_CONVERGED,
@@ -52,6 +51,8 @@ class TestSolverConfig:
         {"c": 0.0},
         {"c": 1.0},
         {"ls_max_j": 0},
+        {"grad_tol": math.nan},
+        {"nu": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
@@ -118,9 +119,7 @@ class TestMmSolve:
     def test_objective_nonincreasing(self, rng):
         e = random_ensemble(rng, 8, 6)
         res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
-        objs = [t.objective for t in res.trace]
-        for prev, cur in zip(objs, objs[1:]):
-            assert cur <= prev + 1e-12 * (1.0 + abs(prev))
+        assert selfcheck.check_descent([res.trace])[-1]
 
     def test_fixed_point_residual(self, rng):
         e = random_ensemble(rng, 6, 5)
@@ -168,9 +167,7 @@ class TestGdLinesearch:
     def test_objective_nonincreasing_on_accepts(self, rng):
         e = random_ensemble(rng, 8, 6)
         res = gd_linesearch_solve(e, SolverConfig(), arithmetic_mean_init(e))
-        objs = [t.objective for t in res.trace]
-        for prev, cur in zip(objs, objs[1:]):
-            assert cur <= prev + 1e-12 * (1.0 + abs(prev))
+        assert selfcheck.check_descent([res.trace])[-1]
 
     def test_reaches_small_gradient(self, rng):
         # once per-step objective decreases drop below float64 resolution
@@ -255,12 +252,8 @@ class TestInvarianceAndAgreement:
 
     def test_permutation_invariance(self, rng):
         mats = [random_spd(rng, 4) for _ in range(5)]
-        cfg = SolverConfig()
-        m1 = mm_solve(Ensemble.from_matrices(mats), cfg,
-                      arithmetic_mean_init(Ensemble.from_matrices(mats))).mean
-        rev = list(reversed(mats))
-        m2 = mm_solve(Ensemble.from_matrices(rev), cfg,
-                      arithmetic_mean_init(Ensemble.from_matrices(rev))).mean
+        m1 = solve_mm(Ensemble.from_matrices(mats)).mean
+        m2 = solve_mm(Ensemble.from_matrices(list(reversed(mats)))).mean
         assert riem_dist(m1, m2) <= 1e-8
 
     def test_congruence_equivariance(self, rng):
@@ -270,11 +263,8 @@ class TestInvarianceAndAgreement:
 
         mats = [random_spd(rng, 4) for _ in range(4)]
         m = random_orthogonal(4, rng) * 1.7
-        cfg = SolverConfig()
-        e1 = Ensemble.from_matrices(mats)
-        mean1 = mm_solve(e1, cfg, arithmetic_mean_init(e1)).mean
-        e2 = Ensemble.from_matrices([sym(m @ a @ m.T) for a in mats])
-        mean2 = mm_solve(e2, cfg, arithmetic_mean_init(e2)).mean
+        mean1 = solve_mm(Ensemble.from_matrices(mats)).mean
+        mean2 = solve_mm(Ensemble.from_matrices([sym(m @ a @ m.T) for a in mats])).mean
         assert riem_dist(mean2, sym(m @ mean1 @ m.T)) <= 1e-7
 
     def test_inversion_equivariance(self, rng):
@@ -282,11 +272,8 @@ class TestInvarianceAndAgreement:
         from spdmean.spd_core import inv_m
 
         mats = [random_spd(rng, 4) for _ in range(4)]
-        cfg = SolverConfig()
-        e1 = Ensemble.from_matrices(mats)
-        mean1 = mm_solve(e1, cfg, arithmetic_mean_init(e1)).mean
-        e2 = Ensemble.from_matrices([inv_m(a) for a in mats])
-        mean2 = mm_solve(e2, cfg, arithmetic_mean_init(e2)).mean
+        mean1 = solve_mm(Ensemble.from_matrices(mats)).mean
+        mean2 = solve_mm(Ensemble.from_matrices([inv_m(a) for a in mats])).mean
         assert riem_dist(mean2, inv_m(mean1)) <= 1e-7
 
     @pytest.mark.parametrize("solve", SOLVERS)

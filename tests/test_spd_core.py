@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_sym
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.oracle import matrix_fn
-from spdmean.selfcheck import random_spd
+from spdmean.selfcheck import random_spd, random_sym
 from spdmean.spd_core import (
     ORTHO_TOL,
     RECON_TOL,
