@@ -345,6 +345,10 @@ class TestSurrogate:
         assert np.allclose(s.c2, a, atol=1e-10)
         assert abs(s.c0 - (-2 * 3)) <= 1e-9
 
+    def test_touches_objective_at_expansion_point(self, rng):
+        _, gap, _ = selfcheck.check_majorization(rng, 10)
+        assert gap <= 1e-10
+
     def test_majorizes_objective(self, rng):
         # and touches it at the expansion point
         assert selfcheck.check_majorization(rng, 50)[-1]
