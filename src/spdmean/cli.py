@@ -62,14 +62,12 @@ def read_ensemble(path) -> Ensemble:
     mats = []
     for i, entry in enumerate(raw):
         try:
-            a = np.asarray(entry)
-        except ValueError:  # ragged rows
-            a = None
-        if a is None or a.dtype.kind not in "iuf":
+            a = np.asarray(entry, dtype=float)
+        except (ValueError, TypeError, OverflowError):  # text, ragged rows, huge integers
             raise InputError(f"matrix {i} is not an array of numbers")
         if a.shape != (p, p):
             raise InputError(f"matrix {i} has shape {a.shape}, expected ({p}, {p})")
-        mats.append(np.asarray(a, dtype=float))
+        mats.append(a)
     try:
         return Ensemble.from_matrices(mats)
     except SpdMeanError as exc:

@@ -7,6 +7,7 @@ acceptance criteria call these functions on their own seeds and counts;
 ``spdmean check`` runs :data:`TABLE`, the same functions at small counts.
 The library is reached through module attributes (``karcher.objective``,
 ``solvers.mm_solve``), so a fault patched into a module shows up here.
+A ``p_range`` or ``n_range`` is half-open, as passed to ``rng.integers``.
 """
 
 import math
@@ -88,7 +89,7 @@ def check_two_matrix_oracle(rng, trials):
     return worst, worst <= 1e-8
 
 
-def check_majorization(rng, trials):
+def check_majorization(rng, trials, p_range=(1, 6), n_range=(1, 5)):
     """Criterion 2: the surrogate at X' majorizes F and touches it at X'.
 
     Returns the least slack (G(X; X') − F(X)) / (1 + |F(X)|), which must
@@ -97,8 +98,8 @@ def check_majorization(rng, trials):
     """
     worst_slack, worst_gap = math.inf, 0.0
     for _ in range(trials):
-        p = int(rng.integers(1, 6))
-        e = random_ensemble(rng, int(rng.integers(1, 5)), p)
+        p = int(rng.integers(*p_range))
+        e = random_ensemble(rng, int(rng.integers(*n_range)), p)
         x, xp = random_spd(rng, p), random_spd(rng, p)
         s = karcher.surrogate_coeffs(e, xp)
         f_x, f_xp = karcher.objective(e, x), karcher.objective(e, xp)
@@ -137,11 +138,11 @@ def fd_gap(f, grad, x, h):
     return abs(fd - an) / max(1.0, abs(an))
 
 
-def check_gradient_fd(rng, trials):
+def check_gradient_fd(rng, trials, p_range=(2, 5)):
     """Criterion 8: worst :func:`fd_gap` of the objective's Euclidean gradient."""
     worst = 0.0
     for _ in range(trials):
-        p = int(rng.integers(2, 5))
+        p = int(rng.integers(*p_range))
         e = random_ensemble(rng, int(rng.integers(1, 4)), p)
         x = random_spd(rng, p, lo=1.0, hi=3.0)
         h = random_sym(rng, p)

@@ -14,7 +14,6 @@ from spdmean.bench import (
     ExperimentSpec,
     SolverSpec,
     SpectrumSpec,
-    generate_ensemble,
     run_experiment,
 )
 from spdmean.karcher import Ensemble
@@ -70,13 +69,11 @@ def fig1_report():
 
 @pytest.fixture(scope="module")
 def fig3_traces():
-    def solve(scale, seed=3):
+    def solve(scale):
         spec = ExperimentSpec(
-            n=3, p=10, spectrum=UNIFORM_REGIME, runs=1, seed=seed,
-            scale_first_by=scale, solvers=[SolverSpec(kind="mm")])
-        child = np.random.SeedSequence(seed).spawn(1)[0]
-        e = generate_ensemble(spec, np.random.Generator(np.random.PCG64(child)))
-        return solve_mm(e, max_iters=500)
+            n=3, p=10, spectrum=UNIFORM_REGIME, runs=1, seed=3, scale_first_by=scale,
+            solvers=[SolverSpec(kind="mm", config=SolverConfig(max_iters=500))])
+        return run_experiment(spec).results["mm"][0]
 
     return solve(1.0), solve(1e4)
 
@@ -210,11 +207,9 @@ def test_criterion_09_mean_properties():
 def test_criterion_10_numerical_robustness():
     worst, g1g2_ok = selfcheck.check_g1_g2(4801)
     spec = ExperimentSpec(
-        n=10, p=10, spectrum=SpectrumSpec(kind="geometric", dim=10, a=0.9),
-        runs=1, seed=10, solvers=[SolverSpec(kind="mm")])
-    child = np.random.SeedSequence(10).spawn(1)[0]
-    e = generate_ensemble(spec, np.random.Generator(np.random.PCG64(child)))
-    res = solve_mm(e, max_iters=500, grad_tol=1e-5)
+        n=10, p=10, spectrum=SpectrumSpec(kind="geometric", dim=10, a=0.9), runs=1, seed=10,
+        solvers=[SolverSpec(kind="mm", config=SolverConfig(max_iters=500, grad_tol=1e-5))])
+    res = run_experiment(spec).results["mm"][0]
     ok = g1g2_ok and res.converged and res.iters_used <= 500
     _report(10, ok, f"g1·g2 worst deviation {worst:.2e} over [1e-12, 1e12]; "
                     f"condition-1e8 regime converged in {res.iters_used} "

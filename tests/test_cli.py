@@ -173,6 +173,7 @@ SPEC = {"n": 1, "p": 1, "runs": 1, "seed": 5,
 MALFORMED = {
     "mean-string-entry": ("mean", {"dim": 1, "matrices": [[["a"]]]}),
     "mean-ragged-rows": ("mean", {"dim": 2, "matrices": [[[1.0, 0.0], [0.0]]]}),
+    "mean-integer-beyond-float": ("mean", {"dim": 1, "matrices": [[[10 ** 400]]]}),
     "mean-not-utf8": ("mean", b'{"dim": 1, "matrices": [[[1\xff]]]}'),
     "mean-dim-true": ("mean", {"dim": True, "matrices": [[[2.0]]]}),
     "bench-directory": ("bench", None),
@@ -214,6 +215,12 @@ class TestEnsembleRoundTrip:
         again = read_ensemble(path)
         for a, b in zip(mats, again.mats):
             assert np.array_equal(a, b)
+
+    def test_integer_entries_read_as_floats(self, tmp_path):
+        # 10**20 does not fit in int64 but is a float
+        e = read_ensemble(ensemble_file(tmp_path, [[[2]], [[10 ** 20]]]))
+        assert e.mats.dtype == float
+        assert e.mats[:, 0, 0].tolist() == [2.0, 1e20]
 
 
 class TestBench:
