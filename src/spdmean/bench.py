@@ -15,6 +15,7 @@ a given spec and unaffected by any parallel scheduling of runs.
 import csv
 import io
 import json
+from collections import abc
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin
 
@@ -29,13 +30,20 @@ from .spd_core import sym
 _SCALARS = {int: "an integer", float: "a number", str: "a string"}
 
 
+def _is_a(value, want) -> bool:
+    """JSON type test: bool is not a number and a float is not an integer."""
+    accepted = (int, float) if want is float else want
+    return not isinstance(value, bool) and isinstance(value, accepted)
+
+
 def _checked_fields(cls, d, what: str) -> dict:
     """A copy of the JSON object ``d`` whose keys are fields of ``cls``.
 
-    A value for an int, float or str field must have that type, or be
-    null if the field is optional. bool is not a number and a float is
-    not an integer, so ``"dim": true`` or ``"n": 2.5`` is rejected here,
-    naming the field.
+    A value for an int, float or str field must have that type, and one
+    for a sequence field must be a list of elements of that type; either
+    may be null if the field is optional. bool is not a number and a
+    float is not an integer, so ``"dim": true``, ``"n": 2.5`` or
+    ``"values": [true]`` is rejected here, naming the field.
     """
     if not isinstance(d, dict):
         raise DomainError(f"{what} spec must be a JSON object, got {d!r}")
@@ -45,12 +53,17 @@ def _checked_fields(cls, d, what: str) -> dict:
         raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
     for name, value in d.items():
         types = get_args(hints[name]) if get_origin(hints[name]) is Union else (hints[name],)
-        want = next((t for t in types if t in _SCALARS), None)
-        if want is None or (value is None and type(None) in types):
+        if value is None and type(None) in types:
             continue
-        accepted = (int, float) if want is float else want
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        want = next((t for t in types if t in _SCALARS), None)
+        if want is not None and not _is_a(value, want):
             raise DomainError(f"{what} field {name!r} must be {_SCALARS[want]}, got {value!r}")
+        seq = next((t for t in types if get_origin(t) is abc.Sequence), None)
+        if seq is not None:
+            item = get_args(seq)[0]
+            if not isinstance(value, list) or not all(_is_a(v, item) for v in value):
+                raise DomainError(f"{what} field {name!r} must be a list, each element "
+                                  f"{_SCALARS[item]}, got {value!r}")
     return dict(d)
 
 

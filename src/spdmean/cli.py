@@ -44,11 +44,20 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
+def _numbers_only(entry) -> bool:
+    """True when nested lists hold JSON numbers only, not booleans or strings."""
+    if isinstance(entry, list):
+        return all(_numbers_only(v) for v in entry)
+    return isinstance(entry, (int, float)) and not isinstance(entry, bool)
+
+
 def read_ensemble(path) -> Ensemble:
     """Parse ``{"dim": p, "matrices": [...]}`` into a validated ensemble.
 
     Only the file format is checked here; ``Ensemble.from_matrices``
-    validates the matrices and names the first bad one.
+    validates the matrices and names the first bad one. A JSON boolean
+    or string inside a matrix is not a number, even where numpy could
+    convert it.
     """
     data = _load_json(Path(path))
     if not isinstance(data, dict) or "dim" not in data or "matrices" not in data:
@@ -62,8 +71,10 @@ def read_ensemble(path) -> Ensemble:
     mats = []
     for i, entry in enumerate(raw):
         try:
+            if not _numbers_only(entry):  # numpy would convert true and "2.0"
+                raise TypeError
             a = np.asarray(entry, dtype=float)
-        except (ValueError, TypeError, OverflowError):  # text, ragged rows, huge integers
+        except (ValueError, TypeError, OverflowError):  # ragged rows, huge integers
             raise InputError(f"matrix {i} is not an array of numbers")
         if a.shape != (p, p):
             raise InputError(f"matrix {i} has shape {a.shape}, expected ({p}, {p})")
@@ -130,8 +141,13 @@ def _resolve_spec_path(name: str):
 
 
 def cmd_bench(args) -> int:
+    out_base = args.out or Path(args.spec).stem
     try:
-        data = _load_json(_resolve_spec_path(args.spec))
+        spec_path = _resolve_spec_path(args.spec)
+        if Path(f"{out_base}.json").resolve() == Path(str(spec_path)).resolve():
+            raise InputError(f"the report sidecar {out_base}.json would overwrite the spec "
+                             f"file {spec_path}; choose another output base with --out")
+        data = _load_json(spec_path)
         try:
             spec = ExperimentSpec.from_dict(data)
             if args.seed is not None:
@@ -142,7 +158,6 @@ def cmd_bench(args) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_base = args.out or Path(args.spec).stem
     write_report(report, str(out_base))
     for msg in report.errors:
         print(f"warning: {msg}", file=sys.stderr)

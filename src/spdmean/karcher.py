@@ -132,9 +132,9 @@ def _frame_eigh(e: Ensemble, g, vectors=True):
     finite, the error names the first one.
     """
     wm = e.inv_factors @ g
-    y = np.swapaxes(wm, 1, 2) @ wm
+    y = wm.swapaxes(1, 2) @ wm
     w, u = eigh(y, vectors)
-    if not (w[:, 0] > 0).all():
+    if not w[:, 0].min() > 0:
         finite = np.isfinite(y).all(axis=(1, 2))
         if not finite.all():
             raise DomainError(f"A^(-1/2) X A^(-1/2) overflows float64 for matrix "
@@ -172,7 +172,7 @@ def _frame_grad(e: Ensemble, g):
     """
     w, u = _frame_eigh(e, g)
     log_w = np.log(w)
-    rows = np.swapaxes(u, 1, 2).reshape(-1, g.shape[-1])
+    rows = u.swapaxes(1, 2).reshape(-1, g.shape[-1])
     return _sum_sq(log_w), -sym(rows.T @ (rows * log_w.reshape(-1, 1)))
 
 
@@ -196,7 +196,7 @@ def _frame_terms(e: Ensemble, g):
     w, u = _frame_eigh(e, g)
     log_w = np.log(w)
     root_r = np.exp(0.5 * np.arcsinh(log_w))[:, :, None]
-    rows = np.swapaxes(u, 1, 2)
+    rows = u.swapaxes(1, 2)
     a1 = np.multiply(rows, root_r, order="C").reshape(-1, g.shape[-1])
     a2 = np.divide(rows, root_r, order="C").reshape(-1, g.shape[-1])
     c1, c2 = a1.T @ a1, a2.T @ a2
@@ -304,14 +304,17 @@ def _minimizer_factor(c1, c2):
     With the Cholesky factor c2 = R Rᵀ and Rᵀ c1 R = V D Vᵀ, X c1 X = c2
     holds for X = (RV) D^{-1/2} (RV)ᵀ, so F = R V D^{-1/4}: one Cholesky
     factorization and one eigendecomposition, reading the lower
-    triangles of c1 and c2 only. A non-positive-definite or NaN c1 or c2
-    raises :class:`DomainError`.
+    triangles of c1 and c2 only. The eigenvalues come back ascending, so
+    the positivity test reads the smallest, which a NaN fails. A
+    non-positive-definite c1 or c2 raises :class:`DomainError`, and so
+    does a NaN one unless the eigensolver fails on it first
+    (:class:`NonConvergence`).
     """
     try:
         r = np.linalg.cholesky(c2)
     except np.linalg.LinAlgError as exc:
         raise DomainError("surrogate_minimizer requires a positive definite c2") from exc
     w, v = eigh(r.T @ c1 @ r)
-    if not (w > 0).all():
+    if not w[0] > 0:
         raise DomainError("surrogate_minimizer requires positive definite c1 and c2")
     return (r @ v) / np.sqrt(np.sqrt(w))

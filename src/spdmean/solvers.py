@@ -15,11 +15,12 @@ the unnormalized gradient sum below ``grad_tol``, default
 
 Every solver carries its iterate as a factor G of X = G Gᵀ, starting
 from the Cholesky factor of the start point, and works in G's frame on
-one stacked eigendecomposition per point. MM reduces it with
-:func:`spdmean.karcher._frame_terms` (two Gram products: c̃1, c̃2 and
-the gradient as their difference); GD, which needs the gradient only,
-with :func:`spdmean.karcher._frame_grad` (one product). There
-X^{1/2} = G Qᵀ with Q orthogonal, so the Riemannian step
+one stacked eigendecomposition per point. The steps yield the factor;
+the loop forms the mean X = G Gᵀ once, when the run ends. MM reduces
+the pass with :func:`spdmean.karcher._frame_terms` (two Gram products:
+c̃1, c̃2 and the gradient as their difference); GD, which needs the
+gradient only, with :func:`spdmean.karcher._frame_grad` (one product).
+There X^{1/2} = G Qᵀ with Q orthogonal, so the Riemannian step
 X^{1/2} exp(t D) X^{1/2} along D = Q ĝ Qᵀ / n, with ĝ the frame
 gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
 ĝ/n = V Λ Vᵀ: one p×p eigendecomposition serves every step length t.
@@ -29,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,9 +82,8 @@ class SolverConfig:
         return DEFAULT_GRAD_TOL_PER_MAT * n
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One iteration of a solver run.
+class TraceRecord(NamedTuple):
+    """One iteration of a solver run, immutable, in the trace CSV's column order.
 
     ``grad_norm`` is ‖Σᵢ log(X^{-1/2} Aᵢ X^{-1/2})‖_F (unnormalized sum)
     and ``log_error`` its natural log.
@@ -114,11 +114,14 @@ class SolverResult:
 def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """The loop all solvers share: trace, stopping rule and result.
 
-    ``steps(e, cfg, x)`` yields ``(x, objective, grad_sum)`` once per
-    trace record, starting at the start point, which is validated here
-    once (SPD, ensemble dimension); the MM iterates are not validated
-    again. Only the Frobenius norm of ``grad_sum`` is used, so MM may
-    yield it in another orthonormal basis. After each record the run
+    The start point is validated here once (SPD, ensemble dimension) and
+    factored once, X₀ = G₀ G₀ᵀ; the iterates are not validated again.
+    ``steps(e, cfg, g0)`` yields ``(g, objective, grad_sum)`` once per
+    trace record, starting at G₀, with g the factor of the current
+    point. Only the Frobenius norm of ``grad_sum`` is used, so a step
+    may yield it in another orthonormal basis. The mean G Gᵀ is formed
+    once, from the last factor; a run that never left G₀ returns the
+    validated start point itself. After each record the run
     stops as converged (gradient norm below tolerance), diverged
     (objective above ``DIVERGENCE_FACTOR`` times its first value; only
     fixed-step GD can raise its objective) or at the cap of
@@ -128,20 +131,21 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     test. A NaN objective or gradient norm raises :class:`DomainError`,
     so no run ends with a NaN mean.
     """
-    x = _check_point(e, check_spd(x0))
+    x0 = _check_point(e, check_spd(x0))
+    g0 = _start_factor(x0)
     tol = cfg.effective_grad_tol(e.n)
     t0 = perf_counter()
     trace: List[TraceRecord] = []
 
     def record(f_val, gnorm):
         log_error = math.log(gnorm) if gnorm > 0 else float("-inf")
-        trace.append(TraceRecord(iter=len(trace), objective=f_val,
-                                 grad_norm=gnorm, log_error=log_error,
-                                 elapsed=perf_counter() - t0))
+        trace.append(TraceRecord(len(trace), f_val, gnorm, log_error,
+                                 perf_counter() - t0))
 
     status = STATUS_MAX_ITERS
-    for x, f_val, g in steps(e, cfg, x):
-        gnorm = float(np.linalg.norm(g))
+    for g, f_val, grad in steps(e, cfg, g0):
+        v = grad.ravel("K")
+        gnorm = math.sqrt(v.dot(v))  # np.linalg.norm's own computation
         if math.isnan(f_val) or math.isnan(gnorm):
             raise DomainError(f"iterate {len(trace)} has objective {f_val} "
                               f"and gradient norm {gnorm}")
@@ -157,7 +161,7 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     else:
         record(f_val, gnorm)
         status = STATUS_LINE_SEARCH_STALLED
-    return SolverResult(mean=x, trace=trace,
+    return SolverResult(mean=x0 if g is g0 else g @ g.T, trace=trace,
                         converged=status == STATUS_CONVERGED,
                         iters_used=len(trace) - 1, status=status)
 
@@ -181,13 +185,11 @@ def _start_factor(x):
         raise DomainError("solve requires a start point with a Cholesky factor") from exc
 
 
-def _mm_steps(e: Ensemble, cfg: SolverConfig, x):
-    g = _start_factor(x)
+def _mm_steps(e: Ensemble, cfg: SolverConfig, g):
     while True:
         f_val, grad, c1, c2 = _frame_terms(e, g)
-        yield x, f_val, grad
+        yield g, f_val, grad
         g = g @ _minimizer_factor(c1, c2)
-        x = g @ g.T
 
 
 def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
@@ -202,25 +204,24 @@ def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     return _solve(_mm_steps, e, cfg, x0)
 
 
-def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, x):
-    g = _start_factor(x)
+def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
     f_cur, grad = _frame_grad(e, g)
     while True:
-        yield x, f_cur, grad
+        yield g, f_cur, grad
         lam, v = eigh(grad / e.n)
         gv = g @ v
         for j in range(cfg.ls_max_j + 1):
             g_trial = gv * np.exp(0.5 * cfg.c**j * cfg.nu * lam)
             f_trial = _frame_objective(e, g_trial)
             if f_trial <= f_cur:
-                g, x = g_trial, g_trial @ g_trial.T
+                g = g_trial
                 # the kernel's objective, not the probe's: measured in the
                 # fig1 regime, keeping f_trial stalls twice as many runs
                 f_cur, grad = _frame_grad(e, g)
                 break
             if j == cfg.ls_max_j:
                 return  # stalled; the loop records this last probe
-            yield x, f_cur, grad
+            yield g, f_cur, grad
 
 
 def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
@@ -242,14 +243,12 @@ def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     return _solve(_gd_linesearch_steps, e, cfg, x0)
 
 
-def _gd_fixed_steps(e: Ensemble, cfg: SolverConfig, x):
-    g = _start_factor(x)
+def _gd_fixed_steps(e: Ensemble, cfg: SolverConfig, g):
     f_val, grad = _frame_grad(e, g)
     for k in itertools.count(1):
-        yield x, f_val, grad
+        yield g, f_val, grad
         lam, v = eigh(grad / e.n)
         g = (g @ v) * np.exp(0.5 * cfg.nu * lam)
-        x = g @ g.T
         try:
             f_val, grad = _frame_grad(e, g)
         except DomainError as exc:

@@ -1,5 +1,7 @@
 import json
+import statistics
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +282,44 @@ class TestReportOutput:
         assert text == report_to_csv(rep)
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert ExperimentSpec.from_dict(sidecar) == spec
+
+
+# The committed records of alternating parent/change benchmark runs that
+# back each speed claim, and the top-level keys every one of them carries.
+BENCH_FILES = sorted(Path(__file__).resolve().parents[1].glob("BENCH_pr*.json"))
+BENCH_KEYS = {"schema", "parent", "env", "pair_order", "statistics", "claim", "workloads"}
+
+
+class TestBenchRecords:
+    def test_files_are_found(self):
+        assert "BENCH_pr7.json" in [p.name for p in BENCH_FILES]
+
+    @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+    def test_statistics_match_the_runs(self, path):
+        d = json.loads(path.read_text(encoding="utf-8"))
+        assert BENCH_KEYS <= set(d) and d["schema"] == 1
+        for name, w in d["workloads"].items():
+            for metric, m in w["metrics"].items():
+                runs = {side: m[f"{side}_runs"] for side in ("parent", "change")}
+                assert m["pairs"] == len(runs["parent"]) == len(runs["change"]) == len(w["seeds"])
+                for side, values in runs.items():
+                    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+                    want = {"median": statistics.median(values), "q1": q1, "q3": q3}
+                    assert m[side] == pytest.approx(want, rel=1e-12), (name, metric, side)
+                sign = 1 if m["better"] == "higher" else -1
+                pairs = list(zip(runs["parent"], runs["change"]))
+                assert m["change_wins"] == sum(sign * (c - p) > 0 for p, c in pairs)
+                assert m["ties"] == sum(c == p for p, c in pairs)
+
+    @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+    def test_claim_follows_the_rule(self, path):
+        # the change wins at least 9 of 10 pairs, and the medians differ by
+        # more than the distance between the parent's quartiles
+        d = json.loads(path.read_text(encoding="utf-8"))
+        claim = d["claim"]
+        m = d["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+        sign = 1 if m["better"] == "higher" else -1
+        gain = sign * (m["change"]["median"] - m["parent"]["median"])
+        met = 10 * m["change_wins"] >= 9 * m["pairs"] and \
+            gain > m["parent"]["q3"] - m["parent"]["q1"]
+        assert claim["met"] == met

@@ -8,7 +8,7 @@ import pytest
 
 import spdmean.selfcheck as selfcheck
 from spdmean import karcher, oracle, solvers
-from spdmean.cli import main, read_ensemble, write_ensemble
+from spdmean.cli import InputError, main, read_ensemble, write_ensemble
 
 
 def write_json(path, payload):
@@ -172,6 +172,8 @@ SPEC = {"n": 1, "p": 1, "runs": 1, "seed": 5,
 # for "dim": true, be accepted as dim 1
 MALFORMED = {
     "mean-string-entry": ("mean", {"dim": 1, "matrices": [[["a"]]]}),
+    "mean-numeric-string-entry": ("mean", {"dim": 1, "matrices": [[["2.0"]]]}),
+    "mean-boolean-entries": ("mean", {"dim": 2, "matrices": [[[2, True], [True, 2]]]}),
     "mean-ragged-rows": ("mean", {"dim": 2, "matrices": [[[1.0, 0.0], [0.0]]]}),
     "mean-integer-beyond-float": ("mean", {"dim": 1, "matrices": [[[10 ** 400]]]}),
     "mean-not-utf8": ("mean", b'{"dim": 1, "matrices": [[[1\xff]]]}'),
@@ -184,6 +186,10 @@ MALFORMED = {
     "bench-nu-string": ("bench", {**SPEC, "solvers": [{"kind": "mm", "nu": "x"}]}),
     "bench-n-float": ("bench", {**SPEC, "n": 2.5}),
     "bench-spectrum-dim-true": ("bench", {**SPEC, "spectrum": {**SPEC["spectrum"], "dim": True}}),
+    "bench-spectrum-value-true": ("bench", {**SPEC, "spectrum": {**SPEC["spectrum"],
+                                                                 "values": [True]}}),
+    "bench-spectrum-value-string": ("bench", {**SPEC, "spectrum": {**SPEC["spectrum"],
+                                                                   "values": ["3.0"]}}),
     "bench-negative-seed": ("bench", {**SPEC, "seed": -1}),
     "bench-missing-n": ("bench", {k: v for k, v in SPEC.items() if k != "n"}),
 }
@@ -215,6 +221,16 @@ class TestEnsembleRoundTrip:
         again = read_ensemble(path)
         for a, b in zip(mats, again.mats):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("matrices", [
+        [[[2, True], [True, 2]]],
+        [[[1.0]], [["2.0"]]],
+    ])
+    def test_booleans_and_strings_are_not_numbers(self, tmp_path, matrices):
+        # numpy would read these as [[2, 1], [1, 2]] and [[2]]
+        bad = len(matrices) - 1
+        with pytest.raises(InputError, match=f"^matrix {bad} is not an array of numbers$"):
+            read_ensemble(ensemble_file(tmp_path, matrices))
 
     def test_integer_entries_read_as_floats(self, tmp_path):
         # 10**20 does not fit in int64 but is a float
@@ -277,6 +293,20 @@ class TestBench:
         spec = write_json(tmp_path / "spec.json", payload)
         assert main(["bench", spec]) == 1
         assert "duplicate solver ids" in capsys.readouterr().err
+
+    def test_sidecar_never_overwrites_the_spec(self, tmp_path, capsys, monkeypatch):
+        # the default output base is the spec's stem in the working directory
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "own.json", self.spec_payload())
+        before = (tmp_path / "own.json").read_bytes()
+        assert main(["bench", "own.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "own.json" in err and "--out" in err
+        assert (tmp_path / "own.json").read_bytes() == before
+        assert not (tmp_path / "own.csv").exists()
+        assert main(["bench", "own.json", "--out", "rep"]) == 0
+        assert (tmp_path / "own.json").read_bytes() == before
 
     def test_missing_spec_file(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "nope.json")]) == 1

@@ -358,6 +358,44 @@ class TestSharedLoop:
         assert np.array_equal(got.mean, want.mean)
 
 
+class TestStepProtocol:
+    """Steps yield the factor G of each point; the loop forms the mean once."""
+
+    @staticmethod
+    def start(rng):
+        e = random_ensemble(rng, 4, 3)
+        x0 = arithmetic_mean_init(e)
+        g0 = np.linalg.cholesky(x0)
+        assert not np.array_equal(g0 @ g0.T, x0)  # so the start's bits tell
+        return e, x0
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_start_that_meets_tolerance_is_the_mean(self, solve, rng):
+        e, x0 = self.start(rng)
+        res = solve(e, SolverConfig(grad_tol=1e6), x0)
+        assert res.status == STATUS_CONVERGED and res.iters_used == 0
+        assert np.array_equal(res.mean, check_spd(x0))
+
+    def test_line_search_stalled_before_any_step_returns_the_start(self, rng):
+        e, x0 = self.start(rng)
+        res = gd_linesearch_solve(e, SolverConfig(nu=30.0, ls_max_j=1), x0)
+        assert res.status == STATUS_LINE_SEARCH_STALLED
+        assert len({(t.objective, t.grad_norm) for t in res.trace}) == 1
+        assert np.array_equal(res.mean, check_spd(x0))
+
+    def test_trace_record_is_immutable_in_csv_column_order(self, tmp_path):
+        from spdmean.cli import _write_trace_csv
+
+        rec = solvers.TraceRecord(0, 1.0, 2.0, math.log(2.0), 0.5)
+        with pytest.raises(AttributeError):
+            rec.objective = 0.0
+        _write_trace_csv(tmp_path / "trace.csv", [rec])
+        header = (tmp_path / "trace.csv").read_text().split("\n", 1)[0]
+        assert tuple(header.split(",")) == solvers.TraceRecord._fields == (
+            "iter", "objective", "grad_norm", "log_error", "elapsed")
+        assert (rec.iter, rec.grad_norm, rec.elapsed) == (0, 2.0, 0.5)
+
+
 # Spectra so far apart that Aᵢ^{-1/2} X Aᵢ^{-1/2} overflows at the start
 # point; the mean exists but is out of reach without rescaling.
 EXTREME_PAIRS = {
