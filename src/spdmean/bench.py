@@ -67,6 +67,10 @@ def _checked_fields(cls, d, what: str) -> dict:
     return dict(d)
 
 
+# The fields each spectrum kind takes besides kind and dim.
+_KIND_FIELDS = {"uniform": ("lo", "hi"), "geometric": ("a",), "explicit": ("values",)}
+
+
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Eigenvalue model for generated matrices.
@@ -86,6 +90,12 @@ class SpectrumSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("spectrum dim must be >= 1")
+        if self.kind not in _KIND_FIELDS:
+            raise DomainError(f"unknown spectrum kind {self.kind!r}")
+        foreign = [name for names in _KIND_FIELDS.values() for name in names
+                   if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None]
+        if foreign:
+            raise DomainError(f"{self.kind} spectrum does not take fields {foreign}")
         if self.kind == "uniform":
             if self.lo is None or self.hi is None or not 0 < self.lo < self.hi:
                 raise DomainError("uniform spectrum requires 0 < lo < hi")
@@ -97,8 +107,6 @@ class SpectrumSpec:
                 raise DomainError("explicit spectrum requires dim values")
             if not all(v > 0 for v in self.values):
                 raise DomainError("explicit spectrum values must be positive")
-        else:
-            raise DomainError(f"unknown spectrum kind {self.kind!r}")
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform":
@@ -109,12 +117,9 @@ class SpectrumSpec:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "dim": self.dim}
-        if self.kind == "uniform":
-            d.update(lo=self.lo, hi=self.hi)
-        elif self.kind == "geometric":
-            d.update(a=self.a)
-        else:
-            d.update(values=list(map(float, self.values)))
+        d.update((name, getattr(self, name)) for name in _KIND_FIELDS[self.kind])
+        if self.kind == "explicit":
+            d["values"] = list(map(float, self.values))
         return d
 
     @classmethod

@@ -55,17 +55,19 @@ class Ensemble:
         """
         if len(mats) == 0:
             raise DomainError("ensemble must contain at least one matrix")
-        arrs = [np.asarray(a, dtype=float) for a in mats]
-        shape = arrs[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or \
-                any(a.shape != shape for a in arrs):
+        try:
+            stack = np.asarray(mats, dtype=float)  # no copy: the check returns a fresh stack
+        except ValueError:  # ragged
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             # no stack: the per-matrix checks or the dimension check raise
+            arrs = [np.asarray(a, dtype=float) for a in mats]
             checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(arrs)]
             for i, a in enumerate(checked):
-                if a.shape[0] != shape[0]:
+                if a.shape[0] != checked[0].shape[0]:
                     raise DimensionMismatch(
-                        f"matrix {i} has dim {a.shape[0]}, expected {shape[0]}")
-        stack, w, u = check_spd_stack(np.array(arrs))
+                        f"matrix {i} has dim {a.shape[0]}, expected {checked[0].shape[0]}")
+        stack, w, u = check_spd_stack(stack)
         return cls(mats=stack, inv_factors=np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None])
 
     @property
@@ -288,12 +290,14 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     Raises
     ------
     DomainError
-        If c1 or c2 is not positive definite.
+        If c1 or c2 has a NaN or infinite entry or is not positive definite.
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if c1.shape != c2.shape:
         raise DimensionMismatch(f"shape mismatch: {c1.shape} vs {c2.shape}")
+    if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
+        raise DomainError("surrogate_minimizer requires finite c1 and c2")
     f = _minimizer_factor(c1, c2)
     return f @ f.T
 
@@ -306,9 +310,9 @@ def _minimizer_factor(c1, c2):
     factorization and one eigendecomposition, reading the lower
     triangles of c1 and c2 only. The eigenvalues come back ascending, so
     the positivity test reads the smallest, which a NaN fails. A
-    non-positive-definite c1 or c2 raises :class:`DomainError`, and so
-    does a NaN one unless the eigensolver fails on it first
-    (:class:`NonConvergence`).
+    non-positive-definite c1 or c2 raises :class:`DomainError`; a
+    non-finite one is not tested for here, on the MM path, and may
+    raise :class:`NonConvergence` instead.
     """
     try:
         r = np.linalg.cholesky(c2)

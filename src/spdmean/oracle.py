@@ -19,8 +19,8 @@ COMMUTE_CHECK_TOL = 1e-10
 def scalar_karcher_oracle(values) -> float:
     """Geometric mean exp(mean(log v)); the exact 1x1 Karcher mean."""
     vals = np.asarray(values, dtype=float)
-    if vals.size == 0 or np.any(vals <= 0):
-        raise DomainError("geometric mean requires positive values")
+    if vals.size == 0 or not np.all((vals > 0) & (vals < np.inf)):  # NaN fails too
+        raise DomainError("geometric mean requires positive finite values")
     return float(np.exp(np.mean(np.log(vals))))
 
 

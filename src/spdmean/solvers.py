@@ -174,7 +174,7 @@ def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
     the plain sum wherever that sum does not overflow.
     """
     s = 2.0 ** -math.ceil(math.log2(e.n))
-    return sym(np.mean(e.mats * s, axis=0)) / s
+    return sym(np.add.reduce(e.mats * s) / e.n) / s  # what np.mean computes
 
 
 def _start_factor(x):

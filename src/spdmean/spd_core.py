@@ -34,38 +34,46 @@ def check_dims(a, b):
 
 
 def check_symmetric(a, tol=SYM_TOL, name="matrix"):
-    """Validate near-symmetry and return the symmetrized matrix.
+    """Validate finite entries and near-symmetry; return the symmetrized matrix.
 
     ``name`` is how error messages refer to ``a``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    if _skewed(a[None], tol)[0]:
+    top = _scales(a[None])
+    if not top[0] < np.inf:
+        raise DomainError(f"{name} has a non-finite entry")
+    if not _symmetric(a[None], tol, top)[0]:
         raise DomainError(f"{name} is not symmetric")
     return sym(a)
 
 
-def _skewed(mats, tol):
-    """Which matrices of a (k, p, p) stack have ‖A − Aᵀ‖_F > tol · ‖A‖_F.
+def _scales(mats):
+    """max |entry| of each matrix of a (k, p, p) stack; NaN where one is NaN."""
+    return np.maximum.reduce(np.abs(mats), axis=(1, 2), initial=0.0)
 
-    Where ‖A‖_F falls outside (1e-100, 1e100), squaring the entries may
-    have overflowed or lost the skew part to underflow; both norms are
-    then taken again of A divided by its largest |entry|, which leaves
-    their ratio unchanged, so the test holds at any float64 scale.
+
+def _symmetric(mats, tol, top):
+    """Which matrices of a finite (k, p, p) stack have ‖A − Aᵀ‖_F ≤ tol · ‖A‖_F.
+
+    ``top`` holds each matrix's :func:`_scales`. Where it lies in
+    (1e-100, 1e100) the squared sums can neither overflow nor lose the
+    skew part to underflow, and ‖A − Aᵀ‖² is compared with tol² ‖A‖²
+    directly. Any other matrix is first divided by its largest |entry|,
+    which leaves the ratio of the norms unchanged, so the test holds at
+    any float64 scale.
     """
-    def norms(m):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            return (np.linalg.norm(m - np.swapaxes(m, 1, 2), axis=(1, 2)),
-                    np.linalg.norm(m, axis=(1, 2)))
+    plain = (top > 1e-100) & (top < 1e100)
+    if not plain.all():
+        mats = mats / np.where(plain | (top == 0), 1.0, top)[:, None, None]
+    return _sq_norms(mats - mats.swapaxes(1, 2)) <= tol * tol * _sq_norms(mats)
 
-    skew, size = norms(mats)
-    if not 1e-100 < np.minimum.reduce(size) <= np.maximum.reduce(size) < 1e100:
-        redo = ~((size > 1e-100) & (size < 1e100))
-        m = mats[redo]
-        top = np.max(np.abs(m), axis=(1, 2))
-        skew[redo], size[redo] = norms(m / np.where(top > 0, top, 1.0)[:, None, None])
-    return skew > tol * size
+
+def _sq_norms(mats):
+    """‖A‖_F² of each matrix of a (k, p, p) stack, as one stacked dot product."""
+    v = mats.reshape(len(mats), 1, -1)
+    return (v @ v.swapaxes(1, 2))[:, 0, 0]
 
 
 def check_spd(a, tol=SYM_TOL, name="matrix"):
@@ -104,19 +112,21 @@ def check_spd_stack(mats, tol=SYM_TOL, name_of=lambda i: f"matrix {i}"):
         :func:`eigh`, eigenvalues ascending.
     """
     mats = np.asarray(mats, dtype=float)
-    finite = np.isfinite(mats).all(axis=(1, 2))
+    top = _scales(mats)
+    finite = top < np.inf
     if not finite.all():
         mats = np.where(finite[:, None, None], mats, 0.0)
-    skew = _skewed(mats, tol)
+        top = np.where(finite, top, 0.0)
+    symmetric = _symmetric(mats, tol, top)
     mats = sym(mats)
     w, u = eigh(mats)
-    weak = w[:, 0] <= POSITIVITY_FLOOR * np.abs(w[:, -1])
-    bad = np.flatnonzero(~finite | skew | weak)
-    if bad.size:
-        i = int(bad[0])
+    # a zeroed non-finite matrix fails the positivity test, and so does a NaN spectrum
+    ok = symmetric & (w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1]))
+    if not ok.all():
+        i = int(ok.argmin())
         if not finite[i]:
             raise DomainError(f"{name_of(i)} has a non-finite entry")
-        if skew[i]:
+        if not symmetric[i]:
             raise DomainError(f"{name_of(i)} is not symmetric")
         raise DomainError(f"{name_of(i)} is not positive definite "
                           f"(eigenvalue {w[i, 0]:.6g})")
@@ -172,7 +182,7 @@ def _eig_apply(m, fvals_of, positive=None, invert=False):
     reciprocal.
     """
     u, w = _desc_eig(m)
-    if positive is not None and w[-1] <= 0:
+    if positive is not None and not w[-1] > 0:
         raise DomainError(f"{positive} requires a positive definite matrix "
                           f"(eigenvalue {w[-1]:.6g})")
     fw = fvals_of(w)
@@ -219,6 +229,14 @@ def frob_inner(a, b):
     return float(np.sum(a * b))
 
 
+def _checked_pair(x1, x2):
+    """Both points of :func:`geodesic` or :func:`riem_dist`, of one shape, finite and symmetric."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    check_dims(x1, x2)
+    return check_symmetric(x1, name="x1"), check_symmetric(x2, name="x2")
+
+
 def geodesic(x1, x2, t):
     """Point at parameter ``t`` on the affine-invariant geodesic from x1 to x2.
 
@@ -226,9 +244,7 @@ def geodesic(x1, x2, t):
     returns x1, ``t=1`` returns x2, ``t=1/2`` is the two-matrix geometric
     mean.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    check_dims(x1, x2)
+    x1, x2 = _checked_pair(x1, x2)
     s = sqrt_m(x1)
     si = inv_sqrt_m(x1)
     return sym(s @ pow_m(sym(si @ x2 @ si), t) @ s)
@@ -240,11 +256,9 @@ def riem_dist(x1, x2):
     ``dist(x1, x2) = ‖log(x1^{-1/2} x2 x1^{-1/2})‖_F``; symmetric in its
     arguments and invariant under congruence ``X ↦ M X Mᵀ``.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    check_dims(x1, x2)
+    x1, x2 = _checked_pair(x1, x2)
     si = inv_sqrt_m(x1)
-    w = np.linalg.eigvalsh(sym(si @ x2 @ si))
-    if w[0] <= 0:
+    w, _ = eigh(sym(si @ x2 @ si), vectors=False)
+    if not w[0] > 0:
         raise DomainError("riem_dist requires positive definite inputs")
     return float(np.linalg.norm(np.log(w)))

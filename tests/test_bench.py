@@ -60,6 +60,8 @@ class TestSpectrumSpec:
         {"kind": "explicit", "dim": 2, "values": [1.0, -2.0]},
         {"kind": "cauchy", "dim": 3},
         {"kind": "uniform", "dim": 0, "lo": 1.0, "hi": 2.0},
+        # fields of another kind would be ignored and dropped from the sidecar
+        {"kind": "uniform", "dim": 2, "lo": 1.0, "hi": 2.0, "values": [7.0, 8.0], "a": 3.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):

@@ -190,6 +190,8 @@ MALFORMED = {
                                                                  "values": [True]}}),
     "bench-spectrum-value-string": ("bench", {**SPEC, "spectrum": {**SPEC["spectrum"],
                                                                    "values": ["3.0"]}}),
+    "bench-spectrum-foreign-fields": ("bench", {**SPEC, "spectrum": {
+        "kind": "uniform", "dim": 1, "lo": 1, "hi": 2, "values": [7], "a": 3}}),
     "bench-negative-seed": ("bench", {**SPEC, "seed": -1}),
     "bench-missing-n": ("bench", {k: v for k, v in SPEC.items() if k != "n"}),
 }

@@ -57,10 +57,15 @@ class TestEnsemble:
          "matrix 1 is not positive definite (eigenvalue -2)"),
         ([[1.0, 0.0], [0.0, np.inf]], "matrix 1 has a non-finite entry"),
         ([[np.nan, 0.0], [0.0, 1.0]], "matrix 1 has a non-finite entry"),
+        # each matrix is tested at its own scale, not at the stack's
+        (np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e200, "matrix 1 is not symmetric"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e-200, "matrix 1 is not symmetric"),
     ])
     def test_diagnostic_names_matrix(self, bad, message):
-        with pytest.raises(DomainError) as info:
-            Ensemble.from_matrices([np.eye(2), np.array(bad)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError) as info:
+                Ensemble.from_matrices([np.eye(2), np.array(bad)])
         assert str(info.value) == message
 
     @pytest.mark.parametrize("mats, error, message", [
@@ -80,6 +85,9 @@ class TestEnsemble:
          "matrix 2 is not positive definite (eigenvalue -1)"),
         ([np.eye(2), np.eye(3)], DimensionMismatch,
          "matrix 1 has dim 3, expected 2"),
+        # the only bad matrix is the last, tiny and skewed
+        ([np.eye(2)] * 9 + [np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e-200], DomainError,
+         "matrix 9 is not symmetric"),
     ])
     def test_first_bad_matrix_in_check_order(self, mats, error, message):
         with pytest.raises(error) as info:
@@ -89,12 +97,15 @@ class TestEnsemble:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_asymmetry_seen_at_any_scale(self, scale):
         # entries beyond about 1e±154 overflow or underflow the Frobenius
-        # norms; the matrix must still be rejected, with no warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DomainError) as info:
-                Ensemble.from_matrices([np.array([[1.0, 0.5], [0.0, 1.0]]) * scale])
-        assert str(info.value) == "matrix 0 is not symmetric"
+        # norms; the matrix must still be rejected, with no warning, also
+        # after a matrix of normal scale
+        skewed = np.array([[1.0, 0.5], [0.0, 1.0]]) * scale
+        for lead in ([], [np.eye(2)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DomainError) as info:
+                    Ensemble.from_matrices(lead + [skewed])
+            assert str(info.value) == f"matrix {len(lead)} is not symmetric"
 
     def test_entries_near_float64_max(self):
         # (A + Aᵀ)/2 would overflow here: accepted with finite factors, or
@@ -393,10 +404,15 @@ class TestSurrogateMinimizer:
         (np.eye(2), np.zeros((2, 2))),
         (np.diag([1.0, -1.0]), np.eye(2)),
         (np.eye(2), np.full((2, 2), np.nan)),
+        (np.full((2, 2), np.nan), np.eye(2)),
+        (np.diag([1.0, np.inf]), np.eye(2)),
+        (np.eye(2), np.diag([1.0, np.inf])),
     ])
     def test_non_positive_definite_raises(self, c1, c2):
-        with pytest.raises(DomainError, match="^surrogate_minimizer requires"):
-            surrogate_minimizer(c1, c2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="^surrogate_minimizer requires"):
+                surrogate_minimizer(c1, c2)
 
 
 def _geometric_spd(rng, p, cond):

@@ -37,7 +37,7 @@ class TestScalarKarcherOracle:
         e = Ensemble.from_matrices([np.array([[x]]) for x in v])
         assert abs(grad_direction(e, np.array([[m]]))[0, 0]) <= 1e-12
 
-    @pytest.mark.parametrize("bad", [[], [1.0, 0.0], [-2.0]])
+    @pytest.mark.parametrize("bad", [[], [1.0, 0.0], [-2.0], [1.0, np.nan], [1.0, np.inf]])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(DomainError):
             scalar_karcher_oracle(bad)

@@ -127,6 +127,23 @@ def test_spd_functions_reject_indefinite(fn, name):
         fn(np.diag([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("fn", [
+    log_m, sqrt_m, inv_sqrt_m, inv_m, lambda a: pow_m(a, 0.5),
+    lambda a: geodesic(a, np.eye(2), 0.5), lambda a: geodesic(np.eye(2), a, 0.5),
+    lambda a: riem_dist(a, np.eye(2)), lambda a: riem_dist(np.eye(2), a),
+], ids=["log_m", "sqrt_m", "inv_sqrt_m", "inv_m", "pow_m",
+        "geodesic-x1", "geodesic-x2", "riem_dist-x1", "riem_dist-x2"])
+def test_spd_functions_reject_non_finite(fn, value):
+    # a NaN spectrum fails no `<= 0` test: the entries are checked first
+    a = np.eye(2)
+    a[0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="has a non-finite entry$"):
+            fn(a)
+
+
 class TestMatrixFn:
     def test_log_of_identity_is_zero(self):
         assert np.allclose(matrix_fn(np.eye(3), math.log), 0.0, atol=1e-14)
