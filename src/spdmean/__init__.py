@@ -24,11 +24,8 @@ from .errors import (
 from .karcher import (
     Ensemble,
     SurrogateCoeffs,
-    f1,
-    f2,
     g1_scalar,
     g2_scalar,
-    grad_direction,
     objective,
     surrogate_coeffs,
     surrogate_minimizer,
@@ -62,7 +59,6 @@ from .spd_core import (
     pow_m,
     riem_dist,
     sqrt_m,
-    sym_eig,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .spd_core import check_spd, check_spd_stack, eigh, frob_inner, inv_m, sym
+from .spd_core import _sqrt_pair, check_spd, check_spd_stack, eigh, frob_inner, inv_m, sym
 
 
 @dataclass(frozen=True)
@@ -207,12 +207,7 @@ def _frame_terms(e: Ensemble, g):
 
 def _roots(e: Ensemble, x):
     """X^{1/2} and X^{-1/2} from one eigendecomposition; the views take G = X^{1/2}."""
-    x = _check_point(e, x)
-    w, u = eigh(sym(x))
-    if not w[0] > 0:
-        raise DomainError("objective requires a positive definite point")
-    root = np.sqrt(w)
-    return sym((u * root) @ u.T), sym((u / root) @ u.T)
+    return _sqrt_pair(sym(_check_point(e, x)), "objective requires a positive definite point")
 
 
 def _coeffs(e: Ensemble, x):
@@ -236,11 +231,6 @@ def grad_sum(e: Ensemble, x) -> np.ndarray:
     return _frame_grad(e, _roots(e, x)[0])[1]
 
 
-def grad_direction(e: Ensemble, x) -> np.ndarray:
-    """Riemannian descent direction D = (1/n) Σᵢ log(x^{-1/2} Aᵢ x^{-1/2})."""
-    return grad_sum(e, x) / e.n
-
-
 def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     """Euclidean derivative of the objective at x.
 
@@ -250,16 +240,6 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     """
     s, si = _roots(e, x)
     return -2.0 * sym(si @ _frame_grad(e, s)[1] @ si)
-
-
-def f1(e: Ensemble, x) -> np.ndarray:
-    """Σᵢ Aᵢ^{-1/2} g1(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{-1/2}."""
-    return _coeffs(e, x)[1]
-
-
-def f2(e: Ensemble, x) -> np.ndarray:
-    """Σᵢ Aᵢ^{1/2} g2(Aᵢ^{-1/2} x Aᵢ^{-1/2}) Aᵢ^{1/2}."""
-    return _coeffs(e, x)[2]
 
 
 def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:

@@ -129,7 +129,8 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     step function that returns has stalled: its last probe failed, and
     the loop records that probe at the current point without the cap
     test. A NaN objective or gradient norm raises :class:`DomainError`,
-    so no run ends with a NaN mean.
+    so no run ends with a NaN mean. Float overflow in the steps does not
+    warn: the kernel's guards raise on the values it leaves.
     """
     x0 = _check_point(e, check_spd(x0))
     g0 = _start_factor(x0)
@@ -143,24 +144,25 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
                                  perf_counter() - t0))
 
     status = STATUS_MAX_ITERS
-    for g, f_val, grad in steps(e, cfg, g0):
-        v = grad.ravel("K")
-        gnorm = math.sqrt(v.dot(v))  # np.linalg.norm's own computation
-        if math.isnan(f_val) or math.isnan(gnorm):
-            raise DomainError(f"iterate {len(trace)} has objective {f_val} "
-                              f"and gradient norm {gnorm}")
-        record(f_val, gnorm)
-        if gnorm < tol:
-            status = STATUS_CONVERGED
-            break
-        if f_val > DIVERGENCE_FACTOR * trace[0].objective:
-            status = STATUS_DIVERGED
-            break
-        if len(trace) > cfg.max_iters:
-            break
-    else:
-        record(f_val, gnorm)
-        status = STATUS_LINE_SEARCH_STALLED
+    with np.errstate(over="ignore"):
+        for g, f_val, grad in steps(e, cfg, g0):
+            v = grad.ravel("K")
+            gnorm = math.sqrt(v.dot(v))  # np.linalg.norm's own computation
+            if math.isnan(f_val) or math.isnan(gnorm):
+                raise DomainError(f"iterate {len(trace)} has objective {f_val} "
+                                  f"and gradient norm {gnorm}")
+            record(f_val, gnorm)
+            if gnorm < tol:
+                status = STATUS_CONVERGED
+                break
+            if f_val > DIVERGENCE_FACTOR * trace[0].objective:
+                status = STATUS_DIVERGED
+                break
+            if len(trace) > cfg.max_iters:
+                break
+        else:
+            record(f_val, gnorm)
+            status = STATUS_LINE_SEARCH_STALLED
     return SolverResult(mean=x0 if g is g0 else g @ g.T, trace=trace,
                         converged=status == STATUS_CONVERGED,
                         iters_used=len(trace) - 1, status=status)

@@ -12,8 +12,6 @@ from .errors import DimensionMismatch, DomainError, NonConvergence
 
 # Validation tolerances (relative).
 SYM_TOL = 1e-12
-ORTHO_TOL = 1e-10
-RECON_TOL = 1e-10
 POSITIVITY_FLOOR = 1e-13
 
 
@@ -148,47 +146,36 @@ def eigh(m, vectors=True):
         raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def sym_eig(m):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    m : ndarray, shape (p, p)
-        Symmetric matrix (validated to ``SYM_TOL`` and symmetrized first).
-
-    Returns
-    -------
-    (vectors, values)
-        Orthogonal ``vectors`` and descending ``values`` with
-        ``vectors @ diag(values) @ vectors.T == m`` up to round-off.
-    """
-    return _desc_eig(check_symmetric(m))
-
-
-def _desc_eig(m):
-    w, u = eigh(m)
-    return np.ascontiguousarray(u[:, ::-1]), w[::-1].copy()
-
-
 def _eig_apply(m, fvals_of, positive=None, invert=False):
     """Rebuild U diag(f(λ)) Uᵀ from a vectorized eigenvalue map.
 
     The raw path: ``m`` must already be symmetric and is not validated;
     the public matrix functions validate with :func:`check_symmetric`
     first. ``positive`` names the calling function when f needs a positive
-    definite argument; the spectrum is then checked for positivity,
-    otherwise f(λ) is checked for finite values. ``invert`` rebuilds
-    U diag(1/f(λ)) Uᵀ instead, dividing rather than multiplying by a
-    reciprocal.
+    definite argument; the spectrum is then checked for positivity. A
+    non-finite f(λ) or result raises :class:`DomainError`, without a
+    warning. ``invert`` rebuilds U diag(1/f(λ)) Uᵀ instead, dividing
+    rather than multiplying by a reciprocal.
     """
-    u, w = _desc_eig(m)
-    if positive is not None and not w[-1] > 0:
+    w, u = eigh(m)
+    if positive is not None and not w[0] > 0:
         raise DomainError(f"{positive} requires a positive definite matrix "
-                          f"(eigenvalue {w[-1]:.6g})")
-    fw = fvals_of(w)
-    if positive is None and not np.all(np.isfinite(fw)):
+                          f"(eigenvalue {w[0]:.6g})")
+    with np.errstate(all="ignore"):
+        fw = fvals_of(w)
+        out = sym(((u / fw) if invert else (u * fw)) @ u.T)
+    if not (np.isfinite(fw).all() and np.isfinite(out).all()):
         raise DomainError("scalar function not finite on the spectrum")
-    return sym(((u / fw) if invert else (u * fw)) @ u.T)
+    return out
+
+
+def _sqrt_pair(x, message):
+    """X^{1/2}, X^{-1/2} of symmetric x from one eigh; DomainError(message) unless x > 0."""
+    w, u = eigh(x)
+    if not w[0] > 0:
+        raise DomainError(message)
+    root = np.sqrt(w)
+    return sym((u * root) @ u.T), sym((u / root) @ u.T)
 
 
 def log_m(a):
@@ -245,9 +232,8 @@ def geodesic(x1, x2, t):
     mean.
     """
     x1, x2 = _checked_pair(x1, x2)
-    s = sqrt_m(x1)
-    si = inv_sqrt_m(x1)
-    return sym(s @ pow_m(sym(si @ x2 @ si), t) @ s)
+    s, si = _sqrt_pair(x1, "geodesic requires a positive definite x1")
+    return sym(s @ _eig_apply(sym(si @ x2 @ si), lambda w: w**float(t), "geodesic") @ s)
 
 
 def riem_dist(x1, x2):
@@ -257,7 +243,7 @@ def riem_dist(x1, x2):
     arguments and invariant under congruence ``X ↦ M X Mᵀ``.
     """
     x1, x2 = _checked_pair(x1, x2)
-    si = inv_sqrt_m(x1)
+    si = _sqrt_pair(x1, "riem_dist requires positive definite inputs")[1]
     w, _ = eigh(sym(si @ x2 @ si), vectors=False)
     if not w[0] > 0:
         raise DomainError("riem_dist requires positive definite inputs")

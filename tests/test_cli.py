@@ -129,13 +129,15 @@ class TestMean:
         assert not out.exists()
 
     def test_overflow_named_without_mean(self, tmp_path, capsys):
+        # one error line: numpy's overflow warning does not escape the solve
         inp = ensemble_file(tmp_path, [[[1e300, 0.0], [0.0, 1e300]],
                                        [[3e-300, 0.0], [0.0, 1e-300]]])
         out = tmp_path / "m.json"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["mean", inp, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.strip() == (
-            "error: mm solve failed: A^(-1/2) X A^(-1/2) overflows float64 for matrix 1")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: mm solve failed: A^(-1/2) X A^(-1/2) overflows float64 for matrix 1"]
         assert not out.exists()
 
     def test_shape_mismatch_rejected(self, tmp_path, capsys):

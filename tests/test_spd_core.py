@@ -7,9 +7,8 @@ import pytest
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.oracle import matrix_fn
 from spdmean.selfcheck import random_spd, random_sym
+from spdmean import spd_core
 from spdmean.spd_core import (
-    ORTHO_TOL,
-    RECON_TOL,
     check_spd,
     check_symmetric,
     exp_m,
@@ -22,48 +21,17 @@ from spdmean.spd_core import (
     riem_dist,
     sqrt_m,
     sym,
-    sym_eig,
 )
 
 
-class TestSymEig:
-    def test_identity(self):
-        u, w = sym_eig(np.eye(3))
-        assert np.allclose(w, [1, 1, 1])
-        assert np.allclose(u @ u.T, np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        u, w = sym_eig(np.diag([4.0, 1.0]))
-        assert np.allclose(w, [4.0, 1.0])
-        # eigenvectors are a signed permutation of the identity
-        assert np.allclose(np.abs(u), np.eye(2), atol=1e-14)
-
-    def test_two_by_two_hand_solved(self):
-        # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 = 0
-        # so l = 3, 1 with eigenvectors (1,1)/sqrt2 and (1,-1)/sqrt2
-        u, w = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(w, [3.0, 1.0])
-        s = 1.0 / math.sqrt(2.0)
-        assert np.allclose(np.abs(u[:, 0]), [s, s])
-        assert np.allclose(np.abs(u[:, 1]), [s, s])
-        assert u[0, 1] * u[1, 1] < 0
-
-    def test_invariants_random(self, rng):
-        for p in (2, 3, 5, 8):
-            m = random_sym(rng, p)
-            u, w = sym_eig(m)
-            assert np.all(np.diff(w) <= 0)
-            assert np.linalg.norm(u.T @ u - np.eye(p)) <= ORTHO_TOL
-            recon = (u * w) @ u.T
-            assert np.linalg.norm(recon - m) <= RECON_TOL * np.linalg.norm(m)
-
+class TestCheckSymmetric:
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
-            sym_eig(np.ones((2, 3)))
+            check_symmetric(np.ones((2, 3)))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e307])
     def test_symmetry_test_at_any_scale(self, scale):
@@ -127,21 +95,45 @@ def test_spd_functions_reject_indefinite(fn, name):
         fn(np.diag([1.0, -2.0]))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("fn", [
-    log_m, sqrt_m, inv_sqrt_m, inv_m, lambda a: pow_m(a, 0.5),
-    lambda a: geodesic(a, np.eye(2), 0.5), lambda a: geodesic(np.eye(2), a, 0.5),
-    lambda a: riem_dist(a, np.eye(2)), lambda a: riem_dist(np.eye(2), a),
-], ids=["log_m", "sqrt_m", "inv_sqrt_m", "inv_m", "pow_m",
-        "geodesic-x1", "geodesic-x2", "riem_dist-x1", "riem_dist-x2"])
-def test_spd_functions_reject_non_finite(fn, value):
-    # a NaN spectrum fails no `<= 0` test: the entries are checked first
+def _non_finite_entry(value):
     a = np.eye(2)
     a[0, 0] = value
+    return a
+
+
+_TAKES_NON_FINITE_ENTRY = {
+    "log_m": log_m, "sqrt_m": sqrt_m, "inv_sqrt_m": inv_sqrt_m, "inv_m": inv_m,
+    "pow_m": lambda a: pow_m(a, 0.5), "exp_m": exp_m,
+    "geodesic-x1": lambda a: geodesic(a, np.eye(2), 0.5),
+    "geodesic-x2": lambda a: geodesic(np.eye(2), a, 0.5),
+    "riem_dist-x1": lambda a: riem_dist(a, np.eye(2)),
+    "riem_dist-x2": lambda a: riem_dist(np.eye(2), a),
+}
+
+# finite matrices whose f(λ), or its reciprocal, is not finite in float64
+_NOT_FINITE_ON_SPECTRUM = {
+    **{f"pow_m-t-{t}": lambda t=t: pow_m(np.diag([2.0, 3.0]), t)
+       for t in (np.nan, np.inf, 1e308)},
+    **{f"geodesic-t-{t}": lambda t=t: geodesic(np.eye(2), np.diag([2.0, 3.0]), t)
+       for t in (np.nan, np.inf, 1e308)},
+    "exp_m-1000": lambda: exp_m(1000.0 * np.eye(2)),
+    "inv_m-subnormal": lambda: inv_m(np.diag([1.0, 1e-320])),
+}
+
+
+@pytest.mark.parametrize("call, match", [
+    *(pytest.param(lambda fn=fn, v=v: fn(_non_finite_entry(v)), "has a non-finite entry$",
+                   id=f"{name}-{v}")
+      for v in (np.nan, np.inf) for name, fn in _TAKES_NON_FINITE_ENTRY.items()),
+    *(pytest.param(call, "^scalar function not finite on the spectrum$", id=name)
+      for name, call in _NOT_FINITE_ON_SPECTRUM.items()),
+])
+def test_spd_functions_reject_non_finite(call, match):
+    # a NaN spectrum fails no `<= 0` test: the entries and f(λ) are checked
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DomainError, match="has a non-finite entry$"):
-            fn(a)
+        with pytest.raises(DomainError, match=match):
+            call()
 
 
 class TestMatrixFn:
@@ -214,6 +206,20 @@ class TestFrobInner:
         assert frob_inner(a, a) >= 0.0
 
 
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(spd_core, name, counted(name, getattr(spd_core, name)))
+    return calls
+
+
 class TestGeodesic:
     def test_from_identity_is_power(self, rng):
         a = random_spd(rng, 3)
@@ -235,6 +241,12 @@ class TestGeodesic:
     def test_result_is_spd(self, rng):
         x1, x2 = random_spd(rng, 4), random_spd(rng, 4)
         check_spd(geodesic(x1, x2, 0.6))
+
+    def test_decomposes_and_checks_each_point_once(self, rng, monkeypatch):
+        calls = _count_calls(monkeypatch, "eigh", "check_symmetric")
+        geodesic(random_spd(rng, 3), random_spd(rng, 3), 0.3)
+        # one eigh gives both roots of x1, one the power of the sandwich
+        assert calls == {"eigh": 2, "check_symmetric": 2}
 
 
 class TestRiemDist:
@@ -265,3 +277,8 @@ class TestRiemDist:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             riem_dist(np.eye(2), np.eye(3))
+
+    def test_checks_each_point_once(self, rng, monkeypatch):
+        calls = _count_calls(monkeypatch, "eigh", "check_symmetric")
+        riem_dist(random_spd(rng, 3), random_spd(rng, 3))
+        assert calls == {"eigh": 2, "check_symmetric": 2}
