@@ -27,7 +27,8 @@ from .bench import ExperimentSpec, run_experiment, write_report
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .selfcheck import run_checks
-from .solvers import SOLVERS, STATUS_CONVERGED, SolverConfig, arithmetic_mean_init
+from .solvers import (DEFAULT_GRAD_TOL_PER_MAT, SOLVERS, STATUS_CONVERGED, SolverConfig,
+                      arithmetic_mean_init)
 
 
 class InputError(Exception):
@@ -186,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean = sub.add_parser("mean", help="compute the mean of an ensemble file")
     p_mean.add_argument("input", help="ensemble JSON file")
     p_mean.add_argument("--solver", choices=sorted(SOLVERS), default="mm")
-    p_mean.add_argument("--nu", type=float, default=1.0,
+    p_mean.add_argument("--nu", type=float, default=SolverConfig.nu,
                         help="start step size for gradient descent")
-    p_mean.add_argument("--c", type=float, default=0.5,
+    p_mean.add_argument("--c", type=float, default=SolverConfig.c,
                         help="backtracking factor in (0, 1)")
-    p_mean.add_argument("--tol", type=float, default=None,
-                        help="gradient-sum norm tolerance (default 1e-10 * n)")
-    p_mean.add_argument("--max-iters", type=int, default=500)
+    p_mean.add_argument("--tol", type=float, default=SolverConfig.grad_tol, help=(
+        f"gradient-sum norm tolerance (default {DEFAULT_GRAD_TOL_PER_MAT:g} * n)"))
+    p_mean.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p_mean.add_argument("--out", default=None, help="output mean JSON path")
     p_mean.set_defaults(func=cmd_mean)
 

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spd_core
 from .errors import DimensionMismatch, DomainError
 from .spd_core import _sqrt_pair, check_spd, check_spd_stack, eigh, frob_inner, inv_m, sym
 
@@ -210,13 +211,6 @@ def _roots(e: Ensemble, x):
     return _sqrt_pair(sym(_check_point(e, x)), "objective requires a positive definite point")
 
 
-def _coeffs(e: Ensemble, x):
-    """Objective, c1 = X^{-1/2} c̃1 X^{-1/2} and c2 = X^{1/2} c̃2 X^{1/2} at x."""
-    s, si = _roots(e, x)
-    f_val, _, c1, c2 = _frame_terms(e, s)
-    return f_val, sym(si @ c1 @ si), sym(s @ c2 @ s)
-
-
 def objective(e: Ensemble, x) -> float:
     """Sum of squared affine-invariant distances from x to the ensemble."""
     return _frame_objective(e, _roots(e, x)[0])
@@ -245,10 +239,13 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
 def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     """Surrogate coefficients at the expansion point xp.
 
-    c0 is fixed so the surrogate equals the objective at xp exactly,
-    which makes the touching condition hold by construction.
+    c1 = X^{-1/2} c̃1 X^{-1/2} and c2 = X^{1/2} c̃2 X^{1/2}; c0 is fixed so
+    the surrogate equals the objective at xp exactly, which makes the
+    touching condition hold by construction.
     """
-    f_xp, c1, c2 = _coeffs(e, xp)
+    s, si = _roots(e, xp)
+    f_xp, _, c1, c2 = _frame_terms(e, s)
+    c1, c2 = sym(si @ c1 @ si), sym(s @ c2 @ s)
     c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, inv_m(xp))
     return SurrogateCoeffs(c1=c1, c2=c2, c0=c0)
 
@@ -294,10 +291,7 @@ def _minimizer_factor(c1, c2):
     non-finite one is not tested for here, on the MM path, and may
     raise :class:`NonConvergence` instead.
     """
-    try:
-        r = np.linalg.cholesky(c2)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("surrogate_minimizer requires a positive definite c2") from exc
+    r = spd_core.cholesky(c2, "surrogate_minimizer requires a positive definite c2")
     w, v = eigh(r.T @ c1 @ r)
     if not w[0] > 0:
         raise DomainError("surrogate_minimizer requires positive definite c1 and c2")

@@ -34,10 +34,11 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from . import spd_core
 from .errors import DomainError
 from .karcher import (Ensemble, _check_point, _frame_grad, _frame_objective, _frame_terms,
                       _minimizer_factor)
-from .spd_core import check_spd, eigh, sym
+from .spd_core import check_spd, eigh
 
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
@@ -133,7 +134,7 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     warn: the kernel's guards raise on the values it leaves.
     """
     x0 = _check_point(e, check_spd(x0))
-    g0 = _start_factor(x0)
+    g0 = spd_core.cholesky(x0, "solve requires a start point with a Cholesky factor")
     tol = cfg.effective_grad_tol(e.n)
     t0 = perf_counter()
     trace: List[TraceRecord] = []
@@ -176,15 +177,7 @@ def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
     the plain sum wherever that sum does not overflow.
     """
     s = 2.0 ** -math.ceil(math.log2(e.n))
-    return sym(np.add.reduce(e.mats * s) / e.n) / s  # what np.mean computes
-
-
-def _start_factor(x):
-    """The Cholesky factor G of the start point X = G Gᵀ, for every solver."""
-    try:
-        return np.linalg.cholesky(x)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("solve requires a start point with a Cholesky factor") from exc
+    return np.add.reduce(e.mats * s) / e.n / s  # what np.mean computes
 
 
 def _mm_steps(e: Ensemble, cfg: SolverConfig, g):

@@ -31,7 +31,7 @@ def check_dims(a, b):
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def check_symmetric(a, tol=SYM_TOL, name="matrix"):
+def check_symmetric(a, name="matrix"):
     """Validate finite entries and near-symmetry; return the symmetrized matrix.
 
     ``name`` is how error messages refer to ``a``.
@@ -42,7 +42,7 @@ def check_symmetric(a, tol=SYM_TOL, name="matrix"):
     top = _scales(a[None])
     if not top[0] < np.inf:
         raise DomainError(f"{name} has a non-finite entry")
-    if not _symmetric(a[None], tol, top)[0]:
+    if not _symmetric(a[None], top)[0]:
         raise DomainError(f"{name} is not symmetric")
     return sym(a)
 
@@ -52,12 +52,12 @@ def _scales(mats):
     return np.maximum.reduce(np.abs(mats), axis=(1, 2), initial=0.0)
 
 
-def _symmetric(mats, tol, top):
-    """Which matrices of a finite (k, p, p) stack have ‖A − Aᵀ‖_F ≤ tol · ‖A‖_F.
+def _symmetric(mats, top):
+    """Which matrices of a finite (k, p, p) stack have ‖A − Aᵀ‖_F ≤ SYM_TOL · ‖A‖_F.
 
     ``top`` holds each matrix's :func:`_scales`. Where it lies in
     (1e-100, 1e100) the squared sums can neither overflow nor lose the
-    skew part to underflow, and ‖A − Aᵀ‖² is compared with tol² ‖A‖²
+    skew part to underflow, and ‖A − Aᵀ‖² is compared with SYM_TOL² ‖A‖²
     directly. Any other matrix is first divided by its largest |entry|,
     which leaves the ratio of the norms unchanged, so the test holds at
     any float64 scale.
@@ -65,7 +65,7 @@ def _symmetric(mats, tol, top):
     plain = (top > 1e-100) & (top < 1e100)
     if not plain.all():
         mats = mats / np.where(plain | (top == 0), 1.0, top)[:, None, None]
-    return _sq_norms(mats - mats.swapaxes(1, 2)) <= tol * tol * _sq_norms(mats)
+    return _sq_norms(mats - mats.swapaxes(1, 2)) <= SYM_TOL * SYM_TOL * _sq_norms(mats)
 
 
 def _sq_norms(mats):
@@ -74,7 +74,7 @@ def _sq_norms(mats):
     return (v @ v.swapaxes(1, 2))[:, 0, 0]
 
 
-def check_spd(a, tol=SYM_TOL, name="matrix"):
+def check_spd(a, name="matrix"):
     """Validate that ``a`` is SPD; returns the symmetrized matrix.
 
     Positivity uses a relative floor: the smallest eigenvalue must exceed
@@ -92,10 +92,10 @@ def check_spd(a, tol=SYM_TOL, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    return check_spd_stack(a[None], tol, lambda i: name)[0][0]
+    return check_spd_stack(a[None], lambda i: name)[0][0]
 
 
-def check_spd_stack(mats, tol=SYM_TOL, name_of=lambda i: f"matrix {i}"):
+def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     """Validate a (k, p, p) stack as SPD with one stacked eigendecomposition.
 
     Each matrix gets the tests of :func:`check_spd`. The first matrix
@@ -115,7 +115,7 @@ def check_spd_stack(mats, tol=SYM_TOL, name_of=lambda i: f"matrix {i}"):
     if not finite.all():
         mats = np.where(finite[:, None, None], mats, 0.0)
         top = np.where(finite, top, 0.0)
-    symmetric = _symmetric(mats, tol, top)
+    symmetric = _symmetric(mats, top)
     mats = sym(mats)
     w, u = eigh(mats)
     # a zeroed non-finite matrix fails the positivity test, and so does a NaN spectrum
@@ -144,6 +144,14 @@ def eigh(m, vectors=True):
         return np.linalg.eigvalsh(m), None
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def cholesky(a, message):
+    """Lower Cholesky factor of ``a``, unvalidated; DomainError(message) if it has none."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(message) from exc
 
 
 def _eig_apply(m, fvals_of, positive=None, invert=False):

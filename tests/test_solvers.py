@@ -433,6 +433,28 @@ class TestFiniteOrFail:
                                                   "Cholesky factor$"):
                 solve(scalar_ensemble(1.0, 4.0), SolverConfig(), np.array([[2.0]]))
 
+    def test_every_cholesky_goes_through_spd_core(self, monkeypatch, rng):
+        # the start factor and each MM step's minimizer factor share one boundary
+        messages, factors = [], []
+
+        def logged(a, message):
+            messages.append(message)
+            return real(a, message)
+
+        def counted(a):
+            factors.append(a)
+            return numpy_cholesky(a)
+
+        real, numpy_cholesky = spd_core.cholesky, np.linalg.cholesky
+        monkeypatch.setattr(spd_core, "cholesky", logged)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        e = random_ensemble(rng, 4, 3)
+        res = mm_solve(e, SolverConfig(max_iters=2, grad_tol=1e-300), arithmetic_mean_init(e))
+        assert res.iters_used == 2
+        assert messages == ["solve requires a start point with a Cholesky factor",
+                            *["surrogate_minimizer requires a positive definite c2"] * 2]
+        assert len(factors) == len(messages)
+
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_start_point_sum_near_float64_max(self, solve):
         # the entries of the two matrices sum past the float64 maximum

@@ -83,6 +83,16 @@ class TestCheckSpd:
             check_spd(a)
 
 
+class TestCholesky:
+    def test_is_numpys_factor(self, rng):
+        a = random_spd(rng, 4)
+        assert np.array_equal(spd_core.cholesky(a, "unused"), np.linalg.cholesky(a))
+
+    def test_failure_raises_the_callers_message(self):
+        with pytest.raises(DomainError, match="^c2 is not positive definite$"):
+            spd_core.cholesky(np.diag([1.0, -2.0]), "c2 is not positive definite")
+
+
 @pytest.mark.parametrize("fn, name", [
     (log_m, "log_m"),
     (sqrt_m, "sqrt_m"),
