@@ -26,7 +26,8 @@ import numpy as np
 
 from . import spd_core
 from .errors import DimensionMismatch, DomainError
-from .spd_core import _sqrt_pair, check_spd, check_spd_stack, eigh, frob_inner, inv_m, sym
+from .spd_core import (_sqrt_pair, check_spd, check_spd_stack, check_symmetric, eigh, frob_inner,
+                       inv_m, sym)
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,13 @@ def _frame_terms(e: Ensemble, g):
 
 
 def _roots(e: Ensemble, x):
-    """X^{1/2} and X^{-1/2} from one eigendecomposition; the views take G = X^{1/2}."""
-    return _sqrt_pair(sym(_check_point(e, x)), "objective requires a positive definite point")
+    """X^{1/2} and X^{-1/2} of the validated point x from one eigendecomposition.
+
+    The views take G = X^{1/2}. A point with a non-finite entry or not
+    symmetric is rejected by :func:`check_symmetric`, named ``point``.
+    """
+    x = check_symmetric(_check_point(e, x), name="point")
+    return _sqrt_pair(x, "objective requires a positive definite point")
 
 
 def objective(e: Ensemble, x) -> float:

@@ -113,7 +113,7 @@ def matrix_fn(m, f: Callable[[float], float]):
                 raise DomainError(f"eigenvalue {x:.6g} outside function domain") from exc
         return out
 
-    return _eig_apply(check_symmetric(m), fvals)
+    return _eig_apply(check_symmetric(m), fvals, spd_valued=False)
 
 
 def per_matrix_terms(e: Ensemble, x) -> dict:

@@ -28,6 +28,7 @@ gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, NamedTuple, Optional
@@ -56,7 +57,9 @@ class SolverConfig:
 
     ``grad_tol`` applies to the unnormalized gradient sum; when ``None``
     it defaults to ``1e-10 * n`` at solve time (the sum scales with n).
-    ``nu`` and ``c`` drive the line-search step sizes c^j · nu, j ≥ 1.
+    ``nu`` and ``c`` drive the line-search step sizes c^j · nu, j ≥ 0.
+    ``grad_tol`` and ``nu`` must be positive and finite, ``max_iters``
+    and ``ls_max_j`` integers.
     """
 
     max_iters: int = DEFAULT_MAX_ITERS
@@ -66,16 +69,16 @@ class SolverConfig:
     ls_max_j: int = 60
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
-        if self.grad_tol is not None and not self.grad_tol > 0:  # NaN fails too
-            raise DomainError("grad_tol must be positive")
-        if not self.nu > 0:
-            raise DomainError("nu must be positive")
+        for name in ("max_iters", "ls_max_j"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise DomainError(f"{name} must be an integer >= 1")
+        if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:  # NaN fails too
+            raise DomainError("grad_tol must be positive and finite")
+        if not 0 < self.nu < math.inf:
+            raise DomainError("nu must be positive and finite")
         if not 0 < self.c < 1:
             raise DomainError("c must lie in (0, 1)")
-        if self.ls_max_j < 1:
-            raise DomainError("ls_max_j must be >= 1")
 
     def effective_grad_tol(self, n: int) -> float:
         if self.grad_tol is not None:
@@ -206,8 +209,12 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
         lam, v = eigh(grad / e.n)
         gv = g @ v
         for j in range(cfg.ls_max_j + 1):
-            g_trial = gv * np.exp(0.5 * cfg.c**j * cfg.nu * lam)
-            f_trial = _frame_objective(e, g_trial)
+            with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf: the probe is rejected
+                g_trial = gv * np.exp(0.5 * cfg.c**j * cfg.nu * lam)
+                try:
+                    f_trial = _frame_objective(e, g_trial)
+                except DomainError:  # the probe left the cone in float64
+                    f_trial = math.inf
             if f_trial <= f_cur:
                 g = g_trial
                 # the kernel's objective, not the probe's: measured in the
@@ -231,6 +238,8 @@ def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     ``max_iters`` caps the total probe count; if every probe up to
     ``ls_max_j`` increases the objective the run stops with status
     ``line_search_stalled``, even when that last probe reaches the cap.
+    A probe that leaves the positive definite cone in float64 (its step
+    overflows, or underflows to a singular point) counts as rejected.
     A probe is one values-only stacked eigendecomposition of n matrices;
     an accepted point gets the stacked pass with eigenvectors and the
     gradient-only reduction.

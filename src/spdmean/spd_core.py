@@ -154,7 +154,7 @@ def cholesky(a, message):
         raise DomainError(message) from exc
 
 
-def _eig_apply(m, fvals_of, positive=None, invert=False):
+def _eig_apply(m, fvals_of, positive=None, invert=False, spd_valued=True):
     """Rebuild U diag(f(λ)) Uᵀ from a vectorized eigenvalue map.
 
     The raw path: ``m`` must already be symmetric and is not validated;
@@ -163,7 +163,9 @@ def _eig_apply(m, fvals_of, positive=None, invert=False):
     definite argument; the spectrum is then checked for positivity. A
     non-finite f(λ) or result raises :class:`DomainError`, without a
     warning. ``invert`` rebuilds U diag(1/f(λ)) Uᵀ instead, dividing
-    rather than multiplying by a reciprocal.
+    rather than multiplying by a reciprocal. A function that must return
+    an SPD matrix (``spd_valued``) also raises where an f(λ) is finite but
+    not positive, such as an exponential or power that underflows to 0.
     """
     w, u = eigh(m)
     if positive is not None and not w[0] > 0:
@@ -174,6 +176,8 @@ def _eig_apply(m, fvals_of, positive=None, invert=False):
         out = sym(((u / fw) if invert else (u * fw)) @ u.T)
     if not (np.isfinite(fw).all() and np.isfinite(out).all()):
         raise DomainError("scalar function not finite on the spectrum")
+    if spd_valued and not fw.min() > 0:
+        raise DomainError("scalar function not positive on the spectrum")
     return out
 
 
@@ -188,7 +192,7 @@ def _sqrt_pair(x, message):
 
 def log_m(a):
     """Matrix logarithm of an SPD matrix."""
-    return _eig_apply(check_symmetric(a), np.log, "log_m")
+    return _eig_apply(check_symmetric(a), np.log, "log_m", spd_valued=False)
 
 
 def exp_m(a):

@@ -100,6 +100,23 @@ class TestMean:
         assert main(["mean", inp, "--c", "2"]) == 1
         assert "c must lie in (0, 1)" in capsys.readouterr().err
 
+    def test_infinite_tolerance_rejected(self, tmp_path, capsys):
+        inp = ensemble_file(tmp_path, [[[1.0]], [[4.0]]])
+        assert main(["mean", inp, "--tol", "inf"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grad_tol must be positive and finite"]
+
+    def test_line_search_probe_out_of_float64_backtracks(self, tmp_path, capsys, rng):
+        mats = [selfcheck.random_spd(rng, 4).tolist() for _ in range(5)]
+        inp = ensemble_file(tmp_path, mats)
+        code = main(["mean", inp, "--solver", "gd-ls", "--nu", "1000",
+                     "--out", str(tmp_path / "m.json")])
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.split(":")[0] in ("converged", "line_search_stalled", "max_iters")
+        assert code == (0 if out.startswith("converged") else 2)
+        assert (tmp_path / "m.json").exists()
+
     def test_failed_solve_exit_code(self, tmp_path, capsys, rng):
         # a fixed step of 4 throws the iterate out of the SPD cone
         mats = [selfcheck.random_spd(rng, 4, lo=1.0, hi=10.0).tolist()

@@ -147,6 +147,21 @@ class TestObjective:
             objective(e, np.eye(4))
 
 
+_VIEWS = {"objective": objective, "grad_sum": grad_sum,
+          "euclidean_gradient": euclidean_gradient, "surrogate_coeffs": surrogate_coeffs}
+
+
+@pytest.mark.parametrize("view", sorted(_VIEWS))
+@pytest.mark.parametrize("point, message", [
+    pytest.param([[2.0, 1.5], [0.0, 2.0]], "^point is not symmetric$", id="skewed"),
+    pytest.param([[np.nan, 0.0], [0.0, 1.0]], "^point has a non-finite entry$", id="nan"),
+])
+def test_views_validate_their_point(view, point, message, rng):
+    e = random_ensemble(rng, 3, 2)
+    with pytest.raises(DomainError, match=message):
+        _VIEWS[view](e, np.array(point))
+
+
 class TestGradDirection:
     def test_zero_at_singleton(self, rng):
         a = random_spd(rng, 3)

@@ -53,6 +53,11 @@ class TestSolverConfig:
         {"ls_max_j": 0},
         {"grad_tol": math.nan},
         {"nu": math.nan},
+        {"grad_tol": math.inf},
+        {"nu": math.inf},
+        {"max_iters": 10.0},
+        {"max_iters": True},
+        {"ls_max_j": 1.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
@@ -375,6 +380,20 @@ class TestStepProtocol:
         res = solve(e, SolverConfig(grad_tol=1e6), x0)
         assert res.status == STATUS_CONVERGED and res.iters_used == 0
         assert np.array_equal(res.mean, check_spd(x0))
+
+    @pytest.mark.parametrize("e", [
+        random_ensemble(np.random.default_rng(0), 5, 4),
+        # diagonal: a zero entry of the factor meets an overflowed step, 0 · inf
+        Ensemble.from_matrices([np.diag([1.0, 100.0]), np.diag([300.0, 1.0]),
+                                np.diag([2.0, 3.0])]),
+    ], ids=["random", "diagonal"])
+    def test_probe_that_leaves_float64_is_rejected(self, e):
+        # nu = 1000 sends the first probes out of the cone in float64, where
+        # the objective is +inf; the run backtracks instead of raising
+        res = gd_linesearch_solve(e, SolverConfig(nu=1000.0), arithmetic_mean_init(e))
+        assert res.status in (STATUS_CONVERGED, STATUS_LINE_SEARCH_STALLED, STATUS_MAX_ITERS)
+        check_spd(res.mean)
+        assert all(math.isfinite(t.objective) for t in res.trace)
 
     def test_line_search_stalled_before_any_step_returns_the_start(self, rng):
         e, x0 = self.start(rng)

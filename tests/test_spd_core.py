@@ -130,6 +130,13 @@ _NOT_FINITE_ON_SPECTRUM = {
     "inv_m-subnormal": lambda: inv_m(np.diag([1.0, 1e-320])),
 }
 
+# finite matrices whose f(λ) underflows to 0: the SPD-valued result would be singular
+_NOT_POSITIVE_ON_SPECTRUM = {
+    "pow_m-t--inf": lambda: pow_m(np.diag([2.0, 3.0]), -np.inf),
+    "geodesic-t--inf": lambda: geodesic(np.eye(2), np.diag([2.0, 3.0]), -np.inf),
+    "exp_m--1000": lambda: exp_m(-1000.0 * np.eye(2)),
+}
+
 
 @pytest.mark.parametrize("call, match", [
     *(pytest.param(lambda fn=fn, v=v: fn(_non_finite_entry(v)), "has a non-finite entry$",
@@ -137,6 +144,8 @@ _NOT_FINITE_ON_SPECTRUM = {
       for v in (np.nan, np.inf) for name, fn in _TAKES_NON_FINITE_ENTRY.items()),
     *(pytest.param(call, "^scalar function not finite on the spectrum$", id=name)
       for name, call in _NOT_FINITE_ON_SPECTRUM.items()),
+    *(pytest.param(call, "^scalar function not positive on the spectrum$", id=name)
+      for name, call in _NOT_POSITIVE_ON_SPECTRUM.items()),
 ])
 def test_spd_functions_reject_non_finite(call, match):
     # a NaN spectrum fails no `<= 0` test: the entries and f(λ) are checked
