@@ -36,7 +36,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import spd_core
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .karcher import (Ensemble, _check_point, _frame_grad, _frame_objective, _frame_terms,
                       _minimizer_factor)
 from .spd_core import check_spd, eigh
@@ -213,7 +213,7 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
                 g_trial = gv * np.exp(0.5 * cfg.c**j * cfg.nu * lam)
                 try:
                     f_trial = _frame_objective(e, g_trial)
-                except DomainError:  # the probe left the cone in float64
+                except (DomainError, NonConvergence):  # the probe left the cone in float64
                     f_trial = math.inf
             if f_trial <= f_cur:
                 g = g_trial

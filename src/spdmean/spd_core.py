@@ -1,9 +1,10 @@
 """Core primitives for symmetric positive definite (SPD) matrices.
 
-Dense symmetric eigendecomposition, matrix functions through the
-eigenvalues, and the affine-invariant geodesic and distance. All
-functions take and return plain ``numpy`` arrays; SPD inputs are
-validated with :func:`check_spd` at API boundaries.
+Dense symmetric eigendecomposition, the package's one Cholesky
+factorization, matrix functions through the eigenvalues, and the
+affine-invariant geodesic and distance. All functions take and return
+plain ``numpy`` arrays; SPD inputs are validated with :func:`check_spd`
+at API boundaries.
 """
 
 import numpy as np

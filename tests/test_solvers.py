@@ -387,10 +387,12 @@ class TestStepProtocol:
         Ensemble.from_matrices([np.diag([1.0, 100.0]), np.diag([300.0, 1.0]),
                                 np.diag([2.0, 3.0])]),
     ], ids=["random", "diagonal"])
-    def test_probe_that_leaves_float64_is_rejected(self, e):
-        # nu = 1000 sends the first probes out of the cone in float64, where
-        # the objective is +inf; the run backtracks instead of raising
-        res = gd_linesearch_solve(e, SolverConfig(nu=1000.0), arithmetic_mean_init(e))
+    @pytest.mark.parametrize("nu", [1e3, 1e15])
+    def test_probe_that_leaves_float64_is_rejected(self, e, nu):
+        # the first probes leave the cone in float64 (1e15: an infinite Ŷᵢ
+        # the eigensolver cannot take); their objective is +inf and the run
+        # backtracks instead of raising
+        res = gd_linesearch_solve(e, SolverConfig(nu=nu), arithmetic_mean_init(e))
         assert res.status in (STATUS_CONVERGED, STATUS_LINE_SEARCH_STALLED, STATUS_MAX_ITERS)
         check_spd(res.mean)
         assert all(math.isfinite(t.objective) for t in res.trace)
