@@ -39,8 +39,11 @@ class Ensemble:
     mats : ndarray, shape (n, p, p)
         The SPD matrices A_i.
     inv_factors : ndarray, shape (n, p, p)
-        Lᵢ⁻¹ = D(wᵢ)^{-1/2} Uᵢᵀ from Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ, so that
-        Lᵢ⁻ᵀ Lᵢ⁻¹ = Aᵢ⁻¹ and Lᵢ⁻¹ Aᵢ Lᵢ⁻ᵀ = I.
+        Lᵢ⁻¹, the inverse of the lower Cholesky factor Aᵢ = Lᵢ Lᵢᵀ that
+        validation takes, so that Lᵢ⁻ᵀ Lᵢ⁻¹ = Aᵢ⁻¹ and Lᵢ⁻¹ Aᵢ Lᵢ⁻ᵀ = I.
+        A stack with no Cholesky factor in float64 keeps
+        D(wᵢ)^{-1/2} Uᵢᵀ from Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ instead, which has the
+        same two properties.
     """
 
     mats: np.ndarray
@@ -69,8 +72,8 @@ class Ensemble:
                 if a.shape[0] != checked[0].shape[0]:
                     raise DimensionMismatch(
                         f"matrix {i} has dim {a.shape[0]}, expected {checked[0].shape[0]}")
-        stack, w, u = check_spd_stack(stack)
-        return cls(mats=stack, inv_factors=np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None])
+        stack, _, inv_factors = check_spd_stack(stack)
+        return cls(mats=stack, inv_factors=inv_factors)
 
     @property
     def n(self) -> int:

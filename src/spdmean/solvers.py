@@ -39,7 +39,7 @@ from . import spd_core
 from .errors import DomainError, NonConvergence
 from .karcher import (Ensemble, _check_point, _frame_grad, _frame_objective, _frame_terms,
                       _minimizer_factor)
-from .spd_core import check_spd, eigh
+from .spd_core import _check_spd_factor, eigh
 
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
@@ -118,8 +118,9 @@ class SolverResult:
 def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """The loop all solvers share: trace, stopping rule and result.
 
-    The start point is validated here once (SPD, ensemble dimension) and
-    factored once, X₀ = G₀ G₀ᵀ; the iterates are not validated again.
+    The start point is validated here once (SPD, ensemble dimension),
+    and G₀ in X₀ = G₀ G₀ᵀ is the Cholesky factor the validation took;
+    the iterates are not validated again.
     ``steps(e, cfg, g0)`` yields ``(g, objective, grad_sum)`` once per
     trace record, starting at G₀, with g the factor of the current
     point. Only the Frobenius norm of ``grad_sum`` is used, so a step
@@ -136,8 +137,10 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     so no run ends with a NaN mean. Float overflow in the steps does not
     warn: the kernel's guards raise on the values it leaves.
     """
-    x0 = _check_point(e, check_spd(x0))
-    g0 = spd_core.cholesky(x0, "solve requires a start point with a Cholesky factor")
+    x0, g0 = _check_spd_factor(x0)
+    x0 = _check_point(e, x0)
+    if g0 is None:
+        g0 = spd_core.cholesky(x0, "solve requires a start point with a Cholesky factor")
     tol = cfg.effective_grad_tol(e.n)
     t0 = perf_counter()
     trace: List[TraceRecord] = []

@@ -43,7 +43,7 @@ def check_symmetric(a, name="matrix"):
     top = _scales(a[None])
     if not top[0] < np.inf:
         raise DomainError(f"{name} has a non-finite entry")
-    if not _symmetric(a[None], top)[0]:
+    if not _symmetric(a[None], top)[0][0]:
         raise DomainError(f"{name} is not symmetric")
     return sym(a)
 
@@ -61,12 +61,16 @@ def _symmetric(mats, top):
     skew part to underflow, and ‖A − Aᵀ‖² is compared with SYM_TOL² ‖A‖²
     directly. Any other matrix is first divided by its largest |entry|,
     which leaves the ratio of the norms unchanged, so the test holds at
-    any float64 scale.
+    any float64 scale. Returns the test's (k,) mask and, from the same
+    squared sums, each ‖A‖_F / max |entry|, a number in [1, p] (0 for a
+    zero matrix).
     """
     plain = (top > 1e-100) & (top < 1e100)
     if not plain.all():
         mats = mats / np.where(plain | (top == 0), 1.0, top)[:, None, None]
-    return _sq_norms(mats - mats.swapaxes(1, 2)) <= SYM_TOL * SYM_TOL * _sq_norms(mats)
+    sq = _sq_norms(mats)
+    rel_norms = np.sqrt(sq) / np.where(plain, top, 1.0)
+    return _sq_norms(mats - mats.swapaxes(1, 2)) <= SYM_TOL * SYM_TOL * sq, rel_norms
 
 
 def _sq_norms(mats):
@@ -80,6 +84,8 @@ def check_spd(a, name="matrix"):
 
     Positivity uses a relative floor: the smallest eigenvalue must exceed
     ``POSITIVITY_FLOOR`` times the largest, so the check survives rescaling.
+    The test runs as in :func:`check_spd_stack`: a Cholesky factor with a
+    small enough inverse passes it without an eigendecomposition.
     ``name`` is how error messages refer to ``a``.
 
     Raises
@@ -90,25 +96,48 @@ def check_spd(a, name="matrix"):
         If ``a`` has a NaN or infinite entry, is not symmetric, or has a
         non-positive eigenvalue.
     """
+    return _check_spd_factor(a, name)[0]
+
+
+def _check_spd_factor(a, name="matrix"):
+    """:func:`check_spd`, also returning the lower Cholesky factor its validation took.
+
+    The factor is ``None`` where ``a`` has none in float64 and was
+    accepted on its eigenvalues alone.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    return check_spd_stack(a[None], lambda i: name)[0][0]
+    mats, factors, _ = check_spd_stack(a[None], lambda i: name)
+    return mats[0], None if factors is None else factors[0]
 
 
 def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
-    """Validate a (k, p, p) stack as SPD with one stacked eigendecomposition.
+    """Validate a (k, p, p) stack as SPD and factor it with one stacked Cholesky.
 
     Each matrix gets the tests of :func:`check_spd`. The first matrix
     that fails one raises, with the first test it fails in the order
     non-finite, symmetric, positive definite; ``name_of(i)`` names
     matrix i in the message.
 
+    The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the
+    eigenvalues from :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ,
+    w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and w_max ≤ ‖Aᵢ‖_F, so a matrix with
+    ‖Lᵢ⁻¹‖_F²·‖Aᵢ‖_F < 1/(10·``POSITIVITY_FLOOR``) passes it, with a
+    margin of ten for rounding, and is not decomposed. The bound is taken
+    at each matrix's own scale, as ‖Lᵢ⁻¹‖_F² · max |entry| ·
+    ‖Aᵢ‖_F / max |entry|; one that overflows clears nothing. The matrices
+    it does not clear get the eigenvalue test itself, and a stack with no
+    Cholesky factor in float64 is decomposed whole, so every decision,
+    message and first bad index is that of the eigenvalue test alone.
+
     Returns
     -------
-    (mats, w, u)
-        The symmetrized stack and its eigendecomposition from
-        :func:`eigh`, eigenvalues ascending.
+    (mats, factors, inv_factors)
+        The symmetrized stack; its lower Cholesky factors Lᵢ, or ``None``
+        where the stack has none; and inverse factors with
+        Lᵢ⁻ᵀ Lᵢ⁻¹ = Aᵢ⁻¹: the Lᵢ⁻¹, or without Cholesky factors
+        D(wᵢ)^{-1/2} Uᵢᵀ from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ.
     """
     mats = np.asarray(mats, dtype=float)
     top = _scales(mats)
@@ -116,11 +145,27 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     if not finite.all():
         mats = np.where(finite[:, None, None], mats, 0.0)
         top = np.where(finite, top, 0.0)
-    symmetric = _symmetric(mats, top)
+    symmetric, rel_norms = _symmetric(mats, top)
     mats = sym(mats)
-    w, u = eigh(mats)
-    # a zeroed non-finite matrix fails the positivity test, and so does a NaN spectrum
-    ok = symmetric & (w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1]))
+    try:
+        factors = cholesky(mats, "stack has no Cholesky factor")
+    except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
+        factors = None
+        exact = np.ones(len(mats), dtype=bool)
+    else:
+        inv_factors = np.linalg.inv(factors)
+        with np.errstate(over="ignore"):
+            bound = _sq_norms(inv_factors) * top * rel_norms
+        exact = ~(bound < 0.1 / POSITIVITY_FLOOR)
+    positive = np.ones(len(mats), dtype=bool)
+    w0 = np.zeros(len(mats))
+    if exact.any():
+        # with vectors: eigvalsh's eigenvalues differ from eigh's at round-off,
+        # which decides the test near condition 1 / POSITIVITY_FLOOR
+        w, u = eigh(mats[exact])
+        w0[exact] = w[:, 0]
+        positive[exact] = w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1])
+    ok = symmetric & positive
     if not ok.all():
         i = int(ok.argmin())
         if not finite[i]:
@@ -128,8 +173,10 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         if not symmetric[i]:
             raise DomainError(f"{name_of(i)} is not symmetric")
         raise DomainError(f"{name_of(i)} is not positive definite "
-                          f"(eigenvalue {w[i, 0]:.6g})")
-    return mats, w, u
+                          f"(eigenvalue {w0[i]:.6g})")
+    if factors is None:
+        inv_factors = np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None]
+    return mats, factors, inv_factors
 
 
 def eigh(m, vectors=True):

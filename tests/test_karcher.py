@@ -360,6 +360,14 @@ class TestStackedKernelAgreement:
         g = np.linalg.cholesky(res.mean)
         assert np.linalg.norm(_frame_terms(e, g)[1] - _frame_grad(e, g)[1]) <= 1e-3 * tol
 
+    def test_condition_1e8_regime_converges_on_twenty_seeds(self):
+        # the gradient floor sits near the default tolerance here, so the
+        # accuracy of the inverse factors decides whether a run converges
+        for seed in range(20):
+            e, x0 = _geometric_regime(np.random.default_rng(seed))[0]
+            res = mm_solve(e, SolverConfig(), x0)
+            assert res.converged, f"seed {seed}: {res.status} after {res.iters_used} iterations"
+
 
 class TestSurrogate:
     def test_singleton_coeffs(self, rng):

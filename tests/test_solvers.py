@@ -455,7 +455,8 @@ class TestFiniteOrFail:
                 solve(scalar_ensemble(1.0, 4.0), SolverConfig(), np.array([[2.0]]))
 
     def test_every_cholesky_goes_through_spd_core(self, monkeypatch, rng):
-        # the start factor and each MM step's minimizer factor share one boundary
+        # ensemble validation, start-point validation (whose factor is G₀)
+        # and each MM step's minimizer factor share one boundary
         messages, factors = [], []
 
         def logged(a, message):
@@ -472,7 +473,7 @@ class TestFiniteOrFail:
         e = random_ensemble(rng, 4, 3)
         res = mm_solve(e, SolverConfig(max_iters=2, grad_tol=1e-300), arithmetic_mean_init(e))
         assert res.iters_used == 2
-        assert messages == ["solve requires a start point with a Cholesky factor",
+        assert messages == [*["stack has no Cholesky factor"] * 2,
                             *["surrogate_minimizer requires a positive definite c2"] * 2]
         assert len(factors) == len(messages)
 
@@ -516,13 +517,12 @@ class TestFiniteOrFail:
 
 class TestSpectralCost:
     @staticmethod
-    def per_record(monkeypatch, solve, e, cfg, x0):
-        """Work between the first and the second trace record after the start.
+    def counters(monkeypatch):
+        """Logs of symmetric eigensolver calls, symmetry checks and Cholesky calls.
 
-        Counts symmetric eigensolver calls and the matrices they cover (a
-        (k, p, p) stack counts k), symmetry checks and Cholesky
-        factorizations, as the difference between runs capped at two and
-        at one record after the start point.
+        An eigensolver call logs the number of matrices it covers (a
+        (k, p, p) stack counts k); ``counts()`` gives (calls, matrices,
+        checks, factorizations) so far, ``clear()`` starts again.
         """
         calls, checks, factors = [], [], []
 
@@ -538,15 +538,51 @@ class TestSpectralCost:
         monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, factors))
         monkeypatch.setattr(spd_core, "check_symmetric",
                             counting(spd_core.check_symmetric, checks))
-        counts, traces = [], []
-        for cap in (1, 2):
+
+        def counts():
+            return len(calls), sum(calls), len(checks), len(factors)
+
+        def clear():
             for log in (calls, checks, factors):
                 log.clear()
+        return counts, clear
+
+    @classmethod
+    def per_record(cls, monkeypatch, solve, e, cfg, x0):
+        """Work between the first and the second trace record after the start.
+
+        The :meth:`counters` as the difference between runs capped at two
+        and at one record after the start point.
+        """
+        counts, clear = cls.counters(monkeypatch)
+        runs, traces = [], []
+        for cap in (1, 2):
+            clear()
             res = solve(e, replace(cfg, max_iters=cap, grad_tol=1e-300), x0)
             assert res.iters_used == cap
-            counts.append((len(calls), sum(calls), len(checks), len(factors)))
+            runs.append(counts())
             traces.append(res.trace)
-        return np.subtract(counts[1], counts[0]), traces[1]
+        return np.subtract(runs[1], runs[0]), traces[1]
+
+    def test_set_up_and_start_point_take_one_cholesky_each(self, monkeypatch, rng):
+        # validation factors the well-conditioned stack and the start point
+        # and needs no eigensolver; the start point's factor is G₀
+        mats = [random_spd(rng, 4) for _ in range(6)]
+        counts, clear = self.counters(monkeypatch)
+        e = Ensemble.from_matrices(mats)
+        assert counts() == (0, 0, 0, 1)
+        x0 = arithmetic_mean_init(e)
+        starts = []
+
+        def steps(e, cfg, g):
+            starts.append(g)
+            yield g, 0.0, np.zeros_like(g)
+
+        clear()
+        res = solvers._solve(steps, e, SolverConfig(), x0)
+        assert counts() == (0, 0, 0, 1)
+        assert res.converged and np.array_equal(res.mean, x0)
+        assert np.array_equal(starts[0], np.linalg.cholesky(x0))
 
     def test_one_mm_iteration_is_one_stacked_pass(self, monkeypatch, rng):
         n = 6

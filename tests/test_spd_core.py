@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spdmean.errors import DimensionMismatch, DomainError
+from spdmean.bench import random_orthogonal
 from spdmean.oracle import matrix_fn
 from spdmean.selfcheck import random_spd, random_sym
 from spdmean import spd_core
@@ -81,6 +82,107 @@ class TestCheckSpd:
         a[where] = value
         with pytest.raises(DomainError, match="non-finite"):
             check_spd(a)
+
+
+def _eigen_rule(mats, name_of=lambda i: f"matrix {i}"):
+    """The SPD rule on the spectra alone, as validation ran before it took a Cholesky factor.
+
+    One stacked eigh and w₀ > POSITIVITY_FLOOR·|w_max|, after the
+    non-finite and symmetry tests. Returns the error message and ``None``,
+    or ``None`` and the inverse factors D(wᵢ)^{-1/2} Uᵢᵀ.
+    """
+    mats = np.asarray(mats, dtype=float)
+    top = spd_core._scales(mats)
+    finite = top < np.inf
+    mats = np.where(finite[:, None, None], mats, 0.0)
+    symmetric = spd_core._symmetric(mats, np.where(finite, top, 0.0))[0]
+    w, u = np.linalg.eigh(sym(mats))
+    ok = symmetric & (w[:, 0] > spd_core.POSITIVITY_FLOOR * np.abs(w[:, -1]))
+    if ok.all():
+        return None, np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None]
+    i = int(ok.argmin())
+    if not finite[i]:
+        return f"{name_of(i)} has a non-finite entry", None
+    if not symmetric[i]:
+        return f"{name_of(i)} is not symmetric", None
+    return f"{name_of(i)} is not positive definite (eigenvalue {w[i, 0]:.6g})", None
+
+
+def _outcome(mats):
+    """check_spd_stack's error message and ``None``, or ``None`` and its result."""
+    try:
+        return None, spd_core.check_spd_stack(mats)
+    except DomainError as exc:
+        return str(exc), None
+
+
+def _conditioned(rng, p, kappa, scale):
+    # spectrum from 1 down to 1/κ (an indefinite one when κ < 0), times scale
+    w = np.geomspace(1.0, 1.0 / abs(kappa), p) * np.sign(kappa) ** np.arange(p)
+    u = random_orthogonal(p, rng)
+    return sym((u * (w * scale)) @ u.T)
+
+
+def _decision_stacks(rng):
+    """Stacks around the positivity floor, at per-matrix scales across float64."""
+    kappas = [*np.geomspace(1e6, 1e16, 11), *(1e13 * (1 + np.linspace(-0.2, 0.2, 9))), -1e3]
+    stacks = []
+    for p in (1, 2, 10, 50):
+        mats = [_conditioned(rng, p, kappa, 10.0 ** rng.uniform(-300, 300))
+                for kappa in kappas]
+        mats += [np.eye(p) * -1.0, np.zeros((p, p))]
+        stacks += [[m] for m in mats]
+        order = rng.permutation(len(mats))
+        stacks += [[mats[i] for i in order[j:j + 5]] for j in range(0, len(mats), 5)]
+    return stacks
+
+
+# every error input of TestEnsemble and TestCheckSpd, and the accepted
+# inputs at the float64 edges
+_EDGE_INPUTS = [
+    [[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, np.inf]],
+    [[np.nan, 0.0], [0.0, 1.0]], [[np.nan, 0.5], [0.0, -1.0]], [[1.0, 0.5], [0.0, -1.0]],
+    np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e200, np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e-200,
+    np.diag([1.0, -1.0]), np.diag([1.0, 1e-14]), np.diag([1e308, 1.0]), np.diag([1.0, -2.0]),
+    np.eye(2) * 1.5e308, np.eye(2) * 1e-300, np.diag([3e-300, 1e-300]),
+    *(np.where(np.arange(4).reshape(2, 2) == k, v, np.eye(2))
+      for v in (np.nan, np.inf, -np.inf) for k in (0, 1)),
+]
+
+
+class TestCheckSpdStack:
+    """The Cholesky-first validation against the rule on the spectra alone."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["cholesky", "no-cholesky"])
+    def test_same_decisions_as_the_eigenvalue_rule(self, forced, monkeypatch, rng):
+        stacks = _decision_stacks(rng)
+        stacks += [[bad] for bad in _EDGE_INPUTS] + [[np.eye(2), bad] for bad in _EDGE_INPUTS]
+        stacks += [[np.eye(2)] * 9 + [np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e-200],
+                   [np.eye(2), np.diag([1.0, -1.0]), np.diag([np.nan, 1.0])]]
+        if forced:
+            def fail(a):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            monkeypatch.setattr(np.linalg, "cholesky", fail)
+        accepted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for mats in stacks:
+                message, want = _eigen_rule(mats)
+                got_message, got = _outcome(mats)
+                assert got_message == message
+                if got is not None:
+                    accepted += 1
+                    assert np.array_equal(got[0], sym(np.asarray(mats)))
+                    assert (got[1] is None) == forced
+                    if forced:  # the spectral factor, bit for bit
+                        assert np.array_equal(got[2], want)
+        assert 0 < accepted < len(stacks)
+
+    def test_cholesky_factor_and_its_inverse(self, rng):
+        mats = np.array([random_spd(rng, 5) * 10.0 ** k for k in (-200, 0, 200)])
+        out, factors, inv_factors = spd_core.check_spd_stack(mats)
+        assert np.array_equal(factors, np.linalg.cholesky(out))
+        assert np.array_equal(inv_factors, np.linalg.inv(factors))
 
 
 class TestCholesky:
