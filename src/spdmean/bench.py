@@ -67,6 +67,14 @@ def _checked_fields(cls, d, what: str) -> dict:
     return dict(d)
 
 
+def _finite(value) -> bool:
+    """Whether a number, or every number of a list, is finite in float64."""
+    try:
+        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+    except OverflowError:  # an integer past the float64 range
+        return False
+
+
 # The fields each spectrum kind takes besides kind and dim.
 _KIND_FIELDS = {"uniform": ("lo", "hi"), "geometric": ("a",), "explicit": ("values",)}
 
@@ -76,8 +84,10 @@ class SpectrumSpec:
     """Eigenvalue model for generated matrices.
 
     kind "uniform": dim draws from uniform(lo, hi), 0 < lo < hi.
-    kind "geometric": the fixed series 10^0, 10^a, ..., 10^{(dim-1)a}.
+    kind "geometric": the fixed series 10^0, 10^a, ..., 10^{(dim-1)a},
+    a > 0, whose top value must not overflow float64.
     kind "explicit": the given values verbatim (length dim).
+    Every number given must be finite.
     """
 
     kind: str
@@ -96,12 +106,21 @@ class SpectrumSpec:
                    if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None]
         if foreign:
             raise DomainError(f"{self.kind} spectrum does not take fields {foreign}")
+        for name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if value is not None and not _finite(value):
+                raise DomainError(f"spectrum field {name!r} must be finite, got {value!r}")
         if self.kind == "uniform":
             if self.lo is None or self.hi is None or not 0 < self.lo < self.hi:
                 raise DomainError("uniform spectrum requires 0 < lo < hi")
         elif self.kind == "geometric":
             if self.a is None or not self.a > 0:
                 raise DomainError("geometric spectrum requires a > 0")
+            with np.errstate(over="ignore"):
+                top = np.float64(10.0) ** (self.a * (self.dim - 1))
+            if not np.isfinite(top):
+                raise DomainError(f"geometric spectrum's top value 10^({self.dim - 1}·{self.a!r}) "
+                                  "overflows float64")
         elif self.kind == "explicit":
             if self.values is None or len(self.values) != self.dim:
                 raise DomainError("explicit spectrum requires dim values")
@@ -185,8 +204,9 @@ class ExperimentSpec:
             raise DomainError("runs must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        if not self.scale_first_by > 0:
-            raise DomainError("scale_first_by must be positive")
+        if not (_finite(self.scale_first_by) and self.scale_first_by > 0):
+            raise DomainError(f"scale_first_by must be positive and finite, "
+                              f"got {self.scale_first_by!r}")
         if self.spectrum.dim != self.p:
             raise DomainError("spectrum dim must equal p")
         if not self.solvers:

@@ -41,6 +41,8 @@ class Ensemble:
     inv_factors : ndarray, shape (n, p, p)
         Lᵢ⁻¹, the inverse of the lower Cholesky factor Aᵢ = Lᵢ Lᵢᵀ that
         validation takes, so that Lᵢ⁻ᵀ Lᵢ⁻¹ = Aᵢ⁻¹ and Lᵢ⁻¹ Aᵢ Lᵢ⁻ᵀ = I.
+        It is a blocked triangular inverse, or ``np.linalg.inv`` of Lᵢ
+        for dim ≤ ``spd_core.TRI_BLOCK``.
         A stack with no Cholesky factor in float64 keeps
         D(wᵢ)^{-1/2} Uᵢᵀ from Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ instead, which has the
         same two properties.

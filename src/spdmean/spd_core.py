@@ -14,6 +14,8 @@ from .errors import DimensionMismatch, DomainError, NonConvergence
 # Validation tolerances (relative).
 SYM_TOL = 1e-12
 POSITIVITY_FLOOR = 1e-13
+# Block width of the triangular inverse of the Cholesky factors.
+TRI_BLOCK = 16
 
 
 def sym(a):
@@ -130,6 +132,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     it does not clear get the eigenvalue test itself, and a stack with no
     Cholesky factor in float64 is decomposed whole, so every decision,
     message and first bad index is that of the eigenvalue test alone.
+    The Lᵢ⁻¹ come from :func:`_tri_inv`, a blocked triangular inverse
+    (``np.linalg.inv`` itself for p ≤ ``TRI_BLOCK``).
 
     Returns
     -------
@@ -153,7 +157,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         factors = None
         exact = np.ones(len(mats), dtype=bool)
     else:
-        inv_factors = np.linalg.inv(factors)
+        inv_factors = _tri_inv(factors)
         with np.errstate(over="ignore"):
             bound = _sq_norms(inv_factors) * top * rel_norms
         exact = ~(bound < 0.1 / POSITIVITY_FLOOR)
@@ -177,6 +181,32 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     if factors is None:
         inv_factors = np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None]
     return mats, factors, inv_factors
+
+
+def _tri_inv(l):
+    """Inverse of each lower triangular matrix of a (k, p, p) stack.
+
+    Block forward substitution over block rows of width ``TRI_BLOCK``:
+    block row i of X = L⁻¹ is Dᵢ = Lᵢᵢ⁻¹ on the diagonal and
+    −Dᵢ (L[i, :i] X[:i, :i]) left of it, as stacked products. The
+    diagonal blocks are inverted with ``np.linalg.inv`` and their upper
+    triangles set to 0 (its row pivoting leaves round-off there), so X
+    is exactly lower triangular. This is about a third of the
+    floating-point work of an LU inverse, and as accurate (Du Croz &
+    Higham, IMA J. Numer. Anal. 12, 1992). For p ≤ ``TRI_BLOCK`` the
+    result is ``np.linalg.inv(l)`` itself, which is faster there.
+    """
+    p = l.shape[-1]
+    if p <= TRI_BLOCK:
+        return np.linalg.inv(l)
+    x = np.zeros_like(l)
+    for s in range(0, p, TRI_BLOCK):
+        e = min(s + TRI_BLOCK, p)
+        d = np.tril(np.linalg.inv(l[:, s:e, s:e]))
+        x[:, s:e, s:e] = d
+        if s:
+            x[:, s:e, :s] = -(d @ (l[:, s:e, :s] @ x[:, :s, :s]))
+    return x
 
 
 def eigh(m, vectors=True):

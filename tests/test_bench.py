@@ -1,5 +1,8 @@
 import json
+import math
+import re
 import statistics
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -66,6 +69,33 @@ class TestSpectrumSpec:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
             SpectrumSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "uniform", "dim": 3, "lo": 1.0, "hi": math.inf},
+         "spectrum field 'hi' must be finite, got inf"),
+        ({"kind": "uniform", "dim": 3, "lo": math.nan, "hi": 2.0},
+         "spectrum field 'lo' must be finite, got nan"),
+        ({"kind": "uniform", "dim": 3, "lo": 1.0, "hi": 10**400},
+         "spectrum field 'hi' must be finite"),
+        ({"kind": "geometric", "dim": 3, "a": math.inf}, "spectrum field 'a' must be finite"),
+        ({"kind": "explicit", "dim": 2, "values": [1.0, math.inf]},
+         "spectrum field 'values' must be finite, got [1.0, inf]"),
+        ({"kind": "explicit", "dim": 2, "values": [1.0, math.nan]}, "spectrum field 'values'"),
+        # the top value 10^{(dim-1)a} overflows float64
+        ({"kind": "geometric", "dim": 3, "a": 200.0}, "top value 10^(2·200.0) overflows float64"),
+        ({"kind": "geometric", "dim": 2, "a": 308.3}, "top value 10^(1·308.3) overflows"),
+        ({"kind": "geometric", "dim": 10**6, "a": 1e300}, "top value 10^(999999·1e+300)"),
+    ], ids=["hi-inf", "lo-nan", "hi-int", "a-inf", "values-inf", "values-nan",
+            "geometric-top", "geometric-top-edge", "geometric-exponent-inf"])
+    def test_rejects_non_finite(self, kwargs, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            SpectrumSpec(**kwargs)
+
+    def test_geometric_top_just_inside_float64(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = SpectrumSpec(kind="geometric", dim=2, a=308.0).sample(rng)
+        assert np.isfinite(vals).all()
 
     def test_round_trip(self):
         for s in (SpectrumSpec(kind="uniform", dim=3, lo=1.0, hi=10.0),
@@ -155,6 +185,8 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("field,value", [
         ("n", 0), ("p", 0), ("runs", 0), ("scale_first_by", 0.0),
         ("scale_first_by", float("nan")), ("seed", -1),
+        ("scale_first_by", float("inf")),
+        pytest.param("scale_first_by", 10**400, id="scale_first_by-int-past-float64"),
     ])
     def test_rejects_invalid_scalars(self, field, value):
         with pytest.raises(DomainError):

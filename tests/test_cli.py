@@ -292,6 +292,26 @@ class TestBench:
         assert main(["bench", spec]) == 1
         assert "temperature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"spectrum": {"kind": "uniform", "dim": 1, "lo": 1.0, "hi": float("inf")}},
+         "spectrum field 'hi' must be finite, got inf"),
+        ({"scale_first_by": float("inf")}, "scale_first_by must be positive and finite, got inf"),
+        ({"p": 2, "spectrum": {"kind": "explicit", "dim": 2, "values": [1, float("inf")]}},
+         "spectrum field 'values' must be finite, got [1, inf]"),
+        ({"p": 2, "spectrum": {"kind": "geometric", "dim": 2, "a": 400}},
+         "geometric spectrum's top value 10^(1·400) overflows float64"),
+    ], ids=["hi", "scale_first_by", "values", "geometric-top"])
+    def test_non_finite_spec_field_is_an_input_error(self, tmp_path, capsys, fields, message):
+        # json writes inf as Infinity, which it also reads
+        spec = write_json(tmp_path / "spec.json", {**self.spec_payload(), **fields})
+        base = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["bench", spec, "--out", str(base)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: invalid experiment spec: {message}"]
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_run_errors_exit_code(self, tmp_path, capsys):
         # spectra 1e300 and 1e-300 fail ensemble validation in every run
         payload = {

@@ -30,11 +30,13 @@ from spdmean.spd_core import check_spd, exp_m, frob_inner, inv_m, inv_sqrt_m, sq
 
 class TestEnsemble:
     def test_cache_coherence(self, rng):
-        e = random_ensemble(rng, 4, 5)
-        for i in range(e.n):
-            a, li = e.mats[i], e.inv_factors[i]
-            assert np.linalg.norm(li.T @ li @ a - np.eye(e.dim)) <= 1e-10
-            assert np.linalg.norm(li @ a @ li.T - np.eye(e.dim)) <= 1e-10
+        # p = 40 takes the blocked triangular inverse, p = 5 numpy's
+        for p in (5, 40):
+            e = random_ensemble(rng, 4, p)
+            for i in range(e.n):
+                a, li = e.mats[i], e.inv_factors[i]
+                assert np.linalg.norm(li.T @ li @ a - np.eye(e.dim)) <= 1e-10
+                assert np.linalg.norm(li @ a @ li.T - np.eye(e.dim)) <= 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):

@@ -151,6 +151,18 @@ class TestMmSolve:
         assert [t.iter for t in res.trace] == list(range(len(res.trace)))
         assert all(t.elapsed >= 0 for t in res.trace)
 
+    def test_blocked_inverse_factors_move_the_solve_at_round_off(self, rng):
+        # at p > spd_core.TRI_BLOCK the inverse factors come from the blocked
+        # triangular inverse; with numpy's LU inverse instead, the solve
+        # takes the same path to within round-off
+        e = random_ensemble(rng, 4, 40)
+        lu = Ensemble(mats=e.mats, inv_factors=np.linalg.inv(np.linalg.cholesky(e.mats)))
+        assert not np.array_equal(e.inv_factors, lu.inv_factors)
+        x0 = arithmetic_mean_init(e)
+        res, ref = (mm_solve(ens, SolverConfig(), x0) for ens in (e, lu))
+        assert res.converged and (res.status, res.iters_used) == (ref.status, ref.iters_used)
+        assert riem_dist(res.mean, ref.mean) <= 1e-10
+
     def test_long_run_reaches_two_matrix_mean(self, rng):
         # fig3 regime: A₁ scaled by 1e4 slows MM to over 100 iterations;
         # the carried factor of the iterate must not drift over that many

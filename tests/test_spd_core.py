@@ -185,6 +185,58 @@ class TestCheckSpdStack:
         assert np.array_equal(inv_factors, np.linalg.inv(factors))
 
 
+B = spd_core.TRI_BLOCK
+
+
+def _factors(rng, p, k=4):
+    """Cholesky factors of k random SPD matrices, condition up to 1e6."""
+    mats = [random_spd(rng, p, lo=10.0 ** -e, hi=1.0) for e in np.linspace(0, 6, k)]
+    return np.linalg.cholesky(np.array(mats))
+
+
+class TestTriInv:
+    @pytest.mark.parametrize("p", [1, 2, 5, B])
+    def test_small_stacks_are_numpys_inverse(self, rng, p):
+        l = _factors(rng, p)
+        assert np.array_equal(spd_core._tri_inv(l), np.linalg.inv(l))
+
+    @pytest.mark.parametrize("p", [B + 1, 2 * B + 3, 100])
+    def test_blocked_inverse_is_triangular_and_accurate(self, rng, p):
+        l = _factors(rng, p)
+        x = spd_core._tri_inv(l)
+        assert not np.triu(x, 1).any()
+        eps = np.finfo(float).eps
+        for li, xi, lu in zip(l, x, np.linalg.inv(l)):
+            bound = 10 * p * eps * np.linalg.norm(li) * np.linalg.norm(xi)
+            assert np.linalg.norm(xi @ li - np.eye(p)) <= bound
+            assert np.linalg.norm(xi - lu) <= bound * np.linalg.norm(xi)
+
+    def test_extreme_scales(self, rng):
+        p = 40
+        mats = np.array([random_spd(rng, p) * 10.0 ** k for k in (-200, 0, 200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, factors, inv_factors = spd_core.check_spd_stack(mats)
+        assert np.isfinite(inv_factors).all()
+        for li, xi in zip(factors, inv_factors):
+            assert np.linalg.norm(xi @ li - np.eye(p)) <= 1e-12
+
+    def test_validation_takes_no_lu_inverse_of_a_large_factor(self, monkeypatch, rng):
+        # an LU inverse of the whole p×p factor costs several times the blocked one
+        sizes = []
+
+        def counted(a):
+            sizes.append(a.shape[-1])
+            return numpy_inv(a)
+
+        numpy_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        mats = np.array([random_spd(rng, 2 * B + 3) for _ in range(3)])
+        spd_core.check_spd_stack(mats)
+        check_spd(mats[0])
+        assert sizes and max(sizes) <= B
+
+
 class TestCholesky:
     def test_is_numpys_factor(self, rng):
         a = random_spd(rng, 4)
