@@ -116,9 +116,7 @@ class SpectrumSpec:
         elif self.kind == "geometric":
             if self.a is None or not self.a > 0:
                 raise DomainError("geometric spectrum requires a > 0")
-            with np.errstate(over="ignore"):
-                top = np.float64(10.0) ** (self.a * (self.dim - 1))
-            if not np.isfinite(top):
+            if not np.isfinite(self.top):
                 raise DomainError(f"geometric spectrum's top value 10^({self.dim - 1}·{self.a!r}) "
                                   "overflows float64")
         elif self.kind == "explicit":
@@ -126,6 +124,16 @@ class SpectrumSpec:
                 raise DomainError("explicit spectrum requires dim values")
             if not all(v > 0 for v in self.values):
                 raise DomainError("explicit spectrum values must be positive")
+
+    @property
+    def top(self) -> float:
+        """The spectrum's largest value (inf where it overflows float64)."""
+        if self.kind == "uniform":
+            return float(self.hi)
+        if self.kind == "geometric":
+            with np.errstate(over="ignore"):
+                return float(np.float64(10.0) ** (self.a * (self.dim - 1)))
+        return float(max(self.values))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform":
@@ -187,7 +195,10 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A full simulation regime: instance shape, spectrum, runs, solvers."""
+    """A full simulation regime: instance shape, spectrum, runs, solvers.
+
+    ``scale_first_by`` scales A₁; times the spectrum's ``top`` it must be finite.
+    """
 
     n: int
     p: int
@@ -209,6 +220,10 @@ class ExperimentSpec:
                               f"got {self.scale_first_by!r}")
         if self.spectrum.dim != self.p:
             raise DomainError("spectrum dim must equal p")
+        top = self.spectrum.top
+        if not np.isfinite(float(self.scale_first_by) * top):
+            raise DomainError(f"scale_first_by {self.scale_first_by!r} times the spectrum's "
+                              f"largest value {top!r} overflows float64")
         if not self.solvers:
             raise DomainError("at least one solver is required")
 

@@ -188,7 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("input", help="ensemble JSON file")
     p_mean.add_argument("--solver", choices=sorted(SOLVERS), default="mm")
     p_mean.add_argument("--nu", type=float, default=SolverConfig.nu,
-                        help="start step size for gradient descent")
+                        help=("start step size for gradient descent; gd-ls's smallest "
+                              f"probe is c^{SolverConfig.ls_max_j}·nu, so at the default c "
+                              "a nu well above 1e18 can stall it at the start"))
     p_mean.add_argument("--c", type=float, default=SolverConfig.c,
                         help="backtracking factor in (0, 1)")
     p_mean.add_argument("--tol", type=float, default=SolverConfig.grad_tol, help=(

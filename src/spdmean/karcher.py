@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spd_core
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NonConvergence
 from .spd_core import (_sqrt_pair, check_spd, check_spd_stack, check_symmetric, eigh, frob_inner,
                        inv_m, sym)
 
@@ -39,13 +39,12 @@ class Ensemble:
     mats : ndarray, shape (n, p, p)
         The SPD matrices A_i.
     inv_factors : ndarray, shape (n, p, p)
-        Lᵢ⁻¹, the inverse of the lower Cholesky factor Aᵢ = Lᵢ Lᵢᵀ that
-        validation takes, so that Lᵢ⁻ᵀ Lᵢ⁻¹ = Aᵢ⁻¹ and Lᵢ⁻¹ Aᵢ Lᵢ⁻ᵀ = I.
-        It is a blocked triangular inverse, or ``np.linalg.inv`` of Lᵢ
-        for dim ≤ ``spd_core.TRI_BLOCK``.
-        A stack with no Cholesky factor in float64 keeps
-        D(wᵢ)^{-1/2} Uᵢᵀ from Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ instead, which has the
-        same two properties.
+        Fᵢ⁻¹ for the factor Aᵢ = Fᵢ Fᵢᵀ that validation takes
+        (:func:`spdmean.spd_core.check_spd_stack`), so that
+        Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹ and Fᵢ⁻¹ Aᵢ Fᵢ⁻ᵀ = I: the blocked triangular
+        inverse of the lower Cholesky factor Lᵢ (``np.linalg.inv`` for
+        dim ≤ ``spd_core.TRI_BLOCK``), or D(wᵢ)^{-1/2} Uᵢᵀ where the
+        stack has no Cholesky factor in float64.
     """
 
     mats: np.ndarray
@@ -131,25 +130,30 @@ def g2_scalar(x: float) -> float:
 
 
 def _frame_eigh(e: Ensemble, g, vectors=True):
-    """:func:`eigh` of the Gram stack Ŷᵢ = (Lᵢ⁻¹G)ᵀ(Lᵢ⁻¹G) = Gᵀ Aᵢ⁻¹ G; all must be positive definite.
+    """:func:`eigh` of the Gram stack Ŷᵢ = (Fᵢ⁻¹G)ᵀ(Fᵢ⁻¹G) = Gᵀ Aᵢ⁻¹ G; all must be positive definite.
 
     The Ŷᵢ have the spectra of Aᵢ^{-1/2} X Aᵢ^{-1/2} for X = G Gᵀ.
     Returns the (n, p) ascending eigenvalues and, with ``vectors``, the
     (n, p, p) eigenvectors (else ``None``). The eigensolver reads the
     lower triangle only, so the stack is not symmetrized first. A NaN
     spectrum fails the positivity test; when a matrix of the stack is not
-    finite, the error names the first one.
+    finite, the error names the first one, also where the eigensolver
+    fails on it.
     """
     wm = e.inv_factors @ g
     y = wm.swapaxes(1, 2) @ wm
-    w, u = eigh(y, vectors)
-    if not w[:, 0].min() > 0:
-        finite = np.isfinite(y).all(axis=(1, 2))
-        if not finite.all():
-            raise DomainError(f"A^(-1/2) X A^(-1/2) overflows float64 for matrix "
-                              f"{int(np.argmin(finite))}")
-        raise DomainError("objective requires a positive definite point")
-    return w, u
+    try:
+        w, u = eigh(y, vectors)
+        if w[:, 0].min() > 0:
+            return w, u
+    except NonConvergence:
+        if np.isfinite(y).all():
+            raise
+    finite = np.isfinite(y).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"A^(-1/2) X A^(-1/2) overflows float64 for matrix "
+                          f"{int(np.argmin(finite))}")
+    raise DomainError("objective requires a positive definite point")
 
 
 def _sum_sq(log_w):

@@ -14,7 +14,7 @@ the unnormalized gradient sum below ``grad_tol``, default
   no descent guarantee, with a divergence guard.
 
 Every solver carries its iterate as a factor G of X = G Gᵀ, starting
-from the Cholesky factor of the start point, and works in G's frame on
+from the validated start point's factor, and works in G's frame on
 one stacked eigendecomposition per point. The steps yield the factor;
 the loop forms the mean X = G Gᵀ once, when the run ends. MM reduces
 the pass with :func:`spdmean.karcher._frame_terms` (two Gram products:
@@ -35,8 +35,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from . import spd_core
-from .errors import DomainError, NonConvergence
+from .errors import DomainError
 from .karcher import (Ensemble, _check_point, _frame_grad, _frame_objective, _frame_terms,
                       _minimizer_factor)
 from .spd_core import _check_spd_factor, eigh
@@ -57,7 +56,10 @@ class SolverConfig:
 
     ``grad_tol`` applies to the unnormalized gradient sum; when ``None``
     it defaults to ``1e-10 * n`` at solve time (the sum scales with n).
-    ``nu`` and ``c`` drive the line-search step sizes c^j · nu, j ≥ 0.
+    ``nu`` and ``c`` drive the line-search step sizes c^j · nu,
+    0 ≤ j ≤ ``ls_max_j``. The smallest probe is c^ls_max_j · nu, about
+    8.7e-19 · nu at the defaults, so a nu well above 1e18 can leave every
+    probe outside the cone, and the run then stalls at its start.
     ``grad_tol`` and ``nu`` must be positive and finite, ``max_iters``
     and ``ls_max_j`` integers.
     """
@@ -119,8 +121,9 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """The loop all solvers share: trace, stopping rule and result.
 
     The start point is validated here once (SPD, ensemble dimension),
-    and G₀ in X₀ = G₀ G₀ᵀ is the Cholesky factor the validation took;
-    the iterates are not validated again.
+    and G₀ in X₀ = G₀ G₀ᵀ is the factor the validation took, as an
+    ensemble member's (:func:`spdmean.spd_core.check_spd_stack`); the
+    iterates are not validated again.
     ``steps(e, cfg, g0)`` yields ``(g, objective, grad_sum)`` once per
     trace record, starting at G₀, with g the factor of the current
     point. Only the Frobenius norm of ``grad_sum`` is used, so a step
@@ -139,8 +142,6 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """
     x0, g0 = _check_spd_factor(x0)
     x0 = _check_point(e, x0)
-    if g0 is None:
-        g0 = spd_core.cholesky(x0, "solve requires a start point with a Cholesky factor")
     tol = cfg.effective_grad_tol(e.n)
     t0 = perf_counter()
     trace: List[TraceRecord] = []
@@ -216,7 +217,7 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
                 g_trial = gv * np.exp(0.5 * cfg.c**j * cfg.nu * lam)
                 try:
                     f_trial = _frame_objective(e, g_trial)
-                except (DomainError, NonConvergence):  # the probe left the cone in float64
+                except DomainError:  # the probe left the cone in float64
                     f_trial = math.inf
             if f_trial <= f_cur:
                 g = g_trial

@@ -102,16 +102,15 @@ def check_spd(a, name="matrix"):
 
 
 def _check_spd_factor(a, name="matrix"):
-    """:func:`check_spd`, also returning the lower Cholesky factor its validation took.
+    """:func:`check_spd`, also returning the factor F, with F Fᵀ = A, that validation took.
 
-    The factor is ``None`` where ``a`` has none in float64 and was
-    accepted on its eigenvalues alone.
+    F is that of :func:`check_spd_stack`: the lower Cholesky factor, or U D(w)^{1/2}.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
     mats, factors, _ = check_spd_stack(a[None], lambda i: name)
-    return mats[0], None if factors is None else factors[0]
+    return mats[0], factors[0]
 
 
 def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
@@ -138,10 +137,10 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     Returns
     -------
     (mats, factors, inv_factors)
-        The symmetrized stack; its lower Cholesky factors Lᵢ, or ``None``
-        where the stack has none; and inverse factors with
-        Lᵢ⁻ᵀ Lᵢ⁻¹ = Aᵢ⁻¹: the Lᵢ⁻¹, or without Cholesky factors
-        D(wᵢ)^{-1/2} Uᵢᵀ from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ.
+        The symmetrized stack, factors Fᵢ with Fᵢ Fᵢᵀ = Aᵢ, and their
+        inverses Fᵢ⁻¹, so that Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹. Fᵢ is the lower Cholesky
+        factor Lᵢ, or, where the stack has none in float64, Uᵢ D(wᵢ)^{1/2}
+        from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ of the test.
     """
     mats = np.asarray(mats, dtype=float)
     top = _scales(mats)
@@ -179,7 +178,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         raise DomainError(f"{name_of(i)} is not positive definite "
                           f"(eigenvalue {w0[i]:.6g})")
     if factors is None:
-        inv_factors = np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None]
+        root = np.sqrt(w)
+        factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
     return mats, factors, inv_factors
 
 

@@ -192,6 +192,21 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             small_spec(**{field: value})
 
+    @pytest.mark.parametrize("spectrum, top", [
+        (SpectrumSpec(kind="uniform", dim=3, lo=1.0, hi=10.0), 10.0),
+        (SpectrumSpec(kind="geometric", dim=3, a=100.0), 1e200),
+        (SpectrumSpec(kind="explicit", dim=3, values=[2.0, 8.0, 4.0]), 8.0),
+    ], ids=["uniform", "geometric", "explicit"])
+    def test_scale_first_by_must_keep_the_spectrum_finite(self, spectrum, top):
+        # the largest value A₁ can take is scale_first_by times the spectrum's top
+        assert spectrum.top == top
+        edge = float(np.nextafter(np.finfo(float).max / top, 0.0))
+        assert small_spec(spectrum=spectrum, scale_first_by=edge).scale_first_by == edge
+        for scale in (edge * 2, 1e308):
+            message = f"scale_first_by {scale!r} times the spectrum's largest value {top!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)} overflows float64$"):
+                small_spec(spectrum=spectrum, scale_first_by=scale)
+
     def test_rejects_spectrum_dim_mismatch(self):
         with pytest.raises(DomainError):
             small_spec(p=4)

@@ -456,15 +456,47 @@ class TestFiniteOrFail:
                 solve(e, SolverConfig(), arithmetic_mean_init(e))
         assert str(info.value) == "A^(-1/2) X A^(-1/2) overflows float64 for matrix 1"
 
-    def test_start_point_without_cholesky_factor(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_gram_stack_the_eigensolver_cannot_take_names_matrix(self, solve):
+        # A₀ is subnormal, so Ŷ₀ = Gᵀ A₀⁻¹ G overflows to a stack that LAPACK
+        # fails on before the positivity test could read it
+        rng = np.random.default_rng(1)
+        e = Ensemble.from_matrices([random_spd(rng, 4) * 1e-320, random_spd(rng, 4),
+                                    random_spd(rng, 4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError) as info:
+                solve(e, SolverConfig(), arithmetic_mean_init(e))
+        assert str(info.value) == "A^(-1/2) X A^(-1/2) overflows float64 for matrix 0"
 
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
-        for solve in SOLVERS:
-            with pytest.raises(DomainError, match="^solve requires a start point with a "
-                                                  "Cholesky factor$"):
-                solve(scalar_ensemble(1.0, 4.0), SolverConfig(), np.array([[2.0]]))
+    def test_start_point_without_cholesky_factor(self, monkeypatch, rng):
+        # validation accepts the start point on its eigenvalues and hands
+        # the solve its spectral factor U D^{1/2}, as for an ensemble member;
+        # the solve takes no second factor of it
+        e = random_ensemble(rng, 5, 4)
+        x0 = arithmetic_mean_init(e)
+        wants = [solve(e, SolverConfig(), x0) for solve in SOLVERS]
+        refused, others = [], set()
+
+        def validation_fails(a, message):
+            if message == "stack has no Cholesky factor":
+                refused.append(a)
+                raise DomainError(message)
+            others.add(message)
+            return real(a, message)
+
+        real = spd_core.cholesky
+        monkeypatch.setattr(spd_core, "cholesky", validation_fails)
+        for solve, want in zip(SOLVERS, wants):
+            refused.clear()
+            got = solve(e, SolverConfig(), x0)
+            assert len(refused) == 1
+            assert others <= {"surrogate_minimizer requires a positive definite c2"}
+            assert riem_dist(got.mean, want.mean) <= 1e-8
+            if solve is gd_linesearch_solve:  # whether it stalls is decided by round-off
+                assert got.status in (STATUS_CONVERGED, STATUS_LINE_SEARCH_STALLED)
+            else:
+                assert (got.status, got.iters_used) == (want.status, want.iters_used)
 
     def test_every_cholesky_goes_through_spd_core(self, monkeypatch, rng):
         # ensemble validation, start-point validation (whose factor is G₀)

@@ -89,7 +89,8 @@ def _eigen_rule(mats, name_of=lambda i: f"matrix {i}"):
 
     One stacked eigh and w₀ > POSITIVITY_FLOOR·|w_max|, after the
     non-finite and symmetry tests. Returns the error message and ``None``,
-    or ``None`` and the inverse factors D(wᵢ)^{-1/2} Uᵢᵀ.
+    or ``None`` and the spectral factors Uᵢ D(wᵢ)^{1/2} and their inverses
+    D(wᵢ)^{-1/2} Uᵢᵀ.
     """
     mats = np.asarray(mats, dtype=float)
     top = spd_core._scales(mats)
@@ -99,7 +100,7 @@ def _eigen_rule(mats, name_of=lambda i: f"matrix {i}"):
     w, u = np.linalg.eigh(sym(mats))
     ok = symmetric & (w[:, 0] > spd_core.POSITIVITY_FLOOR * np.abs(w[:, -1]))
     if ok.all():
-        return None, np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None]
+        return None, (u * np.sqrt(w)[:, None, :], np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None])
     i = int(ok.argmin())
     if not finite[i]:
         return f"{name_of(i)} has a non-finite entry", None
@@ -172,10 +173,17 @@ class TestCheckSpdStack:
                 assert got_message == message
                 if got is not None:
                     accepted += 1
-                    assert np.array_equal(got[0], sym(np.asarray(mats)))
-                    assert (got[1] is None) == forced
-                    if forced:  # the spectral factor, bit for bit
-                        assert np.array_equal(got[2], want)
+                    out, factors, inv_factors = got
+                    assert np.array_equal(out, sym(np.asarray(mats)))
+                    if forced:  # the spectral factors, bit for bit
+                        assert np.array_equal(factors, want[0])
+                        assert np.array_equal(inv_factors, want[1])
+                    else:
+                        assert np.array_equal(factors, np.tril(factors))
+                    # F Fᵀ = A to round-off, at each matrix's own scale
+                    gap = spd_core._scales(factors @ factors.swapaxes(1, 2) - out)
+                    assert (gap <= 10 * out.shape[-1] * np.finfo(float).eps
+                            * spd_core._scales(out)).all()
         assert 0 < accepted < len(stacks)
 
     def test_cholesky_factor_and_its_inverse(self, rng):
