@@ -13,9 +13,10 @@ eigenvectors. Two reductions read it: :func:`_frame_terms`, the MM
 kernel, builds c̃1 and c̃2 as two Gram products and takes the gradient
 as their difference; :func:`_frame_grad`, for GD and the gradient views,
 builds the gradient alone in one product. All three solvers carry such a
-factor; the public views evaluate the reductions at G = X^{1/2}. Sums
-over i are single matrix products over the stack, so results are bitwise
-reproducible for a given numpy and BLAS.
+factor; the public views take the factor that validating their point
+takes (:func:`grad_sum`, G = X^{1/2}). Sums over i are single matrix
+products over the stack, so results are bitwise reproducible for a given
+numpy and BLAS.
 """
 
 import math
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import spd_core
 from .errors import DimensionMismatch, DomainError, NonConvergence
-from .spd_core import (_sqrt_pair, check_spd, check_spd_stack, check_symmetric, eigh, frob_inner,
-                       inv_m, sym)
+from .spd_core import check_spd, check_spd_stack, eigh, frob_inner, sqrt_m, sym
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,12 @@ class SurrogateCoeffs:
     c0: float
 
 
-def _check_point(e: Ensemble, x) -> np.ndarray:
+def _point(e: Ensemble, x):
+    """(X, F, F⁻¹), F Fᵀ = X, of a point x of the ensemble's dim that passes :func:`check_spd`."""
     x = np.asarray(x, dtype=float)
     if x.shape != (e.dim, e.dim):
-        raise DimensionMismatch(
-            f"point has shape {x.shape}, ensemble dim is {e.dim}")
-    return x
+        raise DimensionMismatch(f"point has shape {x.shape}, ensemble dim is {e.dim}")
+    return spd_core._check_spd_factor(x, "point")
 
 
 def g1_scalar(x: float) -> float:
@@ -130,22 +130,26 @@ def g2_scalar(x: float) -> float:
 
 
 def _frame_eigh(e: Ensemble, g, vectors=True):
-    """:func:`eigh` of the Gram stack Ŷᵢ = (Fᵢ⁻¹G)ᵀ(Fᵢ⁻¹G) = Gᵀ Aᵢ⁻¹ G; all must be positive definite.
+    """The pass over the Gram stack Ŷᵢ = (Fᵢ⁻¹G)ᵀ(Fᵢ⁻¹G) = Gᵀ Aᵢ⁻¹ G; all must be positive definite.
 
-    The Ŷᵢ have the spectra of Aᵢ^{-1/2} X Aᵢ^{-1/2} for X = G Gᵀ.
-    Returns the (n, p) ascending eigenvalues and, with ``vectors``, the
-    (n, p, p) eigenvectors (else ``None``). The eigensolver reads the
+    The Ŷᵢ have the spectra of Aᵢ^{-1/2} X Aᵢ^{-1/2} for X = G Gᵀ. With
+    the stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ, returns the
+    objective Σ z², the (n, p) z = log w and, with ``vectors``, the
+    (n, p, p) eigenvectors Û (else ``None``). The eigensolver reads the
     lower triangle only, so the stack is not symmetrized first. A NaN
-    spectrum fails the positivity test; when a matrix of the stack is not
-    finite, the error names the first one, also where the eigensolver
-    fails on it.
+    spectrum fails the positivity test and an infinite one the finite
+    objective test; when a matrix of the stack is not finite, the error
+    names the first one, also where the eigensolver fails on it.
     """
     wm = e.inv_factors @ g
     y = wm.swapaxes(1, 2) @ wm
     try:
         w, u = eigh(y, vectors)
         if w[:, 0].min() > 0:
-            return w, u
+            z = np.log(w)
+            f_val = _sum_sq(z)
+            if f_val < math.inf:  # an infinite eigenvalue passes the test above
+                return f_val, z, u
     except NonConvergence:
         if np.isfinite(y).all():
             raise
@@ -168,7 +172,7 @@ def _sum_sq(log_w):
 
 def _frame_objective(e: Ensemble, g) -> float:
     """The objective at X = G Gᵀ from the spectra of the Ŷᵢ alone."""
-    return _sum_sq(np.log(_frame_eigh(e, g, vectors=False)[0]))
+    return _frame_eigh(e, g, vectors=False)[0]
 
 
 def _frame_grad(e: Ensemble, g):
@@ -183,10 +187,9 @@ def _frame_grad(e: Ensemble, g):
     (n·p, p) matrix, so the sum over i is one matrix product. GD uses
     this reduction: it never needs c̃1 and c̃2.
     """
-    w, u = _frame_eigh(e, g)
-    log_w = np.log(w)
+    f_val, z, u = _frame_eigh(e, g)
     rows = u.swapaxes(1, 2).reshape(-1, g.shape[-1])
-    return _sum_sq(log_w), -sym(rows.T @ (rows * log_w.reshape(-1, 1)))
+    return f_val, -sym(rows.T @ (rows * z.reshape(-1, 1)))
 
 
 def _frame_terms(e: Ensemble, g):
@@ -206,69 +209,64 @@ def _frame_terms(e: Ensemble, g):
     Returns ``(objective, gradient, c̃1, c̃2)``. G is not validated: the
     solvers check the start point once.
     """
-    w, u = _frame_eigh(e, g)
-    log_w = np.log(w)
-    root_r = np.exp(0.5 * np.arcsinh(log_w))[:, :, None]
+    f_val, z, u = _frame_eigh(e, g)
+    root_r = np.exp(0.5 * np.arcsinh(z))[:, :, None]
     rows = u.swapaxes(1, 2)
     a1 = np.multiply(rows, root_r, order="C").reshape(-1, g.shape[-1])
     a2 = np.divide(rows, root_r, order="C").reshape(-1, g.shape[-1])
     c1, c2 = a1.T @ a1, a2.T @ a2
-    return _sum_sq(log_w), 0.5 * (c2 - c1), c1, c2
+    return f_val, 0.5 * (c2 - c1), c1, c2
 
 
-def _roots(e: Ensemble, x):
-    """X^{1/2} and X^{-1/2} of the validated point x from one eigendecomposition.
-
-    The views take G = X^{1/2}. A point with a non-finite entry or not
-    symmetric is rejected by :func:`check_symmetric`, named ``point``.
-    """
-    x = check_symmetric(_check_point(e, x), name="point")
-    return _sqrt_pair(x, "objective requires a positive definite point")
-
-
+# The views do not warn where the Gram stack overflows: the kernel's guards raise on it.
+@np.errstate(over="ignore")
 def objective(e: Ensemble, x) -> float:
     """Sum of squared affine-invariant distances from x to the ensemble."""
-    return _frame_objective(e, _roots(e, x)[0])
+    return _frame_objective(e, _point(e, x)[1])
 
 
+@np.errstate(over="ignore")
 def grad_sum(e: Ensemble, x) -> np.ndarray:
     """Unnormalized gradient sum Σᵢ log(x^{-1/2} Aᵢ x^{-1/2}).
 
     Its Frobenius norm is the convergence measure recorded by all
-    solvers (the logarithmic-error quantity is its natural log).
+    solvers (the logarithmic-error quantity is its natural log); it is
+    the frame gradient at G = X^{1/2}.
     """
-    return _frame_grad(e, _roots(e, x)[0])[1]
+    return _frame_grad(e, sqrt_m(_point(e, x)[0]))[1]
 
 
+@np.errstate(over="ignore")
 def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     """Euclidean derivative of the objective at x.
 
     Σᵢ Aᵢ^{-1/2} 2 Yᵢ⁻¹ log Yᵢ Aᵢ^{-1/2} with Yᵢ = Aᵢ^{-1/2} x Aᵢ^{-1/2},
-    which equals −2 x^{-1/2} [:func:`grad_sum`] x^{-1/2}; used by
-    finite-difference validation, not by the solvers.
+    which equals −2 x^{-1/2} [:func:`grad_sum`] x^{-1/2} = −2 F⁻ᵀ ĝ F⁻¹
+    at the point's factor F; used by finite-difference validation only.
     """
-    s, si = _roots(e, x)
-    return -2.0 * sym(si @ _frame_grad(e, s)[1] @ si)
+    _, f, f_inv = _point(e, x)
+    return -2.0 * sym(f_inv.T @ _frame_grad(e, f)[1] @ f_inv)
 
 
+@np.errstate(over="ignore")
 def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     """Surrogate coefficients at the expansion point xp.
 
-    c1 = X^{-1/2} c̃1 X^{-1/2} and c2 = X^{1/2} c̃2 X^{1/2}; c0 is fixed so
-    the surrogate equals the objective at xp exactly, which makes the
+    c1 = F⁻ᵀ c̃1 F⁻¹ and c2 = F c̃2 Fᵀ at the point's factor F; c0 is fixed
+    so the surrogate equals the objective at xp exactly, which makes the
     touching condition hold by construction.
     """
-    s, si = _roots(e, xp)
-    f_xp, _, c1, c2 = _frame_terms(e, s)
-    c1, c2 = sym(si @ c1 @ si), sym(s @ c2 @ s)
-    c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, inv_m(xp))
+    xp, f, f_inv = _point(e, xp)
+    f_xp, _, c1, c2 = _frame_terms(e, f)
+    c1, c2 = sym(f_inv.T @ c1 @ f_inv), sym(f @ c2 @ f.T)
+    c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, f_inv.T @ f_inv)
     return SurrogateCoeffs(c1=c1, c2=c2, c0=c0)
 
 
 def surrogate_value(s: SurrogateCoeffs, x) -> float:
-    """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0."""
-    x = np.asarray(x, dtype=float)
-    return frob_inner(s.c1, x) + frob_inner(s.c2, inv_m(x)) + s.c0
+    """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0 at the point x, with X⁻¹ = F⁻ᵀ F⁻¹ from its factor."""
+    x, _, f_inv = spd_core._check_spd_factor(x, "point")
+    return frob_inner(s.c1, x) + frob_inner(s.c2, f_inv.T @ f_inv) + s.c0
 
 
 def surrogate_minimizer(c1, c2) -> np.ndarray:

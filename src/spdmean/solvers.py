@@ -36,9 +36,9 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .karcher import (Ensemble, _check_point, _frame_grad, _frame_objective, _frame_terms,
-                      _minimizer_factor)
-from .spd_core import _check_spd_factor, eigh
+from .karcher import (Ensemble, _frame_grad, _frame_objective, _frame_terms, _minimizer_factor,
+                      _point)
+from .spd_core import eigh
 
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
@@ -120,10 +120,10 @@ class SolverResult:
 def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """The loop all solvers share: trace, stopping rule and result.
 
-    The start point is validated here once (SPD, ensemble dimension),
-    and G₀ in X₀ = G₀ G₀ᵀ is the factor the validation took, as an
-    ensemble member's (:func:`spdmean.spd_core.check_spd_stack`); the
-    iterates are not validated again.
+    The start point is validated here once, as every ``point`` is
+    (:func:`spdmean.karcher._point`), and G₀ in X₀ = G₀ G₀ᵀ is the factor
+    the validation took, as an ensemble member's; the iterates are not
+    validated again.
     ``steps(e, cfg, g0)`` yields ``(g, objective, grad_sum)`` once per
     trace record, starting at G₀, with g the factor of the current
     point. Only the Frobenius norm of ``grad_sum`` is used, so a step
@@ -140,8 +140,7 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     so no run ends with a NaN mean. Float overflow in the steps does not
     warn: the kernel's guards raise on the values it leaves.
     """
-    x0, g0 = _check_spd_factor(x0)
-    x0 = _check_point(e, x0)
+    x0, g0, _ = _point(e, x0)
     tol = cfg.effective_grad_tol(e.n)
     t0 = perf_counter()
     trace: List[TraceRecord] = []

@@ -102,15 +102,15 @@ def check_spd(a, name="matrix"):
 
 
 def _check_spd_factor(a, name="matrix"):
-    """:func:`check_spd`, also returning the factor F, with F Fᵀ = A, that validation took.
+    """:func:`check_spd`, also returning the factor F, with F Fᵀ = A, that validation took, and F⁻¹.
 
     F is that of :func:`check_spd_stack`: the lower Cholesky factor, or U D(w)^{1/2}.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    mats, factors, _ = check_spd_stack(a[None], lambda i: name)
-    return mats[0], factors[0]
+    mats, factors, inv_factors = check_spd_stack(a[None], lambda i: name)
+    return mats[0], factors[0], inv_factors[0]
 
 
 def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
@@ -259,15 +259,6 @@ def _eig_apply(m, fvals_of, positive=None, invert=False, spd_valued=True):
     return out
 
 
-def _sqrt_pair(x, message):
-    """X^{1/2}, X^{-1/2} of symmetric x from one eigh; DomainError(message) unless x > 0."""
-    w, u = eigh(x)
-    if not w[0] > 0:
-        raise DomainError(message)
-    root = np.sqrt(w)
-    return sym((u * root) @ u.T), sym((u / root) @ u.T)
-
-
 def log_m(a):
     """Matrix logarithm of an SPD matrix."""
     return _eig_apply(check_symmetric(a), np.log, "log_m", spd_valued=False)
@@ -307,34 +298,39 @@ def frob_inner(a, b):
 
 
 def _checked_pair(x1, x2):
-    """Both points of :func:`geodesic` or :func:`riem_dist`, of one shape, finite and symmetric."""
+    """F₁ and a finite W = F₁⁻¹F₂ from the factors Fₖ Fₖᵀ = xₖ that :func:`check_spd` takes.
+
+    W Wᵀ = F₁⁻¹ x2 F₁⁻ᵀ has the spectrum of x1^{-1/2} x2 x1^{-1/2}.
+    """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     check_dims(x1, x2)
-    return check_symmetric(x1, name="x1"), check_symmetric(x2, name="x2")
+    _, f1, f1_inv = _check_spd_factor(x1, "x1")
+    f2 = _check_spd_factor(x2, "x2")[1]
+    with np.errstate(over="ignore"):
+        w = f1_inv @ f2
+    if not np.isfinite(w).all():
+        raise DomainError("x1^(-1/2) x2 x1^(-1/2) overflows float64")
+    return f1, w
 
 
 def geodesic(x1, x2, t):
     """Point at parameter ``t`` on the affine-invariant geodesic from x1 to x2.
 
-    Computes ``x1^{1/2} (x1^{-1/2} x2 x1^{-1/2})^t x1^{1/2}``; ``t=0``
-    returns x1, ``t=1`` returns x2, ``t=1/2`` is the two-matrix geometric
-    mean.
+    Computes ``x1^{1/2} (x1^{-1/2} x2 x1^{-1/2})^t x1^{1/2}`` as
+    F₁ (W Wᵀ)^t F₁ᵀ (:func:`_checked_pair`); ``t=0`` returns x1, ``t=1``
+    returns x2, ``t=1/2`` is the two-matrix geometric mean.
     """
-    x1, x2 = _checked_pair(x1, x2)
-    s, si = _sqrt_pair(x1, "geodesic requires a positive definite x1")
-    return sym(s @ _eig_apply(sym(si @ x2 @ si), lambda w: w**float(t), "geodesic") @ s)
+    f1, w = _checked_pair(x1, x2)
+    return sym(f1 @ _eig_apply(sym(w @ w.T), lambda v: v**float(t), "geodesic") @ f1.T)
 
 
 def riem_dist(x1, x2):
     """Affine-invariant Riemannian distance between two SPD matrices.
 
     ``dist(x1, x2) = ‖log(x1^{-1/2} x2 x1^{-1/2})‖_F``; symmetric in its
-    arguments and invariant under congruence ``X ↦ M X Mᵀ``.
+    arguments and invariant under congruence ``X ↦ M X Mᵀ``. Computed as
+    2‖log σ(W)‖ (:func:`_checked_pair`), which squares neither W nor its condition.
     """
-    x1, x2 = _checked_pair(x1, x2)
-    si = _sqrt_pair(x1, "riem_dist requires positive definite inputs")[1]
-    w, _ = eigh(sym(si @ x2 @ si), vectors=False)
-    if not w[0] > 0:
-        raise DomainError("riem_dist requires positive definite inputs")
-    return float(np.linalg.norm(np.log(w)))
+    sigma = np.linalg.svd(_checked_pair(x1, x2)[1], compute_uv=False)
+    return 2.0 * float(np.linalg.norm(np.log(sigma)))

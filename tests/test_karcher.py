@@ -22,10 +22,12 @@ from spdmean.karcher import (
 from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble,
                            random_orthogonal)
 from spdmean.oracle import per_matrix_terms, two_root_minimizer
-from spdmean import selfcheck
+from spdmean import selfcheck, spd_core
 from spdmean.selfcheck import fd_gap, random_ensemble, random_spd, random_sym
-from spdmean.solvers import SolverConfig, arithmetic_mean_init, gd_fixed_step_solve, mm_solve
-from spdmean.spd_core import check_spd, exp_m, frob_inner, inv_m, inv_sqrt_m, sqrt_m, sym
+from spdmean.solvers import (SOLVERS, SolverConfig, arithmetic_mean_init, gd_fixed_step_solve,
+                             mm_solve)
+from spdmean.spd_core import (check_spd, exp_m, frob_inner, geodesic, inv_m, inv_sqrt_m, riem_dist,
+                              sqrt_m, sym)
 
 
 class TestEnsemble:
@@ -149,19 +151,35 @@ class TestObjective:
             objective(e, np.eye(4))
 
 
-_VIEWS = {"objective": objective, "grad_sum": grad_sum,
-          "euclidean_gradient": euclidean_gradient, "surrogate_coeffs": surrogate_coeffs}
+# Every call that takes a point of the problem, with the name its errors give the point.
+_VIEWS = {
+    "objective": (objective, "point"),
+    "grad_sum": (grad_sum, "point"),
+    "euclidean_gradient": (euclidean_gradient, "point"),
+    "surrogate_coeffs": (surrogate_coeffs, "point"),
+    "surrogate_value": (lambda e, x: surrogate_value(surrogate_coeffs(e, np.eye(2)), x), "point"),
+    "geodesic-x1": (lambda e, x: geodesic(x, np.eye(2), 0.3), "x1"),
+    "geodesic-x2": (lambda e, x: geodesic(np.eye(2), x, 0.3), "x2"),
+    "riem_dist-x1": (lambda e, x: riem_dist(x, np.eye(2)), "x1"),
+    "riem_dist-x2": (lambda e, x: riem_dist(np.eye(2), x), "x2"),
+    **{f"{kind}-start": (lambda e, x, solve=solve: solve(e, SolverConfig(), x), "point")
+       for kind, solve in SOLVERS.items()},
+}
 
 
 @pytest.mark.parametrize("view", sorted(_VIEWS))
 @pytest.mark.parametrize("point, message", [
-    pytest.param([[2.0, 1.5], [0.0, 2.0]], "^point is not symmetric$", id="skewed"),
-    pytest.param([[np.nan, 0.0], [0.0, 1.0]], "^point has a non-finite entry$", id="nan"),
+    pytest.param([[2.0, 1.5], [0.0, 2.0]], "is not symmetric", id="skewed"),
+    pytest.param([[np.nan, 0.0], [0.0, 1.0]], "has a non-finite entry", id="nan"),
+    # positive, but below POSITIVITY_FLOOR: one rule for every point
+    pytest.param([[1.0, 0.0], [0.0, 1e-14]], r"is not positive definite \(eigenvalue 1e-14\)",
+                 id="below-floor"),
 ])
 def test_views_validate_their_point(view, point, message, rng):
     e = random_ensemble(rng, 3, 2)
-    with pytest.raises(DomainError, match=message):
-        _VIEWS[view](e, np.array(point))
+    call, name = _VIEWS[view]
+    with pytest.raises(DomainError, match=f"^{name} {message}$"):
+        call(e, np.array(point))
 
 
 class TestGradDirection:
@@ -294,6 +312,36 @@ class TestStackedKernelAgreement:
             for name, view in views.items():
                 err = np.linalg.norm(view(e, x) - ref[name]) / np.linalg.norm(ref[name])
                 assert err <= tol, f"{regime} {name}: {err:.3g} > {tol:.3g}"
+
+    @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
+    def test_views_do_not_depend_on_the_factor(self, regime, rng, monkeypatch):
+        # where validation finds no Cholesky factor it hands the views
+        # F = U D^{1/2} instead of L; each view is a function of its point alone
+        def views(e, x):
+            s, a = surrogate_coeffs(e, x), e.mats[0]
+            return {"objective": objective(e, x), "grad_sum": grad_sum(e, x),
+                    "f1": s.c1, "f2": s.c2, "euclidean_gradient": euclidean_gradient(e, x),
+                    "surrogate_value": surrogate_value(s, a) - s.c0,  # a sum of positive terms
+                    "geodesic": geodesic(x, a, 0.3), "riem_dist": riem_dist(x, a)}
+
+        def no_factor(a, message):
+            if message == "stack has no Cholesky factor":
+                refused.append(a)
+                raise DomainError(message)
+            return real(a, message)
+
+        cases = AGREEMENT_REGIMES[regime](rng)
+        wants = [views(e, x) for e, x in cases]
+        real, refused = spd_core.cholesky, []
+        monkeypatch.setattr(spd_core, "cholesky", no_factor)
+        for (e, x), want in zip(cases, wants):
+            tol = _agreement_tol(e, x)
+            ref = per_matrix_terms(e, x)
+            for name, got in views(e, x).items():
+                for other in (want[name], ref.get(name, want[name])):
+                    err = np.linalg.norm(got - other) / np.linalg.norm(other)
+                    assert err <= tol, f"{regime} {name}: {err:.3g} > {tol:.3g}"
+        assert len(refused) == 9 * len(cases)  # one per validated point
 
     @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
     def test_mm_step_matches_two_root_minimizer(self, regime, rng):

@@ -8,7 +8,7 @@ import pytest
 from spdmean import selfcheck, solvers, spd_core
 from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
 from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
-from spdmean.karcher import Ensemble, grad_sum
+from spdmean.karcher import Ensemble, grad_sum, objective
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd, solve_mm
 from spdmean.solvers import (
@@ -455,6 +455,21 @@ class TestFiniteOrFail:
             with pytest.raises(DomainError) as info:
                 solve(e, SolverConfig(), arithmetic_mean_init(e))
         assert str(info.value) == "A^(-1/2) X A^(-1/2) overflows float64 for matrix 1"
+
+    @pytest.mark.parametrize("call", [
+        *(pytest.param(lambda e, x, solve=solve: solve(e, SolverConfig(), x), id=solve.__name__)
+          for solve in SOLVERS),
+        pytest.param(objective, id="objective"),
+    ])
+    def test_infinite_gram_matrix_names_matrix(self, call):
+        # Ŷ₀ = X / A₀ is +inf, which the eigensolver takes as an eigenvalue;
+        # its objective is not finite
+        e = scalar_ensemble(1e-217, 6e-67, 2e178, 5e222, 3e210, 7e275)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError) as info:
+                call(e, arithmetic_mean_init(e))
+        assert str(info.value) == "A^(-1/2) X A^(-1/2) overflows float64 for matrix 0"
 
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_gram_stack_the_eigensolver_cannot_take_names_matrix(self, solve):

@@ -424,10 +424,11 @@ class TestGeodesic:
         check_spd(geodesic(x1, x2, 0.6))
 
     def test_decomposes_and_checks_each_point_once(self, rng, monkeypatch):
-        calls = _count_calls(monkeypatch, "eigh", "check_symmetric")
+        calls = _count_calls(monkeypatch, "eigh", "check_symmetric", "cholesky")
         geodesic(random_spd(rng, 3), random_spd(rng, 3), 0.3)
-        # one eigh gives both roots of x1, one the power of the sandwich
-        assert calls == {"eigh": 2, "check_symmetric": 2}
+        # validation factors each point once and needs no eigensolver; one
+        # eigh gives the power of W Wᵀ
+        assert calls == {"eigh": 1, "check_symmetric": 0, "cholesky": 2}
 
 
 class TestRiemDist:
@@ -459,7 +460,32 @@ class TestRiemDist:
         with pytest.raises(DimensionMismatch):
             riem_dist(np.eye(2), np.eye(3))
 
+    def test_matches_sandwich_formula(self, rng):
+        for _ in range(50):
+            p = int(rng.integers(1, 8))
+            x, y = random_spd(rng, p, lo=0.1, hi=10.0), random_spd(rng, p, lo=0.1, hi=10.0)
+            si = inv_sqrt_m(x)
+            want = np.linalg.norm(np.log(np.linalg.eigvalsh(sym(si @ y @ si))))
+            assert abs(riem_dist(x, y) - want) <= 1e-13 * want
+
+    def test_ratio_beyond_float64_max(self):
+        # x1^{-1/2} x2 x1^{-1/2} = 1e600 I overflows; W = F₁⁻¹F₂ = 1e300 I does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = riem_dist(1e-300 * np.eye(2), 1e300 * np.eye(2))
+        want = 2.0 * math.sqrt(2.0) * 300.0 * math.log(10.0)
+        assert abs(d - want) <= 1e-12 * want
+
+    def test_factor_ratio_that_overflows_raises(self):
+        # x1 is subnormal: F₁⁻¹ = 1e160, so W = 1e310 is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError,
+                               match=r"^x1\^\(-1/2\) x2 x1\^\(-1/2\) overflows float64$"):
+                riem_dist(np.array([[1e-320]]), np.array([[1e300]]))
+
     def test_checks_each_point_once(self, rng, monkeypatch):
-        calls = _count_calls(monkeypatch, "eigh", "check_symmetric")
+        calls = _count_calls(monkeypatch, "eigh", "check_symmetric", "cholesky")
         riem_dist(random_spd(rng, 3), random_spd(rng, 3))
-        assert calls == {"eigh": 2, "check_symmetric": 2}
+        # the distance reads the singular values of W, not an eigensolver
+        assert calls == {"eigh": 0, "check_symmetric": 0, "cholesky": 2}
