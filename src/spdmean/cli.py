@@ -27,8 +27,8 @@ from .bench import ExperimentSpec, run_experiment, write_report
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .selfcheck import run_checks
-from .solvers import (DEFAULT_GRAD_TOL_PER_MAT, SOLVERS, STATUS_CONVERGED, SolverConfig,
-                      arithmetic_mean_init)
+from .solvers import (DEFAULT_GRAD_TOL_PER_MAT, LS_FACTOR, LS_MAX_J, SOLVERS, STATUS_CONVERGED,
+                      SolverConfig, arithmetic_mean_init)
 
 
 class InputError(Exception):
@@ -87,13 +87,10 @@ def read_ensemble(path) -> Ensemble:
 
 
 def write_ensemble(path, mats) -> None:
-    """Write matrices in the ensemble JSON schema, 17 significant digits."""
+    """Write matrices in the ensemble JSON schema, each entry as its shortest round-trip repr."""
     payload = {
         "dim": int(mats[0].shape[0]),
-        "matrices": [
-            [[float(f"{v:.17g}") for v in row] for row in np.asarray(a)]
-            for a in mats
-        ],
+        "matrices": [np.asarray(a, dtype=float).tolist() for a in mats],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -111,8 +108,7 @@ def _write_trace_csv(path, trace) -> None:
 def cmd_mean(args) -> int:
     try:
         ensemble = read_ensemble(args.input)
-        cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol,
-                           nu=args.nu, c=args.c)
+        cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol, nu=args.nu)
     except (InputError, SpdMeanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -189,10 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--solver", choices=sorted(SOLVERS), default="mm")
     p_mean.add_argument("--nu", type=float, default=SolverConfig.nu,
                         help=("start step size for gradient descent; gd-ls's smallest "
-                              f"probe is c^{SolverConfig.ls_max_j}·nu, so at the default c "
-                              "a nu well above 1e18 can stall it at the start"))
-    p_mean.add_argument("--c", type=float, default=SolverConfig.c,
-                        help="backtracking factor in (0, 1)")
+                              f"probe is {LS_FACTOR:g}^{LS_MAX_J}·nu, so a nu well above "
+                              "1e18 can stall it at the start"))
     p_mean.add_argument("--tol", type=float, default=SolverConfig.grad_tol, help=(
         f"gradient-sum norm tolerance (default {DEFAULT_GRAD_TOL_PER_MAT:g} * n)"))
     p_mean.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spd_core
 from .errors import DimensionMismatch, DomainError, NonConvergence
-from .spd_core import check_spd, check_spd_stack, eigh, frob_inner, sqrt_m, sym
+from .spd_core import check_dims, check_spd, check_spd_stack, eigh, frob_inner, sqrt_m, sym
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,7 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    if c1.shape != c2.shape:
-        raise DimensionMismatch(f"shape mismatch: {c1.shape} vs {c2.shape}")
+    check_dims(c1, c2)
     if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
         raise DomainError("surrogate_minimizer requires finite c1 and c2")
     f = _minimizer_factor(c1, c2)

@@ -43,6 +43,10 @@ from .spd_core import eigh
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
 DIVERGENCE_FACTOR = 1e6
+# gd-ls probes the steps LS_FACTOR^j · nu, 0 ≤ j ≤ LS_MAX_J; the smallest, about
+# 8.7e-19 · nu, leaves the cone for a nu well above 1e18, and the run stalls at its start
+LS_FACTOR = 0.5
+LS_MAX_J = 60
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -52,35 +56,26 @@ STATUS_DIVERGED = "diverged"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration caps, tolerances, and step-size policy.
+    """Iteration cap, tolerance and gradient-descent step: what a benchmark column varies.
 
     ``grad_tol`` applies to the unnormalized gradient sum; when ``None``
     it defaults to ``1e-10 * n`` at solve time (the sum scales with n).
-    ``nu`` and ``c`` drive the line-search step sizes c^j · nu,
-    0 ≤ j ≤ ``ls_max_j``. The smallest probe is c^ls_max_j · nu, about
-    8.7e-19 · nu at the defaults, so a nu well above 1e18 can leave every
-    probe outside the cone, and the run then stalls at its start.
-    ``grad_tol`` and ``nu`` must be positive and finite, ``max_iters``
-    and ``ls_max_j`` integers.
+    ``nu`` is the fixed step, or the line search's first probe. ``grad_tol``
+    and ``nu`` must be positive and finite, ``max_iters`` an integer >= 1.
     """
 
     max_iters: int = DEFAULT_MAX_ITERS
     grad_tol: Optional[float] = None
     nu: float = 1.0
-    c: float = 0.5
-    ls_max_j: int = 60
 
     def __post_init__(self):
-        for name in ("max_iters", "ls_max_j"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1")
+        if (not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool)
+                or self.max_iters < 1):
+            raise DomainError("max_iters must be an integer >= 1")
         if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:  # NaN fails too
             raise DomainError("grad_tol must be positive and finite")
         if not 0 < self.nu < math.inf:
             raise DomainError("nu must be positive and finite")
-        if not 0 < self.c < 1:
-            raise DomainError("c must lie in (0, 1)")
 
     def effective_grad_tol(self, n: int) -> float:
         if self.grad_tol is not None:
@@ -211,9 +206,9 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
         yield g, f_cur, grad
         lam, v = eigh(grad / e.n)
         gv = g @ v
-        for j in range(cfg.ls_max_j + 1):
+        for j in range(LS_MAX_J + 1):
             with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf: the probe is rejected
-                g_trial = gv * np.exp(0.5 * cfg.c**j * cfg.nu * lam)
+                g_trial = gv * np.exp(0.5 * LS_FACTOR**j * cfg.nu * lam)
                 try:
                     f_trial = _frame_objective(e, g_trial)
                 except DomainError:  # the probe left the cone in float64
@@ -224,7 +219,7 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
                 # fig1 regime, keeping f_trial stalls twice as many runs
                 f_cur, grad = _frame_grad(e, g)
                 break
-            if j == cfg.ls_max_j:
+            if j == LS_MAX_J:
                 return  # stalled; the loop records this last probe
             yield g, f_cur, grad
 
@@ -232,14 +227,14 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
 def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     """Gradient descent with backtracking line search.
 
-    Trial steps c^j · nu (smallest j ≥ 0 whose objective does not
-    exceed the current one) are taken along the exponential map.
+    Trial steps ``LS_FACTOR**j * nu`` (smallest j ≥ 0 whose objective
+    does not exceed the current one) are taken along the exponential map.
     Accepting ties matters near convergence: once objective differences
     fall below float64 resolution a strict-decrease rule deadlocks while
     the iterate can still contract the gradient norm by orders of
     magnitude. Every inner probe appends one trace record, so
     ``max_iters`` caps the total probe count; if every probe up to
-    ``ls_max_j`` increases the objective the run stops with status
+    j = ``LS_MAX_J`` increases the objective the run stops with status
     ``line_search_stalled``, even when that last probe reaches the cap.
     A probe that leaves the positive definite cone in float64 (its step
     overflows, or underflows to a singular point) counts as rejected.

@@ -252,6 +252,11 @@ def _eig_apply(m, fvals_of, positive=None, invert=False, spd_valued=True):
     with np.errstate(all="ignore"):
         fw = fvals_of(w)
         out = sym(((u / fw) if invert else (u * fw)) @ u.T)
+    return _checked_rebuild(fw, out, spd_valued)
+
+
+def _checked_rebuild(fw, out, spd_valued=True):
+    """``out``, rebuilt from the values ``fw``, once both are finite (and ``fw`` positive)."""
     if not (np.isfinite(fw).all() and np.isfinite(out).all()):
         raise DomainError("scalar function not finite on the spectrum")
     if spd_valued and not fw.min() > 0:
@@ -317,12 +322,18 @@ def _checked_pair(x1, x2):
 def geodesic(x1, x2, t):
     """Point at parameter ``t`` on the affine-invariant geodesic from x1 to x2.
 
-    Computes ``x1^{1/2} (x1^{-1/2} x2 x1^{-1/2})^t x1^{1/2}`` as
-    F₁ (W Wᵀ)^t F₁ᵀ (:func:`_checked_pair`); ``t=0`` returns x1, ``t=1``
-    returns x2, ``t=1/2`` is the two-matrix geometric mean.
+    Computes ``x1^{1/2} (x1^{-1/2} x2 x1^{-1/2})^t x1^{1/2}`` as H Hᵀ, H = F₁ P D(σᵗ)
+    from the SVD W = P D(σ) Qᵀ (:func:`_checked_pair`): W Wᵀ, which can underflow
+    where W does not, is never formed. ``t=0`` returns x1, ``t=1`` x2, ``t=1/2``
+    the two-matrix geometric mean.
     """
     f1, w = _checked_pair(x1, x2)
-    return sym(f1 @ _eig_apply(sym(w @ w.T), lambda v: v**float(t), "geodesic") @ f1.T)
+    p, sigma, _ = np.linalg.svd(w)
+    with np.errstate(all="ignore"):
+        fw = sigma**float(t)
+        h = (f1 @ p) * fw
+        out = sym(h @ h.T)
+    return _checked_rebuild(fw, out)
 
 
 def riem_dist(x1, x2):

@@ -169,7 +169,7 @@ class TestExperimentSpec:
         assert again == spec
 
     def test_solver_spec_round_trip_carries_every_config_field(self):
-        cfg = SolverConfig(max_iters=7, grad_tol=1e-6, nu=2.5, c=0.25, ls_max_j=9)
+        cfg = SolverConfig(max_iters=7, grad_tol=1e-6, nu=2.5)
         assert all(getattr(cfg, f.name) != f.default for f in fields(SolverConfig))
         spec = SolverSpec(kind="gd-ls", config=cfg, id="tuned")
         d = json.loads(json.dumps(spec.to_dict()))

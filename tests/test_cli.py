@@ -97,8 +97,9 @@ class TestMean:
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]], [[4.0]]])
-        assert main(["mean", inp, "--c", "2"]) == 1
-        assert "c must lie in (0, 1)" in capsys.readouterr().err
+        assert main(["mean", inp, "--max-iters", "0"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: max_iters must be an integer >= 1"]
 
     def test_infinite_tolerance_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]], [[4.0]]])
@@ -197,6 +198,9 @@ MALFORMED = {
     "mean-integer-beyond-float": ("mean", {"dim": 1, "matrices": [[[10 ** 400]]]}),
     "mean-not-utf8": ("mean", b'{"dim": 1, "matrices": [[[1\xff]]]}'),
     "mean-dim-true": ("mean", {"dim": True, "matrices": [[[2.0]]]}),
+    "mean-top-level-list": ("mean", [[[2.0]]]),
+    "mean-no-matrices": ("mean", {"dim": 1}),
+    "mean-empty-matrices": ("mean", {"dim": 1, "matrices": []}),
     "bench-directory": ("bench", None),
     "bench-not-utf8": ("bench", b'{"n": 1\xff}'),
     "bench-top-level-list": ("bench", [SPEC]),
@@ -213,6 +217,24 @@ MALFORMED = {
         "kind": "uniform", "dim": 1, "lo": 1, "hi": 2, "values": [7], "a": 3}}),
     "bench-negative-seed": ("bench", {**SPEC, "seed": -1}),
     "bench-missing-n": ("bench", {k: v for k, v in SPEC.items() if k != "n"}),
+    "bench-spectrum-without-dim": ("bench", {**SPEC, "spectrum": {"kind": "explicit",
+                                                                  "values": [3.0]}}),
+    # a sidecar written while the line search's factor and cap were settable
+    "bench-line-search-settings": ("bench", {**SPEC, "solvers": [
+        {"kind": "gd-ls", "max_iters": 500, "grad_tol": None, "nu": 1.0, "c": 0.5,
+         "ls_max_j": 60}]}),
+}
+
+# the error line of the cases above that no other test reads
+MALFORMED_MESSAGES = {
+    "mean-top-level-list": "input.json must be an object with 'dim' and 'matrices'",
+    "mean-no-matrices": "input.json must be an object with 'dim' and 'matrices'",
+    "mean-empty-matrices": "error: 'matrices' must be a nonempty list",
+    "bench-spectrum-without-dim": ("error: invalid experiment spec: invalid spectrum: "
+                                   "SpectrumSpec.__init__() missing 1 required positional "
+                                   "argument: 'dim'"),
+    "bench-line-search-settings": ("error: invalid experiment spec: unknown solver fields: "
+                                   "['c', 'ls_max_j']"),
 }
 
 
@@ -229,6 +251,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(MALFORMED_MESSAGES.get(case, "") + "\n")
     assert "Traceback" not in err
     assert "invalid experiment spec: invalid experiment spec" not in err
     assert not list(tmp_path.glob("out*"))

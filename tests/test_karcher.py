@@ -441,6 +441,12 @@ class TestSurrogate:
         assert abs(surrogate_value(s, np.eye(2)) - 4.0) <= 1e-14
         assert abs(surrogate_value(s, np.diag([2.0, 0.5])) - 5.0) <= 1e-14
 
+    def test_value_at_a_nonsquare_point(self):
+        s = SurrogateCoeffs(c1=np.eye(2), c2=np.eye(2), c0=0.0)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^expected point to be square, got shape \(2, 3\)$"):
+            surrogate_value(s, np.ones((2, 3)))
+
 
 class TestSurrogateMinimizer:
     def test_identity(self):

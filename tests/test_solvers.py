@@ -1,17 +1,18 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from spdmean import selfcheck, solvers, spd_core
 from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
-from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
+from spdmean.errors import DimensionMismatch, DomainError, NonConvergence, SpdMeanError
 from spdmean.karcher import Ensemble, grad_sum, objective
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd, solve_mm
 from spdmean.solvers import (
+    LS_MAX_J,
     SOLVERS as REGISTRY,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -36,7 +37,8 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.max_iters == 500
-        assert cfg.nu == 1.0 and cfg.c == 0.5
+        assert cfg.nu == 1.0 and cfg.grad_tol is None
+        assert [f.name for f in fields(SolverConfig)] == ["max_iters", "grad_tol", "nu"]
         assert cfg.effective_grad_tol(1) == pytest.approx(1e-10)
         assert cfg.effective_grad_tol(50) == pytest.approx(5e-9)
 
@@ -48,20 +50,23 @@ class TestSolverConfig:
         {"grad_tol": 0.0},
         {"grad_tol": -1.0},
         {"nu": 0.0},
-        {"c": 0.0},
-        {"c": 1.0},
-        {"ls_max_j": 0},
         {"grad_tol": math.nan},
         {"nu": math.nan},
         {"grad_tol": math.inf},
         {"nu": math.inf},
         {"max_iters": 10.0},
         {"max_iters": True},
-        {"ls_max_j": 1.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SolverConfig(**kwargs)
+
+    def test_line_search_settings_are_constants(self):
+        # the backtracking factor and the probe cap are not settable
+        with pytest.raises(TypeError):
+            SolverConfig(c=0.5)
+        with pytest.raises(DomainError, match=r"^unknown solver fields: \['c'\]$"):
+            SolverSpec.from_dict({"kind": "gd-ls", "c": 0.5})
 
 
 class TestTrivialExamples:
@@ -213,12 +218,10 @@ class TestGdLinesearch:
         assert rejected
 
     def test_stall_status(self):
-        # nu = 30 overshoots so wildly that with only j <= 1 probes
-        # allowed no trial decreases F
+        # nu = 1e20 overshoots so wildly that no probe down to
+        # LS_FACTOR**LS_MAX_J * nu ≈ 87 decreases F
         e = scalar_ensemble(1.0, 4.0)
-        res = gd_linesearch_solve(
-            e, SolverConfig(nu=30.0, ls_max_j=1, max_iters=50),
-            np.array([[2.5]]))
+        res = gd_linesearch_solve(e, SolverConfig(nu=1e20), np.array([[2.5]]))
         assert not res.converged
         assert res.status == STATUS_LINE_SEARCH_STALLED
 
@@ -302,13 +305,14 @@ class TestInvarianceAndAgreement:
 
 class TestSharedLoop:
     @pytest.mark.parametrize("solve, kwargs, vals, x0, status, records", [
-        # probe cap and ls_max_j run out on the same record: stall wins
-        (gd_linesearch_solve, dict(nu=30.0, ls_max_j=1, max_iters=2),
-         (1.0, 4.0), 2.5, STATUS_LINE_SEARCH_STALLED, 3),
-        (gd_linesearch_solve, dict(nu=30.0, ls_max_j=1, max_iters=1),
-         (1.0, 4.0), 2.5, STATUS_MAX_ITERS, 2),
-        (gd_linesearch_solve, dict(nu=30.0, ls_max_j=1, max_iters=50),
-         (1.0, 4.0), 2.5, STATUS_LINE_SEARCH_STALLED, 3),
+        # nu = 1e20: every probe j = 0..LS_MAX_J overshoots; the probe cap
+        # and the last probe run out on the same record: stall wins
+        (gd_linesearch_solve, dict(nu=1e20, max_iters=LS_MAX_J + 1),
+         (1.0, 4.0), 2.5, STATUS_LINE_SEARCH_STALLED, LS_MAX_J + 2),
+        (gd_linesearch_solve, dict(nu=1e20, max_iters=LS_MAX_J),
+         (1.0, 4.0), 2.5, STATUS_MAX_ITERS, LS_MAX_J + 1),
+        (gd_linesearch_solve, dict(nu=1e20),
+         (1.0, 4.0), 2.5, STATUS_LINE_SEARCH_STALLED, LS_MAX_J + 2),
         (gd_linesearch_solve, dict(nu=20.0, max_iters=3),
          (1.0, 4.0), 2.5, STATUS_MAX_ITERS, 4),
         (gd_linesearch_solve, dict(), (1.0, 4.0), 2.5, STATUS_CONVERGED, None),
@@ -411,7 +415,7 @@ class TestStepProtocol:
 
     def test_line_search_stalled_before_any_step_returns_the_start(self, rng):
         e, x0 = self.start(rng)
-        res = gd_linesearch_solve(e, SolverConfig(nu=30.0, ls_max_j=1), x0)
+        res = gd_linesearch_solve(e, SolverConfig(nu=1e20), x0)
         assert res.status == STATUS_LINE_SEARCH_STALLED
         assert len({(t.objective, t.grad_norm) for t in res.trace}) == 1
         assert np.array_equal(res.mean, check_spd(x0))
@@ -483,6 +487,20 @@ class TestFiniteOrFail:
             with pytest.raises(DomainError) as info:
                 solve(e, SolverConfig(), arithmetic_mean_init(e))
         assert str(info.value) == "A^(-1/2) X A^(-1/2) overflows float64 for matrix 0"
+
+    def test_eigensolver_failure_on_a_finite_stack_is_non_convergence(self, monkeypatch, rng):
+        # a finite Gram stack did not overflow, so the failure is not blamed on a matrix
+        def eigh(m, *args, **kwargs):
+            if np.ndim(m) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(m, *args, **kwargs)
+
+        real_eigh = np.linalg.eigh
+        e = random_ensemble(rng, 3, 3)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(NonConvergence, match="^symmetric eigensolver failed: "
+                                                 "Eigenvalues did not converge$"):
+            mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
 
     def test_start_point_without_cholesky_factor(self, monkeypatch, rng):
         # validation accepts the start point on its eigenvalues and hands

@@ -71,6 +71,11 @@ class TestCheckSpd:
         with pytest.raises(DomainError, match="positive definite"):
             check_spd(np.diag([1.0, -2.0]))
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^expected matrix to be square, got shape \(2, 3\)$"):
+            check_spd(np.ones((2, 3)))
+
     def test_relative_floor_survives_scaling(self, rng):
         a = random_spd(rng, 3) * 1e4
         check_spd(a)
@@ -426,9 +431,30 @@ class TestGeodesic:
     def test_decomposes_and_checks_each_point_once(self, rng, monkeypatch):
         calls = _count_calls(monkeypatch, "eigh", "check_symmetric", "cholesky")
         geodesic(random_spd(rng, 3), random_spd(rng, 3), 0.3)
-        # validation factors each point once and needs no eigensolver; one
-        # eigh gives the power of W Wᵀ
-        assert calls == {"eigh": 1, "check_symmetric": 0, "cholesky": 2}
+        # validation factors each point once and needs no eigensolver; the
+        # SVD of W gives the power
+        assert calls == {"eigh": 0, "check_symmetric": 0, "cholesky": 2}
+
+    def test_keeps_the_range_of_w(self):
+        # W = F₁⁻¹F₂ ≈ 1e-310 is finite, W Wᵀ would underflow to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mid = geodesic([[1e300]], [[1e-320]], 0.5)
+            near = geodesic([[1e300]], [[1e-320]], 0.9)
+        want = math.sqrt(1e300 * 1e-320)  # x2 as stored, a subnormal
+        assert abs(mid[0, 0] - want) <= 1e-12 * want
+        want = 1e300**0.1 * 1e-320**0.9
+        assert abs(near[0, 0] - want) <= 1e-12 * want
+
+    def test_matches_sandwich_formula(self, rng):
+        for _ in range(50):
+            p = int(rng.integers(1, 8))
+            x, y = random_spd(rng, p, lo=0.1, hi=10.0), random_spd(rng, p, lo=0.1, hi=10.0)
+            t = float(rng.uniform(-1.0, 2.0))
+            s, si = sqrt_m(x), inv_sqrt_m(x)
+            want = sym(s @ pow_m(sym(si @ y @ si), t) @ s)
+            got = geodesic(x, y, t)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestRiemDist:
