@@ -50,12 +50,16 @@ class TestSolverConfig:
         {"grad_tol": 0.0},
         {"grad_tol": -1.0},
         {"nu": 0.0},
+        {"nu": -1.0},
+        {"max_iters": -1},
+        {"max_iters": "10"},
         {"grad_tol": math.nan},
         {"nu": math.nan},
         {"grad_tol": math.inf},
         {"nu": math.inf},
         {"max_iters": 10.0},
         {"max_iters": True},
+        {"nu": -math.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
