@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spd_core
 from .errors import DimensionMismatch, DomainError, NonConvergence
-from .spd_core import check_dims, check_spd, check_spd_stack, eigh, frob_inner, sqrt_m, sym
+from .spd_core import check_dims, check_spd, check_spd_stack, eigh, frob_inner, sym
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class Ensemble:
             stack = None
         if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             # no stack: the per-matrix checks or the dimension check raise
-            arrs = [np.asarray(a, dtype=float) for a in mats]
-            checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(arrs)]
+            checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(mats)]
             for i, a in enumerate(checked):
                 if a.shape[0] != checked[0].shape[0]:
                     raise DimensionMismatch(
@@ -218,7 +217,7 @@ def _frame_terms(e: Ensemble, g):
     return f_val, 0.5 * (c2 - c1), c1, c2
 
 
-# The views do not warn where the Gram stack overflows: the kernel's guards raise on it.
+# The views do not warn on overflow: the kernel's guards, and _finite on a view's value, raise.
 @np.errstate(over="ignore")
 def objective(e: Ensemble, x) -> float:
     """Sum of squared affine-invariant distances from x to the ensemble."""
@@ -233,10 +232,10 @@ def grad_sum(e: Ensemble, x) -> np.ndarray:
     solvers (the logarithmic-error quantity is its natural log); it is
     the frame gradient at G = X^{1/2}.
     """
-    return _frame_grad(e, sqrt_m(_point(e, x)[0]))[1]
+    return _frame_grad(e, spd_core._eig_apply(_point(e, x)[0], np.sqrt))[1]
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     """Euclidean derivative of the objective at x.
 
@@ -245,28 +244,32 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     at the point's factor F; used by finite-difference validation only.
     """
     _, f, f_inv = _point(e, x)
-    return -2.0 * sym(f_inv.T @ _frame_grad(e, f)[1] @ f_inv)
+    return spd_core._finite(-2.0 * sym(f_inv.T @ _frame_grad(e, f)[1] @ f_inv),
+                            "euclidean gradient at point")
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     """Surrogate coefficients at the expansion point xp.
 
-    c1 = F⁻ᵀ c̃1 F⁻¹ and c2 = F c̃2 Fᵀ at the point's factor F; c0 is fixed
-    so the surrogate equals the objective at xp exactly, which makes the
-    touching condition hold by construction.
+    c1 = F⁻ᵀ c̃1 F⁻¹ and c2 = F c̃2 Fᵀ at the point's factor F; c0, not finite
+    where they are not, is fixed so the surrogate equals the objective at
+    xp exactly, which makes the touching condition hold by construction.
     """
     xp, f, f_inv = _point(e, xp)
     f_xp, _, c1, c2 = _frame_terms(e, f)
     c1, c2 = sym(f_inv.T @ c1 @ f_inv), sym(f @ c2 @ f.T)
     c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, f_inv.T @ f_inv)
+    spd_core._finite(c0, "surrogate at point")
     return SurrogateCoeffs(c1=c1, c2=c2, c0=c0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def surrogate_value(s: SurrogateCoeffs, x) -> float:
     """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0 at the point x, with X⁻¹ = F⁻ᵀ F⁻¹ from its factor."""
     x, _, f_inv = spd_core._check_spd_factor(x, "point")
-    return frob_inner(s.c1, x) + frob_inner(s.c2, f_inv.T @ f_inv) + s.c0
+    return spd_core._finite(frob_inner(s.c1, x) + frob_inner(s.c2, f_inv.T @ f_inv) + s.c0,
+                            "surrogate value at point")
 
 
 def surrogate_minimizer(c1, c2) -> np.ndarray:
@@ -279,14 +282,11 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
 
     Raises
     ------
-    DomainError
-        If c1 or c2 has a NaN or infinite entry or is not positive definite.
+    DimensionMismatch, DomainError
+        If c1 or c2 fails :func:`spdmean.spd_core.check_spd`, or their shapes differ.
     """
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
+    c1, c2 = check_spd(c1, "c1"), check_spd(c2, "c2")
     check_dims(c1, c2)
-    if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
-        raise DomainError("surrogate_minimizer requires finite c1 and c2")
     f = _minimizer_factor(c1, c2)
     return f @ f.T
 

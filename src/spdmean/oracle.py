@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import DomainError, NotCommuting
 from .karcher import Ensemble, g1_scalar, g2_scalar
-from .spd_core import (_eig_apply, check_symmetric, exp_m, geodesic, inv_m, inv_sqrt_m,
-                       log_m, sqrt_m, sym)
+from .spd_core import (_eig_apply, check_spd, check_symmetric, exp_m, geodesic, inv_m,
+                       inv_sqrt_m, log_m, sqrt_m, sym)
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -86,15 +86,12 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     Raises
     ------
     DomainError
-        If either perturbed matrix leaves the SPD cone.
+        If either perturbed matrix fails :func:`spdmean.spd_core.check_spd`.
     """
-    x = np.asarray(x, dtype=float)
-    h_dir = np.asarray(h_dir, dtype=float)
+    step = h * np.asarray(h_dir, dtype=float)
     for sign in (1.0, -1.0):
-        w = np.linalg.eigvalsh(sym(x + sign * h * h_dir))
-        if w[0] <= 0:
-            raise DomainError("perturbed matrix is not positive definite")
-    return (f(x + h * h_dir) - f(x - h * h_dir)) / (2.0 * h)
+        check_spd(x + sign * step, "perturbed matrix")
+    return (f(x + step) - f(x - step)) / (2.0 * h)
 
 
 def matrix_fn(m, f: Callable[[float], float]):

@@ -61,7 +61,7 @@ class SolverConfig:
     ``grad_tol`` applies to the unnormalized gradient sum; when ``None``
     it defaults to ``1e-10 * n`` at solve time (the sum scales with n).
     ``nu`` is the fixed step, or the line search's first probe. ``grad_tol``
-    and ``nu`` must be positive and finite, ``max_iters`` an integer >= 1.
+    and ``nu`` must be positive finite numbers, ``max_iters`` an integer >= 1.
     """
 
     max_iters: int = DEFAULT_MAX_ITERS
@@ -72,15 +72,20 @@ class SolverConfig:
         if (not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool)
                 or self.max_iters < 1):
             raise DomainError("max_iters must be an integer >= 1")
-        if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:  # NaN fails too
+        if self.grad_tol is not None and not _positive_finite(self.grad_tol):
             raise DomainError("grad_tol must be positive and finite")
-        if not 0 < self.nu < math.inf:
+        if not _positive_finite(self.nu):
             raise DomainError("nu must be positive and finite")
 
     def effective_grad_tol(self, n: int) -> float:
         if self.grad_tol is not None:
             return self.grad_tol
         return DEFAULT_GRAD_TOL_PER_MAT * n
+
+
+def _positive_finite(value) -> bool:
+    """Whether ``value`` is a real number in (0, inf); bool and NaN are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 class TraceRecord(NamedTuple):
@@ -99,17 +104,19 @@ class TraceRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Final iterate plus per-iteration trace.
-
-    ``converged`` implies the final grad_norm is below the effective
-    tolerance; ``status`` names the stopping reason otherwise.
-    """
+    """Final iterate, trace and stopping reason; ``converged`` and ``iters_used`` follow."""
 
     mean: np.ndarray
     trace: List[TraceRecord] = field(repr=False)
-    converged: bool = False
-    iters_used: int = 0
-    status: str = STATUS_MAX_ITERS
+    status: str
+
+    @property
+    def converged(self) -> bool:
+        return self.status == STATUS_CONVERGED
+
+    @property
+    def iters_used(self) -> int:
+        return len(self.trace) - 1
 
 
 def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
@@ -165,9 +172,7 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
         else:
             record(f_val, gnorm)
             status = STATUS_LINE_SEARCH_STALLED
-    return SolverResult(mean=x0 if g is g0 else g @ g.T, trace=trace,
-                        converged=status == STATUS_CONVERGED,
-                        iters_used=len(trace) - 1, status=status)
+    return SolverResult(mean=x0 if g is g0 else g @ g.T, trace=trace, status=status)
 
 
 def arithmetic_mean_init(e: Ensemble) -> np.ndarray:

@@ -95,8 +95,8 @@ def check_spd(a, name="matrix"):
     DimensionMismatch
         If ``a`` is not a square matrix.
     DomainError
-        If ``a`` has a NaN or infinite entry, is not symmetric, or has a
-        non-positive eigenvalue.
+        If ``a`` has a NaN or infinite entry, is not symmetric, or its smallest
+        eigenvalue is not above ``POSITIVITY_FLOOR`` times the largest.
     """
     return _check_spd_factor(a, name)[0]
 
@@ -232,27 +232,26 @@ def cholesky(a, message):
         raise DomainError(message) from exc
 
 
-def _eig_apply(m, fvals_of, positive=None, invert=False, spd_valued=True):
+def _eig_apply(m, fvals_of, spd_valued=True):
     """Rebuild U diag(f(λ)) Uᵀ from a vectorized eigenvalue map.
 
-    The raw path: ``m`` must already be symmetric and is not validated;
-    the public matrix functions validate with :func:`check_symmetric`
-    first. ``positive`` names the calling function when f needs a positive
-    definite argument; the spectrum is then checked for positivity. A
-    non-finite f(λ) or result raises :class:`DomainError`, without a
-    warning. ``invert`` rebuilds U diag(1/f(λ)) Uᵀ instead, dividing
-    rather than multiplying by a reciprocal. A function that must return
-    an SPD matrix (``spd_valued``) also raises where an f(λ) is finite but
-    not positive, such as an exponential or power that underflows to 0.
+    The raw path: ``m`` must already be symmetric and is not validated.
+    A non-finite f(λ) or result raises :class:`DomainError`, without a
+    warning; where the result must be SPD (``spd_valued``), so does an
+    f(λ) that is not positive, such as a power that underflows to 0.
     """
     w, u = eigh(m)
-    if positive is not None and not w[0] > 0:
-        raise DomainError(f"{positive} requires a positive definite matrix "
-                          f"(eigenvalue {w[0]:.6g})")
     with np.errstate(all="ignore"):
         fw = fvals_of(w)
-        out = sym(((u / fw) if invert else (u * fw)) @ u.T)
+        out = sym((u * fw) @ u.T)
     return _checked_rebuild(fw, out, spd_valued)
+
+
+def _finite(value, what):
+    """``value``, once every entry is finite; DomainError(``what`` overflows float64) otherwise."""
+    if not np.isfinite(value).all():
+        raise DomainError(f"{what} overflows float64")
+    return value
 
 
 def _checked_rebuild(fw, out, spd_valued=True):
@@ -266,7 +265,7 @@ def _checked_rebuild(fw, out, spd_valued=True):
 
 def log_m(a):
     """Matrix logarithm of an SPD matrix."""
-    return _eig_apply(check_symmetric(a), np.log, "log_m", spd_valued=False)
+    return _eig_apply(check_spd(a), np.log, spd_valued=False)
 
 
 def exp_m(a):
@@ -276,22 +275,22 @@ def exp_m(a):
 
 def sqrt_m(a):
     """Principal square root of an SPD matrix."""
-    return _eig_apply(check_symmetric(a), np.sqrt, "sqrt_m")
+    return pow_m(a, 0.5)
 
 
 def inv_sqrt_m(a):
     """Inverse principal square root of an SPD matrix."""
-    return _eig_apply(check_symmetric(a), np.sqrt, "inv_sqrt_m", invert=True)
+    return pow_m(a, -0.5)
 
 
 def inv_m(a):
     """Inverse of an SPD matrix via its eigendecomposition."""
-    return _eig_apply(check_symmetric(a), lambda w: w, "inv_m", invert=True)
+    return pow_m(a, -1.0)
 
 
 def pow_m(a, t):
     """Real matrix power ``a**t`` of an SPD matrix."""
-    return _eig_apply(check_symmetric(a), lambda w: w**float(t), "pow_m")
+    return _eig_apply(check_spd(a), lambda w: w**float(t))
 
 
 def frob_inner(a, b):
@@ -307,16 +306,12 @@ def _checked_pair(x1, x2):
 
     W Wᵀ = F₁⁻¹ x2 F₁⁻ᵀ has the spectrum of x1^{-1/2} x2 x1^{-1/2}.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    check_dims(x1, x2)
     _, f1, f1_inv = _check_spd_factor(x1, "x1")
     f2 = _check_spd_factor(x2, "x2")[1]
+    check_dims(f1, f2)
     with np.errstate(over="ignore"):
         w = f1_inv @ f2
-    if not np.isfinite(w).all():
-        raise DomainError("x1^(-1/2) x2 x1^(-1/2) overflows float64")
-    return f1, w
+    return f1, _finite(w, "x1^(-1/2) x2 x1^(-1/2)")
 
 
 def geodesic(x1, x2, t):

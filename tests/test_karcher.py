@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -182,6 +183,23 @@ def test_views_validate_their_point(view, point, message, rng):
         call(e, np.array(point))
 
 
+@pytest.mark.parametrize("call, what", [
+    pytest.param(euclidean_gradient, "euclidean gradient", id="euclidean_gradient"),
+    pytest.param(surrogate_coeffs, "surrogate", id="surrogate_coeffs"),
+    pytest.param(lambda e, x: surrogate_value(surrogate_coeffs(e, np.eye(3)), x),
+                 "surrogate value", id="surrogate_value"),
+])
+def test_views_at_a_subnormal_point_raise(call, what, rng):
+    # these points pass validation, but X⁻¹ = F⁻ᵀF⁻¹ overflows; off the
+    # diagonal, entries of both signs can overflow and sum to NaN
+    e = random_ensemble(rng, 3, 3)
+    for x in [np.eye(3)] + [random_spd(rng, 3) for _ in range(10)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=f"^{what} at point overflows float64$"):
+                call(e, 1e-310 * x)
+
+
 class TestGradDirection:
     def test_zero_at_singleton(self, rng):
         a = random_spd(rng, 3)
@@ -196,6 +214,20 @@ class TestGradDirection:
         e = Ensemble.from_matrices([np.eye(2), math.e**2 * np.eye(2)])
         # (1/2)(log I + log(e^2 I)) = I
         assert np.allclose(grad_sum(e, np.eye(2)) / e.n, np.eye(2), atol=1e-12)
+
+    def test_validates_its_point_once(self, rng, monkeypatch):
+        # X^{1/2} is taken from the point as validated, with no second check
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        e, calls = random_ensemble(rng, 3, 3), []
+        for name in ("check_spd_stack", "check_symmetric", "cholesky"):
+            monkeypatch.setattr(spd_core, name, counted(name, getattr(spd_core, name)))
+        grad_sum(e, random_spd(rng, 3))
+        assert calls == ["check_spd_stack", "cholesky"]
 
 
 class TestScalarWeights:
@@ -332,11 +364,11 @@ class TestStackedKernelAgreement:
 
         cases = AGREEMENT_REGIMES[regime](rng)
         wants = [views(e, x) for e, x in cases]
+        refs = [per_matrix_terms(e, x) for e, x in cases]  # it validates points too
         real, refused = spd_core.cholesky, []
         monkeypatch.setattr(spd_core, "cholesky", no_factor)
-        for (e, x), want in zip(cases, wants):
+        for (e, x), want, ref in zip(cases, wants, refs):
             tol = _agreement_tol(e, x)
-            ref = per_matrix_terms(e, x)
             for name, got in views(e, x).items():
                 for other in (want[name], ref.get(name, want[name])):
                     err = np.linalg.norm(got - other) / np.linalg.norm(other)
@@ -477,6 +509,12 @@ class TestSurrogateMinimizer:
         with pytest.raises(DimensionMismatch):
             surrogate_minimizer(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3)], ids=["stack", "non-square"])
+    def test_rejects_a_non_square_argument(self, shape):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^expected c1 to be square, got shape {re.escape(str(shape))}$"):
+            surrogate_minimizer(np.ones(shape), np.ones(shape))
+
     @pytest.mark.parametrize("c1, c2", [
         (np.eye(2), np.diag([1.0, -1.0])),
         (np.eye(2), np.zeros((2, 2))),
@@ -487,9 +525,12 @@ class TestSurrogateMinimizer:
         (np.eye(2), np.diag([1.0, np.inf])),
     ])
     def test_non_positive_definite_raises(self, c1, c2):
+        # check_spd's messages, naming the bad argument
+        bad = "c2" if np.array_equal(c1, np.eye(2)) else "c1"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DomainError, match="^surrogate_minimizer requires"):
+            with pytest.raises(DomainError, match=rf"^{bad} (is not positive definite "
+                                                  r"\(eigenvalue -?[01]\)|has a non-finite entry)$"):
                 surrogate_minimizer(c1, c2)
 
 

@@ -60,6 +60,10 @@ class TestSolverConfig:
         {"max_iters": 10.0},
         {"max_iters": True},
         {"nu": -math.inf},
+        {"nu": True},
+        {"grad_tol": True},
+        {"nu": "1.0"},
+        {"grad_tol": "1e-6"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
@@ -340,6 +344,14 @@ class TestSharedLoop:
         assert len(res.trace) <= cfg.max_iters + 1
         if records is not None:
             assert len(res.trace) == records
+
+    def test_result_derives_converged_and_iters_used(self, rng):
+        # only the mean, the trace and the status are stored, so the rest cannot disagree
+        res = mm_solve(random_ensemble(rng, 3, 2), SolverConfig(), np.eye(2))
+        assert [f.name for f in fields(res)] == ["mean", "trace", "status"]
+        assert res.converged and res.iters_used == len(res.trace) - 1
+        with pytest.raises(AttributeError):
+            res.converged = False
 
     def test_registry_is_the_one_list_of_kinds(self):
         import argparse

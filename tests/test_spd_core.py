@@ -6,7 +6,8 @@ import pytest
 
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.bench import random_orthogonal
-from spdmean.oracle import matrix_fn
+from spdmean.karcher import surrogate_minimizer
+from spdmean.oracle import finite_diff_directional, matrix_fn
 from spdmean.selfcheck import random_spd, random_sym
 from spdmean import spd_core
 from spdmean.spd_core import (
@@ -260,16 +261,39 @@ class TestCholesky:
             spd_core.cholesky(np.diag([1.0, -2.0]), "c2 is not positive definite")
 
 
+# what check_spd's message calls the refused argument, where it is not "matrix"
+_REFUSED_AS = {"surrogate_minimizer-c1": "c1", "surrogate_minimizer-c2": "c2",
+               "finite_diff_directional": "perturbed matrix"}
+
+
 @pytest.mark.parametrize("fn, name", [
     (log_m, "log_m"),
     (sqrt_m, "sqrt_m"),
     (inv_sqrt_m, "inv_sqrt_m"),
     (inv_m, "inv_m"),
     (lambda a: pow_m(a, 0.5), "pow_m"),
+    (lambda a: surrogate_minimizer(a, np.eye(2)), "surrogate_minimizer-c1"),
+    (lambda a: surrogate_minimizer(np.eye(2), a), "surrogate_minimizer-c2"),
+    (lambda a: finite_diff_directional(np.trace, a, np.zeros((2, 2))),
+     "finite_diff_directional"),
 ])
 def test_spd_functions_reject_indefinite(fn, name):
-    with pytest.raises(DomainError, match=rf"^{name} requires a positive definite"):
-        fn(np.diag([1.0, -2.0]))
+    # one rule for every SPD argument: check_spd's, whose relative floor
+    # also refuses a positive eigenvalue below 1e-13 times the largest
+    what = _REFUSED_AS.get(name, "matrix")
+    for w0, shown in ((-2.0, "-2"), (1e-14, "1e-14")):
+        with pytest.raises(DomainError,
+                           match=rf"^{what} is not positive definite \(eigenvalue {shown}\)$"):
+            fn(np.diag([1.0, w0]))
+
+
+@pytest.mark.parametrize("fn", [
+    log_m, sqrt_m, inv_sqrt_m, inv_m, pytest.param(lambda a: pow_m(a, 0.3), id="pow_m")])
+def test_spd_functions_check_and_decompose_once(fn, rng, monkeypatch):
+    calls = _count_calls(monkeypatch, "eigh", "check_symmetric", "cholesky")
+    fn(random_spd(rng, 3))
+    # validation factors the argument and needs no eigensolver; the map needs one
+    assert calls == {"eigh": 1, "check_symmetric": 0, "cholesky": 1}
 
 
 def _non_finite_entry(value):
@@ -294,7 +318,8 @@ _NOT_FINITE_ON_SPECTRUM = {
     **{f"geodesic-t-{t}": lambda t=t: geodesic(np.eye(2), np.diag([2.0, 3.0]), t)
        for t in (np.nan, np.inf, 1e308)},
     "exp_m-1000": lambda: exp_m(1000.0 * np.eye(2)),
-    "inv_m-subnormal": lambda: inv_m(np.diag([1.0, 1e-320])),
+    # passes validation (condition 1), but 1/1e-310 overflows
+    "inv_m-subnormal": lambda: inv_m(1e-310 * np.eye(2)),
 }
 
 # finite matrices whose f(λ) underflows to 0: the SPD-valued result would be singular
