@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from collections import abc
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
@@ -39,11 +39,13 @@ def _is_a(value, want) -> bool:
 def _checked_fields(cls, d, what: str) -> dict:
     """A copy of the JSON object ``d`` whose keys are fields of ``cls``.
 
-    A value for an int, float or str field must have that type, and one
-    for a sequence field must be a list of elements of that type; either
-    may be null if the field is optional. bool is not a number and a
-    float is not an integer, so ``"dim": true``, ``"n": 2.5`` or
-    ``"values": [true]`` is rejected here, naming the field.
+    Every field of ``cls`` with no default must be present; the first
+    one missing is named. A value for an int, float or str field must
+    have that type, and one for a sequence field must be a list of
+    elements of that type; either may be null if the field is optional.
+    bool is not a number and a float is not an integer, so
+    ``"dim": true``, ``"n": 2.5`` or ``"values": [true]`` is rejected
+    here, naming the field.
     """
     if not isinstance(d, dict):
         raise DomainError(f"{what} spec must be a JSON object, got {d!r}")
@@ -51,6 +53,9 @@ def _checked_fields(cls, d, what: str) -> dict:
     unknown = set(d) - set(hints)
     if unknown:
         raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise DomainError(f"{what} spec requires field {f.name!r}")
     for name, value in d.items():
         types = get_args(hints[name]) if get_origin(hints[name]) is Union else (hints[name],)
         if value is None and type(None) in types:
@@ -185,9 +190,9 @@ class SolverSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverSpec":
-        if not isinstance(d, dict) or d.get("kind") is None:
-            raise DomainError(f"solver spec requires a 'kind' field, got {d!r}")
-        head = _checked_fields(cls, {"kind": d["kind"], "id": d.get("id")}, "solver")
+        if not isinstance(d, dict):
+            raise DomainError(f"solver spec must be a JSON object, got {d!r}")
+        head = _checked_fields(cls, {k: d[k] for k in ("kind", "id") if k in d}, "solver")
         config = {k: v for k, v in d.items() if k not in head}
         return cls(config=SolverConfig(**_checked_fields(SolverConfig, config, "solver")),
                    **head)
@@ -241,20 +246,10 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = _checked_fields(cls, d, "experiment")
-        try:
-            spectrum = SpectrumSpec.from_dict(d.pop("spectrum"))
-        except KeyError:
-            raise DomainError("experiment spec requires a 'spectrum' field")
-        except TypeError as exc:
-            raise DomainError(f"invalid spectrum: {exc}") from exc
-        solvers_raw = d.pop("solvers", None)
-        if not solvers_raw or not isinstance(solvers_raw, list):
+        if not d["solvers"] or not isinstance(d["solvers"], list):
             raise DomainError("experiment spec requires a 'solvers' list")
-        solvers = [SolverSpec.from_dict(s) for s in solvers_raw]
-        try:
-            return cls(spectrum=spectrum, solvers=solvers, **d)
-        except TypeError as exc:  # a required field is missing
-            raise DomainError(str(exc)) from exc
+        return cls(**{**d, "spectrum": SpectrumSpec.from_dict(d["spectrum"]),
+                      "solvers": [SolverSpec.from_dict(s) for s in d["solvers"]]})
 
 
 def random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:

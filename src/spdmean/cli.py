@@ -18,6 +18,7 @@ consistency check.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -148,7 +149,7 @@ def cmd_bench(args) -> int:
         try:
             spec = ExperimentSpec.from_dict(data)
             if args.seed is not None:
-                spec = ExperimentSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+                spec = replace(spec, seed=args.seed)
             report = run_experiment(spec)  # raises only on duplicate solver ids
         except DomainError as exc:
             raise InputError(f"invalid experiment spec: {exc}")

@@ -285,25 +285,24 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     DimensionMismatch, DomainError
         If c1 or c2 fails :func:`spdmean.spd_core.check_spd`, or their shapes differ.
     """
-    c1, c2 = check_spd(c1, "c1"), check_spd(c2, "c2")
+    c1 = check_spd(c1, "c1")
+    c2, r, _ = spd_core._check_spd_factor(c2, "c2")
     check_dims(c1, c2)
-    f = _minimizer_factor(c1, c2)
+    f = _minimizer_factor(c1, r)
     return f @ f.T
 
 
-def _minimizer_factor(c1, c2):
-    """A factor F of the surrogate minimizer X = F Fᵀ.
+def _minimizer_factor(c1, r):
+    """A factor F of the surrogate minimizer X = F Fᵀ, given a factor R with R Rᵀ = c2.
 
-    With the Cholesky factor c2 = R Rᵀ and Rᵀ c1 R = V D Vᵀ, X c1 X = c2
-    holds for X = (RV) D^{-1/2} (RV)ᵀ, so F = R V D^{-1/4}: one Cholesky
-    factorization and one eigendecomposition, reading the lower
-    triangles of c1 and c2 only. The eigenvalues come back ascending, so
+    With Rᵀ c1 R = V D Vᵀ, X c1 X = c2 holds for X = (RV) D^{-1/2} (RV)ᵀ,
+    so F = R V D^{-1/4}: one eigendecomposition, reading the lower
+    triangle of Rᵀ c1 R only. The eigenvalues come back ascending, so
     the positivity test reads the smallest, which a NaN fails. A
-    non-positive-definite c1 or c2 raises :class:`DomainError`; a
-    non-finite one is not tested for here, on the MM path, and may
-    raise :class:`NonConvergence` instead.
+    non-positive-definite c1 raises :class:`DomainError`; a non-finite
+    one is not tested for here, on the MM path, and may raise
+    :class:`NonConvergence` instead.
     """
-    r = spd_core.cholesky(c2, "surrogate_minimizer requires a positive definite c2")
     w, v = eigh(r.T @ c1 @ r)
     if not w[0] > 0:
         raise DomainError("surrogate_minimizer requires positive definite c1 and c2")

@@ -35,6 +35,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from . import spd_core
 from .errors import DomainError
 from .karcher import (Ensemble, _frame_grad, _frame_objective, _frame_terms, _minimizer_factor,
                       _point)
@@ -190,7 +191,8 @@ def _mm_steps(e: Ensemble, cfg: SolverConfig, g):
     while True:
         f_val, grad, c1, c2 = _frame_terms(e, g)
         yield g, f_val, grad
-        g = g @ _minimizer_factor(c1, c2)
+        g = g @ _minimizer_factor(
+            c1, spd_core.cholesky(c2, "surrogate_minimizer requires a positive definite c2"))
 
 
 def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:

@@ -4,6 +4,7 @@ import re
 import statistics
 import warnings
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -159,12 +160,18 @@ class TestGenerateEnsemble:
 
 
 class TestExperimentSpec:
-    def test_round_trip(self):
-        spec = small_spec(solvers=[
-            SolverSpec(kind="mm"),
-            SolverSpec(kind="gd-ls", config=SolverConfig(nu=2.0)),
-            SolverSpec(kind="gd-fixed", id="fixed"),
-        ])
+    @pytest.mark.parametrize("source", ["small_spec", "fig1_small", "fig3_rescale"])
+    def test_round_trip(self, source):
+        # a bundled spec comes back as its sidecar is replayed: to_dict, JSON, from_dict
+        if source == "small_spec":
+            spec = small_spec(solvers=[
+                SolverSpec(kind="mm"),
+                SolverSpec(kind="gd-ls", config=SolverConfig(nu=2.0)),
+                SolverSpec(kind="gd-fixed", id="fixed"),
+            ])
+        else:
+            bundled = resources.files("spdmean").joinpath("specs", f"{source}.json")
+            spec = ExperimentSpec.from_dict(json.loads(bundled.read_text()))
         again = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 

@@ -8,7 +8,9 @@ import pytest
 
 import spdmean.selfcheck as selfcheck
 from spdmean import karcher, oracle, solvers
+from spdmean.bench import ExperimentSpec
 from spdmean.cli import InputError, main, read_ensemble, write_ensemble
+from spdmean.errors import DomainError
 
 
 def write_json(path, payload):
@@ -230,9 +232,8 @@ MALFORMED_MESSAGES = {
     "mean-top-level-list": "input.json must be an object with 'dim' and 'matrices'",
     "mean-no-matrices": "input.json must be an object with 'dim' and 'matrices'",
     "mean-empty-matrices": "error: 'matrices' must be a nonempty list",
-    "bench-spectrum-without-dim": ("error: invalid experiment spec: invalid spectrum: "
-                                   "SpectrumSpec.__init__() missing 1 required positional "
-                                   "argument: 'dim'"),
+    "bench-spectrum-without-dim": ("error: invalid experiment spec: "
+                                   "spectrum spec requires field 'dim'"),
     "bench-line-search-settings": ("error: invalid experiment spec: unknown solver fields: "
                                    "['c', 'ls_max_j']"),
 }
@@ -253,7 +254,38 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(MALFORMED_MESSAGES.get(case, "") + "\n")
     assert "Traceback" not in err
+    assert "__init__" not in err
     assert "invalid experiment spec: invalid experiment spec" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+# (what, keys from SPEC to the object that holds the field, field): every
+# field of the three spec classes that has no default
+REQUIRED_FIELDS = [
+    ("experiment", (), "n"),
+    ("experiment", (), "p"),
+    ("experiment", (), "spectrum"),
+    ("experiment", (), "solvers"),
+    ("spectrum", ("spectrum",), "kind"),
+    ("spectrum", ("spectrum",), "dim"),
+    ("solver", ("solvers", 0), "kind"),
+]
+
+
+@pytest.mark.parametrize("what, owner, name", REQUIRED_FIELDS,
+                         ids=[f"{what}-{name}" for what, _, name in REQUIRED_FIELDS])
+def test_missing_field_is_named(tmp_path, capsys, what, owner, name):
+    spec = json.loads(json.dumps(SPEC))
+    holder = spec
+    for key in owner:
+        holder = holder[key]
+    del holder[name]
+    message = f"{what} spec requires field '{name}'"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        ExperimentSpec.from_dict(spec)
+    path = write_json(tmp_path / "spec.json", spec)
+    assert main(["bench", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: invalid experiment spec: {message}\n"
     assert not list(tmp_path.glob("out*"))
 
 
@@ -307,6 +339,12 @@ class TestBench:
         base = tmp_path / "rep"
         main(["bench", spec, "--seed", "99", "--out", str(base)])
         assert json.loads((tmp_path / "rep.json").read_text())["seed"] == 99
+
+    def test_negative_seed_override_refused(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", self.spec_payload())
+        assert main(["bench", spec, "--seed", "-1", "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err == "error: invalid experiment spec: seed must be >= 0\n"
+        assert not list(tmp_path.glob("rep*"))
 
     def test_invalid_field_diagnostic(self, tmp_path, capsys):
         payload = self.spec_payload()
@@ -382,7 +420,6 @@ class TestBench:
     @pytest.mark.parametrize("name", ["fig1_small", "fig3_rescale.json"])
     def test_bundled_specs_resolve(self, tmp_path, name, monkeypatch):
         from spdmean.cli import _resolve_spec_path
-        from spdmean.bench import ExperimentSpec
 
         path = _resolve_spec_path(name)
         spec = ExperimentSpec.from_dict(json.loads(path.read_text()))

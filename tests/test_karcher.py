@@ -533,6 +533,38 @@ class TestSurrogateMinimizer:
                                                   r"\(eigenvalue -?[01]\)|has a non-finite entry)$"):
                 surrogate_minimizer(c1, c2)
 
+    def test_factors_c2_once(self, monkeypatch, rng):
+        # validation factors c1 and c2; the minimizer reuses the factor of c2
+        shapes = []
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        surrogate_minimizer(random_spd(rng, 4), random_spd(rng, 4))
+        assert shapes == [(1, 4, 4), (1, 4, 4)]
+
+    @pytest.mark.parametrize("p", [1, 4, 10])
+    def test_c2_without_cholesky_factor(self, p, monkeypatch, rng):
+        # validation accepts c1 and c2 on their eigenvalues and hands the
+        # minimizer the spectral factor U D^{1/2} of c2 in place of its Cholesky factor
+        pairs = [(random_spd(rng, p), random_spd(rng, p)) for _ in range(5)]
+        wants = [surrogate_minimizer(c1, c2) for c1, c2 in pairs]
+        refused = []
+
+        def no_factor(a, message):
+            refused.append(message)
+            raise DomainError(message)
+
+        monkeypatch.setattr(spd_core, "cholesky", no_factor)
+        for (c1, c2), want in zip(pairs, wants):
+            refused.clear()
+            got = surrogate_minimizer(c1, c2)
+            assert refused == ["stack has no Cholesky factor"] * 2
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
 
 def _geometric_spd(rng, p, cond):
     u = random_orthogonal(p, rng)
