@@ -203,6 +203,7 @@ class ExperimentSpec:
     """A full simulation regime: instance shape, spectrum, runs, solvers.
 
     ``scale_first_by`` scales A₁; times the spectrum's ``top`` it must be finite.
+    The solvers' column ids (``SolverSpec.solver_id``) must be distinct.
     """
 
     n: int
@@ -231,6 +232,9 @@ class ExperimentSpec:
                               f"largest value {top!r} overflows float64")
         if not self.solvers:
             raise DomainError("at least one solver is required")
+        ids = [s.solver_id for s in self.solvers]
+        if len(set(ids)) != len(ids):
+            raise DomainError(f"duplicate solver ids: {ids}")
 
     def to_dict(self) -> dict:
         return {
@@ -302,8 +306,6 @@ def _padded(values: List[float], length: int) -> List[float]:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every configured solver on ``runs`` generated instances."""
     ids = [s.solver_id for s in spec.solvers]
-    if len(set(ids)) != len(ids):
-        raise DomainError(f"duplicate solver ids: {ids}")
     results: Dict[str, List[Optional[SolverResult]]] = {i: [] for i in ids}
     errors: List[str] = []
     children = np.random.SeedSequence(spec.seed).spawn(spec.runs)

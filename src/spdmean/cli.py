@@ -10,9 +10,12 @@ Three subcommands:
   :mod:`spdmean.selfcheck` (the acceptance criteria's functions at small
   counts) and print a pass/fail line per check.
 
-Exit codes: 0 success/converged, 1 input error, 2 a solve that did not
-converge or failed (also any failed ``bench`` run), 3 failed
-consistency check.
+Exit codes: 0 success/converged, 1 invalid input or an output that
+cannot be written, 2 a solve that did not converge or failed (also any
+failed ``bench`` run), 3 failed consistency check. :func:`main` prints
+every input and output error, ``--out`` included, as one ``error: …``
+line, and ``check`` reports a check that raises as its FAIL line, so no
+subcommand ends in a traceback.
 """
 
 import argparse
@@ -37,12 +40,10 @@ class InputError(Exception):
 
 
 def _load_json(path):
-    """Parse a UTF-8 JSON file; any failure to read or parse is an InputError."""
+    """Parse a UTF-8 JSON file; a file that does not parse is an InputError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
@@ -81,10 +82,7 @@ def read_ensemble(path) -> Ensemble:
         if a.shape != (p, p):
             raise InputError(f"matrix {i} has shape {a.shape}, expected ({p}, {p})")
         mats.append(a)
-    try:
-        return Ensemble.from_matrices(mats)
-    except SpdMeanError as exc:
-        raise InputError(str(exc))
+    return Ensemble.from_matrices(mats)
 
 
 def write_ensemble(path, mats) -> None:
@@ -107,12 +105,8 @@ def _write_trace_csv(path, trace) -> None:
 
 
 def cmd_mean(args) -> int:
-    try:
-        ensemble = read_ensemble(args.input)
-        cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol, nu=args.nu)
-    except (InputError, SpdMeanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ensemble = read_ensemble(args.input)
+    cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol, nu=args.nu)
     try:
         result = SOLVERS[args.solver](ensemble, cfg, arithmetic_mean_init(ensemble))
     except SpdMeanError as exc:
@@ -140,22 +134,18 @@ def _resolve_spec_path(name: str):
 
 def cmd_bench(args) -> int:
     out_base = args.out or Path(args.spec).stem
+    spec_path = _resolve_spec_path(args.spec)
+    if Path(f"{out_base}.json").resolve() == Path(str(spec_path)).resolve():
+        raise InputError(f"the report sidecar {out_base}.json would overwrite the spec "
+                         f"file {spec_path}; choose another output base with --out")
+    data = _load_json(spec_path)
     try:
-        spec_path = _resolve_spec_path(args.spec)
-        if Path(f"{out_base}.json").resolve() == Path(str(spec_path)).resolve():
-            raise InputError(f"the report sidecar {out_base}.json would overwrite the spec "
-                             f"file {spec_path}; choose another output base with --out")
-        data = _load_json(spec_path)
-        try:
-            spec = ExperimentSpec.from_dict(data)
-            if args.seed is not None:
-                spec = replace(spec, seed=args.seed)
-            report = run_experiment(spec)  # raises only on duplicate solver ids
-        except DomainError as exc:
-            raise InputError(f"invalid experiment spec: {exc}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        spec = ExperimentSpec.from_dict(data)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+    except DomainError as exc:
+        raise InputError(f"invalid experiment spec: {exc}")
+    report = run_experiment(spec)
     write_report(report, str(out_base))
     for msg in report.errors:
         print(f"warning: {msg}", file=sys.stderr)
@@ -208,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, SpdMeanError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

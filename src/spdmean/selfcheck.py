@@ -18,6 +18,7 @@ import numpy as np
 
 from . import karcher, oracle, solvers
 from .bench import random_orthogonal
+from .errors import SpdMeanError
 from .karcher import Ensemble
 from .spd_core import frob_inner, inv_m, riem_dist, sym
 
@@ -205,11 +206,18 @@ TABLE = [
 
 
 def run_checks(seed: int = 20240) -> List[CheckResult]:
-    """Run :data:`TABLE`, entry i on ``default_rng([seed, i])``; the order is stable."""
+    """Run :data:`TABLE`, entry i on ``default_rng([seed, i])``; the order is stable.
+
+    A check that raises a package error fails its own line, naming the error.
+    """
     results = []
     for i, (name, criterion, run, detail) in enumerate(TABLE):
-        *worst, passed = run(np.random.default_rng([seed, i]))
         if criterion is not None:
             name = f"{name} (criterion {criterion})"
+        try:
+            *worst, passed = run(np.random.default_rng([seed, i]))
+        except SpdMeanError as exc:
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            continue
         results.append(CheckResult(name, bool(passed), detail.format(*worst)))
     return results

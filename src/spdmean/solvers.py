@@ -29,6 +29,7 @@ gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, NamedTuple, Optional
@@ -85,8 +86,9 @@ class SolverConfig:
 
 
 def _positive_finite(value) -> bool:
-    """Whether ``value`` is a real number in (0, inf); bool and NaN are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+    """Whether ``value`` is a real number in (0, float64 max]; bool, NaN and 10**400 are not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
 
 
 class TraceRecord(NamedTuple):

@@ -238,10 +238,8 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict(bad)
 
     def test_duplicate_solver_ids_rejected(self):
-        spec = small_spec(solvers=[SolverSpec(kind="mm"),
-                                   SolverSpec(kind="mm")])
         with pytest.raises(DomainError, match="duplicate"):
-            run_experiment(spec)
+            small_spec(solvers=[SolverSpec(kind="mm"), SolverSpec(kind="mm")])
 
 
 class TestRunExperiment:

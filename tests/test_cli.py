@@ -203,12 +203,16 @@ MALFORMED = {
     "mean-top-level-list": ("mean", [[[2.0]]]),
     "mean-no-matrices": ("mean", {"dim": 1}),
     "mean-empty-matrices": ("mean", {"dim": 1, "matrices": []}),
+    "mean-deeply-nested": ("mean", b"[" * 100000 + b"]" * 100000),
     "bench-directory": ("bench", None),
     "bench-not-utf8": ("bench", b'{"n": 1\xff}'),
+    "bench-deeply-nested": ("bench", b"[" * 100000 + b"]" * 100000),
     "bench-top-level-list": ("bench", [SPEC]),
     "bench-solver-not-object": ("bench", {**SPEC, "solvers": ["mm"]}),
     "bench-max-iters-string": ("bench", {**SPEC, "solvers": [{"kind": "mm", "max_iters": "x"}]}),
     "bench-nu-string": ("bench", {**SPEC, "solvers": [{"kind": "mm", "nu": "x"}]}),
+    "bench-nu-integer-past-float64": ("bench", {**SPEC, "solvers": [{"kind": "gd-ls",
+                                                                     "nu": 10 ** 400}]}),
     "bench-n-float": ("bench", {**SPEC, "n": 2.5}),
     "bench-spectrum-dim-true": ("bench", {**SPEC, "spectrum": {**SPEC["spectrum"], "dim": True}}),
     "bench-spectrum-value-true": ("bench", {**SPEC, "spectrum": {**SPEC["spectrum"],
@@ -236,6 +240,8 @@ MALFORMED_MESSAGES = {
                                    "spectrum spec requires field 'dim'"),
     "bench-line-search-settings": ("error: invalid experiment spec: unknown solver fields: "
                                    "['c', 'ls_max_j']"),
+    "bench-nu-integer-past-float64": ("error: invalid experiment spec: "
+                                      "nu must be positive and finite"),
 }
 
 
@@ -257,6 +263,32 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert "__init__" not in err
     assert "invalid experiment spec: invalid experiment spec" not in err
     assert not list(tmp_path.glob("out*"))
+
+
+# (command, --out relative to the test directory, a directory made first):
+# an output that cannot be written is an input error like a bad file
+UNWRITABLE_OUT = {
+    "mean-out-under-missing-directory": ("mean", "missing/m.json", None),
+    "mean-out-is-a-directory": ("mean", "m.json", "m.json"),
+    "bench-out-under-missing-directory": ("bench", "missing/rep", None),
+    "bench-out-csv-is-a-directory": ("bench", "rep", "rep.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUT))
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, case):
+    command, out, directory = UNWRITABLE_OUT[case]
+    path = (ensemble_file(tmp_path, [[[1.0]], [[4.0]]]) if command == "mean"
+            else write_json(tmp_path / "spec.json", SPEC))
+    if directory is not None:
+        (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, path, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / out) in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # (what, keys from SPEC to the object that holds the field, field): every
@@ -503,3 +535,15 @@ class TestCheck:
         assert main(["check"]) == 3
         failed = [ln for ln in capsys.readouterr().out.splitlines() if "  FAIL  " in ln]
         assert len(failed) == 1 and failed[0].startswith(line)
+
+    def test_a_check_that_raises_fails_its_own_line(self, capsys, monkeypatch):
+        def raises(s, x):
+            raise DomainError("surrogate broken")
+        monkeypatch.setattr(karcher, "surrogate_value", raises)
+        assert main(["check"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [ln for ln in lines if "  FAIL  " in ln]
+        assert len(failed) == 1
+        assert failed[0].startswith("surrogate majorizes objective")
+        assert failed[0].endswith("  FAIL  DomainError: surrogate broken")
+        assert lines[-1] == "9/10 checks passed"

@@ -64,6 +64,8 @@ class TestSolverConfig:
         {"grad_tol": True},
         {"nu": "1.0"},
         {"grad_tol": "1e-6"},
+        {"nu": 10 ** 400},
+        {"grad_tol": 10 ** 400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
