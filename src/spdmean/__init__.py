@@ -34,8 +34,6 @@ from .karcher import (
 from .oracle import (
     commuting_oracle,
     finite_diff_directional,
-    grid_minimize_1d,
-    matrix_fn,
     scalar_karcher_oracle,
     two_matrix_oracle,
 )

@@ -15,6 +15,7 @@ a given spec and unaffected by any parallel scheduling of runs.
 import csv
 import io
 import json
+import os
 from collections import abc
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin
@@ -350,9 +351,18 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 
 def write_report(report: ExperimentReport, out_base: str) -> None:
-    """Write ``<out_base>.csv`` and the spec sidecar ``<out_base>.json``."""
-    with open(out_base + ".csv", "w") as fh:
+    """Write ``<out_base>.csv`` and the spec sidecar ``<out_base>.json``.
+
+    If the sidecar cannot be written the CSV is deleted again, so a
+    failed write leaves neither file.
+    """
+    csv_path = out_base + ".csv"
+    with open(csv_path, "w") as fh:
         fh.write(report_to_csv(report))
-    with open(out_base + ".json", "w") as fh:
-        json.dump(report.spec.to_dict(), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(out_base + ".json", "w") as fh:
+            json.dump(report.spec.to_dict(), fh, indent=2)
+            fh.write("\n")
+    except OSError:
+        os.remove(csv_path)
+        raise

@@ -15,7 +15,9 @@ cannot be written, 2 a solve that did not converge or failed (also any
 failed ``bench`` run), 3 failed consistency check. :func:`main` prints
 every input and output error, ``--out`` included, as one ``error: …``
 line, and ``check`` reports a check that raises as its FAIL line, so no
-subcommand ends in a traceback.
+subcommand ends in a traceback. ``mean`` and ``bench`` refuse an output
+path that cannot be written before they solve, and a command that
+exits 1 leaves no output file.
 """
 
 import argparse
@@ -104,17 +106,35 @@ def _write_trace_csv(path, trace) -> None:
                      f"{t.log_error:.17g},{t.elapsed:.6g}\n")
 
 
+def _check_out(*paths) -> None:
+    """Refuse, before any solve, an output path that cannot be written as a file.
+
+    Each path must name no directory and lie in an existing directory.
+    """
+    for path in paths:
+        if path.is_dir():
+            raise InputError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise InputError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def cmd_mean(args) -> int:
     ensemble = read_ensemble(args.input)
     cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol, nu=args.nu)
+    out = Path(args.out) if args.out else Path(args.input).with_suffix(".mean.json")
+    trace_out = out.with_suffix(".trace.csv")
+    _check_out(out, trace_out)
     try:
         result = SOLVERS[args.solver](ensemble, cfg, arithmetic_mean_init(ensemble))
     except SpdMeanError as exc:
         print(f"error: {args.solver} solve failed: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out) if args.out else Path(args.input).with_suffix(".mean.json")
     write_ensemble(out, [result.mean])
-    _write_trace_csv(out.with_suffix(".trace.csv"), result.trace)
+    try:
+        _write_trace_csv(trace_out, result.trace)
+    except OSError:
+        out.unlink()  # leave neither file
+        raise
     print(f"{result.status}: {result.iters_used} iterations, "
           f"final grad norm {result.trace[-1].grad_norm:.3g}")
     print(f"mean written to {out}")
@@ -138,6 +158,7 @@ def cmd_bench(args) -> int:
     if Path(f"{out_base}.json").resolve() == Path(str(spec_path)).resolve():
         raise InputError(f"the report sidecar {out_base}.json would overwrite the spec "
                          f"file {spec_path}; choose another output base with --out")
+    _check_out(Path(f"{out_base}.csv"), Path(f"{out_base}.json"))
     data = _load_json(spec_path)
     try:
         spec = ExperimentSpec.from_dict(data)

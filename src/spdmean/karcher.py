@@ -277,8 +277,7 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
 
     The minimizer is the unique SPD root of the stationarity equation
     X c1 X = c2, returned as F Fᵀ with F from :func:`_minimizer_factor`;
-    it equals c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}
-    (:func:`spdmean.oracle.two_root_minimizer`).
+    it equals c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}.
 
     Raises
     ------

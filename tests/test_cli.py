@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spdmean.selfcheck as selfcheck
-from spdmean import karcher, oracle, solvers
+from spdmean import cli, karcher, oracle, solvers
 from spdmean.bench import ExperimentSpec
 from spdmean.cli import InputError, main, read_ensemble, write_ensemble
 from spdmean.errors import DomainError
@@ -270,24 +270,50 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
 UNWRITABLE_OUT = {
     "mean-out-under-missing-directory": ("mean", "missing/m.json", None),
     "mean-out-is-a-directory": ("mean", "m.json", "m.json"),
+    "mean-trace-is-a-directory": ("mean", "m.json", "m.trace.csv"),
     "bench-out-under-missing-directory": ("bench", "missing/rep", None),
     "bench-out-csv-is-a-directory": ("bench", "rep", "rep.csv"),
+    "bench-out-json-is-a-directory": ("bench", "rep", "rep.json"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUT))
-def test_unwritable_out_is_one_error_line(tmp_path, capsys, case):
+def _never_called(*args, **kwargs):
+    raise AssertionError("solved before the output paths were checked")
+
+
+def _unwritable_out_run(tmp_path, case):
+    """Run ``case`` of UNWRITABLE_OUT; return its exit code and the files before it."""
     command, out, directory = UNWRITABLE_OUT[case]
     path = (ensemble_file(tmp_path, [[[1.0]], [[4.0]]]) if command == "mean"
             else write_json(tmp_path / "spec.json", SPEC))
     if directory is not None:
         (tmp_path / directory).mkdir()
     before = sorted(tmp_path.rglob("*"))
-    assert main([command, path, "--out", str(tmp_path / out)]) == 1
+    return main([command, path, "--out", str(tmp_path / out)]), before
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUT))
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "run_experiment", _never_called)
+    monkeypatch.setitem(cli.SOLVERS, "mm", _never_called)
+    code, before = _unwritable_out_run(tmp_path, case)
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(tmp_path / out) in err
+    _, out, directory = UNWRITABLE_OUT[case]
+    assert str(tmp_path / (directory or out)) in err
     assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# a second output that still fails after the check deletes the first
+@pytest.mark.parametrize("case", ["mean-trace-is-a-directory", "bench-out-json-is-a-directory"])
+def test_failed_second_write_leaves_no_file(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "_check_out", lambda *paths: None)
+    code, before = _unwritable_out_run(tmp_path, case)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / UNWRITABLE_OUT[case][2]) in err
     assert sorted(tmp_path.rglob("*")) == before
 
 

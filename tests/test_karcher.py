@@ -22,13 +22,14 @@ from spdmean.karcher import (
 )
 from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble,
                            random_orthogonal)
-from spdmean.oracle import per_matrix_terms, two_root_minimizer
 from spdmean import selfcheck, spd_core
 from spdmean.selfcheck import fd_gap, random_ensemble, random_spd, random_sym
 from spdmean.solvers import (SOLVERS, SolverConfig, arithmetic_mean_init, gd_fixed_step_solve,
                              mm_solve)
 from spdmean.spd_core import (check_spd, exp_m, frob_inner, geodesic, inv_m, inv_sqrt_m, riem_dist,
                               sqrt_m, sym)
+
+from refs import grid_minimize_1d, per_matrix_terms, two_root_minimizer
 
 
 class TestEnsemble:
@@ -267,8 +268,6 @@ class TestScalarWeights:
     def test_scalar_surrogate_uniqueness(self):
         # x -> g1(x')x + g2(x')/x - ln^2 x has its grid minimum at the
         # grid point nearest x', over a wide log-spaced grid
-        from spdmean.oracle import grid_minimize_1d
-
         xp = 3.0
         a, b = g1_scalar(xp), g2_scalar(xp)
         arg, _ = grid_minimize_1d(

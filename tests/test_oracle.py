@@ -8,12 +8,13 @@ from spdmean.karcher import Ensemble, grad_sum, objective
 from spdmean.oracle import (
     commuting_oracle,
     finite_diff_directional,
-    grid_minimize_1d,
     scalar_karcher_oracle,
     two_matrix_oracle,
 )
 from spdmean.selfcheck import commuting_ensemble, random_spd
 from spdmean.spd_core import frob_inner, riem_dist, sym
+
+from refs import grid_minimize_1d
 
 
 class TestScalarKarcherOracle:

@@ -1,0 +1,37 @@
+"""The package ships only code that it exports or runs itself."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spdmean"
+
+
+def _names(node):
+    """Every name a node uses: as a name, an attribute or an imported name."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_module_level_def_is_exported_or_used():
+    # a function or class that only tests call belongs under tests/
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    init = trees.pop("__init__")
+    exported = {a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    unused = []
+    for module, tree in trees.items():
+        for d in tree.body:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if d.name in exported:
+                continue
+            if not any(d.name in _names(node) for other in trees.values()
+                       for node in other.body if node is not d):
+                unused.append(f"{module}.{d.name}")
+    assert unused == []

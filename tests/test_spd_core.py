@@ -7,7 +7,7 @@ import pytest
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.bench import random_orthogonal
 from spdmean.karcher import surrogate_minimizer
-from spdmean.oracle import finite_diff_directional, matrix_fn
+from spdmean.oracle import finite_diff_directional
 from spdmean.selfcheck import random_spd, random_sym
 from spdmean import spd_core
 from spdmean.spd_core import (
@@ -24,6 +24,8 @@ from spdmean.spd_core import (
     sqrt_m,
     sym,
 )
+
+from refs import matrix_fn
 
 
 class TestCheckSymmetric:
