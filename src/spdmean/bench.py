@@ -10,12 +10,12 @@ are padded by repeating their final value.
 Randomness uses numpy's PCG64: run ``r`` draws from the child stream
 ``SeedSequence(seed).spawn(runs)[r]``, so reports are deterministic for
 a given spec and unaffected by any parallel scheduling of runs.
+Nothing here writes a file: ``spdmean bench`` writes the report.
 """
 
 import csv
 import io
-import json
-import os
+import numbers
 from collections import abc
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin
@@ -24,17 +24,17 @@ import numpy as np
 
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
-from .solvers import SOLVERS, SolverConfig, SolverResult, arithmetic_mean_init
+from .solvers import SOLVERS, SolverConfig, SolverResult, _positive_finite, arithmetic_mean_init
 from .spd_core import sym
 
 
 _SCALARS = {int: "an integer", float: "a number", str: "a string"}
+_ABCS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 def _is_a(value, want) -> bool:
-    """JSON type test: bool is not a number and a float is not an integer."""
-    accepted = (int, float) if want is float else want
-    return not isinstance(value, bool) and isinstance(value, accepted)
+    """Type test of a spec field: bool is not a number and a float is not an integer."""
+    return not isinstance(value, bool) and isinstance(value, _ABCS[want])
 
 
 def _checked_fields(cls, d, what: str) -> dict:
@@ -104,6 +104,8 @@ class SpectrumSpec:
     values: Optional[Sequence[float]] = None
 
     def __post_init__(self):
+        if not _is_a(self.dim, int):
+            raise DomainError(f"spectrum dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise DomainError("spectrum dim must be >= 1")
         if self.kind not in _KIND_FIELDS:
@@ -149,7 +151,7 @@ class SpectrumSpec:
         return np.asarray(self.values, dtype=float)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "dim": self.dim}
+        d = {"kind": self.kind, "dim": int(self.dim)}
         d.update((name, getattr(self, name)) for name in _KIND_FIELDS[self.kind])
         if self.kind == "explicit":
             d["values"] = list(map(float, self.values))
@@ -216,13 +218,16 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "p", "runs", "seed"):
+            if not _is_a(getattr(self, name), int):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.p < 1:
             raise DomainError("n and p must be >= 1")
         if self.runs < 1:
             raise DomainError("runs must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        if not (_finite(self.scale_first_by) and self.scale_first_by > 0):
+        if not _positive_finite(self.scale_first_by):
             raise DomainError(f"scale_first_by must be positive and finite, "
                               f"got {self.scale_first_by!r}")
         if self.spectrum.dim != self.p:
@@ -239,12 +244,12 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "p": self.p,
+            "n": int(self.n),
+            "p": int(self.p),
             "spectrum": self.spectrum.to_dict(),
             "scale_first_by": self.scale_first_by,
-            "runs": self.runs,
-            "seed": self.seed,
+            "runs": int(self.runs),
+            "seed": int(self.seed),
             "solvers": [s.to_dict() for s in self.solvers],
         }
 
@@ -349,20 +354,3 @@ def report_to_csv(report: ExperimentReport) -> str:
         writer.writerow([k] + [f"{v:.17g}" for v in row])
     return buf.getvalue()
 
-
-def write_report(report: ExperimentReport, out_base: str) -> None:
-    """Write ``<out_base>.csv`` and the spec sidecar ``<out_base>.json``.
-
-    If the sidecar cannot be written the CSV is deleted again, so a
-    failed write leaves neither file.
-    """
-    csv_path = out_base + ".csv"
-    with open(csv_path, "w") as fh:
-        fh.write(report_to_csv(report))
-    try:
-        with open(out_base + ".json", "w") as fh:
-            json.dump(report.spec.to_dict(), fh, indent=2)
-            fh.write("\n")
-    except OSError:
-        os.remove(csv_path)
-        raise

@@ -15,9 +15,9 @@ cannot be written, 2 a solve that did not converge or failed (also any
 failed ``bench`` run), 3 failed consistency check. :func:`main` prints
 every input and output error, ``--out`` included, as one ``error: …``
 line, and ``check`` reports a check that raises as its FAIL line, so no
-subcommand ends in a traceback. ``mean`` and ``bench`` refuse an output
-path that cannot be written before they solve, and a command that
-exits 1 leaves no output file.
+subcommand ends in a traceback. Only this module writes files: ``mean``
+and ``bench`` check every output (:func:`_check_out`) before they solve
+and write all of them or none (:func:`_write_files`).
 """
 
 import argparse
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ExperimentSpec, run_experiment, write_report
+from .bench import ExperimentSpec, report_to_csv, run_experiment
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .selfcheck import run_checks
@@ -87,35 +87,43 @@ def read_ensemble(path) -> Ensemble:
     return Ensemble.from_matrices(mats)
 
 
-def write_ensemble(path, mats) -> None:
-    """Write matrices in the ensemble JSON schema, each entry as its shortest round-trip repr."""
-    payload = {
-        "dim": int(mats[0].shape[0]),
-        "matrices": [np.asarray(a, dtype=float).tolist() for a in mats],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+def ensemble_to_json(mats) -> str:
+    """The ensemble JSON schema's text, each entry as its shortest round-trip repr."""
+    return json.dumps({"dim": int(mats[0].shape[0]),
+                       "matrices": [np.asarray(a, dtype=float).tolist() for a in mats]}) + "\n"
 
 
-def _write_trace_csv(path, trace) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,objective,grad_norm,log_error,elapsed\n")
-        for t in trace:
-            fh.write(f"{t.iter},{t.objective:.17g},{t.grad_norm:.17g},"
-                     f"{t.log_error:.17g},{t.elapsed:.6g}\n")
+def _trace_to_csv(trace) -> str:
+    return "iter,objective,grad_norm,log_error,elapsed\n" + "".join(
+        f"{t.iter},{t.objective:.17g},{t.grad_norm:.17g},{t.log_error:.17g},{t.elapsed:.6g}\n"
+        for t in trace)
 
 
-def _check_out(*paths) -> None:
-    """Refuse, before any solve, an output path that cannot be written as a file.
-
-    Each path must name no directory and lie in an existing directory.
-    """
-    for path in paths:
+def _check_out(outputs, inputs) -> None:
+    """Refuse, before any solve, an output that is a directory, lies in none or is an input."""
+    sources = {Path(str(path)).resolve() for path in inputs}
+    for path in outputs:
         if path.is_dir():
             raise InputError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise InputError(f"cannot write {path}: {path.parent} is not a directory")
+        if path.resolve() in sources:
+            raise InputError(f"cannot write {path}: it is the command's input file; "
+                             "choose another --out")
+
+
+def _write_files(*files) -> None:
+    """Write each ``(path, text)`` in order; if one fails, delete those opened and re-raise."""
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in written:
+            path.unlink()
+        raise
 
 
 def cmd_mean(args) -> int:
@@ -123,18 +131,14 @@ def cmd_mean(args) -> int:
     cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.tol, nu=args.nu)
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".mean.json")
     trace_out = out.with_suffix(".trace.csv")
-    _check_out(out, trace_out)
+    _check_out([out, trace_out], [args.input])
     try:
         result = SOLVERS[args.solver](ensemble, cfg, arithmetic_mean_init(ensemble))
     except SpdMeanError as exc:
         print(f"error: {args.solver} solve failed: {exc}", file=sys.stderr)
         return 2
-    write_ensemble(out, [result.mean])
-    try:
-        _write_trace_csv(trace_out, result.trace)
-    except OSError:
-        out.unlink()  # leave neither file
-        raise
+    _write_files((out, ensemble_to_json([result.mean])),
+                 (trace_out, _trace_to_csv(result.trace)))
     print(f"{result.status}: {result.iters_used} iterations, "
           f"final grad norm {result.trace[-1].grad_norm:.3g}")
     print(f"mean written to {out}")
@@ -154,11 +158,9 @@ def _resolve_spec_path(name: str):
 
 def cmd_bench(args) -> int:
     out_base = args.out or Path(args.spec).stem
+    csv_out, sidecar_out = Path(f"{out_base}.csv"), Path(f"{out_base}.json")
     spec_path = _resolve_spec_path(args.spec)
-    if Path(f"{out_base}.json").resolve() == Path(str(spec_path)).resolve():
-        raise InputError(f"the report sidecar {out_base}.json would overwrite the spec "
-                         f"file {spec_path}; choose another output base with --out")
-    _check_out(Path(f"{out_base}.csv"), Path(f"{out_base}.json"))
+    _check_out([csv_out, sidecar_out], [spec_path])
     data = _load_json(spec_path)
     try:
         spec = ExperimentSpec.from_dict(data)
@@ -167,7 +169,8 @@ def cmd_bench(args) -> int:
     except DomainError as exc:
         raise InputError(f"invalid experiment spec: {exc}")
     report = run_experiment(spec)
-    write_report(report, str(out_base))
+    _write_files((csv_out, report_to_csv(report)),
+                 (sidecar_out, json.dumps(report.spec.to_dict(), indent=2) + "\n"))
     for msg in report.errors:
         print(f"warning: {msg}", file=sys.stderr)
     print(f"report written to {out_base}.csv (+ {out_base}.json)")

@@ -19,7 +19,6 @@ from spdmean.bench import (
     random_orthogonal,
     report_to_csv,
     run_experiment,
-    write_report,
 )
 from spdmean.errors import DomainError
 from spdmean.solvers import SolverConfig
@@ -199,6 +198,28 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             small_spec(**{field: value})
 
+    # (field, value, refused): a spec built in Python is held to the types its
+    # JSON form must have, so every spec it accepts replays from its sidecar
+    @pytest.mark.parametrize("field, value, refused", [
+        ("n", 2.5, True), ("n", True, True), ("p", 3.0, True), ("runs", 1.5, True),
+        ("seed", True, True), ("seed", "7", True), ("scale_first_by", True, True),
+        ("dim", 3.0, True), ("dim", False, True),
+        ("n", np.int64(4), False), ("seed", np.int64(9), False), ("dim", np.int64(3), False),
+        ("scale_first_by", 2, False), ("scale_first_by", np.float64(0.5), False),
+    ])
+    def test_python_spec_holds_the_json_types(self, field, value, refused):
+        def build():
+            if field != "dim":
+                return small_spec(**{field: value})
+            return small_spec(spectrum=SpectrumSpec("uniform", value, lo=1.0, hi=10.0))
+
+        if refused:
+            with pytest.raises(DomainError, match=f"^(spectrum )?{field} must be"):
+                build()
+            return
+        spec = build()
+        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
     @pytest.mark.parametrize("spectrum, top", [
         (SpectrumSpec(kind="uniform", dim=3, lo=1.0, hi=10.0), 10.0),
         (SpectrumSpec(kind="geometric", dim=3, a=100.0), 1e200),
@@ -326,16 +347,6 @@ class TestReportOutput:
         assert first[0] == "0"
         # 17 significant digits survive a float round-trip bitwise
         assert float(first[1]) == rep.mean_log_error[0, 0]
-
-    def test_write_report_files(self, tmp_path):
-        spec = small_spec(runs=1)
-        rep = run_experiment(spec)
-        base = str(tmp_path / "out")
-        write_report(rep, base)
-        text = (tmp_path / "out.csv").read_text()
-        assert text == report_to_csv(rep)
-        sidecar = json.loads((tmp_path / "out.json").read_text())
-        assert ExperimentSpec.from_dict(sidecar) == spec
 
 
 # The committed records of alternating parent/change benchmark runs that

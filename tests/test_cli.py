@@ -8,14 +8,19 @@ import pytest
 
 import spdmean.selfcheck as selfcheck
 from spdmean import cli, karcher, oracle, solvers
-from spdmean.bench import ExperimentSpec
-from spdmean.cli import InputError, main, read_ensemble, write_ensemble
+from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, report_to_csv,
+                           run_experiment)
+from spdmean.cli import InputError, ensemble_to_json, main, read_ensemble
 from spdmean.errors import DomainError
 
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def write_ensemble(path, mats):
+    path.write_text(ensemble_to_json(mats))
 
 
 def ensemble_file(tmp_path, matrices, dim=None, name="ens.json"):
@@ -265,15 +270,18 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert not list(tmp_path.glob("out*"))
 
 
-# (command, --out relative to the test directory, a directory made first):
-# an output that cannot be written is an input error like a bad file
+# (command, its input file, --out, a directory made first; each path relative
+# to the test directory): an output that cannot be written, or that would
+# overwrite the command's input, is an input error like a bad file
 UNWRITABLE_OUT = {
-    "mean-out-under-missing-directory": ("mean", "missing/m.json", None),
-    "mean-out-is-a-directory": ("mean", "m.json", "m.json"),
-    "mean-trace-is-a-directory": ("mean", "m.json", "m.trace.csv"),
-    "bench-out-under-missing-directory": ("bench", "missing/rep", None),
-    "bench-out-csv-is-a-directory": ("bench", "rep", "rep.csv"),
-    "bench-out-json-is-a-directory": ("bench", "rep", "rep.json"),
+    "mean-out-under-missing-directory": ("mean", "ens.json", "missing/m.json", None),
+    "mean-out-is-a-directory": ("mean", "ens.json", "m.json", "m.json"),
+    "mean-trace-is-a-directory": ("mean", "ens.json", "m.json", "m.trace.csv"),
+    "mean-out-is-its-input": ("mean", "ens.json", "ens.json", None),
+    "bench-out-under-missing-directory": ("bench", "spec.json", "missing/rep", None),
+    "bench-out-csv-is-a-directory": ("bench", "spec.json", "rep", "rep.csv"),
+    "bench-out-json-is-a-directory": ("bench", "spec.json", "rep", "rep.json"),
+    "bench-out-csv-is-its-spec": ("bench", "spec.csv", "spec", None),
 }
 
 
@@ -281,14 +289,19 @@ def _never_called(*args, **kwargs):
     raise AssertionError("solved before the output paths were checked")
 
 
+def _files(tmp_path):
+    """Every path under ``tmp_path`` with its bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+
 def _unwritable_out_run(tmp_path, case):
     """Run ``case`` of UNWRITABLE_OUT; return its exit code and the files before it."""
-    command, out, directory = UNWRITABLE_OUT[case]
-    path = (ensemble_file(tmp_path, [[[1.0]], [[4.0]]]) if command == "mean"
-            else write_json(tmp_path / "spec.json", SPEC))
+    command, source, out, directory = UNWRITABLE_OUT[case]
+    path = (ensemble_file(tmp_path, [[[1.0]], [[4.0]]], name=source) if command == "mean"
+            else write_json(tmp_path / source, SPEC))
     if directory is not None:
         (tmp_path / directory).mkdir()
-    before = sorted(tmp_path.rglob("*"))
+    before = _files(tmp_path)
     return main([command, path, "--out", str(tmp_path / out)]), before
 
 
@@ -300,10 +313,10 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys, monkeypatch, case):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    _, out, directory = UNWRITABLE_OUT[case]
+    _, _, out, directory = UNWRITABLE_OUT[case]
     assert str(tmp_path / (directory or out)) in err
     assert "Traceback" not in err
-    assert sorted(tmp_path.rglob("*")) == before
+    assert _files(tmp_path) == before
 
 
 # a second output that still fails after the check deletes the first
@@ -313,8 +326,8 @@ def test_failed_second_write_leaves_no_file(tmp_path, capsys, monkeypatch, case)
     code, before = _unwritable_out_run(tmp_path, case)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(tmp_path / UNWRITABLE_OUT[case][2]) in err
-    assert sorted(tmp_path.rglob("*")) == before
+    assert err.startswith("error: ") and str(tmp_path / UNWRITABLE_OUT[case][3]) in err
+    assert _files(tmp_path) == before
 
 
 # (what, keys from SPEC to the object that holds the field, field): every
@@ -391,6 +404,18 @@ class TestBench:
         assert len(lines) == 2
         sidecar = json.loads((tmp_path / "rep.json").read_text())
         assert sidecar["seed"] == 5
+
+    def test_report_files(self, tmp_path):
+        # the CSV is the report's text and the sidecar replays to the same spec
+        spec = ExperimentSpec(
+            n=4, p=3, spectrum=SpectrumSpec(kind="uniform", dim=3, lo=1.0, hi=10.0),
+            solvers=[SolverSpec(kind="mm")], runs=1, seed=7)
+        path = write_json(tmp_path / "spec.json", spec.to_dict())
+        assert main(["bench", path, "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out.csv").read_text()
+        assert text == report_to_csv(run_experiment(spec))
+        sidecar = json.loads((tmp_path / "out.json").read_text())
+        assert ExperimentSpec.from_dict(sidecar) == spec
 
     def test_seed_override_lands_in_sidecar(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", self.spec_payload())

@@ -1,4 +1,4 @@
-"""The package ships only code that it exports or runs itself."""
+"""The package ships only code that it exports or runs itself, and only its CLI touches files."""
 
 import ast
 from pathlib import Path
@@ -35,3 +35,22 @@ def test_every_module_level_def_is_exported_or_used():
                        for node in other.body if node is not d):
                 unused.append(f"{module}.{d.name}")
     assert unused == []
+
+
+
+def _touches_files(func) -> bool:
+    """Whether a call's target is open, write_text, write_bytes, unlink or os.remove."""
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return isinstance(func, ast.Attribute) and (
+        func.attr in {"open", "write_text", "write_bytes", "unlink"}
+        or (func.attr == "remove" and isinstance(func.value, ast.Name) and func.value.id == "os"))
+
+
+def test_only_the_cli_touches_files():
+    # the CLI checks every output before solving and writes all or none
+    calls = [f"{path.stem}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and _touches_files(node.func)]
+    assert calls == []

@@ -438,14 +438,13 @@ class TestStepProtocol:
         assert len({(t.objective, t.grad_norm) for t in res.trace}) == 1
         assert np.array_equal(res.mean, check_spd(x0))
 
-    def test_trace_record_is_immutable_in_csv_column_order(self, tmp_path):
-        from spdmean.cli import _write_trace_csv
+    def test_trace_record_is_immutable_in_csv_column_order(self):
+        from spdmean.cli import _trace_to_csv
 
         rec = solvers.TraceRecord(0, 1.0, 2.0, math.log(2.0), 0.5)
         with pytest.raises(AttributeError):
             rec.objective = 0.0
-        _write_trace_csv(tmp_path / "trace.csv", [rec])
-        header = (tmp_path / "trace.csv").read_text().split("\n", 1)[0]
+        header = _trace_to_csv([rec]).split("\n", 1)[0]
         assert tuple(header.split(",")) == solvers.TraceRecord._fields == (
             "iter", "objective", "grad_norm", "log_error", "elapsed")
         assert (rec.iter, rec.grad_norm, rec.elapsed) == (0, 2.0, 0.5)
