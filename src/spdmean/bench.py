@@ -11,65 +11,41 @@ Randomness uses numpy's PCG64: run ``r`` draws from the child stream
 ``SeedSequence(seed).spawn(runs)[r]``, so reports are deterministic for
 a given spec and unaffected by any parallel scheduling of runs.
 Nothing here writes a file: ``spdmean bench`` writes the report.
+
+A spec is checked once, where it is built: each spec class's
+``__post_init__`` checks its own fields, read from JSON or given in
+Python alike, and ``from_dict`` only names unknown and missing keys.
 """
 
 import csv
 import io
 import numbers
-from collections import abc
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Union, get_args, get_origin
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
-from .solvers import SOLVERS, SolverConfig, SolverResult, _positive_finite, arithmetic_mean_init
+from .solvers import (SOLVERS, SolverConfig, SolverResult, _is_a, _positive_finite,
+                      _python, arithmetic_mean_init)
 from .spd_core import sym
 
 
-_SCALARS = {int: "an integer", float: "a number", str: "a string"}
-_ABCS = {int: numbers.Integral, float: numbers.Real, str: str}
-
-
-def _is_a(value, want) -> bool:
-    """Type test of a spec field: bool is not a number and a float is not an integer."""
-    return not isinstance(value, bool) and isinstance(value, _ABCS[want])
-
-
-def _checked_fields(cls, d, what: str) -> dict:
+def _known_fields(cls, d, what: str) -> dict:
     """A copy of the JSON object ``d`` whose keys are fields of ``cls``.
 
     Every field of ``cls`` with no default must be present; the first
-    one missing is named. A value for an int, float or str field must
-    have that type, and one for a sequence field must be a list of
-    elements of that type; either may be null if the field is optional.
-    bool is not a number and a float is not an integer, so
-    ``"dim": true``, ``"n": 2.5`` or ``"values": [true]`` is rejected
-    here, naming the field.
+    one missing is named.
     """
     if not isinstance(d, dict):
         raise DomainError(f"{what} spec must be a JSON object, got {d!r}")
-    hints = {f.name: f.type for f in fields(cls)}
-    unknown = set(d) - set(hints)
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
     for f in fields(cls):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise DomainError(f"{what} spec requires field {f.name!r}")
-    for name, value in d.items():
-        types = get_args(hints[name]) if get_origin(hints[name]) is Union else (hints[name],)
-        if value is None and type(None) in types:
-            continue
-        want = next((t for t in types if t in _SCALARS), None)
-        if want is not None and not _is_a(value, want):
-            raise DomainError(f"{what} field {name!r} must be {_SCALARS[want]}, got {value!r}")
-        seq = next((t for t in types if get_origin(t) is abc.Sequence), None)
-        if seq is not None:
-            item = get_args(seq)[0]
-            if not isinstance(value, list) or not all(_is_a(v, item) for v in value):
-                raise DomainError(f"{what} field {name!r} must be a list, each element "
-                                  f"{_SCALARS[item]}, got {value!r}")
     return dict(d)
 
 
@@ -104,11 +80,11 @@ class SpectrumSpec:
     values: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if not _is_a(self.dim, int):
+        if not _is_a(self.dim, numbers.Integral):
             raise DomainError(f"spectrum dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise DomainError("spectrum dim must be >= 1")
-        if self.kind not in _KIND_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
         foreign = [name for names in _KIND_FIELDS.values() for name in names
                    if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None]
@@ -116,7 +92,15 @@ class SpectrumSpec:
             raise DomainError(f"{self.kind} spectrum does not take fields {foreign}")
         for name in _KIND_FIELDS[self.kind]:
             value = getattr(self, name)
-            if value is not None and not _finite(value):
+            if value is None:
+                continue
+            if name != "values" and not _is_a(value, numbers.Real):
+                raise DomainError(f"spectrum field {name!r} must be a number, got {value!r}")
+            if name == "values" and not (isinstance(value, list)
+                                         and all(_is_a(v, numbers.Real) for v in value)):
+                raise DomainError("spectrum field 'values' must be a list, each element "
+                                  f"a number, got {value!r}")
+            if not _finite(value):
                 raise DomainError(f"spectrum field {name!r} must be finite, got {value!r}")
         if self.kind == "uniform":
             if self.lo is None or self.hi is None or not 0 < self.lo < self.hi:
@@ -152,14 +136,14 @@ class SpectrumSpec:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "dim": int(self.dim)}
-        d.update((name, getattr(self, name)) for name in _KIND_FIELDS[self.kind])
+        d.update((name, _python(getattr(self, name))) for name in _KIND_FIELDS[self.kind])
         if self.kind == "explicit":
             d["values"] = list(map(float, self.values))
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumSpec":
-        return cls(**_checked_fields(cls, d, "spectrum"))
+        return cls(**_known_fields(cls, d, "spectrum"))
 
 
 @dataclass(frozen=True)
@@ -171,8 +155,12 @@ class SolverSpec:
     id: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in SOLVERS:
+        if not isinstance(self.kind, str) or self.kind not in SOLVERS:
             raise DomainError(f"unknown solver kind {self.kind!r}")
+        if self.id is not None and not isinstance(self.id, str):
+            raise DomainError(f"solver id must be a string, got {self.id!r}")
+        if not isinstance(self.config, SolverConfig):
+            raise DomainError(f"solver config must be a SolverConfig, got {self.config!r}")
 
     @property
     def solver_id(self) -> str:
@@ -186,7 +174,7 @@ class SolverSpec:
         return SOLVERS[self.kind](e, self.config, x0)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, **asdict(self.config)}
+        d = {"kind": self.kind, **{k: _python(v) for k, v in asdict(self.config).items()}}
         if self.id is not None:
             d["id"] = self.id
         return d
@@ -195,9 +183,9 @@ class SolverSpec:
     def from_dict(cls, d: dict) -> "SolverSpec":
         if not isinstance(d, dict):
             raise DomainError(f"solver spec must be a JSON object, got {d!r}")
-        head = _checked_fields(cls, {k: d[k] for k in ("kind", "id") if k in d}, "solver")
+        head = _known_fields(cls, {k: d[k] for k in ("kind", "id") if k in d}, "solver")
         config = {k: v for k, v in d.items() if k not in head}
-        return cls(config=SolverConfig(**_checked_fields(SolverConfig, config, "solver")),
+        return cls(config=SolverConfig(**_known_fields(SolverConfig, config, "solver")),
                    **head)
 
 
@@ -219,7 +207,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("n", "p", "runs", "seed"):
-            if not _is_a(getattr(self, name), int):
+            if not _is_a(getattr(self, name), numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.p < 1:
             raise DomainError("n and p must be >= 1")
@@ -230,12 +218,17 @@ class ExperimentSpec:
         if not _positive_finite(self.scale_first_by):
             raise DomainError(f"scale_first_by must be positive and finite, "
                               f"got {self.scale_first_by!r}")
+        if not isinstance(self.spectrum, SpectrumSpec):
+            raise DomainError(f"spectrum must be a SpectrumSpec, got {self.spectrum!r}")
         if self.spectrum.dim != self.p:
             raise DomainError("spectrum dim must equal p")
         top = self.spectrum.top
         if not np.isfinite(float(self.scale_first_by) * top):
             raise DomainError(f"scale_first_by {self.scale_first_by!r} times the spectrum's "
                               f"largest value {top!r} overflows float64")
+        if not (isinstance(self.solvers, list)
+                and all(isinstance(s, SolverSpec) for s in self.solvers)):
+            raise DomainError(f"solvers must be a list of SolverSpec, got {self.solvers!r}")
         if not self.solvers:
             raise DomainError("at least one solver is required")
         ids = [s.solver_id for s in self.solvers]
@@ -247,7 +240,7 @@ class ExperimentSpec:
             "n": int(self.n),
             "p": int(self.p),
             "spectrum": self.spectrum.to_dict(),
-            "scale_first_by": self.scale_first_by,
+            "scale_first_by": _python(self.scale_first_by),
             "runs": int(self.runs),
             "seed": int(self.seed),
             "solvers": [s.to_dict() for s in self.solvers],
@@ -255,8 +248,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = _checked_fields(cls, d, "experiment")
-        if not d["solvers"] or not isinstance(d["solvers"], list):
+        d = _known_fields(cls, d, "experiment")
+        if not isinstance(d["solvers"], list):
             raise DomainError("experiment spec requires a 'solvers' list")
         return cls(**{**d, "spectrum": SpectrumSpec.from_dict(d["spectrum"]),
                       "solvers": [SolverSpec.from_dict(s) for s in d["solvers"]]})

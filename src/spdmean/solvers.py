@@ -71,8 +71,7 @@ class SolverConfig:
     nu: float = 1.0
 
     def __post_init__(self):
-        if (not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool)
-                or self.max_iters < 1):
+        if not _is_a(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise DomainError("max_iters must be an integer >= 1")
         if self.grad_tol is not None and not _positive_finite(self.grad_tol):
             raise DomainError("grad_tol must be positive and finite")
@@ -85,10 +84,19 @@ class SolverConfig:
         return DEFAULT_GRAD_TOL_PER_MAT * n
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a number of the ABC ``kind``; bool is not a number."""
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
+def _python(value):
+    """A numpy scalar as its Python value (np.float32(0.5) is 0.5), anything else as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _positive_finite(value) -> bool:
     """Whether ``value`` is a real number in (0, float64 max]; bool, NaN and 10**400 are not."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value <= sys.float_info.max)
+    return _is_a(value, numbers.Real) and 0 < _python(value) <= sys.float_info.max
 
 
 class TraceRecord(NamedTuple):

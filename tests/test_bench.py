@@ -3,9 +3,10 @@ import math
 import re
 import statistics
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import List, Optional
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestGenerateEnsemble:
         assert np.allclose(e.mats[1], base.mats[1])
 
 
+# the start of the message that refuses a field of
+# test_python_spec_holds_the_json_types other than "(spectrum )?<field> must be"
+REFUSED = {
+    "spectrum.lo": "spectrum field 'lo' must be a number, got ",
+    "spectrum.kind": re.escape("unknown spectrum kind ['uniform']"),
+    "spectrum.values": "spectrum field 'values' must be a list, each element a number",
+    "solver.kind": re.escape("unknown solver kind ['mm']"),
+    "solver.id": "solver id must be a string, got 5",
+    "solver.config": "solver config must be a SolverConfig, got ",
+}
+
+
 class TestExperimentSpec:
     @pytest.mark.parametrize("source", ["small_spec", "fig1_small", "fig3_rescale"])
     def test_round_trip(self, source):
@@ -199,22 +212,41 @@ class TestExperimentSpec:
             small_spec(**{field: value})
 
     # (field, value, refused): a spec built in Python is held to the types its
-    # JSON form must have, so every spec it accepts replays from its sidecar
+    # JSON form must have, so every spec it accepts replays from its sidecar; a
+    # field with a dot is one of the spectrum's, the solver's or its config's
     @pytest.mark.parametrize("field, value, refused", [
         ("n", 2.5, True), ("n", True, True), ("p", 3.0, True), ("runs", 1.5, True),
         ("seed", True, True), ("seed", "7", True), ("scale_first_by", True, True),
         ("dim", 3.0, True), ("dim", False, True),
         ("n", np.int64(4), False), ("seed", np.int64(9), False), ("dim", np.int64(3), False),
         ("scale_first_by", 2, False), ("scale_first_by", np.float64(0.5), False),
+        ("spectrum.lo", "1", True), ("spectrum.lo", True, True),
+        ("spectrum.kind", ["uniform"], True), ("spectrum.values", (1.0, 2.0, 5.0), True),
+        ("solver.kind", ["mm"], True), ("solver.id", 5, True),
+        ("solver.config", {"nu": 1.0}, True), ("spectrum", {"kind": "uniform"}, True),
+        ("solvers", (SolverSpec("mm"),), True),
+        ("spectrum.lo", np.int64(1), False), ("scale_first_by", np.float32(0.5), False),
+        ("config.max_iters", np.int64(5), False), ("config.nu", np.float32(0.5), False),
+        ("config.grad_tol", np.float32(1e-6), False),
     ])
     def test_python_spec_holds_the_json_types(self, field, value, refused):
         def build():
-            if field != "dim":
-                return small_spec(**{field: value})
-            return small_spec(spectrum=SpectrumSpec("uniform", value, lo=1.0, hi=10.0))
+            owner, _, name = field.rpartition(".")
+            if owner == "spectrum" or field == "dim":
+                base = dict(kind="uniform", dim=3, lo=1.0, hi=10.0)
+                if name == "values":
+                    base = dict(kind="explicit", dim=3, values=[1.0, 2.0, 5.0])
+                return small_spec(spectrum=SpectrumSpec(**{**base, name: value}))
+            if owner == "solver":
+                return small_spec(solvers=[SolverSpec(**{"kind": "gd-ls", name: value})])
+            if owner == "config":
+                config = SolverConfig(**{name: value})
+                return small_spec(solvers=[SolverSpec(kind="gd-ls", config=config)])
+            return small_spec(**{field: value})
 
         if refused:
-            with pytest.raises(DomainError, match=f"^(spectrum )?{field} must be"):
+            message = REFUSED.get(field, f"(spectrum )?{field} must be")
+            with pytest.raises(DomainError, match=f"^{message}"):
                 build()
             return
         spec = build()
@@ -255,12 +287,58 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict(bad)
         bad = dict(good)
         bad["solvers"] = []
-        with pytest.raises(DomainError, match="solvers"):
+        with pytest.raises(DomainError, match="^at least one solver is required$"):
             ExperimentSpec.from_dict(bad)
 
     def test_duplicate_solver_ids_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             small_spec(solvers=[SolverSpec(kind="mm"), SolverSpec(kind="mm")])
+
+
+# A valid JSON spec, the spectrum that takes each field another kind lacks, and
+# the keys from the spec to the object that holds each spec class's fields.
+GUARD_SPEC = {"n": 2, "p": 2, "spectrum": {"kind": "uniform", "dim": 2, "lo": 1.0, "hi": 2.0},
+              "solvers": [{"kind": "gd-ls"}]}
+GUARD_SPECTRA = {"a": {"kind": "geometric", "dim": 2, "a": 0.5},
+                 "values": {"kind": "explicit", "dim": 2, "values": [1.0, 2.0]}}
+GUARD_OWNERS = {ExperimentSpec: (), SpectrumSpec: ("spectrum",), SolverSpec: ("solvers", 0),
+                SolverConfig: ("solvers", 0)}
+# Wrong values for every field, and those wrong for a field of each type: a
+# string is wrong but for a string field (any id is valid), 2.5 for an integer one.
+GUARD_VALUES = {"true": True, "list": [1], "object": {}}
+GUARD_EXTRA = {int: {"string": "x", "fraction": 2.5}, str: {}, Optional[str]: {}}
+
+
+def _guard_cases():
+    """(class, field, value) for every field that is not a nested spec, and each wrong value."""
+    for cls in GUARD_OWNERS:
+        for f in fields(cls):
+            if f.type in (SpectrumSpec, List[SolverSpec], SolverConfig):
+                continue
+            wrong = {**GUARD_VALUES, **GUARD_EXTRA.get(f.type, {"string": "x"})}
+            for label, value in wrong.items():
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}-{label}")
+
+
+@pytest.mark.parametrize("cls, name, value", list(_guard_cases()))
+def test_every_spec_field_is_checked_where_it_is_built(cls, name, value):
+    # a wrong value is refused with one message, built in Python or read from JSON;
+    # a field added without a check ends in a TypeError, or in no error, and fails here
+    spec = json.loads(json.dumps(GUARD_SPEC))
+    if cls is SpectrumSpec and name in GUARD_SPECTRA:
+        spec["spectrum"] = dict(GUARD_SPECTRA[name])
+    built = ExperimentSpec.from_dict(spec)
+    owner = {ExperimentSpec: built, SpectrumSpec: built.spectrum,
+             SolverSpec: built.solvers[0], SolverConfig: built.solvers[0].config}[cls]
+    with pytest.raises(DomainError) as direct:
+        replace(owner, **{name: value})
+    holder = spec
+    for key in GUARD_OWNERS[cls]:
+        holder = holder[key]
+    holder[name] = value
+    with pytest.raises(DomainError) as read:
+        ExperimentSpec.from_dict(spec)
+    assert str(read.value) == str(direct.value)
 
 
 class TestRunExperiment:
