@@ -62,7 +62,7 @@ class Ensemble:
         if len(mats) == 0:
             raise DomainError("ensemble must contain at least one matrix")
         try:
-            stack = np.asarray(mats, dtype=float)  # no copy: the check returns a fresh stack
+            stack = np.asarray(mats)  # the check reads the dtype, then converts
         except ValueError:  # ragged
             stack = None
         if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -95,7 +95,7 @@ class SurrogateCoeffs:
 
 def _point(e: Ensemble, x):
     """(X, F, F⁻¹), F Fᵀ = X, of a point x of the ensemble's dim that passes :func:`check_spd`."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.shape != (e.dim, e.dim):
         raise DimensionMismatch(f"point has shape {x.shape}, ensemble dim is {e.dim}")
     return spd_core._check_spd_factor(x, "point")
@@ -142,6 +142,7 @@ def _frame_eigh(e: Ensemble, g, vectors=True):
     """
     wm = e.inv_factors @ g
     y = wm.swapaxes(1, 2) @ wm
+    del wm  # the eigensolver holds y and Û: two (n, p, p) stacks, not three
     try:
         w, u = eigh(y, vectors)
         if w[:, 0].min() > 0:
@@ -211,10 +212,16 @@ def _frame_terms(e: Ensemble, g):
     f_val, z, u = _frame_eigh(e, g)
     root_r = np.exp(0.5 * np.arcsinh(z))[:, :, None]
     rows = u.swapaxes(1, 2)
-    a1 = np.multiply(rows, root_r, order="C").reshape(-1, g.shape[-1])
-    a2 = np.divide(rows, root_r, order="C").reshape(-1, g.shape[-1])
-    c1, c2 = a1.T @ a1, a2.T @ a2
+    # each scaled copy of the rows is freed before the next is made: Û and one copy
+    c1 = _gram(np.multiply(rows, root_r, order="C"))
+    c2 = _gram(np.divide(rows, root_r, order="C"))
     return f_val, 0.5 * (c2 - c1), c1, c2
+
+
+def _gram(rows):
+    """aᵀa for the (n·p, p) matrix a of the rows of an (n, p, p) stack."""
+    a = rows.reshape(-1, rows.shape[-1])
+    return a.T @ a
 
 
 # The views do not warn on overflow: the kernel's guards, and _finite on a view's value, raise.

@@ -52,8 +52,11 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     Raises
     ------
     DomainError
-        If either perturbed matrix fails :func:`spdmean.spd_core.check_spd`.
+        If ``h`` is not positive and finite, or either perturbed matrix
+        fails :func:`spdmean.spd_core.check_spd`.
     """
+    if not 0.0 < h < np.inf:  # NaN fails too
+        raise DomainError(f"finite difference step h must be positive and finite, got {h!r}")
     step = h * np.asarray(h_dir, dtype=float)
     for sign in (1.0, -1.0):
         check_spd(x + sign * step, "perturbed matrix")

@@ -39,15 +39,15 @@ def check_symmetric(a, name="matrix"):
 
     ``name`` is how error messages refer to ``a``.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    top = _scales(a[None])
-    if not top[0] < np.inf:
+    out, finite, symmetric, _ = _symmetrized(a[None], lambda i: name)
+    if finite is not None and not finite[0]:
         raise DomainError(f"{name} has a non-finite entry")
-    if not _symmetric(a[None], top)[0][0]:
+    if not symmetric[0]:
         raise DomainError(f"{name} is not symmetric")
-    return sym(a)
+    return out[0]
 
 
 def _scales(mats):
@@ -55,24 +55,46 @@ def _scales(mats):
     return np.maximum.reduce(np.abs(mats), axis=(1, 2), initial=0.0)
 
 
-def _symmetric(mats, top):
-    """Which matrices of a finite (k, p, p) stack have ‖A − Aᵀ‖_F ≤ SYM_TOL · ‖A‖_F.
+def _symmetrized(mats, name_of):
+    """The tests of a (k, p, p) stack that come before positivity, and sym(A).
 
-    ``top`` holds each matrix's :func:`_scales`. Where it lies in
-    (1e-100, 1e100) the squared sums can neither overflow nor lose the
-    skew part to underflow, and ‖A − Aᵀ‖² is compared with SYM_TOL² ‖A‖²
-    directly. Any other matrix is first divided by its largest |entry|,
-    which leaves the ratio of the norms unchanged, so the test holds at
-    any float64 scale. Returns the test's (k,) mask and, from the same
-    squared sums, each ‖A‖_F / max |entry|, a number in [1, p] (0 for a
-    zero matrix).
+    Refuses a complex dtype (read before any float conversion) and 0×0
+    matrices. Returns ``(sym(A), finite, symmetric, norms)``: which
+    matrices are finite (``None`` when all are; the others are zeroed),
+    which have ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F, and each ‖A‖_F. Where every
+    max |entry| lies in (1e-100, 1e100), the common case, the squared sums
+    can neither overflow nor lose the skew part, and one ``half = A/2``
+    serves the test, as 4‖half − halfᵀ‖² = ‖A − Aᵀ‖², and sym(A) =
+    half + halfᵀ. Any other matrix is divided by its max |entry| for the
+    test and the norm, so the test holds at any float64 scale.
     """
-    plain = (top > 1e-100) & (top < 1e100)
-    if not plain.all():
-        mats = mats / np.where(plain | (top == 0), 1.0, top)[:, None, None]
-    sq = _sq_norms(mats)
-    rel_norms = np.sqrt(sq) / np.where(plain, top, 1.0)
-    return _sq_norms(mats - mats.swapaxes(1, 2)) <= SYM_TOL * SYM_TOL * sq, rel_norms
+    mats = np.asarray(mats)
+    if mats.dtype.kind == "c":
+        raise DomainError(f"{name_of(int(mats.imag.any(axis=(1, 2)).argmax()))} "
+                          "has a complex entry")
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[-1] == 0:
+        raise DimensionMismatch(f"expected {name_of(0)} to be at least 1x1, "
+                                f"got shape {mats.shape[1:]}")
+    top = _scales(mats)
+    finite = scale = None
+    if not (top.min() > 1e-100 and top.max() < 1e100):
+        finite = top < np.inf
+        if not finite.all():
+            mats = np.where(finite[:, None, None], mats, 0.0)
+            top = np.where(finite, top, 0.0)
+        plain = (top > 1e-100) & (top < 1e100)
+        scale = np.where(plain | (top == 0), 1.0, top)[:, None, None]
+    scaled = mats if scale is None else mats / scale
+    half = scaled * 0.5
+    sq = _sq_norms(scaled)
+    symmetric = _sq_norms(half - half.swapaxes(1, 2)) <= 0.25 * SYM_TOL * SYM_TOL * sq
+    norms = np.sqrt(sq)
+    if scale is not None:
+        half = mats * 0.5
+        with np.errstate(over="ignore"):
+            norms *= scale[:, 0, 0]
+    return half + half.swapaxes(1, 2), finite, symmetric, norms
 
 
 def _sq_norms(mats):
@@ -93,10 +115,10 @@ def check_spd(a, name="matrix"):
     Raises
     ------
     DimensionMismatch
-        If ``a`` is not a square matrix.
+        If ``a`` is not a square matrix, or is 0×0.
     DomainError
-        If ``a`` has a NaN or infinite entry, is not symmetric, or its smallest
-        eigenvalue is not above ``POSITIVITY_FLOOR`` times the largest.
+        If ``a`` is complex, has a NaN or infinite entry, is not symmetric, or
+        its smallest eigenvalue is not above ``POSITIVITY_FLOOR`` times the largest.
     """
     return _check_spd_factor(a, name)[0]
 
@@ -106,7 +128,7 @@ def _check_spd_factor(a, name="matrix"):
 
     F is that of :func:`check_spd_stack`: the lower Cholesky factor, or U D(w)^{1/2}.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
     mats, factors, inv_factors = check_spd_stack(a[None], lambda i: name)
@@ -119,20 +141,22 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     Each matrix gets the tests of :func:`check_spd`. The first matrix
     that fails one raises, with the first test it fails in the order
     non-finite, symmetric, positive definite; ``name_of(i)`` names
-    matrix i in the message.
+    matrix i in the message. A complex stack and 0×0 matrices are
+    refused first (:func:`_symmetrized`).
 
     The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the
     eigenvalues from :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ,
     w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and w_max ≤ ‖Aᵢ‖_F, so a matrix with
     ‖Lᵢ⁻¹‖_F²·‖Aᵢ‖_F < 1/(10·``POSITIVITY_FLOOR``) passes it, with a
-    margin of ten for rounding, and is not decomposed. The bound is taken
-    at each matrix's own scale, as ‖Lᵢ⁻¹‖_F² · max |entry| ·
-    ‖Aᵢ‖_F / max |entry|; one that overflows clears nothing. The matrices
-    it does not clear get the eigenvalue test itself, and a stack with no
-    Cholesky factor in float64 is decomposed whole, so every decision,
-    message and first bad index is that of the eigenvalue test alone.
-    The Lᵢ⁻¹ come from :func:`_tri_inv`, a blocked triangular inverse
-    (``np.linalg.inv`` itself for p ≤ ``TRI_BLOCK``).
+    margin of ten for rounding, and is not decomposed; a bound that
+    overflows clears nothing. The pass returns as soon as the bound
+    clears every matrix of a symmetric stack, the common case. The
+    matrices it does not clear get the eigenvalue test itself, and a
+    stack with no Cholesky factor in float64 is decomposed whole, so
+    every decision, message and first bad index is that of the
+    eigenvalue test alone. The Lᵢ⁻¹ come from :func:`_tri_inv`, a
+    blocked triangular inverse (``np.linalg.inv`` itself for
+    p ≤ ``TRI_BLOCK``).
 
     Returns
     -------
@@ -142,14 +166,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         factor Lᵢ, or, where the stack has none in float64, Uᵢ D(wᵢ)^{1/2}
         from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ of the test.
     """
-    mats = np.asarray(mats, dtype=float)
-    top = _scales(mats)
-    finite = top < np.inf
-    if not finite.all():
-        mats = np.where(finite[:, None, None], mats, 0.0)
-        top = np.where(finite, top, 0.0)
-    symmetric, rel_norms = _symmetric(mats, top)
-    mats = sym(mats)
+    mats, finite, symmetric, norms = _symmetrized(mats, name_of)
     try:
         factors = cholesky(mats, "stack has no Cholesky factor")
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
@@ -158,8 +175,10 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     else:
         inv_factors = _tri_inv(factors)
         with np.errstate(over="ignore"):
-            bound = _sq_norms(inv_factors) * top * rel_norms
-        exact = ~(bound < 0.1 / POSITIVITY_FLOOR)
+            clear = _sq_norms(inv_factors) * norms < 0.1 / POSITIVITY_FLOOR
+        if (clear & symmetric).all():
+            return mats, factors, inv_factors
+        exact = ~clear
     positive = np.ones(len(mats), dtype=bool)
     w0 = np.zeros(len(mats))
     if exact.any():
@@ -171,7 +190,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     ok = symmetric & positive
     if not ok.all():
         i = int(ok.argmin())
-        if not finite[i]:
+        if finite is not None and not finite[i]:
             raise DomainError(f"{name_of(i)} has a non-finite entry")
         if not symmetric[i]:
             raise DomainError(f"{name_of(i)} is not symmetric")

@@ -4,7 +4,8 @@ Each one recomputes, by a slower or more literal route, something the
 package computes another way: the per-matrix loop behind the stacked
 ensemble sums, the square-root form of the surrogate minimizer, a
 matrix function that calls a Python scalar function once per
-eigenvalue, and a grid argmin of a scalar function.
+eigenvalue, a grid argmin of a scalar function, and a frozen copy of
+the stacked SPD validation pass as it stood before its one-pass rewrite.
 """
 
 from typing import Callable, Tuple
@@ -13,7 +14,8 @@ import numpy as np
 
 from spdmean.errors import DomainError
 from spdmean.karcher import Ensemble, g1_scalar, g2_scalar
-from spdmean.spd_core import _eig_apply, check_symmetric, inv_m, inv_sqrt_m, log_m, sqrt_m, sym
+from spdmean.spd_core import (POSITIVITY_FLOOR, SYM_TOL, _eig_apply, _tri_inv, check_symmetric,
+                              cholesky, eigh, inv_m, inv_sqrt_m, log_m, sqrt_m, sym)
 
 
 def two_root_minimizer(c1, c2) -> np.ndarray:
@@ -88,3 +90,85 @@ def per_matrix_terms(e: Ensemble, x) -> dict:
         out["euclidean_gradient"] = out["euclidean_gradient"] + \
             sym(si @ (2.0 * inv_m(y) @ log_y) @ si)
     return out
+
+
+# The stacked validation pass before it was rewritten as one lean pass:
+# a separate scale, symmetry test, symmetrization and bound, each over
+# the whole stack. The rewrite must match it message for message and
+# byte for byte.
+
+def frozen_sym(a):
+    """(A + Aᵀ)/2 of a matrix or stack, halving before adding."""
+    half = a * 0.5
+    return half + np.swapaxes(half, -1, -2)
+
+
+def frozen_scales(mats):
+    """max |entry| of each matrix of a (k, p, p) stack; NaN where one is NaN."""
+    return np.maximum.reduce(np.abs(mats), axis=(1, 2), initial=0.0)
+
+
+def _frozen_sq_norms(mats):
+    v = mats.reshape(len(mats), 1, -1)
+    return (v @ v.swapaxes(1, 2))[:, 0, 0]
+
+
+def frozen_symmetric(mats, top):
+    """Which matrices of a finite stack have ‖A − Aᵀ‖_F ≤ SYM_TOL‖A‖_F; each ‖A‖_F / max |entry|.
+
+    ``top`` holds each matrix's :func:`frozen_scales`; a matrix whose
+    top lies outside (1e-100, 1e100) is divided by it first.
+    """
+    plain = (top > 1e-100) & (top < 1e100)
+    if not plain.all():
+        mats = mats / np.where(plain | (top == 0), 1.0, top)[:, None, None]
+    sq = _frozen_sq_norms(mats)
+    rel_norms = np.sqrt(sq) / np.where(plain, top, 1.0)
+    return _frozen_sq_norms(mats - mats.swapaxes(1, 2)) <= SYM_TOL * SYM_TOL * sq, rel_norms
+
+
+def frozen_check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
+    """(sym(A), factors, inverse factors) of an SPD stack; else DomainError naming the first bad one.
+
+    Non-finite, symmetric and positive definite tests in that order; a
+    matrix whose Cholesky bound ‖Lᵢ⁻¹‖_F²·‖Aᵢ‖_F does not clear
+    1/(10·POSITIVITY_FLOOR) gets the eigenvalue test, and a stack with no
+    Cholesky factor is decomposed whole and keeps the spectral factors.
+    """
+    mats = np.asarray(mats, dtype=float)
+    top = frozen_scales(mats)
+    finite = top < np.inf
+    if not finite.all():
+        mats = np.where(finite[:, None, None], mats, 0.0)
+        top = np.where(finite, top, 0.0)
+    symmetric, rel_norms = frozen_symmetric(mats, top)
+    mats = frozen_sym(mats)
+    try:
+        factors = cholesky(mats, "stack has no Cholesky factor")
+    except DomainError:
+        factors = None
+        exact = np.ones(len(mats), dtype=bool)
+    else:
+        inv_factors = _tri_inv(factors)
+        with np.errstate(over="ignore"):
+            bound = _frozen_sq_norms(inv_factors) * top * rel_norms
+        exact = ~(bound < 0.1 / POSITIVITY_FLOOR)
+    positive = np.ones(len(mats), dtype=bool)
+    w0 = np.zeros(len(mats))
+    if exact.any():
+        w, u = eigh(mats[exact])
+        w0[exact] = w[:, 0]
+        positive[exact] = w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1])
+    ok = symmetric & positive
+    if not ok.all():
+        i = int(ok.argmin())
+        if not finite[i]:
+            raise DomainError(f"{name_of(i)} has a non-finite entry")
+        if not symmetric[i]:
+            raise DomainError(f"{name_of(i)} is not symmetric")
+        raise DomainError(f"{name_of(i)} is not positive definite "
+                          f"(eigenvalue {w0[i]:.6g})")
+    if factors is None:
+        root = np.sqrt(w)
+        factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
+    return mats, factors, inv_factors

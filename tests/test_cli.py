@@ -214,6 +214,8 @@ MALFORMED = {
     "bench-deeply-nested": ("bench", b"[" * 100000 + b"]" * 100000),
     "bench-top-level-list": ("bench", [SPEC]),
     "bench-solver-not-object": ("bench", {**SPEC, "solvers": ["mm"]}),
+    "bench-solvers-string": ("bench", {**SPEC, "solvers": "mm"}),
+    "bench-solvers-object": ("bench", {**SPEC, "solvers": {"kind": "mm"}}),
     "bench-max-iters-string": ("bench", {**SPEC, "solvers": [{"kind": "mm", "max_iters": "x"}]}),
     "bench-nu-string": ("bench", {**SPEC, "solvers": [{"kind": "mm", "nu": "x"}]}),
     "bench-nu-integer-past-float64": ("bench", {**SPEC, "solvers": [{"kind": "gd-ls",
@@ -247,6 +249,10 @@ MALFORMED_MESSAGES = {
                                    "['c', 'ls_max_j']"),
     "bench-nu-integer-past-float64": ("error: invalid experiment spec: "
                                       "nu must be positive and finite"),
+    "bench-solvers-string": ("error: invalid experiment spec: "
+                             "experiment spec requires a 'solvers' list"),
+    "bench-solvers-object": ("error: invalid experiment spec: "
+                             "experiment spec requires a 'solvers' list"),
 }
 
 

@@ -22,7 +22,7 @@ from spdmean.karcher import (
 )
 from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble,
                            random_orthogonal)
-from spdmean import selfcheck, spd_core
+from spdmean import karcher, selfcheck, spd_core
 from spdmean.selfcheck import fd_gap, random_ensemble, random_spd, random_sym
 from spdmean.solvers import (SOLVERS, SolverConfig, arithmetic_mean_init, gd_fixed_step_solve,
                              mm_solve)
@@ -125,6 +125,28 @@ class TestEnsemble:
         assert np.all(np.isfinite(li))
         assert np.allclose(li @ big @ li.T, np.eye(2), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("mats, message", [
+        ([np.zeros((0, 0))], "expected matrix 0 to be at least 1x1, got shape (0, 0)"),
+        ([np.eye(2), np.zeros((0, 0))], "expected matrix 1 to be at least 1x1, got shape (0, 0)"),
+    ])
+    def test_empty_matrix_rejected(self, mats, message):
+        with pytest.raises(DimensionMismatch) as info:
+            Ensemble.from_matrices(mats)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mats, message", [
+        ([np.array([[1 + 5j]])], "matrix 0 has a complex entry"),
+        ([np.eye(2), np.array([[2.0, 1j], [-1j, 2.0]])], "matrix 1 has a complex entry"),
+        ([np.eye(2), np.eye(3, dtype=complex)], "matrix 1 has a complex entry"),
+    ])
+    def test_complex_matrix_rejected(self, mats, message):
+        # refused before any float conversion, which would drop the imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                Ensemble.from_matrices(mats)
+        assert str(info.value) == message
+
     def test_roots_match_matrix_functions(self, rng):
         e = random_ensemble(rng, 5, 4)
         for i in range(e.n):
@@ -176,12 +198,16 @@ _VIEWS = {
     # positive, but below POSITIVITY_FLOOR: one rule for every point
     pytest.param([[1.0, 0.0], [0.0, 1e-14]], r"is not positive definite \(eigenvalue 1e-14\)",
                  id="below-floor"),
+    # refused, not cast to its real part with a ComplexWarning
+    pytest.param([[2.0, 1j], [-1j, 2.0]], "has a complex entry", id="complex"),
 ])
 def test_views_validate_their_point(view, point, message, rng):
     e = random_ensemble(rng, 3, 2)
     call, name = _VIEWS[view]
-    with pytest.raises(DomainError, match=f"^{name} {message}$"):
-        call(e, np.array(point))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} {message}$"):
+            call(e, np.array(point))
 
 
 @pytest.mark.parametrize("call, what", [
@@ -531,6 +557,17 @@ class TestSurrogateMinimizer:
             with pytest.raises(DomainError, match=rf"^{bad} (is not positive definite "
                                                   r"\(eigenvalue -?[01]\)|has a non-finite entry)$"):
                 surrogate_minimizer(c1, c2)
+
+    def test_minimizer_factor_rejects_a_c1_that_is_not_positive_definite(self):
+        # the solvers hand _minimizer_factor c1 unvalidated
+        with pytest.raises(DomainError,
+                           match="^surrogate_minimizer requires positive definite c1 and c2$"):
+            karcher._minimizer_factor(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_empty_arguments_rejected(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^expected c1 to be at least 1x1, got shape \(0, 0\)$"):
+            surrogate_minimizer(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_factors_c2_once(self, monkeypatch, rng):
         # validation factors c1 and c2; the minimizer reuses the factor of c2

@@ -147,3 +147,9 @@ class TestFiniteDiffDirectional:
         h = np.eye(2)
         with pytest.raises(DomainError):
             finite_diff_directional(lambda m: 0.0, x, h, h=1e-6)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
+        with pytest.raises(DomainError, match="^finite difference step h must be positive "
+                                              "and finite, got "):
+            finite_diff_directional(np.trace, np.eye(2), np.eye(2), h=h)

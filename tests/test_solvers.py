@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -691,6 +692,20 @@ class TestSpectralCost:
         assert n_mats <= n + 1
         assert n_checks == 0
         assert n_factors == 1
+
+    def test_mm_kernel_holds_two_stacks(self, rng):
+        # the Gram stack and its eigenvectors, then the eigenvectors and one
+        # scaled copy of their rows; never three (n, p, p) stacks at once
+        e = random_ensemble(rng, 50, 50)
+        x0 = arithmetic_mean_init(e)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mm_solve(e, SolverConfig(max_iters=3), x0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * e.mats.nbytes
 
     def test_one_gd_fixed_iteration_is_one_stacked_pass(self, monkeypatch, rng):
         n = 6

@@ -25,7 +25,7 @@ from spdmean.spd_core import (
     sym,
 )
 
-from refs import matrix_fn
+from refs import frozen_check_spd_stack, frozen_scales, frozen_sym, frozen_symmetric, matrix_fn
 
 
 class TestCheckSymmetric:
@@ -36,6 +36,11 @@ class TestCheckSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             check_symmetric(np.ones((2, 3)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^expected matrix to be at least 1x1, got shape \(0, 0\)$"):
+            check_symmetric(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e307])
     def test_symmetry_test_at_any_scale(self, scale):
@@ -79,6 +84,19 @@ class TestCheckSpd:
                            match=r"^expected matrix to be square, got shape \(2, 3\)$"):
             check_spd(np.ones((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^expected matrix to be at least 1x1, got shape \(0, 0\)$"):
+            check_spd(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("fn", [check_spd, check_symmetric])
+    def test_rejects_complex(self, fn):
+        # refused by dtype, not cast to the real part with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^matrix has a complex entry$"):
+                fn(np.array([[1 + 5j]]))
+
     def test_relative_floor_survives_scaling(self, rng):
         a = random_spd(rng, 3) * 1e4
         check_spd(a)
@@ -101,11 +119,11 @@ def _eigen_rule(mats, name_of=lambda i: f"matrix {i}"):
     D(wᵢ)^{-1/2} Uᵢᵀ.
     """
     mats = np.asarray(mats, dtype=float)
-    top = spd_core._scales(mats)
+    top = frozen_scales(mats)
     finite = top < np.inf
     mats = np.where(finite[:, None, None], mats, 0.0)
-    symmetric = spd_core._symmetric(mats, np.where(finite, top, 0.0))[0]
-    w, u = np.linalg.eigh(sym(mats))
+    symmetric = frozen_symmetric(mats, np.where(finite, top, 0.0))[0]
+    w, u = np.linalg.eigh(frozen_sym(mats))
     ok = symmetric & (w[:, 0] > spd_core.POSITIVITY_FLOOR * np.abs(w[:, -1]))
     if ok.all():
         return None, (u * np.sqrt(w)[:, None, :], np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None])
@@ -117,10 +135,10 @@ def _eigen_rule(mats, name_of=lambda i: f"matrix {i}"):
     return f"{name_of(i)} is not positive definite (eigenvalue {w[i, 0]:.6g})", None
 
 
-def _outcome(mats):
-    """check_spd_stack's error message and ``None``, or ``None`` and its result."""
+def _outcome(mats, check=spd_core.check_spd_stack):
+    """The error message of ``check`` and ``None``, or ``None`` and its result."""
     try:
-        return None, spd_core.check_spd_stack(mats)
+        return None, check(mats)
     except DomainError as exc:
         return str(exc), None
 
@@ -130,6 +148,14 @@ def _conditioned(rng, p, kappa, scale):
     w = np.geomspace(1.0, 1.0 / abs(kappa), p) * np.sign(kappa) ** np.arange(p)
     u = random_orthogonal(p, rng)
     return sym((u * (w * scale)) @ u.T)
+
+
+def _skewed(rng, p, ratio, scale):
+    """An SPD matrix plus a skew part with ‖A − Aᵀ‖_F ≈ ratio · SYM_TOL · ‖A‖_F."""
+    s, k = random_spd(rng, p), rng.standard_normal((p, p))
+    k = k - k.T
+    t = ratio * spd_core.SYM_TOL * np.linalg.norm(s) / (2.0 * np.linalg.norm(k))
+    return (s + t * k) * scale
 
 
 def _decision_stacks(rng):
@@ -146,7 +172,7 @@ def _decision_stacks(rng):
     return stacks
 
 
-# every error input of TestEnsemble and TestCheckSpd, and the accepted
+# every real, non-empty error input of TestEnsemble and TestCheckSpd, and the accepted
 # inputs at the float64 edges
 _EDGE_INPUTS = [
     [[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, np.inf]],
@@ -159,19 +185,26 @@ _EDGE_INPUTS = [
 ]
 
 
+def _edge_stacks():
+    return ([[bad] for bad in _EDGE_INPUTS] + [[np.eye(2), bad] for bad in _EDGE_INPUTS]
+            + [[np.eye(2)] * 9 + [np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e-200],
+               [np.eye(2), np.diag([1.0, -1.0]), np.diag([np.nan, 1.0])]])
+
+
+def _no_cholesky(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+
+
 class TestCheckSpdStack:
     """The Cholesky-first validation against the rule on the spectra alone."""
 
     @pytest.mark.parametrize("forced", [False, True], ids=["cholesky", "no-cholesky"])
     def test_same_decisions_as_the_eigenvalue_rule(self, forced, monkeypatch, rng):
-        stacks = _decision_stacks(rng)
-        stacks += [[bad] for bad in _EDGE_INPUTS] + [[np.eye(2), bad] for bad in _EDGE_INPUTS]
-        stacks += [[np.eye(2)] * 9 + [np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e-200],
-                   [np.eye(2), np.diag([1.0, -1.0]), np.diag([np.nan, 1.0])]]
+        stacks = _decision_stacks(rng) + _edge_stacks()
         if forced:
-            def fail(a):
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            monkeypatch.setattr(np.linalg, "cholesky", fail)
+            _no_cholesky(monkeypatch)
         accepted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -189,9 +222,36 @@ class TestCheckSpdStack:
                     else:
                         assert np.array_equal(factors, np.tril(factors))
                     # F Fᵀ = A to round-off, at each matrix's own scale
-                    gap = spd_core._scales(factors @ factors.swapaxes(1, 2) - out)
+                    gap = frozen_scales(factors @ factors.swapaxes(1, 2) - out)
                     assert (gap <= 10 * out.shape[-1] * np.finfo(float).eps
-                            * spd_core._scales(out)).all()
+                            * frozen_scales(out)).all()
+        assert 0 < accepted < len(stacks)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["cholesky", "no-cholesky"])
+    def test_same_as_the_pass_before_its_rewrite(self, forced, monkeypatch, rng):
+        # messages, and the symmetrized stack and factors byte for byte
+        stacks = _decision_stacks(rng) + _edge_stacks()
+        for p in (1, 10, 100):
+            stacks += [[random_spd(rng, p) * 10.0 ** rng.uniform(-300, 300) for _ in range(3)],
+                       [random_spd(rng, p) for _ in range(5)]]
+        # skew parts on either side of the symmetry tolerance, at extreme and plain scales
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            stacks.append([_skewed(rng, 4, ratio, scale)
+                           for ratio in (0.5, 0.9, 0.99, 1.01, 1.1, 1.3, 2.0)])
+            stacks += [[m] for m in stacks[-1]]
+        if forced:
+            _no_cholesky(monkeypatch)
+        accepted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for mats in stacks:
+                message, want = _outcome(mats, frozen_check_spd_stack)
+                got_message, got = _outcome(mats)
+                assert got_message == message
+                if got is not None:
+                    accepted += 1
+                    for a, b in zip(got, want):
+                        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
         assert 0 < accepted < len(stacks)
 
     def test_cholesky_factor_and_its_inverse(self, rng):
