@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
-from .solvers import (SOLVERS, SolverConfig, SolverResult, _is_a, _positive_finite,
-                      _python, arithmetic_mean_init)
-from .spd_core import sym
+from .solvers import SOLVERS, SolverConfig, SolverResult, arithmetic_mean_init
+from .spd_core import _is_a, _positive_finite, _python, sym
 
 
 def _known_fields(cls, d, what: str) -> dict:

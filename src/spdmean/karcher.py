@@ -41,10 +41,11 @@ class Ensemble:
     inv_factors : ndarray, shape (n, p, p)
         Fᵢ⁻¹ for the factor Aᵢ = Fᵢ Fᵢᵀ that validation takes
         (:func:`spdmean.spd_core.check_spd_stack`), so that
-        Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹ and Fᵢ⁻¹ Aᵢ Fᵢ⁻ᵀ = I: the blocked triangular
-        inverse of the lower Cholesky factor Lᵢ (``np.linalg.inv`` for
-        dim ≤ ``spd_core.TRI_BLOCK``), or D(wᵢ)^{-1/2} Uᵢᵀ where the
-        stack has no Cholesky factor in float64.
+        Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹ and Fᵢ⁻¹ Aᵢ Fᵢ⁻ᵀ = I: the inverse of the lower
+        Cholesky factor Lᵢ by blocked forward substitution, whose diagonal
+        blocks are inverted together over the whole stack
+        (``np.linalg.inv`` for dim ≤ ``spd_core.TRI_BLOCK``), or
+        D(wᵢ)^{-1/2} Uᵢᵀ where the stack has no Cholesky factor in float64.
     """
 
     mats: np.ndarray
@@ -108,8 +109,7 @@ def g1_scalar(x: float) -> float:
     1 / (x (√(z²+1) − z)) so no cancellation occurs and
     ``g1_scalar(x) * g2_scalar(x) == 1`` to machine precision.
     """
-    if x <= 0:
-        raise DomainError(f"g1 requires x > 0, got {x}")
+    x = _weight_arg(x, "g1")
     z = np.log(x)
     s = np.sqrt(z * z + 1.0)
     if z >= 0:
@@ -119,13 +119,19 @@ def g1_scalar(x: float) -> float:
 
 def g2_scalar(x: float) -> float:
     """Weight g2(x) = (√((log x)² + 1) − log x) · x for x > 0; g2 = 1/g1."""
-    if x <= 0:
-        raise DomainError(f"g2 requires x > 0, got {x}")
+    x = _weight_arg(x, "g2")
     z = np.log(x)
     s = np.sqrt(z * z + 1.0)
     if z <= 0:
         return float((s - z) * x)
     return float(x / (s + z))
+
+
+def _weight_arg(x, weight):
+    """``x`` as a float once it is a positive finite real number; DomainError naming x otherwise."""
+    if not spd_core._positive_finite(x):
+        raise DomainError(f"{weight} requires x to be a positive finite real number, got {x!r}")
+    return float(x)
 
 
 def _frame_eigh(e: Ensemble, g, vectors=True):
@@ -189,6 +195,7 @@ def _frame_grad(e: Ensemble, g):
     """
     f_val, z, u = _frame_eigh(e, g)
     rows = u.swapaxes(1, 2).reshape(-1, g.shape[-1])
+    del u  # the rows are a copy: they and their scaled copy are the two stacks held
     return f_val, -sym(rows.T @ (rows * z.reshape(-1, 1)))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError, NotCommuting
 from .karcher import Ensemble
-from .spd_core import check_spd, exp_m, geodesic, log_m, sym
+from .spd_core import _real, check_spd, exp_m, geodesic, log_m, sym
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -52,12 +52,12 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     Raises
     ------
     DomainError
-        If ``h`` is not positive and finite, or either perturbed matrix
-        fails :func:`spdmean.spd_core.check_spd`.
+        If ``h`` is not positive and finite, ``h_dir`` is complex, or
+        either perturbed matrix fails :func:`spdmean.spd_core.check_spd`.
     """
     if not 0.0 < h < np.inf:  # NaN fails too
         raise DomainError(f"finite difference step h must be positive and finite, got {h!r}")
-    step = h * np.asarray(h_dir, dtype=float)
+    step = h * _real(h_dir, "h_dir")
     for sign in (1.0, -1.0):
         check_spd(x + sign * step, "perturbed matrix")
     return (f(x + step) - f(x - step)) / (2.0 * h)

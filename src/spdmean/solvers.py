@@ -29,7 +29,6 @@ gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
 import itertools
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, NamedTuple, Optional
@@ -40,7 +39,7 @@ from . import spd_core
 from .errors import DomainError
 from .karcher import (Ensemble, _frame_grad, _frame_objective, _frame_terms, _minimizer_factor,
                       _point)
-from .spd_core import eigh
+from .spd_core import _is_a, _positive_finite, eigh
 
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
@@ -82,21 +81,6 @@ class SolverConfig:
         if self.grad_tol is not None:
             return self.grad_tol
         return DEFAULT_GRAD_TOL_PER_MAT * n
-
-
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` is a number of the ABC ``kind``; bool is not a number."""
-    return not isinstance(value, bool) and isinstance(value, kind)
-
-
-def _python(value):
-    """A numpy scalar as its Python value (np.float32(0.5) is 0.5), anything else as is."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _positive_finite(value) -> bool:
-    """Whether ``value`` is a real number in (0, float64 max]; bool, NaN and 10**400 are not."""
-    return _is_a(value, numbers.Real) and 0 < _python(value) <= sys.float_info.max
 
 
 class TraceRecord(NamedTuple):

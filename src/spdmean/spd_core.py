@@ -7,6 +7,9 @@ plain ``numpy`` arrays; SPD inputs are validated with :func:`check_spd`
 at API boundaries.
 """
 
+import numbers
+import sys
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonConvergence
@@ -32,6 +35,33 @@ def sym(a):
 def check_dims(a, b):
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a number of the ABC ``kind``; bool is not a number."""
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
+def _python(value):
+    """A numpy scalar as its Python value (np.float32(0.5) is 0.5), anything else as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _positive_finite(value) -> bool:
+    """Whether ``value`` is a real number in (0, float64 max]; bool, NaN and 10**400 are not."""
+    return _is_a(value, numbers.Real) and 0 < _python(value) <= sys.float_info.max
+
+
+def _real(a, name):
+    """``a`` as a float array, unless its dtype is complex.
+
+    A complex array is refused before the conversion, which would drop
+    its imaginary part with a ComplexWarning.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise DomainError(f"{name} has a complex entry")
+    return np.asarray(a, dtype=float)
 
 
 def check_symmetric(a, name="matrix"):
@@ -155,7 +185,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     stack with no Cholesky factor in float64 is decomposed whole, so
     every decision, message and first bad index is that of the
     eigenvalue test alone. The Lᵢ⁻¹ come from :func:`_tri_inv`, a
-    blocked triangular inverse (``np.linalg.inv`` itself for
+    blocked forward substitution that inverts the diagonal blocks of
+    the whole stack together (``np.linalg.inv`` itself for
     p ≤ ``TRI_BLOCK``).
 
     Returns
@@ -207,25 +238,48 @@ def _tri_inv(l):
 
     Block forward substitution over block rows of width ``TRI_BLOCK``:
     block row i of X = L⁻¹ is Dᵢ = Lᵢᵢ⁻¹ on the diagonal and
-    −Dᵢ (L[i, :i] X[:i, :i]) left of it, as stacked products. The
-    diagonal blocks are inverted with ``np.linalg.inv`` and their upper
-    triangles set to 0 (its row pivoting leaves round-off there), so X
-    is exactly lower triangular. This is about a third of the
+    −Dᵢ (L[i, :i] X[:i, :i]) left of it, as stacked products. The full
+    diagonal blocks of all k matrices are inverted together, as one
+    stack, by :func:`_lower_inv` (a partial last block as a second), so
+    X is exactly lower triangular. This is about a third of the
     floating-point work of an LU inverse, and as accurate (Du Croz &
     Higham, IMA J. Numer. Anal. 12, 1992). For p ≤ ``TRI_BLOCK`` the
     result is ``np.linalg.inv(l)`` itself, which is faster there.
+
+    The block stacks are views of L and X (:func:`_diag_blocks`),
+    inverted in place, so no block is copied.
     """
     p = l.shape[-1]
     if p <= TRI_BLOCK:
         return np.linalg.inv(l)
+    b, m = TRI_BLOCK, p // TRI_BLOCK
     x = np.zeros_like(l)
-    for s in range(0, p, TRI_BLOCK):
-        e = min(s + TRI_BLOCK, p)
-        d = np.tril(np.linalg.inv(l[:, s:e, s:e]))
-        x[:, s:e, s:e] = d
-        if s:
-            x[:, s:e, :s] = -(d @ (l[:, s:e, :s] @ x[:, :s, :s]))
+    _lower_inv(_diag_blocks(l, b, m), _diag_blocks(x, b, m))
+    if m * b < p:
+        _lower_inv(l[:, m * b:, m * b:], x[:, m * b:, m * b:])
+    for s in range(b, p, b):
+        e = min(s + b, p)
+        x[:, s:e, :s] = -(x[:, s:e, s:e] @ (l[:, s:e, :s] @ x[:, :s, :s]))
     return x
+
+
+def _diag_blocks(a, b, m):
+    """The first m b×b diagonal blocks of each matrix of a (k, p, p) stack, as an (m, k, b, b) view."""
+    sk, sr, sc = a.strides
+    return np.lib.stride_tricks.as_strided(a, (m, len(a), b, b), (b * (sr + sc), sk, sr, sc))
+
+
+def _lower_inv(l, x):
+    """Write into x, which is 0, the inverse of each lower triangular matrix of a (..., b, b) stack.
+
+    Forward substitution: row i of X = L⁻¹ is −(L[i, :i] X[:i, :i])/L[i, i]
+    left of the diagonal and 1/L[i, i] on it, b stacked row products,
+    each times the reciprocal diagonal. The upper triangle stays exactly 0.
+    """
+    r = 1.0 / np.diagonal(l, axis1=-2, axis2=-1)
+    for i in range(l.shape[-1]):
+        x[..., i, :i] = (l[..., i:i + 1, :i] @ x[..., :i, :i])[..., 0, :] * -r[..., i:i + 1]
+        x[..., i, i] = r[..., i]
 
 
 def eigh(m, vectors=True):
@@ -313,9 +367,8 @@ def pow_m(a, t):
 
 
 def frob_inner(a, b):
-    """Frobenius inner product ⟨A, B⟩ = Σᵢⱼ Aᵢⱼ Bᵢⱼ = tr(A Bᵀ)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Frobenius inner product ⟨A, B⟩ = Σᵢⱼ Aᵢⱼ Bᵢⱼ = tr(A Bᵀ) of two real arrays."""
+    a, b = _real(a, "a"), _real(b, "b")
     check_dims(a, b)
     return float(np.sum(a * b))
 

@@ -282,6 +282,25 @@ class TestScalarWeights:
         with pytest.raises(DomainError):
             g2_scalar(x)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan), True,
+                                   10**400, np.array([1.0, 2.0]), np.array(2.0), 1j, 2 + 0j,
+                                   "2", None],
+                             ids=["nan", "inf", "-inf", "float64-nan", "True", "10**400", "array",
+                                  "0-d-array", "1j", "2+0j", "str", "None"])
+    def test_refuses_what_is_not_a_positive_finite_real(self, x):
+        # no NaN, warning, bool-as-1, ambiguous truth value or raw TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, weight in ((g1_scalar, "g1"), (g2_scalar, "g2")):
+                with pytest.raises(DomainError, match=f"^{weight} requires x to be a positive "
+                                                      "finite real number, got "):
+                    f(x)
+
+    @pytest.mark.parametrize("x", [2, np.float32(2.0), np.float64(2.0)],
+                             ids=["int", "float32", "float64"])
+    def test_any_real_type_is_its_float(self, x):
+        assert g1_scalar(x) == g1_scalar(2.0) and g2_scalar(x) == g2_scalar(2.0)
+
     def test_second_order_condition(self):
         # g1(x') e^z + g2(x') e^{-z} >= 2 on a (z', z) grid
         zps = np.linspace(-20, 20, 41)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,13 @@ class TestFiniteDiffDirectional:
         h = np.eye(2)
         with pytest.raises(DomainError):
             finite_diff_directional(lambda m: 0.0, x, h, h=1e-6)
+
+    def test_rejects_a_complex_direction(self):
+        # refused by dtype, not cast to the real part with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^h_dir has a complex entry$"):
+                finite_diff_directional(np.trace, np.eye(2), [[1j, 0], [0, 0]])
 
     @pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan])
     def test_rejects_a_step_that_is_not_positive_and_finite(self, h):

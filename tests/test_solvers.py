@@ -693,19 +693,31 @@ class TestSpectralCost:
         assert n_checks == 0
         assert n_factors == 1
 
-    def test_mm_kernel_holds_two_stacks(self, rng):
-        # the Gram stack and its eigenvectors, then the eigenvectors and one
-        # scaled copy of their rows; never three (n, p, p) stacks at once
+    @staticmethod
+    def peak_stacks(rng, solve):
+        """Peak traced allocation of three iterations at n = p = 50, in (n, p, p) stacks."""
         e = random_ensemble(rng, 50, 50)
         x0 = arithmetic_mean_init(e)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mm_solve(e, SolverConfig(max_iters=3), x0)
+            solve(e, SolverConfig(max_iters=3), x0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * e.mats.nbytes
+        return peak / e.mats.nbytes
+
+    def test_mm_kernel_holds_two_stacks(self, rng):
+        # the Gram stack and its eigenvectors, then the eigenvectors and one
+        # scaled copy of their rows; never three (n, p, p) stacks at once
+        assert self.peak_stacks(rng, mm_solve) <= 2.5
+
+    @pytest.mark.parametrize("solve", [gd_fixed_step_solve, gd_linesearch_solve],
+                             ids=["gd-fixed", "gd-ls"])
+    def test_gd_kernel_holds_two_stacks(self, rng, solve):
+        # the Gram stack and its eigenvectors, then the eigenvector rows and
+        # their scaled copy; never three (n, p, p) stacks at once
+        assert self.peak_stacks(rng, solve) <= 2.5
 
     def test_one_gd_fixed_iteration_is_one_stacked_pass(self, monkeypatch, rng):
         n = 6

@@ -276,29 +276,38 @@ class TestTriInv:
         l = _factors(rng, p)
         assert np.array_equal(spd_core._tri_inv(l), np.linalg.inv(l))
 
-    @pytest.mark.parametrize("p", [B + 1, 2 * B + 3, 100])
+    # a partial last block of width 1, 3, 4 or B − 1, or none; one matrix and a stack
+    @pytest.mark.parametrize("p", [B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, 7 * B, 100])
     def test_blocked_inverse_is_triangular_and_accurate(self, rng, p):
-        l = _factors(rng, p)
-        x = spd_core._tri_inv(l)
-        assert not np.triu(x, 1).any()
         eps = np.finfo(float).eps
-        for li, xi, lu in zip(l, x, np.linalg.inv(l)):
-            bound = 10 * p * eps * np.linalg.norm(li) * np.linalg.norm(xi)
-            assert np.linalg.norm(xi @ li - np.eye(p)) <= bound
-            assert np.linalg.norm(xi - lu) <= bound * np.linalg.norm(xi)
+        for k in (1, 50):
+            l = _factors(rng, p, k)
+            x = spd_core._tri_inv(l)
+            assert not np.triu(x, 1).any()
+            for li, xi, lu in zip(l, x, np.linalg.inv(l)):
+                bound = 10 * p * eps * np.linalg.norm(li) * np.linalg.norm(xi)
+                assert np.linalg.norm(xi @ li - np.eye(p)) <= bound
+                assert np.linalg.norm(xi - lu) <= bound * np.linalg.norm(xi)
 
     def test_extreme_scales(self, rng):
-        p = 40
-        mats = np.array([random_spd(rng, p) * 10.0 ** k for k in (-200, 0, 200)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            _, factors, inv_factors = spd_core.check_spd_stack(mats)
-        assert np.isfinite(inv_factors).all()
-        for li, xi in zip(factors, inv_factors):
-            assert np.linalg.norm(xi @ li - np.eye(p)) <= 1e-12
+        for p in (40, 100):
+            mats = np.array([random_spd(rng, p) * 10.0 ** k for k in (-200, 0, 200)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                _, factors, inv_factors = spd_core.check_spd_stack(mats)
+            assert np.isfinite(inv_factors).all()
+            for li, xi in zip(factors, inv_factors):
+                assert np.linalg.norm(xi @ li - np.eye(p)) <= 1e-12
+
+    def test_diagonal_blocks_are_views(self, rng):
+        a = rng.standard_normal((3, 2 * B + 3, 2 * B + 3))
+        blocks = spd_core._diag_blocks(a, B, 2)
+        assert blocks.shape == (2, 3, B, B) and np.shares_memory(blocks, a)
+        for j in range(2):
+            assert np.array_equal(blocks[j], a[:, j * B:(j + 1) * B, j * B:(j + 1) * B])
 
     def test_validation_takes_no_lu_inverse_of_a_large_factor(self, monkeypatch, rng):
-        # an LU inverse of the whole p×p factor costs several times the blocked one
+        # the diagonal blocks are inverted by forward substitution, not by LU
         sizes = []
 
         def counted(a):
@@ -310,7 +319,19 @@ class TestTriInv:
         mats = np.array([random_spd(rng, 2 * B + 3) for _ in range(3)])
         spd_core.check_spd_stack(mats)
         check_spd(mats[0])
-        assert sizes and max(sizes) <= B
+        assert sizes == []
+
+    @pytest.mark.parametrize("b", [1, 2, 7, B])
+    def test_lower_inv_is_forward_substitution(self, rng, b):
+        # a (2, 3, b, b) stack: each inverse is exactly lower triangular,
+        # with the reciprocal of the diagonal on its diagonal
+        l = _factors(rng, b, 6).reshape(2, 3, b, b)
+        x = np.zeros_like(l)
+        spd_core._lower_inv(l, x)
+        assert not np.triu(x, 1).any()
+        assert np.array_equal(np.diagonal(x, axis1=-2, axis2=-1),
+                              1.0 / np.diagonal(l, axis1=-2, axis2=-1))
+        assert np.abs(x @ l - np.eye(b)).max() <= 1e-9
 
 
 class TestCholesky:
@@ -477,6 +498,15 @@ class TestFrobInner:
     def test_positive_on_diagonal(self, rng):
         a = random_sym(rng, 3)
         assert frob_inner(a, a) >= 0.0
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_rejects_complex(self, which):
+        # refused by dtype, not cast to the real part with a ComplexWarning
+        args = {"a": np.eye(2), "b": np.eye(2), which: 1j * np.eye(2)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{which} has a complex entry$"):
+                frob_inner(**args)
 
 
 def _count_calls(monkeypatch, *names):
