@@ -6,17 +6,20 @@ surrogate ``G(X, X') = ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0`` built from the scal
 weights :func:`g1_scalar` / :func:`g2_scalar`, and minimizes G in closed
 form (:func:`surrogate_minimizer`).
 
-Every ensemble sum comes from one stacked eigendecomposition
-(:func:`_frame_eigh`) in the frame of a factor G of X = G Gᵀ, where the
-gradient and the surrogate coefficients are weighted sums of
-eigenvectors. Two reductions read it: :func:`_frame_terms`, the MM
-kernel, builds c̃1 and c̃2 as two Gram products and takes the gradient
-as their difference; :func:`_frame_grad`, for GD and the gradient views,
-builds the gradient alone in one product. All three solvers carry such a
-factor; the public views take the factor that validating their point
-takes (:func:`grad_sum`, G = X^{1/2}). Sums over i are single matrix
-products over the stack, so results are bitwise reproducible for a given
-numpy and BLAS.
+Every ensemble sum comes from one stacked eigendecomposition in the
+frame of a factor G of X = G Gᵀ, where the gradient and the surrogate
+coefficients are weighted sums of eigenvectors. The kernel is pass,
+then reduce. :func:`_frame_eigh` alone runs the pass and returns
+``(objective, z, Û)``; two reductions take that triple and call no
+eigensolver: :func:`_frame_terms`, the MM kernel, builds c̃1 and c̃2 as
+two Gram products and takes the gradient as their difference;
+:func:`_frame_grad`, for GD and the gradient views, builds the gradient
+alone in one product. A caller writes ``reduction(_frame_eigh(e, g))``,
+so it can read z and Û first and keeps no pass after its reduction.
+All three solvers carry such a factor; the public views take the
+factor that validating their point takes (:func:`grad_sum`,
+G = X^{1/2}). Sums over i are single matrix products over the stack, so
+results are bitwise reproducible for a given numpy and BLAS.
 """
 
 import math
@@ -66,8 +69,11 @@ class Ensemble:
             stack = np.asarray(mats)  # the check reads the dtype, then converts
         except ValueError:  # ragged
             stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            # no stack: the per-matrix checks or the dimension check raise
+        if (stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]
+                or stack is not mats
+                and any(np.asarray(a).dtype.kind not in spd_core.REAL_KINDS for a in mats)):
+            # no stack, or one that upcast a matrix of another dtype (a bool
+            # one to float): the per-matrix checks or the dimension check raise
             checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(mats)]
             for i, a in enumerate(checked):
                 if a.shape[0] != checked[0].shape[0]:
@@ -181,11 +187,11 @@ def _frame_objective(e: Ensemble, g) -> float:
     return _frame_eigh(e, g, vectors=False)[0]
 
 
-def _frame_grad(e: Ensemble, g):
+def _frame_grad(frame):
     """Objective and gradient in the frame of G, without the coefficients.
 
-    With X = G Gᵀ and the stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ of
-    :func:`_frame_eigh`, z = log w, returns ``(objective, gradient)``:
+    From the pass ``(objective, z, Û)`` of :func:`_frame_eigh` at X = G Gᵀ,
+    Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ, z = log w, returns ``(objective, gradient)``:
     the objective Σ z² and ĝ = −Σᵢ Ûᵢ D(zᵢ) Ûᵢᵀ
     = Qᵀ [Σᵢ log(X^{-1/2} Aᵢ X^{-1/2})] Q with Q = X^{-1/2} G orthogonal,
     so its Frobenius norm is that of :func:`grad_sum`, and at G = X^{1/2}
@@ -193,16 +199,16 @@ def _frame_grad(e: Ensemble, g):
     (n·p, p) matrix, so the sum over i is one matrix product. GD uses
     this reduction: it never needs c̃1 and c̃2.
     """
-    f_val, z, u = _frame_eigh(e, g)
-    rows = u.swapaxes(1, 2).reshape(-1, g.shape[-1])
-    del u  # the rows are a copy: they and their scaled copy are the two stacks held
+    f_val, z, u = frame
+    rows = u.swapaxes(1, 2).reshape(-1, u.shape[-1])
+    del frame, u  # frees a temporary pass's Û: the rows (a copy) and their scaled copy are held
     return f_val, -sym(rows.T @ (rows * z.reshape(-1, 1)))
 
 
-def _frame_terms(e: Ensemble, g):
+def _frame_terms(frame):
     """Objective, gradient and surrogate coefficients in the frame of G: the MM kernel.
 
-    From the eigendecomposition of :func:`_frame_eigh`, with z = log w
+    From the pass ``(objective, z, Û)`` of :func:`_frame_eigh`, with z = log w
     and r = √(z² + 1) + z = e^{asinh z} = w·g1(w) = w / g2(w), the
     surrogate coefficients for X̃ in X = G X̃ Gᵀ are
     c̃1 = Gᵀ c1 G = Σᵢ Ûᵢ D(rᵢ) Ûᵢᵀ and c̃2 = G⁻¹ c2 G⁻ᵀ = Σᵢ Ûᵢ D(1/rᵢ) Ûᵢᵀ,
@@ -216,7 +222,7 @@ def _frame_terms(e: Ensemble, g):
     Returns ``(objective, gradient, c̃1, c̃2)``. G is not validated: the
     solvers check the start point once.
     """
-    f_val, z, u = _frame_eigh(e, g)
+    f_val, z, u = frame
     root_r = np.exp(0.5 * np.arcsinh(z))[:, :, None]
     rows = u.swapaxes(1, 2)
     # each scaled copy of the rows is freed before the next is made: Û and one copy
@@ -246,7 +252,7 @@ def grad_sum(e: Ensemble, x) -> np.ndarray:
     solvers (the logarithmic-error quantity is its natural log); it is
     the frame gradient at G = X^{1/2}.
     """
-    return _frame_grad(e, spd_core._eig_apply(_point(e, x)[0], np.sqrt))[1]
+    return _frame_grad(_frame_eigh(e, spd_core._eig_apply(_point(e, x)[0], np.sqrt)))[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -258,7 +264,7 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     at the point's factor F; used by finite-difference validation only.
     """
     _, f, f_inv = _point(e, x)
-    return spd_core._finite(-2.0 * sym(f_inv.T @ _frame_grad(e, f)[1] @ f_inv),
+    return spd_core._finite(-2.0 * sym(f_inv.T @ _frame_grad(_frame_eigh(e, f))[1] @ f_inv),
                             "euclidean gradient at point")
 
 
@@ -271,7 +277,7 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     xp exactly, which makes the touching condition hold by construction.
     """
     xp, f, f_inv = _point(e, xp)
-    f_xp, _, c1, c2 = _frame_terms(e, f)
+    f_xp, _, c1, c2 = _frame_terms(_frame_eigh(e, f))
     c1, c2 = sym(f_inv.T @ c1 @ f_inv), sym(f @ c2 @ f.T)
     c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, f_inv.T @ f_inv)
     spd_core._finite(c0, "surrogate at point")
@@ -282,10 +288,12 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
 def surrogate_value(s: SurrogateCoeffs, x) -> float:
     """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0 at the point x, with X⁻¹ = F⁻ᵀ F⁻¹ from its factor."""
     x, _, f_inv = spd_core._check_spd_factor(x, "point")
-    return spd_core._finite(frob_inner(s.c1, x) + frob_inner(s.c2, f_inv.T @ f_inv) + s.c0,
+    c1, c2 = spd_core._real(s.c1, "c1"), spd_core._real(s.c2, "c2")
+    return spd_core._finite(frob_inner(c1, x) + frob_inner(c2, f_inv.T @ f_inv) + s.c0,
                             "surrogate value at point")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def surrogate_minimizer(c1, c2) -> np.ndarray:
     """Closed-form minimizer of ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ over SPD X.
 
@@ -296,7 +304,8 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     Raises
     ------
     DimensionMismatch, DomainError
-        If c1 or c2 fails :func:`spdmean.spd_core.check_spd`, or their shapes differ.
+        If c1 or c2 fails :func:`spdmean.spd_core.check_spd`, their shapes
+        differ, or c2^(1/2) c1 c2^(1/2) overflows float64.
     """
     c1 = check_spd(c1, "c1")
     c2, r, _ = spd_core._check_spd_factor(c2, "c2")
@@ -311,12 +320,19 @@ def _minimizer_factor(c1, r):
     With Rᵀ c1 R = V D Vᵀ, X c1 X = c2 holds for X = (RV) D^{-1/2} (RV)ᵀ,
     so F = R V D^{-1/4}: one eigendecomposition, reading the lower
     triangle of Rᵀ c1 R only. The eigenvalues come back ascending, so
-    the positivity test reads the smallest, which a NaN fails. A
-    non-positive-definite c1 raises :class:`DomainError`; a non-finite
-    one is not tested for here, on the MM path, and may raise
-    :class:`NonConvergence` instead.
+    the positivity test reads the smallest, which a NaN fails. Only when
+    the test fails, or the eigensolver does, is Rᵀ c1 R tested for
+    overflow, as in :func:`_frame_eigh`: an overflow raises a
+    :class:`DomainError` that names it, a non-positive-definite c1 one
+    that says so.
     """
-    w, v = eigh(r.T @ c1 @ r)
-    if not w[0] > 0:
-        raise DomainError("surrogate_minimizer requires positive definite c1 and c2")
-    return (r @ v) / np.sqrt(np.sqrt(w))
+    m = r.T @ c1 @ r
+    try:
+        w, v = eigh(m)
+        if w[0] > 0:
+            return (r @ v) / np.sqrt(np.sqrt(w))
+    except NonConvergence:
+        if np.isfinite(m).all():
+            raise
+    spd_core._finite(m, "c2^(1/2) c1 c2^(1/2)")
+    raise DomainError("surrogate_minimizer requires positive definite c1 and c2")

@@ -8,14 +8,14 @@ import numpy as np
 
 from .errors import DomainError, NotCommuting
 from .karcher import Ensemble
-from .spd_core import _real, check_spd, exp_m, geodesic, log_m, sym
+from .spd_core import _positive_finite, _real, check_spd, exp_m, geodesic, log_m, sym
 
 COMMUTE_CHECK_TOL = 1e-10
 
 
 def scalar_karcher_oracle(values) -> float:
     """Geometric mean exp(mean(log v)); the exact 1x1 Karcher mean."""
-    vals = np.asarray(values, dtype=float)
+    vals = _real(values, "values")
     if vals.size == 0 or not np.all((vals > 0) & (vals < np.inf)):  # NaN fails too
         raise DomainError("geometric mean requires positive finite values")
     return float(np.exp(np.mean(np.log(vals))))
@@ -52,12 +52,12 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     Raises
     ------
     DomainError
-        If ``h`` is not positive and finite, ``h_dir`` is complex, or
+        If ``h`` is not a positive finite real number, ``h_dir`` is not real, or
         either perturbed matrix fails :func:`spdmean.spd_core.check_spd`.
     """
-    if not 0.0 < h < np.inf:  # NaN fails too
+    if not _positive_finite(h):
         raise DomainError(f"finite difference step h must be positive and finite, got {h!r}")
-    step = h * _real(h_dir, "h_dir")
+    step = float(h) * _real(h_dir, "h_dir")
     for sign in (1.0, -1.0):
         check_spd(x + sign * step, "perturbed matrix")
     return (f(x + step) - f(x - step)) / (2.0 * h)

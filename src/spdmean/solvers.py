@@ -15,11 +15,13 @@ the unnormalized gradient sum below ``grad_tol``, default
 
 Every solver carries its iterate as a factor G of X = G Gᵀ, starting
 from the validated start point's factor, and works in G's frame on
-one stacked eigendecomposition per point. The steps yield the factor;
-the loop forms the mean X = G Gᵀ once, when the run ends. MM reduces
-the pass with :func:`spdmean.karcher._frame_terms` (two Gram products:
-c̃1, c̃2 and the gradient as their difference); GD, which needs the
-gradient only, with :func:`spdmean.karcher._frame_grad` (one product).
+one stacked eigendecomposition per point, the pass of
+:func:`spdmean.karcher._frame_eigh`. The steps yield the factor; the
+loop forms the mean X = G Gᵀ once, when the run ends. Each step hands
+the pass, as a temporary, to its reduction, which calls no eigensolver:
+MM to :func:`spdmean.karcher._frame_terms` (two Gram products: c̃1, c̃2
+and the gradient as their difference); GD, which needs the gradient
+only, to :func:`spdmean.karcher._frame_grad` (one product).
 There X^{1/2} = G Qᵀ with Q orthogonal, so the Riemannian step
 X^{1/2} exp(t D) X^{1/2} along D = Q ĝ Qᵀ / n, with ĝ the frame
 gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
@@ -37,8 +39,8 @@ import numpy as np
 
 from . import spd_core
 from .errors import DomainError
-from .karcher import (Ensemble, _frame_grad, _frame_objective, _frame_terms, _minimizer_factor,
-                      _point)
+from .karcher import (Ensemble, _frame_eigh, _frame_grad, _frame_objective, _frame_terms,
+                      _minimizer_factor, _point)
 from .spd_core import _is_a, _positive_finite, eigh
 
 DEFAULT_MAX_ITERS = 500
@@ -183,7 +185,7 @@ def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
 
 def _mm_steps(e: Ensemble, cfg: SolverConfig, g):
     while True:
-        f_val, grad, c1, c2 = _frame_terms(e, g)
+        f_val, grad, c1, c2 = _frame_terms(_frame_eigh(e, g))
         yield g, f_val, grad
         g = g @ _minimizer_factor(
             c1, spd_core.cholesky(c2, "surrogate_minimizer requires a positive definite c2"))
@@ -202,7 +204,7 @@ def mm_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
 
 
 def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
-    f_cur, grad = _frame_grad(e, g)
+    f_cur, grad = _frame_grad(_frame_eigh(e, g))
     while True:
         yield g, f_cur, grad
         lam, v = eigh(grad / e.n)
@@ -218,7 +220,7 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
                 g = g_trial
                 # the kernel's objective, not the probe's: measured in the
                 # fig1 regime, keeping f_trial stalls twice as many runs
-                f_cur, grad = _frame_grad(e, g)
+                f_cur, grad = _frame_grad(_frame_eigh(e, g))
                 break
             if j == LS_MAX_J:
                 return  # stalled; the loop records this last probe
@@ -247,13 +249,13 @@ def gd_linesearch_solve(e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
 
 
 def _gd_fixed_steps(e: Ensemble, cfg: SolverConfig, g):
-    f_val, grad = _frame_grad(e, g)
+    f_val, grad = _frame_grad(_frame_eigh(e, g))
     for k in itertools.count(1):
         yield g, f_val, grad
         lam, v = eigh(grad / e.n)
         g = (g @ v) * np.exp(0.5 * cfg.nu * lam)
         try:
-            f_val, grad = _frame_grad(e, g)
+            f_val, grad = _frame_grad(_frame_eigh(e, g))
         except DomainError as exc:
             raise DomainError(f"gd-fixed step nu={cfg.nu:g} left the positive definite "
                               f"cone at iterate {k}: {exc}") from exc

@@ -19,6 +19,8 @@ SYM_TOL = 1e-12
 POSITIVITY_FLOOR = 1e-13
 # Block width of the triangular inverse of the Cholesky factors.
 TRI_BLOCK = 16
+# The dtype kinds taken as real numbers: float, signed and unsigned int.
+REAL_KINDS = "fiu"
 
 
 def sym(a):
@@ -52,16 +54,29 @@ def _positive_finite(value) -> bool:
     return _is_a(value, numbers.Real) and 0 < _python(value) <= sys.float_info.max
 
 
-def _real(a, name):
-    """``a`` as a float array, unless its dtype is complex.
+def _exponent(t, fn):
+    """``t`` as a float once it is a finite real number; DomainError naming ``fn`` and t otherwise."""
+    if not (_is_a(t, numbers.Real) and abs(_python(t)) <= sys.float_info.max):
+        raise DomainError(f"{fn} requires t to be a finite real number, got {t!r}")
+    return float(t)
 
-    A complex array is refused before the conversion, which would drop
-    its imaginary part with a ComplexWarning.
+
+def _real(a, name):
+    """``a`` as a float array, once its dtype kind is one of ``REAL_KINDS``.
+
+    Any other dtype is refused before the conversion, which would drop a
+    complex entry's imaginary part with a ComplexWarning, take a bool as
+    0 or 1 and parse a string such as "2" (:func:`_not_real`).
     """
     a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise DomainError(f"{name} has a complex entry")
+    if a.dtype.kind not in REAL_KINDS:
+        raise _not_real(a, name)
     return np.asarray(a, dtype=float)
+
+
+def _not_real(a, name):
+    """The DomainError for an array whose dtype :func:`_real` refuses: complex or non-numeric."""
+    return DomainError(f"{name} has a {'complex' if a.dtype.kind == 'c' else 'non-numeric'} entry")
 
 
 def check_symmetric(a, name="matrix"):
@@ -88,8 +103,10 @@ def _scales(mats):
 def _symmetrized(mats, name_of):
     """The tests of a (k, p, p) stack that come before positivity, and sym(A).
 
-    Refuses a complex dtype (read before any float conversion) and 0×0
-    matrices. Returns ``(sym(A), finite, symmetric, norms)``: which
+    Refuses every dtype :func:`_real` refuses, read before any float
+    conversion, and 0×0 matrices. A complex stack names its first matrix
+    with an imaginary part, any other its first. Returns
+    ``(sym(A), finite, symmetric, norms)``: which
     matrices are finite (``None`` when all are; the others are zeroed),
     which have ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F, and each ‖A‖_F. Where every
     max |entry| lies in (1e-100, 1e100), the common case, the squared sums
@@ -99,9 +116,9 @@ def _symmetrized(mats, name_of):
     test and the norm, so the test holds at any float64 scale.
     """
     mats = np.asarray(mats)
-    if mats.dtype.kind == "c":
-        raise DomainError(f"{name_of(int(mats.imag.any(axis=(1, 2)).argmax()))} "
-                          "has a complex entry")
+    if mats.dtype.kind not in REAL_KINDS:
+        first = mats.imag.any(axis=(1, 2)).argmax() if mats.dtype.kind == "c" else 0
+        raise _not_real(mats, name_of(int(first)))
     mats = np.asarray(mats, dtype=float)
     if mats.shape[-1] == 0:
         raise DimensionMismatch(f"expected {name_of(0)} to be at least 1x1, "
@@ -362,8 +379,9 @@ def inv_m(a):
 
 
 def pow_m(a, t):
-    """Real matrix power ``a**t`` of an SPD matrix."""
-    return _eig_apply(check_spd(a), lambda w: w**float(t))
+    """Real matrix power ``a**t`` of an SPD matrix, for a finite real ``t``."""
+    t = _exponent(t, "pow_m")
+    return _eig_apply(check_spd(a), lambda w: w**t)
 
 
 def frob_inner(a, b):
@@ -392,12 +410,13 @@ def geodesic(x1, x2, t):
     Computes ``x1^{1/2} (x1^{-1/2} x2 x1^{-1/2})^t x1^{1/2}`` as H Hᵀ, H = F₁ P D(σᵗ)
     from the SVD W = P D(σ) Qᵀ (:func:`_checked_pair`): W Wᵀ, which can underflow
     where W does not, is never formed. ``t=0`` returns x1, ``t=1`` x2, ``t=1/2``
-    the two-matrix geometric mean.
+    the two-matrix geometric mean; ``t`` must be a finite real number.
     """
+    t = _exponent(t, "geodesic")
     f1, w = _checked_pair(x1, x2)
     p, sigma, _ = np.linalg.svd(w)
     with np.errstate(all="ignore"):
-        fw = sigma**float(t)
+        fw = sigma**t
         h = (f1 @ p) * fw
         out = sym(h @ h.T)
     return _checked_rebuild(fw, out)

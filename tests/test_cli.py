@@ -532,16 +532,16 @@ def _noisy_objective(frame_terms):
     # MM records an objective that alternates ±1e-6 around the true one
     sign = itertools.cycle([1.0, -1.0])
 
-    def terms(e, g):
-        f_val, *rest = frame_terms(e, g)
+    def terms(frame):
+        f_val, *rest = frame_terms(frame)
         return (f_val + 1e-6 * next(sign), *rest)
     return terms
 
 
 def _biased_grad(frame_grad):
     # GD descends along a gradient with a constant bias, so it stops elsewhere
-    def grad(e, g):
-        f_val, gr = frame_grad(e, g)
+    def grad(frame):
+        f_val, gr = frame_grad(frame)
         return f_val, gr + 1e-3 * np.eye(len(gr))
     return grad
 

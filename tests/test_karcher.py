@@ -8,6 +8,7 @@ import pytest
 from spdmean.errors import DimensionMismatch, DomainError
 from spdmean.karcher import (
     Ensemble,
+    _frame_eigh,
     _frame_grad,
     _frame_terms,
     SurrogateCoeffs,
@@ -138,9 +139,21 @@ class TestEnsemble:
         ([np.array([[1 + 5j]])], "matrix 0 has a complex entry"),
         ([np.eye(2), np.array([[2.0, 1j], [-1j, 2.0]])], "matrix 1 has a complex entry"),
         ([np.eye(2), np.eye(3, dtype=complex)], "matrix 1 has a complex entry"),
+        ([np.eye(2, dtype=bool)], "matrix 0 has a non-numeric entry"),
+        (np.ones((2, 1, 1), dtype=bool), "matrix 0 has a non-numeric entry"),
+        ([[["1", "0"], ["0", "1"]]], "matrix 0 has a non-numeric entry"),
+        ([np.eye(2), np.array([[1.0, 0.0], [0.0, "2"]], dtype=object)],
+         "matrix 1 has a non-numeric entry"),
+        ([np.eye(2), np.array([[1.0, 0.0], [0.0, "x"]], dtype=object)],
+         "matrix 1 has a non-numeric entry"),
+        # numpy upcasts these lists to a float and a string stack
+        ([np.eye(2), np.eye(2, dtype=bool), np.eye(2)], "matrix 1 has a non-numeric entry"),
+        ([np.eye(2), np.eye(2), np.array([["1", "0"], ["0", "1"]])],
+         "matrix 2 has a non-numeric entry"),
     ])
     def test_complex_matrix_rejected(self, mats, message):
-        # refused before any float conversion, which would drop the imaginary part
+        # refused before any float conversion, which would drop the imaginary
+        # part, take a bool as 0 or 1 and parse a string
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as info:
@@ -200,6 +213,11 @@ _VIEWS = {
                  id="below-floor"),
     # refused, not cast to its real part with a ComplexWarning
     pytest.param([[2.0, 1j], [-1j, 2.0]], "has a complex entry", id="complex"),
+    # refused, not taken as 0 or 1 or parsed
+    pytest.param([[True, False], [False, True]], "has a non-numeric entry", id="bool"),
+    pytest.param([["1", "0"], ["0", "1"]], "has a non-numeric entry", id="string"),
+    pytest.param(np.array([[1.0, 0.0], [0.0, "x"]], dtype=object), "has a non-numeric entry",
+                 id="object"),
 ])
 def test_views_validate_their_point(view, point, message, rng):
     e = random_ensemble(rng, 3, 2)
@@ -449,7 +467,7 @@ class TestStackedKernelAgreement:
     def test_frame_gradient_norm_matches_grad_sum(self, regime, rng):
         for e, x in AGREEMENT_REGIMES[regime](rng):
             tol = _agreement_tol(e, x)
-            frame_grad = _frame_terms(e, np.linalg.cholesky(x))[1]
+            frame_grad = _frame_terms(_frame_eigh(e, np.linalg.cholesky(x)))[1]
             want = np.linalg.norm(grad_sum(e, x))
             err = abs(np.linalg.norm(frame_grad) - want) / want
             assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
@@ -459,9 +477,9 @@ class TestStackedKernelAgreement:
         # the MM kernel's ĝ = (c̃2 − c̃1)/2 against GD's −Σᵢ Ûᵢ D(log wᵢ) Ûᵢᵀ
         for e, x in AGREEMENT_REGIMES[regime](rng):
             tol = _agreement_tol(e, x)
-            g = np.linalg.cholesky(x)
-            want = _frame_grad(e, g)[1]
-            err = np.linalg.norm(_frame_terms(e, g)[1] - want) / np.linalg.norm(want)
+            frame = _frame_eigh(e, np.linalg.cholesky(x))
+            want = _frame_grad(frame)[1]
+            err = np.linalg.norm(_frame_terms(frame)[1] - want) / np.linalg.norm(want)
             assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
 
     @pytest.mark.parametrize("regime", sorted(AGREEMENT_REGIMES))
@@ -471,7 +489,7 @@ class TestStackedKernelAgreement:
         for e, x in AGREEMENT_REGIMES[regime](rng):
             tol = _agreement_tol(e, x)
             want = -2.0 * per_matrix_terms(e, x)["grad_sum"]
-            _, _, c1, c2 = _frame_terms(e, sqrt_m(x))
+            _, _, c1, c2 = _frame_terms(_frame_eigh(e, sqrt_m(x)))
             err = np.linalg.norm(c1 - c2 - want) / np.linalg.norm(want)
             assert err <= tol, f"{regime} p={e.dim}: {err:.3g} > {tol:.3g}"
 
@@ -483,8 +501,8 @@ class TestStackedKernelAgreement:
         tol = cfg.effective_grad_tol(e.n)
         res = mm_solve(e, cfg, x0)
         assert res.converged and res.trace[-1].grad_norm < tol
-        g = np.linalg.cholesky(res.mean)
-        assert np.linalg.norm(_frame_terms(e, g)[1] - _frame_grad(e, g)[1]) <= 1e-3 * tol
+        frame = _frame_eigh(e, np.linalg.cholesky(res.mean))
+        assert np.linalg.norm(_frame_terms(frame)[1] - _frame_grad(frame)[1]) <= 1e-3 * tol
 
     def test_condition_1e8_regime_converges_on_twenty_seeds(self):
         # the gradient floor sits near the default tolerance here, so the
@@ -516,6 +534,14 @@ class TestSurrogate:
         s = SurrogateCoeffs(c1=np.eye(2), c2=np.eye(2), c0=0.0)
         assert abs(surrogate_value(s, np.eye(2)) - 4.0) <= 1e-14
         assert abs(surrogate_value(s, np.diag([2.0, 0.5])) - 5.0) <= 1e-14
+
+    @pytest.mark.parametrize("which", ["c1", "c2"])
+    def test_value_names_a_complex_coefficient(self, which):
+        coeffs = {"c1": np.eye(2), "c2": np.eye(2), which: 1j * np.eye(2)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{which} has a complex entry$"):
+                surrogate_value(SurrogateCoeffs(c0=0.0, **coeffs), np.eye(2))
 
     def test_value_at_a_nonsquare_point(self):
         s = SurrogateCoeffs(c1=np.eye(2), c2=np.eye(2), c0=0.0)
@@ -575,6 +601,17 @@ class TestSurrogateMinimizer:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=rf"^{bad} (is not positive definite "
                                                   r"\(eigenvalue -?[01]\)|has a non-finite entry)$"):
+                surrogate_minimizer(c1, c2)
+
+    @pytest.mark.parametrize("c1, c2", [
+        (np.diag([1.0, 2.0]), 1e308 * np.eye(2)),
+        (1e308 * np.eye(2), 1e308 * np.eye(2)),
+    ], ids=["overflow", "inf-times-zero"])
+    def test_names_the_overflow_of_the_product(self, c1, c2):
+        # both are positive definite, but Rᵀ c1 R, R Rᵀ = c2, is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^c2\^\(1/2\) c1 c2\^\(1/2\) overflows float64$"):
                 surrogate_minimizer(c1, c2)
 
     def test_minimizer_factor_rejects_a_c1_that_is_not_positive_definite(self):

@@ -44,6 +44,13 @@ class TestScalarKarcherOracle:
         with pytest.raises(DomainError):
             scalar_karcher_oracle(bad)
 
+    def test_rejects_a_complex_value(self):
+        # refused by dtype, not cast to the real part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^values has a complex entry$"):
+                scalar_karcher_oracle([1 + 1j, 2.0])
+
 
 class TestCommutingOracle:
     def test_diagonal_matrices(self):
@@ -156,8 +163,11 @@ class TestFiniteDiffDirectional:
             with pytest.raises(DomainError, match="^h_dir has a complex entry$"):
                 finite_diff_directional(np.trace, np.eye(2), [[1j, 0], [0, 0]])
 
-    @pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan])
+    @pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan, True,
+                                   pytest.param(10**400, id="10**400")])
     def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
-        with pytest.raises(DomainError, match="^finite difference step h must be positive "
-                                              "and finite, got "):
-            finite_diff_directional(np.trace, np.eye(2), np.eye(2), h=h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^finite difference step h must be positive "
+                                                  "and finite, got "):
+                finite_diff_directional(np.trace, np.eye(2), np.eye(2), h=h)

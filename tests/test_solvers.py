@@ -9,7 +9,7 @@ import pytest
 from spdmean import selfcheck, solvers, spd_core
 from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
 from spdmean.errors import DimensionMismatch, DomainError, NonConvergence, SpdMeanError
-from spdmean.karcher import Ensemble, grad_sum, objective
+from spdmean.karcher import Ensemble, _frame_eigh, _frame_grad, grad_sum, objective
 from spdmean.oracle import commuting_oracle, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd, solve_mm
 from spdmean.solvers import (
@@ -383,7 +383,7 @@ class TestSharedLoop:
         def records(res):
             return [(t.iter, t.objective, t.grad_norm, t.log_error) for t in res.trace]
 
-        def fail(e, g):
+        def fail(frame):
             raise AssertionError("surrogate coefficients built")
 
         e = random_ensemble(rng, 5, 4)
@@ -613,11 +613,13 @@ class TestFiniteOrFail:
 class TestSpectralCost:
     @staticmethod
     def counters(monkeypatch):
-        """Logs of symmetric eigensolver calls, symmetry checks and Cholesky calls.
+        """Logs of symmetric eigensolver calls, validation passes and Cholesky calls.
 
         An eigensolver call logs the number of matrices it covers (a
-        (k, p, p) stack counts k); ``counts()`` gives (calls, matrices,
-        checks, factorizations) so far, ``clear()`` starts again.
+        (k, p, p) stack counts k); a validation pass is a call of
+        ``spd_core._symmetrized``, which every validator runs. ``counts()``
+        gives (calls, matrices, checks, factorizations) so far, ``clear()``
+        starts again.
         """
         calls, checks, factors = [], [], []
 
@@ -631,8 +633,7 @@ class TestSpectralCost:
             monkeypatch.setattr(np.linalg, name, counting(
                 getattr(np.linalg, name), calls, lambda a: math.prod(np.shape(a)[:-2])))
         monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, factors))
-        monkeypatch.setattr(spd_core, "check_symmetric",
-                            counting(spd_core.check_symmetric, checks))
+        monkeypatch.setattr(spd_core, "_symmetrized", counting(spd_core._symmetrized, checks))
 
         def counts():
             return len(calls), sum(calls), len(checks), len(factors)
@@ -660,12 +661,13 @@ class TestSpectralCost:
         return np.subtract(runs[1], runs[0]), traces[1]
 
     def test_set_up_and_start_point_take_one_cholesky_each(self, monkeypatch, rng):
-        # validation factors the well-conditioned stack and the start point
-        # and needs no eigensolver; the start point's factor is G₀
+        # validation takes one pass and one Cholesky for the well-conditioned
+        # stack and for the start point, and no eigensolver; the start
+        # point's factor is G₀
         mats = [random_spd(rng, 4) for _ in range(6)]
         counts, clear = self.counters(monkeypatch)
         e = Ensemble.from_matrices(mats)
-        assert counts() == (0, 0, 0, 1)
+        assert counts() == (0, 0, 1, 1)
         x0 = arithmetic_mean_init(e)
         starts = []
 
@@ -675,7 +677,7 @@ class TestSpectralCost:
 
         clear()
         res = solvers._solve(steps, e, SolverConfig(), x0)
-        assert counts() == (0, 0, 0, 1)
+        assert counts() == (0, 0, 1, 1)
         assert res.converged and np.array_equal(res.mean, x0)
         assert np.array_equal(starts[0], np.linalg.cholesky(x0))
 
@@ -692,6 +694,40 @@ class TestSpectralCost:
         assert n_mats <= n + 1
         assert n_checks == 0
         assert n_factors == 1
+
+    def test_a_step_reads_the_pass_of_its_record(self, monkeypatch, rng):
+        # fixed-step GD rebuilt from the pass and its gradient reduction: the
+        # step reads z and Û of every record, and each record still costs
+        # exactly one stacked eigensolver call
+        e = random_ensemble(rng, 5, 4)
+        x0, cfg = arithmetic_mean_init(e), SolverConfig(max_iters=6, grad_tol=1e-300)
+        stacked, seen = [], []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            stacked.append(np.ndim(a) == 3)
+            return real(a, *args, **kwargs)
+
+        def steps(e, cfg, g):
+            while True:
+                frame = _frame_eigh(e, g)
+                _, z, u = frame
+                calls, rebuilt = sum(stacked), -np.einsum("ijk,ik,ilk->jl", u, z, u)
+                f_val, grad = _frame_grad(frame)
+                seen.append((calls, np.linalg.norm(rebuilt - grad) / math.sqrt(f_val)))
+                yield g, f_val, grad
+                lam, v = spd_core.eigh(grad / e.n)
+                g = (g @ v) * np.exp(0.5 * cfg.nu * lam)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        res = solvers._solve(steps, e, cfg, x0)
+        assert sum(stacked) == len(res.trace) == len(seen) == cfg.max_iters + 1
+        want = gd_fixed_step_solve(e, cfg, x0)
+        assert [t[:4] for t in res.trace] == [t[:4] for t in want.trace]
+        assert np.array_equal(res.mean, want.mean)
+        # the gradient −Σᵢ Ûᵢ D(zᵢ) Ûᵢᵀ, rebuilt from the pass the step read
+        assert [calls for calls, _ in seen] == list(range(1, len(seen) + 1))
+        assert max(err for _, err in seen) <= 1e-13
 
     @staticmethod
     def peak_stacks(rng, solve):

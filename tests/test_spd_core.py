@@ -97,6 +97,15 @@ class TestCheckSpd:
             with pytest.raises(DomainError, match="^matrix has a complex entry$"):
                 fn(np.array([[1 + 5j]]))
 
+    @pytest.mark.parametrize("fn", [check_spd, check_symmetric])
+    @pytest.mark.parametrize("a", [np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]]),
+                                   np.array([[1.0, 0.0], [0.0, "2"]], dtype=object)],
+                             ids=["bool", "string", "object"])
+    def test_rejects_non_numeric(self, fn, a):
+        # refused by dtype, not taken as 0 or 1 or parsed
+        with pytest.raises(DomainError, match="^matrix has a non-numeric entry$"):
+            fn(a)
+
     def test_relative_floor_survives_scaling(self, rng):
         a = random_spd(rng, 3) * 1e4
         check_spd(a)
@@ -396,10 +405,8 @@ _TAKES_NON_FINITE_ENTRY = {
 
 # finite matrices whose f(λ), or its reciprocal, is not finite in float64
 _NOT_FINITE_ON_SPECTRUM = {
-    **{f"pow_m-t-{t}": lambda t=t: pow_m(np.diag([2.0, 3.0]), t)
-       for t in (np.nan, np.inf, 1e308)},
-    **{f"geodesic-t-{t}": lambda t=t: geodesic(np.eye(2), np.diag([2.0, 3.0]), t)
-       for t in (np.nan, np.inf, 1e308)},
+    "pow_m-t-1e+308": lambda: pow_m(np.diag([2.0, 3.0]), 1e308),
+    "geodesic-t-1e+308": lambda: geodesic(np.eye(2), np.diag([2.0, 3.0]), 1e308),
     "exp_m-1000": lambda: exp_m(1000.0 * np.eye(2)),
     # passes validation (condition 1), but 1/1e-310 overflows
     "inv_m-subnormal": lambda: inv_m(1e-310 * np.eye(2)),
@@ -407,9 +414,16 @@ _NOT_FINITE_ON_SPECTRUM = {
 
 # finite matrices whose f(λ) underflows to 0: the SPD-valued result would be singular
 _NOT_POSITIVE_ON_SPECTRUM = {
-    "pow_m-t--inf": lambda: pow_m(np.diag([2.0, 3.0]), -np.inf),
-    "geodesic-t--inf": lambda: geodesic(np.eye(2), np.diag([2.0, 3.0]), -np.inf),
     "exp_m--1000": lambda: exp_m(-1000.0 * np.eye(2)),
+}
+
+# an exponent t that is not a finite real number, refused before the spectrum is read
+_NOT_A_FINITE_T = {
+    f"{name}-t-{label}": (name, lambda call=call, t=t: call(t))
+    for name, call in (("pow_m", lambda t: pow_m(np.diag([2.0, 3.0]), t)),
+                       ("geodesic", lambda t: geodesic(np.eye(2), np.diag([2.0, 3.0]), t)))
+    for label, t in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf), ("x", "x"),
+                     ("None", None), ("10**400", 10**400), ("True", True), ("1j", 1j))
 }
 
 
@@ -421,6 +435,8 @@ _NOT_POSITIVE_ON_SPECTRUM = {
       for name, call in _NOT_FINITE_ON_SPECTRUM.items()),
     *(pytest.param(call, "^scalar function not positive on the spectrum$", id=name)
       for name, call in _NOT_POSITIVE_ON_SPECTRUM.items()),
+    *(pytest.param(call, f"^{fn} requires t to be a finite real number, got ", id=name)
+      for name, (fn, call) in _NOT_A_FINITE_T.items()),
 ])
 def test_spd_functions_reject_non_finite(call, match):
     # a NaN spectrum fails no `<= 0` test: the entries and f(λ) are checked
