@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .solvers import SOLVERS, SolverConfig, SolverResult, arithmetic_mean_init
-from .spd_core import _is_a, _positive_finite, _python, sym
+from .spd_core import _is_a, _python, _real_number, sym
 
 
 def _known_fields(cls, d, what: str) -> dict:
@@ -46,14 +46,6 @@ def _known_fields(cls, d, what: str) -> dict:
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise DomainError(f"{what} spec requires field {f.name!r}")
     return dict(d)
-
-
-def _finite(value) -> bool:
-    """Whether a number, or every number of a list, is finite in float64."""
-    try:
-        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
-    except OverflowError:  # an integer past the float64 range
-        return False
 
 
 # The fields each spectrum kind takes besides kind and dim.
@@ -99,8 +91,8 @@ class SpectrumSpec:
                                          and all(_is_a(v, numbers.Real) for v in value)):
                 raise DomainError("spectrum field 'values' must be a list, each element "
                                   f"a number, got {value!r}")
-            if not _finite(value):
-                raise DomainError(f"spectrum field {name!r} must be finite, got {value!r}")
+            for v in value if name == "values" else [value]:
+                _real_number(v, f"spectrum field {name!r} must be finite, got {value!r}", False)
         if self.kind == "uniform":
             if self.lo is None or self.hi is None or not 0 < self.lo < self.hi:
                 raise DomainError("uniform spectrum requires 0 < lo < hi")
@@ -214,15 +206,14 @@ class ExperimentSpec:
             raise DomainError("runs must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        if not _positive_finite(self.scale_first_by):
-            raise DomainError(f"scale_first_by must be positive and finite, "
-                              f"got {self.scale_first_by!r}")
+        scale = _real_number(self.scale_first_by, "scale_first_by must be positive and finite, "
+                             f"got {self.scale_first_by!r}")
         if not isinstance(self.spectrum, SpectrumSpec):
             raise DomainError(f"spectrum must be a SpectrumSpec, got {self.spectrum!r}")
         if self.spectrum.dim != self.p:
             raise DomainError("spectrum dim must equal p")
         top = self.spectrum.top
-        if not np.isfinite(float(self.scale_first_by) * top):
+        if not np.isfinite(scale * top):
             raise DomainError(f"scale_first_by {self.scale_first_by!r} times the spectrum's "
                               f"largest value {top!r} overflows float64")
         if not (isinstance(self.solvers, list)

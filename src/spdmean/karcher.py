@@ -70,10 +70,9 @@ class Ensemble:
         except ValueError:  # ragged
             stack = None
         if (stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]
-                or stack is not mats
-                and any(np.asarray(a).dtype.kind not in spd_core.REAL_KINDS for a in mats)):
-            # no stack, or one that upcast a matrix of another dtype (a bool
-            # one to float): the per-matrix checks or the dimension check raise
+                or stack is not mats and not spd_core._real_entries(stack, mats)):
+            # no stack, or a list that is not real or that numpy upcast (a bool
+            # entry or matrix to a number): the per-matrix checks or the dimension check raise
             checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(mats)]
             for i, a in enumerate(checked):
                 if a.shape[0] != checked[0].shape[0]:
@@ -102,9 +101,8 @@ class SurrogateCoeffs:
 
 def _point(e: Ensemble, x):
     """(X, F, F⁻¹), F Fᵀ = X, of a point x of the ensemble's dim that passes :func:`check_spd`."""
-    x = np.asarray(x)
-    if x.shape != (e.dim, e.dim):
-        raise DimensionMismatch(f"point has shape {x.shape}, ensemble dim is {e.dim}")
+    if np.shape(x) != (e.dim, e.dim):
+        raise DimensionMismatch(f"point has shape {np.shape(x)}, ensemble dim is {e.dim}")
     return spd_core._check_spd_factor(x, "point")
 
 
@@ -115,7 +113,7 @@ def g1_scalar(x: float) -> float:
     1 / (x (√(z²+1) − z)) so no cancellation occurs and
     ``g1_scalar(x) * g2_scalar(x) == 1`` to machine precision.
     """
-    x = _weight_arg(x, "g1")
+    x = spd_core._real_number(x, f"g1 requires x to be a positive finite real number, got {x!r}")
     z = np.log(x)
     s = np.sqrt(z * z + 1.0)
     if z >= 0:
@@ -125,19 +123,12 @@ def g1_scalar(x: float) -> float:
 
 def g2_scalar(x: float) -> float:
     """Weight g2(x) = (√((log x)² + 1) − log x) · x for x > 0; g2 = 1/g1."""
-    x = _weight_arg(x, "g2")
+    x = spd_core._real_number(x, f"g2 requires x to be a positive finite real number, got {x!r}")
     z = np.log(x)
     s = np.sqrt(z * z + 1.0)
     if z <= 0:
         return float((s - z) * x)
     return float(x / (s + z))
-
-
-def _weight_arg(x, weight):
-    """``x`` as a float once it is a positive finite real number; DomainError naming x otherwise."""
-    if not spd_core._positive_finite(x):
-        raise DomainError(f"{weight} requires x to be a positive finite real number, got {x!r}")
-    return float(x)
 
 
 def _frame_eigh(e: Ensemble, g, vectors=True):
@@ -198,6 +189,12 @@ def _frame_grad(frame):
     (Q = I) it is :func:`grad_sum`. The rows of all Ûᵢᵀ form one
     (n·p, p) matrix, so the sum over i is one matrix product. GD uses
     this reduction: it never needs c̃1 and c̃2.
+
+    ``del frame, u`` frees a temporary pass's Û, as in
+    ``_frame_grad(_frame_eigh(e, g))``, only because CPython 3.11 and later
+    move a temporary argument into the callee; 3.10 keeps it on the
+    caller's stack, and GD would hold three (n, p, p) stacks. Hence
+    ``requires-python = ">=3.11"``.
     """
     f_val, z, u = frame
     rows = u.swapaxes(1, 2).reshape(-1, u.shape[-1])

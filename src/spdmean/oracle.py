@@ -6,9 +6,9 @@ solver tests compare against them, never the other way around.
 
 import numpy as np
 
-from .errors import DomainError, NotCommuting
+from .errors import DimensionMismatch, DomainError, NotCommuting
 from .karcher import Ensemble
-from .spd_core import _positive_finite, _real, check_spd, exp_m, geodesic, log_m, sym
+from .spd_core import _real, _real_number, check_spd, exp_m, geodesic, log_m, sym
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -52,12 +52,17 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     Raises
     ------
     DomainError
-        If ``h`` is not a positive finite real number, ``h_dir`` is not real, or
-        either perturbed matrix fails :func:`spdmean.spd_core.check_spd`.
+        If ``h`` is not a positive finite real number, ``x`` fails
+        :func:`spdmean.spd_core.check_spd`, ``h_dir`` is not real, or either
+        perturbed matrix fails ``check_spd``.
+    DimensionMismatch
+        If ``x`` is not a square matrix, or ``h_dir`` does not have its shape.
     """
-    if not _positive_finite(h):
-        raise DomainError(f"finite difference step h must be positive and finite, got {h!r}")
-    step = float(h) * _real(h_dir, "h_dir")
+    h = _real_number(h, f"finite difference step h must be positive and finite, got {h!r}")
+    shape = check_spd(x, "x").shape
+    step = h * _real(h_dir, "h_dir")
+    if step.shape != shape:
+        raise DimensionMismatch(f"expected h_dir to have the shape of x, {shape}, got {step.shape}")
     for sign in (1.0, -1.0):
         check_spd(x + sign * step, "perturbed matrix")
     return (f(x + step) - f(x - step)) / (2.0 * h)

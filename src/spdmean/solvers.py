@@ -41,7 +41,7 @@ from . import spd_core
 from .errors import DomainError
 from .karcher import (Ensemble, _frame_eigh, _frame_grad, _frame_objective, _frame_terms,
                       _minimizer_factor, _point)
-from .spd_core import _is_a, _positive_finite, eigh
+from .spd_core import _is_a, _real_number, eigh
 
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
@@ -74,10 +74,9 @@ class SolverConfig:
     def __post_init__(self):
         if not _is_a(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise DomainError("max_iters must be an integer >= 1")
-        if self.grad_tol is not None and not _positive_finite(self.grad_tol):
-            raise DomainError("grad_tol must be positive and finite")
-        if not _positive_finite(self.nu):
-            raise DomainError("nu must be positive and finite")
+        if self.grad_tol is not None:
+            _real_number(self.grad_tol, "grad_tol must be positive and finite")
+        _real_number(self.nu, "nu must be positive and finite")
 
     def effective_grad_tol(self, n: int) -> float:
         if self.grad_tol is not None:

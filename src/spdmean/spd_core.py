@@ -49,34 +49,62 @@ def _python(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _positive_finite(value) -> bool:
-    """Whether ``value`` is a real number in (0, float64 max]; bool, NaN and 10**400 are not."""
-    return _is_a(value, numbers.Real) and 0 < _python(value) <= sys.float_info.max
-
-
-def _exponent(t, fn):
-    """``t`` as a float once it is a finite real number; DomainError naming ``fn`` and t otherwise."""
-    if not (_is_a(t, numbers.Real) and abs(_python(t)) <= sys.float_info.max):
-        raise DomainError(f"{fn} requires t to be a finite real number, got {t!r}")
-    return float(t)
+def _real_number(value, message, positive=True) -> float:
+    """``value`` as a float once it is a real number, not a bool, finite in float64 and,
+    where ``positive``, above 0; DomainError(``message``) otherwise."""
+    if _is_a(value, numbers.Real) and abs(_python(value)) <= sys.float_info.max:
+        x = float(value)
+        if x > 0 or not positive:
+            return x
+    raise DomainError(message)
 
 
 def _real(a, name):
-    """``a`` as a float array, once its dtype kind is one of ``REAL_KINDS``.
+    """``a`` as a float array, once it holds real numbers only (:func:`_real_entries`).
 
-    Any other dtype is refused before the conversion, which would drop a
+    Any other input is refused before the conversion, which would drop a
     complex entry's imaginary part with a ComplexWarning, take a bool as
     0 or 1 and parse a string such as "2" (:func:`_not_real`).
     """
-    a = np.asarray(a)
-    if a.dtype.kind not in REAL_KINDS:
-        raise _not_real(a, name)
-    return np.asarray(a, dtype=float)
+    arr = np.asarray(a)
+    if not _real_entries(arr, a):
+        raise _not_real(arr, name)
+    return np.asarray(arr, dtype=float)
+
+
+def _real_entries(arr, a) -> bool:
+    """Whether the array ``arr``, read from ``a``, holds real numbers only.
+
+    Its dtype kind must be one of ``REAL_KINDS``. numpy reads a list that
+    mixes bools with numbers, such as [2, True], as the numbers [2, 1], so
+    a list or tuple ``a`` is walked too: an entry at any depth that is a
+    bool, or an array of another kind, refuses it. An array ``a`` is not walked.
+    """
+    if arr.dtype.kind not in REAL_KINDS:
+        return False
+    todo = [a] if isinstance(a, (list, tuple)) else []
+    while todo:
+        entry = todo.pop()
+        if isinstance(entry, (list, tuple)):
+            todo.extend(entry)
+        elif isinstance(entry, (bool, np.bool_)) or (isinstance(entry, np.ndarray)
+                                                     and entry.dtype.kind not in REAL_KINDS):
+            return False
+    return True
 
 
 def _not_real(a, name):
-    """The DomainError for an array whose dtype :func:`_real` refuses: complex or non-numeric."""
+    """The DomainError for an array :func:`_real_entries` refuses: complex or non-numeric."""
     return DomainError(f"{name} has a {'complex' if a.dtype.kind == 'c' else 'non-numeric'} entry")
+
+
+def _one(a, name):
+    """``a`` as a stack of one square matrix: a view of an array, else a list that
+    :func:`_symmetrized` walks (:func:`_real_entries`)."""
+    arr = np.asarray(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"expected {name} to be square, got shape {arr.shape}")
+    return arr[None] if arr is a else [a]
 
 
 def check_symmetric(a, name="matrix"):
@@ -84,10 +112,7 @@ def check_symmetric(a, name="matrix"):
 
     ``name`` is how error messages refer to ``a``.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    out, finite, symmetric, _ = _symmetrized(a[None], lambda i: name)
+    out, finite, symmetric, _ = _symmetrized(_one(a, name), lambda i: name)
     if finite is not None and not finite[0]:
         raise DomainError(f"{name} has a non-finite entry")
     if not symmetric[0]:
@@ -115,11 +140,11 @@ def _symmetrized(mats, name_of):
     half + halfᵀ. Any other matrix is divided by its max |entry| for the
     test and the norm, so the test holds at any float64 scale.
     """
-    mats = np.asarray(mats)
-    if mats.dtype.kind not in REAL_KINDS:
-        first = mats.imag.any(axis=(1, 2)).argmax() if mats.dtype.kind == "c" else 0
-        raise _not_real(mats, name_of(int(first)))
-    mats = np.asarray(mats, dtype=float)
+    stack = np.asarray(mats)
+    if not _real_entries(stack, mats):
+        first = stack.imag.any(axis=(1, 2)).argmax() if stack.dtype.kind == "c" else 0
+        raise _not_real(stack, name_of(int(first)))
+    mats = np.asarray(stack, dtype=float)
     if mats.shape[-1] == 0:
         raise DimensionMismatch(f"expected {name_of(0)} to be at least 1x1, "
                                 f"got shape {mats.shape[1:]}")
@@ -175,10 +200,7 @@ def _check_spd_factor(a, name="matrix"):
 
     F is that of :func:`check_spd_stack`: the lower Cholesky factor, or U D(w)^{1/2}.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected {name} to be square, got shape {a.shape}")
-    mats, factors, inv_factors = check_spd_stack(a[None], lambda i: name)
+    mats, factors, inv_factors = check_spd_stack(_one(a, name), lambda i: name)
     return mats[0], factors[0], inv_factors[0]
 
 
@@ -380,7 +402,7 @@ def inv_m(a):
 
 def pow_m(a, t):
     """Real matrix power ``a**t`` of an SPD matrix, for a finite real ``t``."""
-    t = _exponent(t, "pow_m")
+    t = _real_number(t, f"pow_m requires t to be a finite real number, got {t!r}", positive=False)
     return _eig_apply(check_spd(a), lambda w: w**t)
 
 
@@ -412,7 +434,8 @@ def geodesic(x1, x2, t):
     where W does not, is never formed. ``t=0`` returns x1, ``t=1`` x2, ``t=1/2``
     the two-matrix geometric mean; ``t`` must be a finite real number.
     """
-    t = _exponent(t, "geodesic")
+    t = _real_number(t, f"geodesic requires t to be a finite real number, got {t!r}",
+                     positive=False)
     f1, w = _checked_pair(x1, x2)
     p, sigma, _ = np.linalg.svd(w)
     with np.errstate(all="ignore"):

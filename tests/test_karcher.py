@@ -150,6 +150,11 @@ class TestEnsemble:
         ([np.eye(2), np.eye(2, dtype=bool), np.eye(2)], "matrix 1 has a non-numeric entry"),
         ([np.eye(2), np.eye(2), np.array([["1", "0"], ["0", "1"]])],
          "matrix 2 has a non-numeric entry"),
+        # numpy reads these bools in a nested list as the numbers [[2, 1], [1, 2]]
+        ([[[2, True], [True, 2]]], "matrix 0 has a non-numeric entry"),
+        ([np.eye(2), [[2, True], [True, 2]]], "matrix 1 has a non-numeric entry"),
+        ((np.eye(2), np.eye(2), ((2.0, np.True_), (np.True_, 2.0))),
+         "matrix 2 has a non-numeric entry"),
     ])
     def test_complex_matrix_rejected(self, mats, message):
         # refused before any float conversion, which would drop the imaginary
@@ -218,6 +223,8 @@ _VIEWS = {
     pytest.param([["1", "0"], ["0", "1"]], "has a non-numeric entry", id="string"),
     pytest.param(np.array([[1.0, 0.0], [0.0, "x"]], dtype=object), "has a non-numeric entry",
                  id="object"),
+    # a list is passed as given: numpy would read it as [[2, 1], [1, 2]]
+    pytest.param([[2, True], [True, 2]], "has a non-numeric entry", id="bool-in-list"),
 ])
 def test_views_validate_their_point(view, point, message, rng):
     e = random_ensemble(rng, 3, 2)
@@ -225,7 +232,7 @@ def test_views_validate_their_point(view, point, message, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"^{name} {message}$"):
-            call(e, np.array(point))
+            call(e, point)
 
 
 @pytest.mark.parametrize("call, what", [

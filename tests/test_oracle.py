@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spdmean.errors import DomainError, NotCommuting
+from spdmean.errors import DimensionMismatch, DomainError, NotCommuting
 from spdmean.karcher import Ensemble, grad_sum, objective
 from spdmean.oracle import (
     commuting_oracle,
@@ -149,6 +149,36 @@ class TestFiniteDiffDirectional:
         fd = finite_diff_directional(lambda m: frob_inner(m, m), x, h, 1e-5)
         # d ||X||^2 in direction I at I is 2 tr(I) = 4
         assert abs(fd - 4.0) <= 1e-9
+
+    @pytest.mark.parametrize("x, h_dir, error, message", [
+        pytest.param(None, np.eye(2), DimensionMismatch,
+                     r"expected x to be square, got shape \(\)", id="x-None"),
+        pytest.param(np.ones((2, 3)), np.eye(2), DimensionMismatch,
+                     r"expected x to be square, got shape \(2, 3\)", id="x-not-square"),
+        pytest.param(np.zeros((0, 0)), np.zeros((0, 0)), DimensionMismatch,
+                     r"expected x to be at least 1x1, got shape \(0, 0\)", id="x-0x0"),
+        pytest.param([[2, True], [True, 2]], np.eye(2), DomainError,
+                     "x has a non-numeric entry", id="x-bool-in-list"),
+        pytest.param(np.diag([1.0, -1.0]), np.zeros((2, 2)), DomainError,
+                     r"x is not positive definite \(eigenvalue -1\)", id="x-indefinite"),
+        pytest.param(np.eye(2), np.eye(3), DimensionMismatch,
+                     r"expected h_dir to have the shape of x, \(2, 2\), got \(3, 3\)",
+                     id="h_dir-3x3"),
+        pytest.param(np.eye(2), np.ones(2), DimensionMismatch,
+                     r"expected h_dir to have the shape of x, \(2, 2\), got \(2,\)",
+                     id="h_dir-vector"),
+        pytest.param(np.eye(2), None, DomainError, "h_dir has a non-numeric entry",
+                     id="h_dir-None"),
+        # x passes; x − hH leaves the cone
+        pytest.param(np.diag([1.0, 1e-8]), np.eye(2), DomainError,
+                     r"perturbed matrix is not positive definite \(eigenvalue .+\)",
+                     id="cone-exit"),
+    ])
+    def test_checks_x_and_h_dir_before_perturbing(self, x, h_dir, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{message}$"):
+                finite_diff_directional(np.trace, x, h_dir)
 
     def test_rejects_cone_exit(self):
         x = np.diag([1.0, 1e-8])

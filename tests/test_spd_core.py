@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from spdmean.errors import DimensionMismatch, DomainError
-from spdmean.bench import random_orthogonal
-from spdmean.karcher import surrogate_minimizer
+from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, random_orthogonal
+from spdmean.karcher import g1_scalar, g2_scalar, surrogate_minimizer
 from spdmean.oracle import finite_diff_directional
 from spdmean.selfcheck import random_spd, random_sym
+from spdmean.solvers import SolverConfig
 from spdmean import spd_core
 from spdmean.spd_core import (
     check_spd,
@@ -99,10 +101,14 @@ class TestCheckSpd:
 
     @pytest.mark.parametrize("fn", [check_spd, check_symmetric])
     @pytest.mark.parametrize("a", [np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]]),
-                                   np.array([[1.0, 0.0], [0.0, "2"]], dtype=object)],
-                             ids=["bool", "string", "object"])
+                                   np.array([[1.0, 0.0], [0.0, "2"]], dtype=object),
+                                   [[2, True], [True, 2]], ((2.0, np.True_), (np.True_, 2.0)),
+                                   [np.array([2.0, 1.0]), np.array([True, True])]],
+                             ids=["bool", "string", "object", "bool-in-list",
+                                  "numpy-bool-in-tuple", "bool-row-in-list"])
     def test_rejects_non_numeric(self, fn, a):
-        # refused by dtype, not taken as 0 or 1 or parsed
+        # refused by dtype, not taken as 0 or 1 or parsed; numpy reads the
+        # lists as the number matrix [[2, 1], [1, 2]], so they are walked
         with pytest.raises(DomainError, match="^matrix has a non-numeric entry$"):
             fn(a)
 
@@ -355,7 +361,7 @@ class TestCholesky:
 
 # what check_spd's message calls the refused argument, where it is not "matrix"
 _REFUSED_AS = {"surrogate_minimizer-c1": "c1", "surrogate_minimizer-c2": "c2",
-               "finite_diff_directional": "perturbed matrix"}
+               "finite_diff_directional": "x"}
 
 
 @pytest.mark.parametrize("fn, name", [
@@ -446,6 +452,63 @@ def test_spd_functions_reject_non_finite(call, match):
             call()
 
 
+# Every real scalar the package takes outside the spectrum fields (whose
+# "must be a number" test speaks first: tests/test_bench.py), each read by
+# spd_core._real_number: the call, its refusal ({v!r} the value) and whether
+# the value must be positive.
+_SCALAR_SITES = {
+    "grad_tol": (lambda v: SolverConfig(grad_tol=v), "grad_tol must be positive and finite", True),
+    "nu": (lambda v: SolverConfig(nu=v), "nu must be positive and finite", True),
+    "scale_first_by": (lambda v: ExperimentSpec(2, 2, SpectrumSpec("uniform", 2, lo=1.0, hi=2.0),
+                                                [SolverSpec("mm")], scale_first_by=v),
+                       "scale_first_by must be positive and finite, got {v!r}", True),
+    "h": (lambda v: finite_diff_directional(np.trace, 5.0 * np.eye(2), np.eye(2), h=v),
+          "finite difference step h must be positive and finite, got {v!r}", True),
+    "g1": (g1_scalar, "g1 requires x to be a positive finite real number, got {v!r}", True),
+    "g2": (g2_scalar, "g2 requires x to be a positive finite real number, got {v!r}", True),
+    "pow_m": (lambda v: pow_m(np.diag([2.0, 3.0]), v),
+              "pow_m requires t to be a finite real number, got {v!r}", False),
+    "geodesic": (lambda v: geodesic(np.eye(2), np.diag([2.0, 3.0]), v),
+                 "geodesic requires t to be a finite real number, got {v!r}", False),
+}
+
+_NOT_A_REAL_NUMBER = {
+    "True": True, "nan": math.nan, "np.float64(nan)": np.float64(math.nan), "inf": math.inf,
+    "-inf": -math.inf, "10**400": 10**400, "'1'": "1", "None": None, "1j": 1j,
+    "np.array(2.0)": np.array(2.0),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{label}")
+    for site, (_, _, positive) in _SCALAR_SITES.items()
+    for label, value in {**_NOT_A_REAL_NUMBER, **({"0": 0, "-1": -1} if positive else {})}.items()
+    if not (site == "grad_tol" and value is None)  # None is grad_tol's default
+])
+def test_every_scalar_site_refuses_alike(site, value):
+    # the scalar half of the input-contract drift guard: one rule, each site's own message
+    call, message, _ = _SCALAR_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            call(value)
+    assert str(info.value) == message.format(v=value)
+
+
+@pytest.mark.parametrize("site", sorted(_SCALAR_SITES))
+@pytest.mark.parametrize("value", [2, np.float32(0.5), np.float64(0.5)],
+                         ids=["2", "np.float32(0.5)", "np.float64(0.5)"])
+def test_every_scalar_site_takes_a_real_number_as_its_float(site, value):
+    call = _SCALAR_SITES[site][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = call(value), call(float(value))
+    if dataclasses.is_dataclass(got):  # a config or spec keeps the value it was given
+        assert got == want and getattr(got, site) is value
+    else:
+        assert np.array_equal(got, want)
+
+
 class TestMatrixFn:
     def test_log_of_identity_is_zero(self):
         assert np.allclose(matrix_fn(np.eye(3), math.log), 0.0, atol=1e-14)
@@ -523,6 +586,16 @@ class TestFrobInner:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{which} has a complex entry$"):
                 frob_inner(**args)
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_rejects_a_bool_in_a_list(self, which):
+        # numpy would read [[2, True], [True, 2]] as [[2, 1], [1, 2]]
+        args = {"a": np.eye(2), "b": np.eye(2), which: [[2, True], [True, 2]]}
+        with pytest.raises(DomainError, match=f"^{which} has a non-numeric entry$"):
+            frob_inner(**args)
+
+    def test_takes_a_list_of_numbers(self):
+        assert frob_inner([[2, 1], [1, 2]], np.eye(2)) == 4.0
 
 
 def _count_calls(monkeypatch, *names):
