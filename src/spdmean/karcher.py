@@ -30,7 +30,7 @@ import numpy as np
 
 from . import spd_core
 from .errors import DimensionMismatch, DomainError, NonConvergence
-from .spd_core import check_dims, check_spd, check_spd_stack, eigh, frob_inner, sym
+from .spd_core import check_dims, check_spd, check_spd_stack, eigh, sym
 
 
 @dataclass(frozen=True)
@@ -56,29 +56,15 @@ class Ensemble:
 
     @classmethod
     def from_matrices(cls, mats: Sequence[np.ndarray]) -> "Ensemble":
-        """Validate each matrix as SPD and keep its inverse factor.
+        """Validate an array or a sequence of matrices as SPD and keep their inverse factors.
 
-        Every error names the offending matrix by its index, e.g.
-        ``matrix 1 is not symmetric``; the CLI prints it as is. The first
-        bad matrix is reported; a dimension mismatch only when every
-        matrix is SPD on its own.
+        Validation is :func:`spdmean.spd_core.check_spd_stack`'s, one call.
+        Every error names the first bad matrix by its index, e.g.
+        ``matrix 1 is not symmetric``; the CLI prints it as is.
         """
-        if len(mats) == 0:
+        if spd_core._count(mats) == 0:
             raise DomainError("ensemble must contain at least one matrix")
-        try:
-            stack = np.asarray(mats)  # the check reads the dtype, then converts
-        except ValueError:  # ragged
-            stack = None
-        if (stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]
-                or stack is not mats and not spd_core._real_entries(stack, mats)):
-            # no stack, or a list that is not real or that numpy upcast (a bool
-            # entry or matrix to a number): the per-matrix checks or the dimension check raise
-            checked = [check_spd(a, name=f"matrix {i}") for i, a in enumerate(mats)]
-            for i, a in enumerate(checked):
-                if a.shape[0] != checked[0].shape[0]:
-                    raise DimensionMismatch(
-                        f"matrix {i} has dim {a.shape[0]}, expected {checked[0].shape[0]}")
-        stack, _, inv_factors = check_spd_stack(stack)
+        stack, _, inv_factors = check_spd_stack(mats)
         return cls(mats=stack, inv_factors=inv_factors)
 
     @property
@@ -101,8 +87,9 @@ class SurrogateCoeffs:
 
 def _point(e: Ensemble, x):
     """(X, F, F⁻¹), F Fᵀ = X, of a point x of the ensemble's dim that passes :func:`check_spd`."""
-    if np.shape(x) != (e.dim, e.dim):
-        raise DimensionMismatch(f"point has shape {np.shape(x)}, ensemble dim is {e.dim}")
+    shape = spd_core._array(x, "point").shape
+    if shape != (e.dim, e.dim):
+        raise DimensionMismatch(f"point has shape {shape}, ensemble dim is {e.dim}")
     return spd_core._check_spd_factor(x, "point")
 
 
@@ -276,7 +263,7 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     xp, f, f_inv = _point(e, xp)
     f_xp, _, c1, c2 = _frame_terms(_frame_eigh(e, f))
     c1, c2 = sym(f_inv.T @ c1 @ f_inv), sym(f @ c2 @ f.T)
-    c0 = f_xp - frob_inner(c1, xp) - frob_inner(c2, f_inv.T @ f_inv)
+    c0 = f_xp - spd_core._frob(c1, xp) - spd_core._frob(c2, f_inv.T @ f_inv)
     spd_core._finite(c0, "surrogate at point")
     return SurrogateCoeffs(c1=c1, c2=c2, c0=c0)
 
@@ -286,7 +273,7 @@ def surrogate_value(s: SurrogateCoeffs, x) -> float:
     """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0 at the point x, with X⁻¹ = F⁻ᵀ F⁻¹ from its factor."""
     x, _, f_inv = spd_core._check_spd_factor(x, "point")
     c1, c2 = spd_core._real(s.c1, "c1"), spd_core._real(s.c2, "c2")
-    return spd_core._finite(frob_inner(c1, x) + frob_inner(c2, f_inv.T @ f_inv) + s.c0,
+    return spd_core._finite(spd_core._frob(c1, x) + spd_core._frob(c2, f_inv.T @ f_inv) + s.c0,
                             "surrogate value at point")
 
 

@@ -53,16 +53,25 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     ------
     DomainError
         If ``h`` is not a positive finite real number, ``x`` fails
-        :func:`spdmean.spd_core.check_spd`, ``h_dir`` is not real, or either
-        perturbed matrix fails ``check_spd``.
+        :func:`spdmean.spd_core.check_spd`, ``h_dir`` is not real and finite, either
+        perturbed matrix fails ``check_spd``, or f's values or their
+        difference are not finite.
     DimensionMismatch
         If ``x`` is not a square matrix, or ``h_dir`` does not have its shape.
     """
     h = _real_number(h, f"finite difference step h must be positive and finite, got {h!r}")
     shape = check_spd(x, "x").shape
-    step = h * _real(h_dir, "h_dir")
-    if step.shape != shape:
-        raise DimensionMismatch(f"expected h_dir to have the shape of x, {shape}, got {step.shape}")
-    for sign in (1.0, -1.0):
-        check_spd(x + sign * step, "perturbed matrix")
-    return (f(x + step) - f(x - step)) / (2.0 * h)
+    h_dir = _real(h_dir, "h_dir")
+    if h_dir.shape != shape:
+        raise DimensionMismatch(
+            f"expected h_dir to have the shape of x, {shape}, got {h_dir.shape}")
+    if not np.isfinite(h_dir).all():
+        raise DomainError("h_dir has a non-finite entry")
+    with np.errstate(all="ignore"):  # an overflow is refused: by check_spd, or by the test below
+        step = h * h_dir
+        for sign in (1.0, -1.0):
+            check_spd(x + sign * step, "perturbed matrix")
+        value = (f(x + step) - f(x - step)) / (2.0 * h)
+    if not np.isfinite(value).all():
+        raise DomainError("finite difference of f at x along h_dir is not finite in float64")
+    return value

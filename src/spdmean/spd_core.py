@@ -66,10 +66,18 @@ def _real(a, name):
     complex entry's imaginary part with a ComplexWarning, take a bool as
     0 or 1 and parse a string such as "2" (:func:`_not_real`).
     """
-    arr = np.asarray(a)
+    arr = _array(a, name)
     if not _real_entries(arr, a):
         raise _not_real(arr, name)
     return np.asarray(arr, dtype=float)
+
+
+def _array(a, name):
+    """``np.asarray(a)``; DimensionMismatch naming ``name`` if ``a`` is a ragged nested sequence."""
+    try:
+        return np.asarray(a)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise DimensionMismatch(f"{name} is a ragged nested sequence") from exc
 
 
 def _real_entries(arr, a) -> bool:
@@ -99,12 +107,11 @@ def _not_real(a, name):
 
 
 def _one(a, name):
-    """``a`` as a stack of one square matrix: a view of an array, else a list that
-    :func:`_symmetrized` walks (:func:`_real_entries`)."""
-    arr = np.asarray(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected {name} to be square, got shape {arr.shape}")
-    return arr[None] if arr is a else [a]
+    """``a`` as a (1, p, p) float stack, once it is a square real matrix (:func:`_real`)."""
+    shape = _array(a, name).shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"expected {name} to be square, got shape {shape}")
+    return _real(a, name)[None]
 
 
 def check_symmetric(a, name="matrix"):
@@ -126,12 +133,9 @@ def _scales(mats):
 
 
 def _symmetrized(mats, name_of):
-    """The tests of a (k, p, p) stack that come before positivity, and sym(A).
+    """The tests of a float (k, p, p) stack that come before positivity, and sym(A).
 
-    Refuses every dtype :func:`_real` refuses, read before any float
-    conversion, and 0×0 matrices. A complex stack names its first matrix
-    with an imaginary part, any other its first. Returns
-    ``(sym(A), finite, symmetric, norms)``: which
+    Refuses 0×0 matrices. Returns ``(sym(A), finite, symmetric, norms)``: which
     matrices are finite (``None`` when all are; the others are zeroed),
     which have ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F, and each ‖A‖_F. Where every
     max |entry| lies in (1e-100, 1e100), the common case, the squared sums
@@ -140,11 +144,6 @@ def _symmetrized(mats, name_of):
     half + halfᵀ. Any other matrix is divided by its max |entry| for the
     test and the norm, so the test holds at any float64 scale.
     """
-    stack = np.asarray(mats)
-    if not _real_entries(stack, mats):
-        first = stack.imag.any(axis=(1, 2)).argmax() if stack.dtype.kind == "c" else 0
-        raise _not_real(stack, name_of(int(first)))
-    mats = np.asarray(stack, dtype=float)
     if mats.shape[-1] == 0:
         raise DimensionMismatch(f"expected {name_of(0)} to be at least 1x1, "
                                 f"got shape {mats.shape[1:]}")
@@ -205,13 +204,13 @@ def _check_spd_factor(a, name="matrix"):
 
 
 def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
-    """Validate a (k, p, p) stack as SPD and factor it with one stacked Cholesky.
+    """Validate k matrices, an array or any sequence, as SPD; factor them by one stacked Cholesky.
 
     Each matrix gets the tests of :func:`check_spd`. The first matrix
     that fails one raises, with the first test it fails in the order
-    non-finite, symmetric, positive definite; ``name_of(i)`` names
-    matrix i in the message. A complex stack and 0×0 matrices are
-    refused first (:func:`_symmetrized`).
+    non-finite, symmetric, positive definite, and a dimension mismatch
+    only when every matrix passes them (:func:`_stack`); ``name_of(i)``
+    names matrix i in the message.
 
     The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the
     eigenvalues from :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ,
@@ -236,7 +235,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         factor Lᵢ, or, where the stack has none in float64, Uᵢ D(wᵢ)^{1/2}
         from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ of the test.
     """
-    mats, finite, symmetric, norms = _symmetrized(mats, name_of)
+    mats, finite, symmetric, norms = _symmetrized(_stack(mats, name_of), name_of)
     try:
         factors = cholesky(mats, "stack has no Cholesky factor")
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
@@ -270,6 +269,36 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         root = np.sqrt(w)
         factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
     return mats, factors, inv_factors
+
+
+def _stack(mats, name_of):
+    """``mats`` as a float (k, p, p) array for the stacked pass, or the error of its first bad
+    matrix: an array that is not real names its first (complex: with an imaginary part), and
+    anything that numpy does not read as one real stack gets :func:`check_spd` matrix by matrix."""
+    try:
+        stack = np.asarray(mats)
+    except ValueError:  # ragged
+        stack = np.empty(0)
+    if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+        if _real_entries(stack, mats):
+            return np.asarray(stack, dtype=float)
+        if stack is mats:
+            first = stack.imag.any(axis=(1, 2)).argmax() if stack.dtype.kind == "c" else 0
+            raise _not_real(stack, name_of(int(first)))
+    _count(mats)  # None, a number or a generator is refused by name
+    checked = [check_spd(a, name_of(i)) for i, a in enumerate(mats)]
+    for i, a in enumerate(checked):
+        if a.shape != checked[0].shape:
+            raise DimensionMismatch(f"{name_of(i)} has dim {len(a)}, expected {len(checked[0])}")
+    return stack
+
+
+def _count(mats) -> int:
+    """``len(mats)``; DomainError naming what ``mats`` is where it is not a sequence or an array."""
+    try:
+        return len(mats)
+    except TypeError:
+        raise DomainError(f"expected a sequence of matrices, got {type(mats).__name__}") from None
 
 
 def _tri_inv(l):
@@ -407,10 +436,24 @@ def pow_m(a, t):
 
 
 def frob_inner(a, b):
-    """Frobenius inner product ⟨A, B⟩ = Σᵢⱼ Aᵢⱼ Bᵢⱼ = tr(A Bᵀ) of two real arrays."""
+    """Frobenius inner product ⟨A, B⟩ = Σᵢⱼ Aᵢⱼ Bᵢⱼ = tr(A Bᵀ) of two real arrays.
+
+    A non-finite entry raises a DomainError that names its argument, and
+    so does a sum that overflows float64.
+    """
     a, b = _real(a, "a"), _real(b, "b")
+    value = _frob(a, b)
+    for arr, name in ((a, "a"), (b, "b")):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} has a non-finite entry")
+    return _finite(value, "the inner product of a and b")
+
+
+def _frob(a, b):
+    """Unvalidated ⟨A, B⟩ of two arrays of one shape; no warning where it is not finite."""
     check_dims(a, b)
-    return float(np.sum(a * b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(a * b))
 
 
 def _checked_pair(x1, x2):

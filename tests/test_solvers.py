@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spdmean import selfcheck, solvers, spd_core
+from spdmean import karcher, selfcheck, solvers, spd_core
 from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, generate_ensemble
 from spdmean.errors import DimensionMismatch, DomainError, NonConvergence, SpdMeanError
 from spdmean.karcher import Ensemble, _frame_eigh, _frame_grad, grad_sum, objective
@@ -519,6 +519,27 @@ class TestFiniteOrFail:
         with pytest.raises(NonConvergence, match="^symmetric eigensolver failed: "
                                                  "Eigenvalues did not converge$"):
             mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
+
+    @pytest.mark.parametrize("call", ["surrogate_minimizer", "mm_solve"])
+    def test_eigensolver_failure_on_a_finite_product_is_non_convergence(self, call, monkeypatch,
+                                                                        rng):
+        # the minimizer's p×p eigensolver fails on a finite Rᵀc1R, which did not
+        # overflow, so the failure is raised as it is, not blamed on c1 or c2
+        def eigh(m, *args, **kwargs):
+            if np.ndim(m) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(m, *args, **kwargs)
+
+        real_eigh = np.linalg.eigh
+        e = random_ensemble(rng, 3, 3)
+        x0 = arithmetic_mean_init(e)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(NonConvergence, match="^symmetric eigensolver failed: "
+                                                 "Eigenvalues did not converge$"):
+            if call == "mm_solve":
+                mm_solve(e, SolverConfig(), x0)
+            else:
+                karcher.surrogate_minimizer(e.mats[0], e.mats[1])
 
     def test_start_point_without_cholesky_factor(self, monkeypatch, rng):
         # validation accepts the start point on its eigenvalues and hands

@@ -1,17 +1,20 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from spdmean.errors import DimensionMismatch, DomainError
+import spdmean
+from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
 from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, random_orthogonal
-from spdmean.karcher import g1_scalar, g2_scalar, surrogate_minimizer
-from spdmean.oracle import finite_diff_directional
+from spdmean.karcher import (Ensemble, g1_scalar, g2_scalar, objective, surrogate_coeffs,
+                             surrogate_minimizer, surrogate_value)
+from spdmean.oracle import finite_diff_directional, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import random_spd, random_sym
 from spdmean.solvers import SolverConfig
-from spdmean import spd_core
+from spdmean import karcher, spd_core
 from spdmean.spd_core import (
     check_spd,
     check_symmetric,
@@ -507,6 +510,105 @@ def test_every_scalar_site_takes_a_real_number_as_its_float(site, value):
         assert got == want and getattr(got, site) is value
     else:
         assert np.array_equal(got, want)
+
+
+# The matrix half of the input-contract drift guard. A row feeds one matrix
+# argument of an exported call, or of the views grad_sum and
+# euclidean_gradient, each bad matrix below, with every other argument valid:
+# (the export, the call, a pattern for the argument's name in its errors).
+_I2 = np.eye(2)
+_E2 = Ensemble.from_matrices([_I2, np.diag([2.0, 3.0])])
+_MATRIX_ROWS = {
+    **{name: (name, getattr(spdmean, name), "matrix")
+       for name in ("check_spd", "exp_m", "log_m", "sqrt_m", "inv_sqrt_m", "inv_m")},
+    "pow_m": ("pow_m", lambda m: pow_m(m, 0.5), "matrix"),
+    "geodesic-x1": ("geodesic", lambda m: geodesic(m, _I2, 0.5), "x1"),
+    "geodesic-x2": ("geodesic", lambda m: geodesic(_I2, m, 0.5), "x2"),
+    "riem_dist-x1": ("riem_dist", lambda m: riem_dist(m, _I2), "x1"),
+    "riem_dist-x2": ("riem_dist", lambda m: riem_dist(_I2, m), "x2"),
+    "two_matrix_oracle-a": ("two_matrix_oracle", lambda m: two_matrix_oracle(m, _I2), "x1"),
+    "two_matrix_oracle-b": ("two_matrix_oracle", lambda m: two_matrix_oracle(_I2, m), "x2"),
+    "frob_inner-a": ("frob_inner", lambda m: frob_inner(m, m), "a"),
+    # a shape unlike a's is a mismatch of the pair, shown in b's place
+    "frob_inner-b": ("frob_inner", lambda m: frob_inner(_I2, m),
+                     r"b|^shape mismatch: \(2, 2\) vs"),
+    "from_matrices": ("Ensemble", Ensemble.from_matrices, "matri(x|ces)"),
+    "from_matrices-member": ("Ensemble", lambda m: Ensemble.from_matrices([_I2, m]), "matrix 1"),
+    "objective": ("objective", lambda m: objective(_E2, m), "point"),
+    "grad_sum": (None, lambda m: karcher.grad_sum(_E2, m), "point"),
+    "euclidean_gradient": (None, lambda m: karcher.euclidean_gradient(_E2, m), "point"),
+    "surrogate_coeffs": ("surrogate_coeffs", lambda m: surrogate_coeffs(_E2, m), "point"),
+    "surrogate_value": ("surrogate_value",
+                        lambda m: surrogate_value(surrogate_coeffs(_E2, _I2), m), "point"),
+    "surrogate_minimizer-c1": ("surrogate_minimizer", lambda m: surrogate_minimizer(m, _I2), "c1"),
+    "surrogate_minimizer-c2": ("surrogate_minimizer", lambda m: surrogate_minimizer(_I2, m), "c2"),
+    "finite_diff_directional-x": ("finite_diff_directional",
+                                  lambda m: finite_diff_directional(np.trace, m, _I2), "x"),
+    "finite_diff_directional-h_dir": ("finite_diff_directional",
+                                      lambda m: finite_diff_directional(np.trace, _I2, m), "h_dir"),
+    "scalar_karcher_oracle": ("scalar_karcher_oracle", scalar_karcher_oracle, "values"),
+    **{f"{name}-x0": (name, lambda m, solve=getattr(spdmean, name): solve(_E2, SolverConfig(), m),
+                      "point")
+       for name in ("mm_solve", "gd_fixed_step_solve", "gd_linesearch_solve")},
+}
+
+# exports that take no matrix: specs, results, errors, scalars and ensembles
+_TAKE_NO_MATRIX = {
+    "ExperimentReport", "ExperimentSpec", "SolverSpec", "SpectrumSpec", "generate_ensemble",
+    "random_orthogonal", "run_experiment", "DimensionMismatch", "DomainError", "NonConvergence",
+    "NotCommuting", "SpdMeanError", "SurrogateCoeffs", "g1_scalar", "g2_scalar",
+    "commuting_oracle", "SolverConfig", "SolverResult", "TraceRecord", "arithmetic_mean_init",
+}
+
+_BAD_MATRICES = {
+    "nan": lambda: np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": lambda: np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "complex": lambda: np.array([[2.0, 1j], [-1j, 2.0]]),
+    "0x0": lambda: np.zeros((0, 0)),
+    "non-square": lambda: np.ones((2, 3)),
+    "stack": lambda: np.stack([_I2, _I2]),
+    "bool": lambda: np.eye(2, dtype=bool),
+    "bool-in-list": lambda: [[2, True], [True, 2]],
+    "string": lambda: [["1", "0"], ["0", "1"]],
+    "object": lambda: np.array([[1.0, 0.0], [0.0, "x"]], dtype=object),
+    "ragged": lambda: [[1.0, 0.0], [0.0]],
+    "1e308*I": lambda: 1e308 * _I2,
+    "scalar": lambda: 3.0,
+    "None": lambda: None,
+    "generator": lambda: (row for row in _I2),
+}
+
+# valid matrices whose value leaves float64 or the cone: the error speaks of that value
+_VALUE_ERRORS = {
+    ("exp_m", "1e308*I"): "^scalar function not finite on the spectrum$",
+    ("finite_diff_directional-h_dir", "1e308*I"): "^perturbed matrix is not positive definite",
+}
+
+
+def _all_finite(out):
+    """Whether a result, or every array and float a result object holds, is finite."""
+    parts = vars(out).values() if dataclasses.is_dataclass(out) else [out]
+    return all(np.isfinite(v).all() for v in parts if isinstance(v, (np.ndarray, float)))
+
+
+@pytest.mark.parametrize("row", sorted(_MATRIX_ROWS))
+@pytest.mark.parametrize("bad", _BAD_MATRICES)
+def test_every_matrix_argument_ends_in_a_finite_result_or_a_named_error(row, bad):
+    _, call, name = _MATRIX_ROWS[row]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(_BAD_MATRICES[bad]())
+        except SpdMeanError as exc:
+            assert re.search(_VALUE_ERRORS.get((row, bad), rf"\b(?:{name})\b"), str(exc)), exc
+        else:
+            assert (row, bad) not in _VALUE_ERRORS and _all_finite(out)
+
+
+def test_every_export_that_takes_a_matrix_has_a_row():
+    exports = {name for name in dir(spdmean)
+               if not name.startswith("_") and callable(getattr(spdmean, name))}
+    assert exports - _TAKE_NO_MATRIX == {export for export, _, _ in _MATRIX_ROWS.values()} - {None}
 
 
 class TestMatrixFn:
