@@ -20,6 +20,7 @@ Python alike, and ``from_dict`` only names unknown and missing keys.
 import csv
 import io
 import numbers
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
@@ -118,6 +119,15 @@ class SpectrumSpec:
                 return float(np.float64(10.0) ** (self.a * (self.dim - 1)))
         return float(max(self.values))
 
+    @property
+    def bottom(self) -> float:
+        """The spectrum's smallest value."""
+        if self.kind == "uniform":
+            return float(self.lo)
+        if self.kind == "geometric":
+            return 1.0
+        return float(min(self.values))
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi, size=self.dim)
@@ -184,7 +194,8 @@ class SolverSpec:
 class ExperimentSpec:
     """A full simulation regime: instance shape, spectrum, runs, solvers.
 
-    ``scale_first_by`` scales A₁; times the spectrum's ``top`` it must be finite.
+    ``scale_first_by`` scales A₁; times the spectrum's ``top`` it must be
+    finite, and times its ``bottom`` at least the smallest normal float64.
     The solvers' column ids (``SolverSpec.solver_id``) must be distinct.
     """
 
@@ -216,6 +227,10 @@ class ExperimentSpec:
         if not np.isfinite(scale * top):
             raise DomainError(f"scale_first_by {self.scale_first_by!r} times the spectrum's "
                               f"largest value {top!r} overflows float64")
+        bottom = self.spectrum.bottom
+        if not scale * bottom >= sys.float_info.min:
+            raise DomainError(f"scale_first_by {self.scale_first_by!r} times the spectrum's "
+                              f"smallest value {bottom!r} is below the smallest normal float64")
         if not (isinstance(self.solvers, list)
                 and all(isinstance(s, SolverSpec) for s in self.solvers)):
             raise DomainError(f"solvers must be a list of SolverSpec, got {self.solvers!r}")

@@ -49,6 +49,8 @@ class Ensemble:
         blocks are inverted together over the whole stack
         (``np.linalg.inv`` for dim ≤ ``spd_core.TRI_BLOCK``), or
         D(wᵢ)^{-1/2} Uᵢᵀ where the stack has no Cholesky factor in float64.
+        The substitution writes Lᵢ⁻¹ over Lᵢ, so set-up allocates no
+        (n, p, p) stack for the inverses.
     """
 
     mats: np.ndarray
@@ -58,13 +60,13 @@ class Ensemble:
     def from_matrices(cls, mats: Sequence[np.ndarray]) -> "Ensemble":
         """Validate an array or a sequence of matrices as SPD and keep their inverse factors.
 
-        Validation is :func:`spdmean.spd_core.check_spd_stack`'s, one call.
-        Every error names the first bad matrix by its index, e.g.
-        ``matrix 1 is not symmetric``; the CLI prints it as is.
+        Validation is :func:`spdmean.spd_core.check_spd_stack`'s, one call,
+        which inverts the Cholesky factors in place, as only their inverses
+        are kept. Every error names the first bad matrix by its index, e.g.
+        ``matrix 1 is not symmetric``, or says that there is none; the CLI
+        prints it as is.
         """
-        if spd_core._count(mats) == 0:
-            raise DomainError("ensemble must contain at least one matrix")
-        stack, _, inv_factors = check_spd_stack(mats)
+        stack, _, inv_factors = check_spd_stack(mats, _keep_factors=False)
         return cls(mats=stack, inv_factors=inv_factors)
 
     @property
@@ -270,10 +272,15 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
 
 @np.errstate(over="ignore", invalid="ignore")
 def surrogate_value(s: SurrogateCoeffs, x) -> float:
-    """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0 at the point x, with X⁻¹ = F⁻ᵀ F⁻¹ from its factor."""
+    """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0 at the point x, with X⁻¹ = F⁻ᵀ F⁻¹ from its factor.
+
+    c1 and c2 must be real and finite, and c0 a finite real number; each is refused by name.
+    """
     x, _, f_inv = spd_core._check_spd_factor(x, "point")
-    c1, c2 = spd_core._real(s.c1, "c1"), spd_core._real(s.c2, "c2")
-    return spd_core._finite(spd_core._frob(c1, x) + spd_core._frob(c2, f_inv.T @ f_inv) + s.c0,
+    c1, c2 = spd_core._real_finite(s.c1, "c1"), spd_core._real_finite(s.c2, "c2")
+    c0 = spd_core._real_number(s.c0, f"c0 must be a finite real number, got {s.c0!r}",
+                               positive=False)
+    return spd_core._finite(spd_core._frob(c1, x) + spd_core._frob(c2, f_inv.T @ f_inv) + c0,
                             "surrogate value at point")
 
 

@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotCommuting
 from .karcher import Ensemble
-from .spd_core import _real, _real_number, check_spd, exp_m, geodesic, log_m, sym
+from .spd_core import (_checked_pair, _geodesic, _real, _real_finite, _real_number, check_spd,
+                       exp_m, log_m, sym)
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -42,8 +43,8 @@ def commuting_oracle(e: Ensemble) -> np.ndarray:
 
 
 def two_matrix_oracle(a, b) -> np.ndarray:
-    """Karcher mean of two matrices: the geodesic midpoint."""
-    return geodesic(a, b, 0.5)
+    """Karcher mean of two matrices: the geodesic midpoint; errors name ``a`` and ``b``."""
+    return _geodesic(*_checked_pair(a, b, "a", "b"), 0.5)
 
 
 def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
@@ -61,12 +62,10 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     """
     h = _real_number(h, f"finite difference step h must be positive and finite, got {h!r}")
     shape = check_spd(x, "x").shape
-    h_dir = _real(h_dir, "h_dir")
+    h_dir = _real_finite(h_dir, "h_dir")
     if h_dir.shape != shape:
         raise DimensionMismatch(
             f"expected h_dir to have the shape of x, {shape}, got {h_dir.shape}")
-    if not np.isfinite(h_dir).all():
-        raise DomainError("h_dir has a non-finite entry")
     with np.errstate(all="ignore"):  # an overflow is refused: by check_spd, or by the test below
         step = h * h_dir
         for sign in (1.0, -1.0):

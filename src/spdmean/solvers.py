@@ -31,6 +31,7 @@ gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, NamedTuple, Optional
@@ -172,14 +173,20 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
 
 
 def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
-    """Arithmetic mean (1/n) Σ Aᵢ, the common starting iterate.
+    """Arithmetic mean (1/n) Σ Aᵢ, the common starting iterate; the sum cannot overflow.
 
-    The Aᵢ are scaled by s = 2^-⌈log₂ n⌉ before summing, so the sum cannot
-    overflow; a power-of-two scaling is exact, so the result is that of
-    the plain sum wherever that sum does not overflow.
+    No entry of an SPD matrix exceeds its largest diagonal entry in
+    magnitude (up to rounding in a validated one), so where n times the
+    largest diagonal entry of the Aᵢ is below half the float64 maximum, the
+    Aᵢ are summed as they are, with no scaled copy of the stack. Otherwise
+    they are scaled by s = 2^-⌈log₂ n⌉ before summing. A power-of-two
+    scaling is exact, so both give the same result wherever no entry is
+    subnormal and the plain sum does not overflow.
     """
+    if np.diagonal(e.mats, axis1=1, axis2=2).max() < sys.float_info.max / (2 * e.n):
+        return np.add.reduce(e.mats) / e.n  # what np.mean computes
     s = 2.0 ** -math.ceil(math.log2(e.n))
-    return np.add.reduce(e.mats * s) / e.n / s  # what np.mean computes
+    return np.add.reduce(e.mats * s) / e.n / s
 
 
 def _mm_steps(e: Ensemble, cfg: SolverConfig, g):

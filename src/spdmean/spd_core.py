@@ -72,6 +72,14 @@ def _real(a, name):
     return np.asarray(arr, dtype=float)
 
 
+def _real_finite(a, name):
+    """:func:`_real`, once every entry is finite; DomainError naming ``name`` otherwise."""
+    arr = _real(a, name)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} has a non-finite entry")
+    return arr
+
+
 def _array(a, name):
     """``np.asarray(a)``; DimensionMismatch naming ``name`` if ``a`` is a ragged nested sequence."""
     try:
@@ -203,9 +211,10 @@ def _check_spd_factor(a, name="matrix"):
     return mats[0], factors[0], inv_factors[0]
 
 
-def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
-    """Validate k matrices, an array or any sequence, as SPD; factor them by one stacked Cholesky.
+def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True):
+    """Validate k ≥ 1 matrices, an array or any sequence, as SPD; factor them by one stacked Cholesky.
 
+    No matrix at all, as in ``[]``, is a DomainError (:func:`_stack`).
     Each matrix gets the tests of :func:`check_spd`. The first matrix
     that fails one raises, with the first test it fails in the order
     non-finite, symmetric, positive definite, and a dimension mismatch
@@ -227,6 +236,11 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     the whole stack together (``np.linalg.inv`` itself for
     p ≤ ``TRI_BLOCK``).
 
+    ``_keep_factors`` is internal. A caller that keeps only the Fᵢ⁻¹, as
+    :class:`spdmean.karcher.Ensemble` does, sets it false: each Lᵢ⁻¹ then
+    overwrites Lᵢ (:func:`_tri_inv` in place), so no second (k, p, p)
+    stack is allocated, and the Cholesky factors are returned as ``None``.
+
     Returns
     -------
     (mats, factors, inv_factors)
@@ -239,10 +253,11 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     try:
         factors = cholesky(mats, "stack has no Cholesky factor")
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
-        factors = None
+        factors = inv_factors = None
         exact = np.ones(len(mats), dtype=bool)
     else:
-        inv_factors = _tri_inv(factors)
+        inv_factors = _tri_inv(factors, in_place=not _keep_factors)
+        factors = factors if _keep_factors else None  # overwritten by inv_factors
         with np.errstate(over="ignore"):
             clear = _sq_norms(inv_factors) * norms < 0.1 / POSITIVITY_FLOOR
         if (clear & symmetric).all():
@@ -265,7 +280,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
             raise DomainError(f"{name_of(i)} is not symmetric")
         raise DomainError(f"{name_of(i)} is not positive definite "
                           f"(eigenvalue {w0[i]:.6g})")
-    if factors is None:
+    if inv_factors is None:
         root = np.sqrt(w)
         factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
     return mats, factors, inv_factors
@@ -274,7 +289,14 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
 def _stack(mats, name_of):
     """``mats`` as a float (k, p, p) array for the stacked pass, or the error of its first bad
     matrix: an array that is not real names its first (complex: with an imaginary part), and
-    anything that numpy does not read as one real stack gets :func:`check_spd` matrix by matrix."""
+    anything that numpy does not read as one real stack gets :func:`check_spd` matrix by matrix.
+    No matrix at all, as in ``[]`` or an array of shape (0, p, p), is a DomainError."""
+    try:
+        empty = len(mats) == 0
+    except TypeError:  # None, a number or a generator
+        raise DomainError(f"expected a sequence of matrices, got {type(mats).__name__}") from None
+    if empty:
+        raise DomainError("expected at least one matrix, got none")
     try:
         stack = np.asarray(mats)
     except ValueError:  # ragged
@@ -285,7 +307,6 @@ def _stack(mats, name_of):
         if stack is mats:
             first = stack.imag.any(axis=(1, 2)).argmax() if stack.dtype.kind == "c" else 0
             raise _not_real(stack, name_of(int(first)))
-    _count(mats)  # None, a number or a generator is refused by name
     checked = [check_spd(a, name_of(i)) for i, a in enumerate(mats)]
     for i, a in enumerate(checked):
         if a.shape != checked[0].shape:
@@ -293,16 +314,8 @@ def _stack(mats, name_of):
     return stack
 
 
-def _count(mats) -> int:
-    """``len(mats)``; DomainError naming what ``mats`` is where it is not a sequence or an array."""
-    try:
-        return len(mats)
-    except TypeError:
-        raise DomainError(f"expected a sequence of matrices, got {type(mats).__name__}") from None
-
-
-def _tri_inv(l):
-    """Inverse of each lower triangular matrix of a (k, p, p) stack.
+def _tri_inv(l, in_place=False):
+    """Inverse of each lower triangular matrix of a (k, p, p) stack; ``in_place``, it may overwrite L.
 
     Block forward substitution over block rows of width ``TRI_BLOCK``:
     block row i of X = L⁻¹ is Dᵢ = Lᵢᵢ⁻¹ on the diagonal and
@@ -312,16 +325,21 @@ def _tri_inv(l):
     X is exactly lower triangular. This is about a third of the
     floating-point work of an LU inverse, and as accurate (Du Croz &
     Higham, IMA J. Numer. Anal. 12, 1992). For p ≤ ``TRI_BLOCK`` the
-    result is ``np.linalg.inv(l)`` itself, which is faster there.
+    result is ``np.linalg.inv(l)`` itself, which is faster there, and L
+    is kept.
 
     The block stacks are views of L and X (:func:`_diag_blocks`),
-    inverted in place, so no block is copied.
+    inverted in place, so no block is copied. Block row i reads only L's
+    block row i and the rows of X above it, so with ``in_place`` X takes
+    L's own memory, block row by block row, and is bitwise the X of a
+    fresh stack; L must then be 0 above the diagonal, as a Cholesky
+    factor is.
     """
     p = l.shape[-1]
     if p <= TRI_BLOCK:
         return np.linalg.inv(l)
     b, m = TRI_BLOCK, p // TRI_BLOCK
-    x = np.zeros_like(l)
+    x = l if in_place else np.zeros_like(l)
     _lower_inv(_diag_blocks(l, b, m), _diag_blocks(x, b, m))
     if m * b < p:
         _lower_inv(l[:, m * b:, m * b:], x[:, m * b:, m * b:])
@@ -338,11 +356,13 @@ def _diag_blocks(a, b, m):
 
 
 def _lower_inv(l, x):
-    """Write into x, which is 0, the inverse of each lower triangular matrix of a (..., b, b) stack.
+    """Write into x the inverse of each lower triangular matrix of a (..., b, b) stack l.
 
     Forward substitution: row i of X = L⁻¹ is −(L[i, :i] X[:i, :i])/L[i, i]
     left of the diagonal and 1/L[i, i] on it, b stacked row products,
-    each times the reciprocal diagonal. The upper triangle stays exactly 0.
+    each times the reciprocal diagonal. Row i reads only L's row i and
+    the rows of X above it, so x may be l itself. x must be 0 above the
+    diagonal, and stays so.
     """
     r = 1.0 / np.diagonal(l, axis1=-2, axis2=-1)
     for i in range(l.shape[-1]):
@@ -441,12 +461,8 @@ def frob_inner(a, b):
     A non-finite entry raises a DomainError that names its argument, and
     so does a sum that overflows float64.
     """
-    a, b = _real(a, "a"), _real(b, "b")
-    value = _frob(a, b)
-    for arr, name in ((a, "a"), (b, "b")):
-        if not np.isfinite(arr).all():
-            raise DomainError(f"{name} has a non-finite entry")
-    return _finite(value, "the inner product of a and b")
+    return _finite(_frob(_real_finite(a, "a"), _real_finite(b, "b")),
+                   "the inner product of a and b")
 
 
 def _frob(a, b):
@@ -456,17 +472,18 @@ def _frob(a, b):
         return float(np.sum(a * b))
 
 
-def _checked_pair(x1, x2):
+def _checked_pair(x1, x2, n1="x1", n2="x2"):
     """F₁ and a finite W = F₁⁻¹F₂ from the factors Fₖ Fₖᵀ = xₖ that :func:`check_spd` takes.
 
-    W Wᵀ = F₁⁻¹ x2 F₁⁻ᵀ has the spectrum of x1^{-1/2} x2 x1^{-1/2}.
+    W Wᵀ = F₁⁻¹ x2 F₁⁻ᵀ has the spectrum of x1^{-1/2} x2 x1^{-1/2}. Errors
+    name x1 and x2 as ``n1`` and ``n2``.
     """
-    _, f1, f1_inv = _check_spd_factor(x1, "x1")
-    f2 = _check_spd_factor(x2, "x2")[1]
+    _, f1, f1_inv = _check_spd_factor(x1, n1)
+    f2 = _check_spd_factor(x2, n2)[1]
     check_dims(f1, f2)
     with np.errstate(over="ignore"):
         w = f1_inv @ f2
-    return f1, _finite(w, "x1^(-1/2) x2 x1^(-1/2)")
+    return f1, _finite(w, f"{n1}^(-1/2) {n2} {n1}^(-1/2)")
 
 
 def geodesic(x1, x2, t):
@@ -479,7 +496,11 @@ def geodesic(x1, x2, t):
     """
     t = _real_number(t, f"geodesic requires t to be a finite real number, got {t!r}",
                      positive=False)
-    f1, w = _checked_pair(x1, x2)
+    return _geodesic(*_checked_pair(x1, x2), t)
+
+
+def _geodesic(f1, w, t):
+    """The geodesic point at ``t`` from the F₁ and W of :func:`_checked_pair`."""
     p, sigma, _ = np.linalg.svd(w)
     with np.errstate(all="ignore"):
         fw = sigma**t

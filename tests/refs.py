@@ -4,8 +4,10 @@ Each one recomputes, by a slower or more literal route, something the
 package computes another way: the per-matrix loop behind the stacked
 ensemble sums, the square-root form of the surrogate minimizer, a
 matrix function that calls a Python scalar function once per
-eigenvalue, a grid argmin of a scalar function, and a frozen copy of
-the stacked SPD validation pass as it stood before its one-pass rewrite.
+eigenvalue, a grid argmin of a scalar function, a frozen copy of the
+stacked SPD validation pass as it stood before its one-pass rewrite, and
+a frozen copy of the triangular inverse as it stood before it could
+write over its input.
 """
 
 from typing import Callable, Tuple
@@ -14,8 +16,9 @@ import numpy as np
 
 from spdmean.errors import DomainError
 from spdmean.karcher import Ensemble, g1_scalar, g2_scalar
-from spdmean.spd_core import (POSITIVITY_FLOOR, SYM_TOL, _eig_apply, _tri_inv, check_symmetric,
-                              cholesky, eigh, inv_m, inv_sqrt_m, log_m, sqrt_m, sym)
+from spdmean.spd_core import (POSITIVITY_FLOOR, SYM_TOL, TRI_BLOCK, _diag_blocks, _eig_apply,
+                              check_symmetric, cholesky, eigh, inv_m, inv_sqrt_m, log_m, sqrt_m,
+                              sym)
 
 
 def two_root_minimizer(c1, c2) -> np.ndarray:
@@ -149,7 +152,7 @@ def frozen_check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         factors = None
         exact = np.ones(len(mats), dtype=bool)
     else:
-        inv_factors = _tri_inv(factors)
+        inv_factors = frozen_tri_inv(factors)
         with np.errstate(over="ignore"):
             bound = _frozen_sq_norms(inv_factors) * top * rel_norms
         exact = ~(bound < 0.1 / POSITIVITY_FLOOR)
@@ -172,3 +175,28 @@ def frozen_check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
         root = np.sqrt(w)
         factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
     return mats, factors, inv_factors
+
+
+def frozen_tri_inv(l):
+    """L⁻¹ of each lower triangular matrix of a (k, p, p) stack, into a fresh stack; L is kept.
+
+    Block forward substitution over block rows of width ``TRI_BLOCK``
+    (``np.linalg.inv`` for p ≤ ``TRI_BLOCK``): the diagonal blocks of the
+    whole stack by one stacked row-by-row substitution, then each block
+    row left of the diagonal as two stacked products.
+    """
+    p = l.shape[-1]
+    if p <= TRI_BLOCK:
+        return np.linalg.inv(l)
+    b, m = TRI_BLOCK, p // TRI_BLOCK
+    x = np.zeros_like(l)
+    for lb, xb in ((_diag_blocks(l, b, m), _diag_blocks(x, b, m)),
+                   (l[:, m * b:, m * b:], x[:, m * b:, m * b:])):
+        r = 1.0 / np.diagonal(lb, axis1=-2, axis2=-1)
+        for i in range(lb.shape[-1]):
+            xb[..., i, :i] = (lb[..., i:i + 1, :i] @ xb[..., :i, :i])[..., 0, :] * -r[..., i:i + 1]
+            xb[..., i, i] = r[..., i]
+    for s in range(b, p, b):
+        e = min(s + b, p)
+        x[:, s:e, :s] = -(x[:, s:e, s:e] @ (l[:, s:e, :s] @ x[:, :s, :s]))
+    return x

@@ -267,6 +267,23 @@ class TestExperimentSpec:
             with pytest.raises(DomainError, match=f"^{re.escape(message)} overflows float64$"):
                 small_spec(spectrum=spectrum, scale_first_by=scale)
 
+    @pytest.mark.parametrize("spectrum, bottom", [
+        (SpectrumSpec(kind="uniform", dim=3, lo=1.0, hi=10.0), 1.0),
+        (SpectrumSpec(kind="geometric", dim=3, a=100.0), 1.0),
+        (SpectrumSpec(kind="explicit", dim=3, values=[4.0, 2.0, 8.0]), 2.0),
+    ], ids=["uniform", "geometric", "explicit"])
+    def test_scale_first_by_must_keep_the_spectrum_normal(self, spectrum, bottom):
+        # the smallest value A₁ can take is scale_first_by times the spectrum's
+        # bottom; a subnormal A₁ validates, and then every solve overflows
+        assert spectrum.bottom == bottom
+        edge = np.finfo(float).tiny / bottom  # exact: bottom is a power of two
+        assert small_spec(spectrum=spectrum, scale_first_by=edge).scale_first_by == edge
+        for scale in (float(np.nextafter(edge, 0.0)), 1e-320):
+            message = f"scale_first_by {scale!r} times the spectrum's smallest value {bottom!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)} is below the "
+                                                  "smallest normal float64$"):
+                small_spec(spectrum=spectrum, scale_first_by=scale)
+
     def test_rejects_spectrum_dim_mismatch(self):
         with pytest.raises(DomainError):
             small_spec(p=4)

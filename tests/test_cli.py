@@ -453,7 +453,10 @@ class TestBench:
         ({"n": 3, "p": 4, "spectrum": {"kind": "uniform", "dim": 4, "lo": 1.0, "hi": 10.0},
           "scale_first_by": 1e308},
          "scale_first_by 1e+308 times the spectrum's largest value 10.0 overflows float64"),
-    ], ids=["hi", "scale_first_by", "values", "geometric-top", "scaled-top"])
+        ({"scale_first_by": 1e-320},
+         "scale_first_by 1e-320 times the spectrum's smallest value 3.0 is below the smallest "
+         "normal float64"),
+    ], ids=["hi", "scale_first_by", "values", "geometric-top", "scaled-top", "scaled-bottom"])
     def test_non_finite_spec_field_is_an_input_error(self, tmp_path, capsys, fields, message):
         # json writes inf as Infinity, which it also reads
         spec = write_json(tmp_path / "spec.json", {**self.spec_payload(), **fields})

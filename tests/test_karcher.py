@@ -43,9 +43,10 @@ class TestEnsemble:
                 assert np.linalg.norm(li.T @ li @ a - np.eye(e.dim)) <= 1e-10
                 assert np.linalg.norm(li @ a @ li.T - np.eye(e.dim)) <= 1e-10
 
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            Ensemble.from_matrices([])
+    @pytest.mark.parametrize("mats", [[], np.zeros((0, 2, 2))], ids=["list", "array"])
+    def test_empty_rejected(self, mats):
+        with pytest.raises(DomainError, match="^expected at least one matrix, got none$"):
+            Ensemble.from_matrices(mats)
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -548,6 +549,16 @@ class TestSurrogate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{which} has a complex entry$"):
+                surrogate_value(SurrogateCoeffs(c0=0.0, **coeffs), np.eye(2))
+
+    @pytest.mark.parametrize("which", ["c1", "c2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_value_names_a_non_finite_coefficient(self, which, bad):
+        # not "surrogate value at point overflows float64": the point is fine
+        coeffs = {"c1": np.eye(2), "c2": np.eye(2), which: np.diag([1.0, bad])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{which} has a non-finite entry$"):
                 surrogate_value(SurrogateCoeffs(c0=0.0, **coeffs), np.eye(2))
 
     def test_value_at_a_nonsquare_point(self):

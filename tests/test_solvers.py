@@ -27,6 +27,8 @@ from spdmean.solvers import (
 )
 from spdmean.spd_core import check_spd, riem_dist, sym
 
+from refs import frozen_tri_inv
+
 SOLVERS = [mm_solve, gd_linesearch_solve, gd_fixed_step_solve]
 
 
@@ -763,6 +765,47 @@ class TestSpectralCost:
         finally:
             tracemalloc.stop()
         return peak / e.mats.nbytes
+
+    @staticmethod
+    def traced(call, arg):
+        """``call(arg)`` and the peak of its traced allocation, in bytes."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call(arg)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_set_up_holds_no_scratch_stack(self, rng):
+        # validation holds sym(A) and the Cholesky factors, which their
+        # inverses overwrite; the start point sums the stack as it is
+        mats = random_ensemble(rng, 50, 50).mats.copy()
+        e, set_up = self.traced(Ensemble.from_matrices, mats)
+        x0, start = self.traced(arithmetic_mean_init, e)
+        assert set_up <= 2.5 * mats.nbytes
+        assert start <= 0.1 * mats.nbytes
+        s = 2.0 ** -math.ceil(math.log2(e.n))  # the scaled sum, exact here
+        assert np.array_equal(x0, np.add.reduce(e.mats * s) / e.n / s)
+
+    @pytest.mark.parametrize("p", [17, 33, 100])
+    def test_in_place_inverse_is_the_fresh_one(self, rng, p):
+        # a partial last block of width 1, 1 and 4; bitwise the inverse into a fresh stack
+        mats = random_ensemble(rng, 6, p).mats
+        l = np.linalg.cholesky(mats)
+        want = frozen_tri_inv(l)
+        assert spd_core._tri_inv(l, in_place=True) is l
+        assert np.array_equal(l, want)
+        assert np.array_equal(Ensemble.from_matrices(mats).inv_factors, want)
+
+    def test_start_point_of_entries_near_the_float64_maximum(self):
+        # their plain sum overflows; the scaled one does not, and nothing warns
+        e = Ensemble.from_matrices(np.array([1e308 * np.eye(2)] * 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0 = arithmetic_mean_init(e)
+        assert np.isfinite(x0).all()
+        assert np.allclose(x0, 1e308 * np.eye(2), rtol=1e-15, atol=0)
 
     def test_mm_kernel_holds_two_stacks(self, rng):
         # the Gram stack and its eigenvectors, then the eigenvectors and one

@@ -9,8 +9,8 @@ import pytest
 import spdmean
 from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
 from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, random_orthogonal
-from spdmean.karcher import (Ensemble, g1_scalar, g2_scalar, objective, surrogate_coeffs,
-                             surrogate_minimizer, surrogate_value)
+from spdmean.karcher import (Ensemble, SurrogateCoeffs, g1_scalar, g2_scalar, objective,
+                             surrogate_coeffs, surrogate_minimizer, surrogate_value)
 from spdmean.oracle import finite_diff_directional, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import random_spd, random_sym
 from spdmean.solvers import SolverConfig
@@ -272,6 +272,15 @@ class TestCheckSpdStack:
                         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
         assert 0 < accepted < len(stacks)
 
+    @pytest.mark.parametrize("mats", [[], (), np.zeros((0, 3, 3)), np.zeros((0, 0))],
+                             ids=["list", "tuple", "(0, 3, 3)", "(0, 0)"])
+    def test_no_matrix_is_a_named_error(self, mats):
+        # not numpy's reduction error, nor a 0x0 "matrix 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^expected at least one matrix, got none$"):
+                spd_core.check_spd_stack(mats)
+
     def test_cholesky_factor_and_its_inverse(self, rng):
         mats = np.array([random_spd(rng, 5) * 10.0 ** k for k in (-200, 0, 200)])
         out, factors, inv_factors = spd_core.check_spd_stack(mats)
@@ -473,6 +482,8 @@ _SCALAR_SITES = {
               "pow_m requires t to be a finite real number, got {v!r}", False),
     "geodesic": (lambda v: geodesic(np.eye(2), np.diag([2.0, 3.0]), v),
                  "geodesic requires t to be a finite real number, got {v!r}", False),
+    "c0": (lambda v: surrogate_value(SurrogateCoeffs(np.eye(2), np.eye(2), v), np.eye(2)),
+           "c0 must be a finite real number, got {v!r}", False),
 }
 
 _NOT_A_REAL_NUMBER = {
@@ -526,14 +537,19 @@ _MATRIX_ROWS = {
     "geodesic-x2": ("geodesic", lambda m: geodesic(_I2, m, 0.5), "x2"),
     "riem_dist-x1": ("riem_dist", lambda m: riem_dist(m, _I2), "x1"),
     "riem_dist-x2": ("riem_dist", lambda m: riem_dist(_I2, m), "x2"),
-    "two_matrix_oracle-a": ("two_matrix_oracle", lambda m: two_matrix_oracle(m, _I2), "x1"),
-    "two_matrix_oracle-b": ("two_matrix_oracle", lambda m: two_matrix_oracle(_I2, m), "x2"),
+    # the name opens the message, or follows "expected": not the article "a"
+    "two_matrix_oracle-a": ("two_matrix_oracle", lambda m: two_matrix_oracle(m, _I2),
+                            "^(?:expected )?a"),
+    "two_matrix_oracle-b": ("two_matrix_oracle", lambda m: two_matrix_oracle(_I2, m),
+                            "^(?:expected )?b"),
     "frob_inner-a": ("frob_inner", lambda m: frob_inner(m, m), "a"),
     # a shape unlike a's is a mismatch of the pair, shown in b's place
     "frob_inner-b": ("frob_inner", lambda m: frob_inner(_I2, m),
                      r"b|^shape mismatch: \(2, 2\) vs"),
     "from_matrices": ("Ensemble", Ensemble.from_matrices, "matri(x|ces)"),
     "from_matrices-member": ("Ensemble", lambda m: Ensemble.from_matrices([_I2, m]), "matrix 1"),
+    # the validation path itself, given each bad matrix as the whole stack
+    "check_spd_stack": (None, spd_core.check_spd_stack, "matri(x|ces)"),
     "objective": ("objective", lambda m: objective(_E2, m), "point"),
     "grad_sum": (None, lambda m: karcher.grad_sum(_E2, m), "point"),
     "euclidean_gradient": (None, lambda m: karcher.euclidean_gradient(_E2, m), "point"),
