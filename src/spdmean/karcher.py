@@ -49,8 +49,7 @@ class Ensemble:
         blocks are inverted together over the whole stack
         (``np.linalg.inv`` for dim ≤ ``spd_core.TRI_BLOCK``), or
         D(wᵢ)^{-1/2} Uᵢᵀ where the stack has no Cholesky factor in float64.
-        The substitution writes Lᵢ⁻¹ over Lᵢ, so set-up allocates no
-        (n, p, p) stack for the inverses.
+        Lᵢ⁻¹ is written over Lᵢ: set-up allocates no stack for it.
     """
 
     mats: np.ndarray
@@ -60,11 +59,9 @@ class Ensemble:
     def from_matrices(cls, mats: Sequence[np.ndarray]) -> "Ensemble":
         """Validate an array or a sequence of matrices as SPD and keep their inverse factors.
 
-        Validation is :func:`spdmean.spd_core.check_spd_stack`'s, one call,
-        which inverts the Cholesky factors in place, as only their inverses
-        are kept. Every error names the first bad matrix by its index, e.g.
-        ``matrix 1 is not symmetric``, or says that there is none; the CLI
-        prints it as is.
+        Validation is :func:`spdmean.spd_core.check_spd_stack`'s, one call.
+        Every error names the first bad matrix by its index, e.g.
+        ``matrix 1 is not symmetric``, or that there is none; the CLI prints it as is.
         """
         stack, _, inv_factors = check_spd_stack(mats, _keep_factors=False)
         return cls(mats=stack, inv_factors=inv_factors)
@@ -274,7 +271,7 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
 def surrogate_value(s: SurrogateCoeffs, x) -> float:
     """Evaluate ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ + c0 at the point x, with X⁻¹ = F⁻ᵀ F⁻¹ from its factor.
 
-    c1 and c2 must be real and finite, and c0 a finite real number; each is refused by name.
+    A non-real or non-finite coefficient is refused by name.
     """
     x, _, f_inv = spd_core._check_spd_factor(x, "point")
     c1, c2 = spd_core._real_finite(s.c1, "c1"), spd_core._real_finite(s.c2, "c2")

@@ -176,12 +176,10 @@ def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
     """Arithmetic mean (1/n) Σ Aᵢ, the common starting iterate; the sum cannot overflow.
 
     No entry of an SPD matrix exceeds its largest diagonal entry in
-    magnitude (up to rounding in a validated one), so where n times the
-    largest diagonal entry of the Aᵢ is below half the float64 maximum, the
-    Aᵢ are summed as they are, with no scaled copy of the stack. Otherwise
-    they are scaled by s = 2^-⌈log₂ n⌉ before summing. A power-of-two
-    scaling is exact, so both give the same result wherever no entry is
-    subnormal and the plain sum does not overflow.
+    magnitude (up to rounding), so where n times the largest diagonal
+    entry is below half the float64 maximum the Aᵢ are summed as they are.
+    Otherwise they are scaled by s = 2^-⌈log₂ n⌉ first; a power-of-two
+    scaling is exact, so the result is the same wherever no entry is subnormal.
     """
     if np.diagonal(e.mats, axis1=1, axis2=2).max() < sys.float_info.max / (2 * e.n):
         return np.add.reduce(e.mats) / e.n  # what np.mean computes

@@ -212,7 +212,7 @@ def _check_spd_factor(a, name="matrix"):
 
 
 def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True):
-    """Validate k ≥ 1 matrices, an array or any sequence, as SPD; factor them by one stacked Cholesky.
+    """Validate k matrices, an array or any sequence, as SPD; factor them by one stacked Cholesky.
 
     No matrix at all, as in ``[]``, is a DomainError (:func:`_stack`).
     Each matrix gets the tests of :func:`check_spd`. The first matrix
@@ -236,10 +236,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     the whole stack together (``np.linalg.inv`` itself for
     p ≤ ``TRI_BLOCK``).
 
-    ``_keep_factors`` is internal. A caller that keeps only the Fᵢ⁻¹, as
-    :class:`spdmean.karcher.Ensemble` does, sets it false: each Lᵢ⁻¹ then
-    overwrites Lᵢ (:func:`_tri_inv` in place), so no second (k, p, p)
-    stack is allocated, and the Cholesky factors are returned as ``None``.
+    Internal: with ``_keep_factors=False``, for a caller that keeps only the
+    Fᵢ⁻¹, each Lᵢ⁻¹ overwrites Lᵢ and the Cholesky factors are returned as ``None``.
 
     Returns
     -------
@@ -315,7 +313,7 @@ def _stack(mats, name_of):
 
 
 def _tri_inv(l, in_place=False):
-    """Inverse of each lower triangular matrix of a (k, p, p) stack; ``in_place``, it may overwrite L.
+    """Inverse of each lower triangular matrix of a (k, p, p) stack, written over L if ``in_place``.
 
     Block forward substitution over block rows of width ``TRI_BLOCK``:
     block row i of X = L⁻¹ is Dᵢ = Lᵢᵢ⁻¹ on the diagonal and
@@ -325,15 +323,12 @@ def _tri_inv(l, in_place=False):
     X is exactly lower triangular. This is about a third of the
     floating-point work of an LU inverse, and as accurate (Du Croz &
     Higham, IMA J. Numer. Anal. 12, 1992). For p ≤ ``TRI_BLOCK`` the
-    result is ``np.linalg.inv(l)`` itself, which is faster there, and L
-    is kept.
+    result is ``np.linalg.inv(l)`` itself, a new array, which is faster there.
 
     The block stacks are views of L and X (:func:`_diag_blocks`),
     inverted in place, so no block is copied. Block row i reads only L's
-    block row i and the rows of X above it, so with ``in_place`` X takes
-    L's own memory, block row by block row, and is bitwise the X of a
-    fresh stack; L must then be 0 above the diagonal, as a Cholesky
-    factor is.
+    block row i and the rows of X above it, so ``in_place`` X can be L
+    itself, bitwise as a fresh X, where L is 0 above the diagonal.
     """
     p = l.shape[-1]
     if p <= TRI_BLOCK:
@@ -360,8 +355,8 @@ def _lower_inv(l, x):
 
     Forward substitution: row i of X = L⁻¹ is −(L[i, :i] X[:i, :i])/L[i, i]
     left of the diagonal and 1/L[i, i] on it, b stacked row products,
-    each times the reciprocal diagonal. Row i reads only L's row i and
-    the rows of X above it, so x may be l itself. x must be 0 above the
+    each times the reciprocal diagonal. x, which may be l itself (row i
+    reads only L's row i and the rows of X above it), must be 0 above the
     diagonal, and stays so.
     """
     r = 1.0 / np.diagonal(l, axis1=-2, axis2=-1)
@@ -476,7 +471,7 @@ def _checked_pair(x1, x2, n1="x1", n2="x2"):
     """F₁ and a finite W = F₁⁻¹F₂ from the factors Fₖ Fₖᵀ = xₖ that :func:`check_spd` takes.
 
     W Wᵀ = F₁⁻¹ x2 F₁⁻ᵀ has the spectrum of x1^{-1/2} x2 x1^{-1/2}. Errors
-    name x1 and x2 as ``n1`` and ``n2``.
+    call x1 and x2 ``n1`` and ``n2``.
     """
     _, f1, f1_inv = _check_spd_factor(x1, n1)
     f2 = _check_spd_factor(x2, n2)[1]

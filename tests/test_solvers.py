@@ -753,29 +753,22 @@ class TestSpectralCost:
         assert max(err for _, err in seen) <= 1e-13
 
     @staticmethod
-    def peak_stacks(rng, solve):
-        """Peak traced allocation of three iterations at n = p = 50, in (n, p, p) stacks."""
-        e = random_ensemble(rng, 50, 50)
-        x0 = arithmetic_mean_init(e)
+    def traced(call, *args):
+        """``call(*args)`` and the peak of its traced allocation, in bytes."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            solve(e, SolverConfig(max_iters=3), x0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        return peak / e.mats.nbytes
-
-    @staticmethod
-    def traced(call, arg):
-        """``call(arg)`` and the peak of its traced allocation, in bytes."""
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = call(arg)
+            out = call(*args)
             return out, tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+
+    @classmethod
+    def peak_stacks(cls, rng, solve):
+        """Peak traced allocation of three iterations at n = p = 50, in (n, p, p) stacks."""
+        e = random_ensemble(rng, 50, 50)
+        x0 = arithmetic_mean_init(e)
+        return cls.traced(solve, e, SolverConfig(max_iters=3), x0)[1] / e.mats.nbytes
 
     def test_set_up_holds_no_scratch_stack(self, rng):
         # validation holds sym(A) and the Cholesky factors, which their
