@@ -181,7 +181,9 @@ def arithmetic_mean_init(e: Ensemble) -> np.ndarray:
     Otherwise they are scaled by s = 2^-⌈log₂ n⌉ first; a power-of-two
     scaling is exact, so the result is the same wherever no entry is subnormal.
     """
-    if np.diagonal(e.mats, axis1=1, axis2=2).max() < sys.float_info.max / (2 * e.n):
+    # not np.diagonal(...).max(): on a 10 × 10 × 10 stack that costs 0.7 µs more, about
+    # what the scaled copy this path saves cost
+    if np.maximum.reduce(e.mats.diagonal(0, 1, 2), axis=None) < sys.float_info.max / (2 * e.n):
         return np.add.reduce(e.mats) / e.n  # what np.mean computes
     s = 2.0 ** -math.ceil(math.log2(e.n))
     return np.add.reduce(e.mats * s) / e.n / s

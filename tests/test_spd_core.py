@@ -524,10 +524,12 @@ def test_every_scalar_site_takes_a_real_number_as_its_float(site, value):
 
 
 # The matrix half of the input-contract drift guard. A row feeds one matrix
-# argument of an exported call, or of the views grad_sum and
-# euclidean_gradient, each bad matrix below, with every other argument valid:
+# argument of an exported call, of the views grad_sum and euclidean_gradient,
+# or of check_spd_stack, each bad matrix below, with every other argument valid:
 # (the export, the call, a pattern for the argument's name in its errors).
 _I2 = np.eye(2)
+# two_matrix_oracle's a or b opens the message, or follows "expected": not the article "a"
+_A, _B = "^(?:expected )?a", "^(?:expected )?b"
 _E2 = Ensemble.from_matrices([_I2, np.diag([2.0, 3.0])])
 _MATRIX_ROWS = {
     **{name: (name, getattr(spdmean, name), "matrix")
@@ -537,18 +539,15 @@ _MATRIX_ROWS = {
     "geodesic-x2": ("geodesic", lambda m: geodesic(_I2, m, 0.5), "x2"),
     "riem_dist-x1": ("riem_dist", lambda m: riem_dist(m, _I2), "x1"),
     "riem_dist-x2": ("riem_dist", lambda m: riem_dist(_I2, m), "x2"),
-    # the name opens the message, or follows "expected": not the article "a"
-    "two_matrix_oracle-a": ("two_matrix_oracle", lambda m: two_matrix_oracle(m, _I2),
-                            "^(?:expected )?a"),
-    "two_matrix_oracle-b": ("two_matrix_oracle", lambda m: two_matrix_oracle(_I2, m),
-                            "^(?:expected )?b"),
+    "two_matrix_oracle-a": ("two_matrix_oracle", lambda m: two_matrix_oracle(m, _I2), _A),
+    "two_matrix_oracle-b": ("two_matrix_oracle", lambda m: two_matrix_oracle(_I2, m), _B),
     "frob_inner-a": ("frob_inner", lambda m: frob_inner(m, m), "a"),
     # a shape unlike a's is a mismatch of the pair, shown in b's place
     "frob_inner-b": ("frob_inner", lambda m: frob_inner(_I2, m),
                      r"b|^shape mismatch: \(2, 2\) vs"),
     "from_matrices": ("Ensemble", Ensemble.from_matrices, "matri(x|ces)"),
     "from_matrices-member": ("Ensemble", lambda m: Ensemble.from_matrices([_I2, m]), "matrix 1"),
-    # the validation path itself, given each bad matrix as the whole stack
+    # given each bad matrix as the whole stack
     "check_spd_stack": (None, spd_core.check_spd_stack, "matri(x|ces)"),
     "objective": ("objective", lambda m: objective(_E2, m), "point"),
     "grad_sum": (None, lambda m: karcher.grad_sum(_E2, m), "point"),
