@@ -541,7 +541,7 @@ _MATRIX_ROWS = {
     "riem_dist-x2": ("riem_dist", lambda m: riem_dist(_I2, m), "x2"),
     "two_matrix_oracle-a": ("two_matrix_oracle", lambda m: two_matrix_oracle(m, _I2), _A),
     "two_matrix_oracle-b": ("two_matrix_oracle", lambda m: two_matrix_oracle(_I2, m), _B),
-    "frob_inner-a": ("frob_inner", lambda m: frob_inner(m, m), "a"),
+    "frob_inner-a": ("frob_inner", lambda m: frob_inner(m, m), _A + "|^the inner product of a"),
     # a shape unlike a's is a mismatch of the pair, shown in b's place
     "frob_inner-b": ("frob_inner", lambda m: frob_inner(_I2, m),
                      r"b|^shape mismatch: \(2, 2\) vs"),
