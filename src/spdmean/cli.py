@@ -35,6 +35,7 @@ from .karcher import Ensemble
 from .selfcheck import run_checks
 from .solvers import (DEFAULT_GRAD_TOL_PER_MAT, LS_FACTOR, LS_MAX_J, SOLVERS, STATUS_CONVERGED,
                       SolverConfig, arithmetic_mean_init)
+from .spd_core import _real
 
 
 class InputError(Exception):
@@ -49,20 +50,13 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
-def _numbers_only(entry) -> bool:
-    """True when nested lists hold JSON numbers only, not booleans or strings."""
-    if isinstance(entry, list):
-        return all(_numbers_only(v) for v in entry)
-    return isinstance(entry, (int, float)) and not isinstance(entry, bool)
-
-
 def read_ensemble(path) -> Ensemble:
     """Parse ``{"dim": p, "matrices": [...]}`` into a validated ensemble.
 
     Only the file format is checked here; ``Ensemble.from_matrices``
-    validates the matrices and names the first bad one. A JSON boolean
-    or string inside a matrix is not a number, even where numpy could
-    convert it.
+    validates the matrices and names the first bad one. Each matrix is
+    read by ``spd_core._real``, the library's converter, so a JSON boolean,
+    string or null inside a matrix is not a number, even where numpy could convert it.
     """
     data = _load_json(Path(path))
     if not isinstance(data, dict) or "dim" not in data or "matrices" not in data:
@@ -76,10 +70,8 @@ def read_ensemble(path) -> Ensemble:
     mats = []
     for i, entry in enumerate(raw):
         try:
-            if not _numbers_only(entry):  # numpy would convert true and "2.0"
-                raise TypeError
-            a = np.asarray(entry, dtype=float)
-        except (ValueError, TypeError, OverflowError):  # ragged rows, huge integers
+            a = _real(entry, f"matrix {i}")
+        except SpdMeanError:  # ragged rows, or an entry such as true, "2.0" or 10**400
             raise InputError(f"matrix {i} is not an array of numbers")
         if a.shape != (p, p):
             raise InputError(f"matrix {i} has shape {a.shape}, expected ({p}, {p})")

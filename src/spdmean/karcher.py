@@ -86,9 +86,9 @@ class SurrogateCoeffs:
 
 def _point(e: Ensemble, x):
     """(X, F, F⁻¹), F Fᵀ = X, of a point x of the ensemble's dim that passes :func:`check_spd`."""
-    shape = spd_core._array(x, "point").shape
-    if shape != (e.dim, e.dim):
-        raise DimensionMismatch(f"point has shape {shape}, ensemble dim is {e.dim}")
+    x = spd_core._real(x, "point")
+    if x.shape != (e.dim, e.dim):
+        raise DimensionMismatch(f"point has shape {x.shape}, ensemble dim is {e.dim}")
     return spd_core._check_spd_factor(x, "point")
 
 
@@ -248,7 +248,7 @@ def euclidean_gradient(e: Ensemble, x) -> np.ndarray:
     """
     _, f, f_inv = _point(e, x)
     return spd_core._finite(-2.0 * sym(f_inv.T @ _frame_grad(_frame_eigh(e, f))[1] @ f_inv),
-                            "euclidean gradient at point")
+                            "euclidean gradient at point overflows float64")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -263,7 +263,7 @@ def surrogate_coeffs(e: Ensemble, xp) -> SurrogateCoeffs:
     f_xp, _, c1, c2 = _frame_terms(_frame_eigh(e, f))
     c1, c2 = sym(f_inv.T @ c1 @ f_inv), sym(f @ c2 @ f.T)
     c0 = f_xp - spd_core._frob(c1, xp) - spd_core._frob(c2, f_inv.T @ f_inv)
-    spd_core._finite(c0, "surrogate at point")
+    spd_core._finite(c0, "surrogate at point overflows float64")
     return SurrogateCoeffs(c1=c1, c2=c2, c0=c0)
 
 
@@ -278,7 +278,7 @@ def surrogate_value(s: SurrogateCoeffs, x) -> float:
     c0 = spd_core._real_number(s.c0, f"c0 must be a finite real number, got {s.c0!r}",
                                positive=False)
     return spd_core._finite(spd_core._frob(c1, x) + spd_core._frob(c2, f_inv.T @ f_inv) + c0,
-                            "surrogate value at point")
+                            "surrogate value at point overflows float64")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -322,5 +322,5 @@ def _minimizer_factor(c1, r):
     except NonConvergence:
         if np.isfinite(m).all():
             raise
-    spd_core._finite(m, "c2^(1/2) c1 c2^(1/2)")
+    spd_core._finite(m, "c2^(1/2) c1 c2^(1/2) overflows float64")
     raise DomainError("surrogate_minimizer requires positive definite c1 and c2")

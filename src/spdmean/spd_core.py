@@ -3,12 +3,15 @@
 Dense symmetric eigendecomposition, the package's one Cholesky
 factorization, matrix functions through the eigenvalues, and the
 affine-invariant geodesic and distance. All functions take and return
-plain ``numpy`` arrays; SPD inputs are validated with :func:`check_spd`
-at API boundaries.
+plain ``numpy`` arrays. One converter, :func:`_real`, reads every matrix
+argument and refuses a ragged or (where one is needed) non-square one and
+any entry that is not a real number; SPD inputs are then validated with
+:func:`check_spd` at API boundaries.
 """
 
 import numbers
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,77 +52,62 @@ def _python(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, and finite in float64."""
+    return _is_a(value, numbers.Real) and abs(_python(value)) <= sys.float_info.max
+
+
 def _real_number(value, message, positive=True) -> float:
-    """``value`` as a float once it is a real number, not a bool, finite in float64 and,
-    where ``positive``, above 0; DomainError(``message``) otherwise."""
-    if _is_a(value, numbers.Real) and abs(_python(value)) <= sys.float_info.max:
-        x = float(value)
-        if x > 0 or not positive:
-            return x
+    """``value`` as a float once it passes :func:`_finite_real` and, where ``positive``,
+    is above 0; DomainError(``message``) otherwise."""
+    if _finite_real(value) and (float(value) > 0 or not positive):
+        return float(value)
     raise DomainError(message)
 
 
-def _real(a, name):
-    """``a`` as a float array, once it holds real numbers only (:func:`_real_entries`).
+def _real(a, name, square=False):
+    """``a``, read once, as a float array of real numbers (:func:`_real_entries`).
 
-    Any other input is refused before the conversion, which would drop a
-    complex entry's imaginary part with a ComplexWarning, take a bool as
-    0 or 1 and parse a string such as "2" (:func:`_not_real`).
+    Refuses, naming ``name``, in this order: a ragged nested sequence and,
+    where ``square``, anything but a square matrix (DimensionMismatch); then
+    a complex or non-numeric entry (DomainError), before the conversion could
+    drop an imaginary part with a ComplexWarning, take a bool as 0 or 1 or parse "2".
     """
-    arr = _array(a, name)
+    try:
+        arr = np.asarray(a)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise DimensionMismatch(f"{name} is a ragged nested sequence") from exc
+    if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
+        raise DimensionMismatch(f"expected {name} to be square, got shape {arr.shape}")
     if not _real_entries(arr, a):
-        raise _not_real(arr, name)
+        kind = "complex" if arr.dtype.kind == "c" else "non-numeric"
+        raise DomainError(f"{name} has a {kind} entry")
     return np.asarray(arr, dtype=float)
 
 
-def _real_finite(a, name):
+def _real_finite(a, name, square=False):
     """:func:`_real`, once every entry is finite; DomainError naming ``name`` otherwise."""
-    arr = _real(a, name)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{name} has a non-finite entry")
-    return arr
-
-
-def _array(a, name):
-    """``np.asarray(a)``; DimensionMismatch naming ``name`` if ``a`` is a ragged nested sequence."""
-    try:
-        return np.asarray(a)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise DimensionMismatch(f"{name} is a ragged nested sequence") from exc
+    return _finite(_real(a, name, square), f"{name} has a non-finite entry")
 
 
 def _real_entries(arr, a) -> bool:
-    """Whether the array ``arr``, read from ``a``, holds real numbers only.
-
-    Its dtype kind must be one of ``REAL_KINDS``. numpy reads a list that
-    mixes bools with numbers, such as [2, True], as the numbers [2, 1], so
-    a list or tuple ``a`` is walked too: an entry at any depth that is a
-    bool, or an array of another kind, refuses it. An array ``a`` is not walked.
-    """
-    if arr.dtype.kind not in REAL_KINDS:
-        return False
-    todo = [a] if isinstance(a, (list, tuple)) else []
+    """Whether the array ``arr``, read from ``a``, holds real numbers only: its dtype kind is
+    one of ``REAL_KINDS``, or it is an object array (as numpy reads an int beyond uint64) whose
+    every entry passes :func:`_finite_real`. numpy reads [2, True] as [2, 1], so an ``a`` that
+    is not an array is walked through every nested sequence but a string: an entry that is a
+    bool, or an array that fails the dtype test, refuses it."""
+    todo = [arr] if isinstance(a, np.ndarray) else [a, arr]
     while todo:
         entry = todo.pop()
-        if isinstance(entry, (list, tuple)):
-            todo.extend(entry)
-        elif isinstance(entry, (bool, np.bool_)) or (isinstance(entry, np.ndarray)
-                                                     and entry.dtype.kind not in REAL_KINDS):
+        if isinstance(entry, np.ndarray):
+            if entry.dtype.kind not in REAL_KINDS and not (
+                    entry.dtype == object and all(map(_finite_real, entry.flat))):
+                return False
+        elif isinstance(entry, (bool, np.bool_)):
             return False
+        elif not isinstance(entry, (float, int, str, bytes)) and isinstance(entry, Sequence):
+            todo.extend(entry)
     return True
-
-
-def _not_real(a, name):
-    """The DomainError for an array :func:`_real_entries` refuses: complex or non-numeric."""
-    return DomainError(f"{name} has a {'complex' if a.dtype.kind == 'c' else 'non-numeric'} entry")
-
-
-def _one(a, name):
-    """``a`` as a (1, p, p) float stack, once it is a square real matrix (:func:`_real`)."""
-    shape = _array(a, name).shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatch(f"expected {name} to be square, got shape {shape}")
-    return _real(a, name)[None]
 
 
 def check_symmetric(a, name="matrix"):
@@ -127,9 +115,7 @@ def check_symmetric(a, name="matrix"):
 
     ``name`` is how error messages refer to ``a``.
     """
-    out, finite, symmetric, _ = _symmetrized(_one(a, name), lambda i: name)
-    if finite is not None and not finite[0]:
-        raise DomainError(f"{name} has a non-finite entry")
+    out, _, symmetric, _ = _symmetrized(_real_finite(a, name, square=True)[None], lambda i: name)
     if not symmetric[0]:
         raise DomainError(f"{name} is not symmetric")
     return out[0]
@@ -194,10 +180,10 @@ def check_spd(a, name="matrix"):
     Raises
     ------
     DimensionMismatch
-        If ``a`` is not a square matrix, or is 0×0.
+        If ``a`` is a ragged nested sequence, is not a square matrix, or is 0×0.
     DomainError
-        If ``a`` is complex, has a NaN or infinite entry, is not symmetric, or
-        its smallest eigenvalue is not above ``POSITIVITY_FLOOR`` times the largest.
+        If ``a`` has a complex, non-numeric (:func:`_real`) or non-finite entry, is not
+        symmetric, or its smallest eigenvalue is not above ``POSITIVITY_FLOOR`` times the largest.
     """
     return _check_spd_factor(a, name)[0]
 
@@ -207,7 +193,7 @@ def _check_spd_factor(a, name="matrix"):
 
     F is that of :func:`check_spd_stack`: the lower Cholesky factor, or U D(w)^{1/2}.
     """
-    mats, factors, inv_factors = check_spd_stack(_one(a, name), lambda i: name)
+    mats, factors, inv_factors = check_spd_stack(_real(a, name, square=True)[None], lambda i: name)
     return mats[0], factors[0], inv_factors[0]
 
 
@@ -286,8 +272,9 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
 
 def _stack(mats, name_of):
     """``mats`` as a float (k, p, p) array for the stacked pass, or the error of its first bad
-    matrix: an array that is not real names its first (complex: with an imaginary part), and
-    anything that numpy does not read as one real stack gets :func:`check_spd` matrix by matrix.
+    matrix. An array that is not real names its first (complex: with an imaginary part) where
+    :func:`_real` refuses that one. Anything else that is not one real stack gets :func:`check_spd`
+    matrix by matrix, and one fails: matrices that all pass it with one shape are a real stack.
     No matrix at all, as in ``[]`` or an array of shape (0, p, p), is a DomainError."""
     try:
         empty = len(mats) == 0
@@ -297,19 +284,19 @@ def _stack(mats, name_of):
         raise DomainError("expected at least one matrix, got none")
     try:
         stack = np.asarray(mats)
-    except ValueError:  # ragged
-        stack = np.empty(0)
-    if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
-        if _real_entries(stack, mats):
-            return np.asarray(stack, dtype=float)
-        if stack is mats:
-            first = stack.imag.any(axis=(1, 2)).argmax() if stack.dtype.kind == "c" else 0
-            raise _not_real(stack, name_of(int(first)))
+    except ValueError:  # ragged: read matrix by matrix below
+        pass
+    else:
+        if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+            if _real_entries(stack, mats):
+                return np.asarray(stack, dtype=float)
+            if stack is mats:
+                first = stack.imag.any(axis=(1, 2)).argmax() if stack.dtype.kind == "c" else 0
+                _real(stack[first], name_of(int(first)))
     checked = [check_spd(a, name_of(i)) for i, a in enumerate(mats)]
     for i, a in enumerate(checked):
         if a.shape != checked[0].shape:
             raise DimensionMismatch(f"{name_of(i)} has dim {len(a)}, expected {len(checked[0])}")
-    return stack
 
 
 def _tri_inv(l, in_place=False):
@@ -403,17 +390,17 @@ def _eig_apply(m, fvals_of, spd_valued=True):
     return _checked_rebuild(fw, out, spd_valued)
 
 
-def _finite(value, what):
-    """``value``, once every entry is finite; DomainError(``what`` overflows float64) otherwise."""
+def _finite(value, message):
+    """``value``, once every entry is finite; DomainError(``message``) otherwise."""
     if not np.isfinite(value).all():
-        raise DomainError(f"{what} overflows float64")
+        raise DomainError(message)
     return value
 
 
 def _checked_rebuild(fw, out, spd_valued=True):
     """``out``, rebuilt from the values ``fw``, once both are finite (and ``fw`` positive)."""
-    if not (np.isfinite(fw).all() and np.isfinite(out).all()):
-        raise DomainError("scalar function not finite on the spectrum")
+    for value in (fw, out):
+        _finite(value, "scalar function not finite on the spectrum")
     if spd_valued and not fw.min() > 0:
         raise DomainError("scalar function not positive on the spectrum")
     return out
@@ -457,7 +444,7 @@ def frob_inner(a, b):
     so does a sum that overflows float64.
     """
     return _finite(_frob(_real_finite(a, "a"), _real_finite(b, "b")),
-                   "the inner product of a and b")
+                   "the inner product of a and b overflows float64")
 
 
 def _frob(a, b):
@@ -478,7 +465,7 @@ def _checked_pair(x1, x2, n1="x1", n2="x2"):
     check_dims(f1, f2)
     with np.errstate(over="ignore"):
         w = f1_inv @ f2
-    return f1, _finite(w, f"{n1}^(-1/2) {n2} {n1}^(-1/2)")
+    return f1, _finite(w, f"{n1}^(-1/2) {n2} {n1}^(-1/2) overflows float64")
 
 
 def geodesic(x1, x2, t):

@@ -1,11 +1,14 @@
+import json
 import math
 import re
 import warnings
+from collections import UserList, deque
 
 import numpy as np
 import pytest
 
-from spdmean.errors import DimensionMismatch, DomainError
+from spdmean.cli import InputError, read_ensemble
+from spdmean.errors import DimensionMismatch, DomainError, SpdMeanError
 from spdmean.karcher import (
     Ensemble,
     _frame_eigh,
@@ -156,6 +159,10 @@ class TestEnsemble:
         ([np.eye(2), [[2, True], [True, 2]]], "matrix 1 has a non-numeric entry"),
         ((np.eye(2), np.eye(2), ((2.0, np.True_), (np.True_, 2.0))),
          "matrix 2 has a non-numeric entry"),
+        # and so are sequences that are neither lists nor tuples
+        (deque([[[2, True], [True, 2]]]), "matrix 0 has a non-numeric entry"),
+        ([UserList([[2, True], [True, 2]])], "matrix 0 has a non-numeric entry"),
+        (UserList([UserList([[2, True], [True, 2]])]), "matrix 0 has a non-numeric entry"),
     ])
     def test_complex_matrix_rejected(self, mats, message):
         # refused before any float conversion, which would drop the imaginary
@@ -165,6 +172,32 @@ class TestEnsemble:
             with pytest.raises(DomainError) as info:
                 Ensemble.from_matrices(mats)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, accepted", [
+        ("[[2, 1], [1, 2]]", True),
+        ("[[100000000000000000000]]", True),  # 10**20, beyond uint64
+        ("[[1" + "0" * 400 + "]]", False),  # 10**400, beyond float64
+        ("[[2, true], [true, 2]]", False),
+        ('[["2.0"]]', False),
+        ("[[null]]", False),
+        ('[[{"a": 1}]]', False),
+        ("[[2, 1], [1]]", False),
+    ], ids=["ints", "int-beyond-uint64", "int-beyond-float64", "true", "string", "null",
+            "object", "ragged"])
+    def test_cli_reads_a_matrix_as_the_library_does(self, tmp_path, text, accepted):
+        # one entry rule: the CLI's reader and from_matrices accept the same JSON matrices
+        path = tmp_path / "ens.json"
+        path.write_text(f'{{"dim": {len(json.loads(text))}, "matrices": [{text}]}}')
+        try:
+            library = Ensemble.from_matrices([json.loads(text)]).mats
+        except SpdMeanError:
+            library = None
+        try:
+            cli = read_ensemble(path).mats
+        except (InputError, SpdMeanError):
+            cli = None
+        assert (library is not None, cli is not None) == (accepted, accepted)
+        assert library is None or np.array_equal(library, cli)
 
     def test_roots_match_matrix_functions(self, rng):
         e = random_ensemble(rng, 5, 4)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from collections import UserList
 
 import numpy as np
 import pytest
@@ -106,14 +107,28 @@ class TestCheckSpd:
     @pytest.mark.parametrize("a", [np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]]),
                                    np.array([[1.0, 0.0], [0.0, "2"]], dtype=object),
                                    [[2, True], [True, 2]], ((2.0, np.True_), (np.True_, 2.0)),
-                                   [np.array([2.0, 1.0]), np.array([True, True])]],
+                                   [np.array([2.0, 1.0]), np.array([True, True])],
+                                   UserList([[2, True], [True, 2]]), [[10**400]],
+                                   np.array([[np.nan]], dtype=object),
+                                   np.array([[np.inf]], dtype=object)],
                              ids=["bool", "string", "object", "bool-in-list",
-                                  "numpy-bool-in-tuple", "bool-row-in-list"])
+                                  "numpy-bool-in-tuple", "bool-row-in-list", "bool-in-userlist",
+                                  "int-beyond-float64", "nan-in-object", "inf-in-object"])
     def test_rejects_non_numeric(self, fn, a):
-        # refused by dtype, not taken as 0 or 1 or parsed; numpy reads the
-        # lists as the number matrix [[2, 1], [1, 2]], so they are walked
+        # refused by dtype or entry, not taken as 0 or 1 or parsed; numpy reads
+        # the sequences as the number matrix [[2, 1], [1, 2]], so they are walked
         with pytest.raises(DomainError, match="^matrix has a non-numeric entry$"):
             fn(a)
+
+    @pytest.mark.parametrize("fn", [check_spd, check_symmetric])
+    @pytest.mark.parametrize("a, want", [
+        ([[10**20]], [[1e20]]),
+        ([[2**64, 1], [1, 2**64]], [[2.0**64, 1.0], [1.0, 2.0**64]]),
+        (np.array([[2, 0], [0, np.float32(0.5)]], dtype=object), [[2.0, 0.0], [0.0, 0.5]]),
+    ], ids=["int-beyond-uint64", "ints-beyond-uint64-and-small", "object-of-numbers"])
+    def test_reads_an_object_array_of_real_numbers_as_floats(self, fn, a, want):
+        # numpy reads an int beyond uint64 as an object: each entry is a real number
+        assert np.array_equal(fn(a), want)
 
     def test_relative_floor_survives_scaling(self, rng):
         a = random_spd(rng, 3) * 1e4
