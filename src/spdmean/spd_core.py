@@ -91,17 +91,18 @@ def _real_finite(a, name, square=False):
 
 
 def _real_entries(arr, a) -> bool:
-    """Whether the array ``arr``, read from ``a``, holds real numbers only: its dtype kind is
-    one of ``REAL_KINDS``, or it is an object array (as numpy reads an int beyond uint64) whose
-    every entry passes :func:`_finite_real`. numpy reads [2, True] as [2, 1], so an ``a`` that
-    is not an array is walked through every nested sequence but a string: an entry that is a
-    bool, or an array that fails the dtype test, refuses it."""
+    """Whether the array ``arr``, read from ``a``, holds real numbers only: its dtype kind is one of
+    ``REAL_KINDS`` and it is no wider than float64, or it is an object array (as numpy reads an int
+    beyond uint64) or a wider float one whose every entry passes :func:`_finite_real`. numpy reads
+    [2, True] as [2, 1], so an ``a`` that is not an array is walked through every nested sequence
+    but a string; a bool, or an array (a memoryview read as one) that fails the test, refuses it."""
     todo = [arr] if isinstance(a, np.ndarray) else [a, arr]
     while todo:
         entry = todo.pop()
-        if isinstance(entry, np.ndarray):
-            if entry.dtype.kind not in REAL_KINDS and not (
-                    entry.dtype == object and all(map(_finite_real, entry.flat))):
+        if isinstance(entry, (np.ndarray, memoryview)):
+            entry = np.asarray(entry)
+            narrow = entry.dtype.kind in REAL_KINDS and entry.dtype.itemsize <= 8
+            if not narrow and not (entry.dtype.kind in "fO" and all(map(_finite_real, entry.flat))):
                 return False
         elif isinstance(entry, (bool, np.bool_)):
             return False
@@ -198,14 +199,14 @@ def _check_spd_factor(a, name="matrix"):
 
 
 def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True):
-    """Validate k matrices, an array or any sequence, as SPD; factor them by one stacked Cholesky.
+    """Validate a sequence of k matrices as SPD; factor them by one stacked Cholesky.
 
-    No matrix at all, as in ``[]``, is a DomainError (:func:`_stack`).
-    Each matrix gets the tests of :func:`check_spd`. The first matrix
-    that fails one raises, with the first test it fails in the order
-    non-finite, symmetric, positive definite, and a dimension mismatch
-    only when every matrix passes them (:func:`_stack`); ``name_of(i)``
-    names matrix i in the message.
+    Anything but a sequence of matrices (:func:`_stack`), or no matrix at
+    all, is a DomainError. Each matrix gets the tests of :func:`check_spd`;
+    the first that fails one raises, with the first test it fails in the
+    order non-finite, symmetric, positive definite, and a dimension
+    mismatch only when every matrix passes them; ``name_of(i)`` names
+    matrix i in the message.
 
     The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the
     eigenvalues from :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ,
@@ -272,31 +273,30 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
 
 def _stack(mats, name_of):
     """``mats`` as a float (k, p, p) array for the stacked pass, or the error of its first bad
-    matrix. An array that is not real names its first (complex: with an imaginary part) where
-    :func:`_real` refuses that one. Anything else that is not one real stack gets :func:`check_spd`
-    matrix by matrix, and one fails: matrices that all pass it with one shape are a real stack.
-    No matrix at all, as in ``[]`` or an array of shape (0, p, p), is a DomainError."""
-    try:
-        empty = len(mats) == 0
-    except TypeError:  # None, a number or a generator
-        raise DomainError(f"expected a sequence of matrices, got {type(mats).__name__}") from None
-    if empty:
+    matrix. A sequence of matrices is an ndarray of at least one dimension (a memoryview is read
+    as one) or a ``Sequence`` but a string or bytes; anything else, or no matrix, is a DomainError.
+    What :func:`_real` does not read as one real (k, p, p) array gets :func:`check_spd` matrix by
+    matrix, then the dimension check, but a complex array first names its first non-real matrix."""
+    if not (mats.ndim if isinstance(mats, (np.ndarray, memoryview))
+            else isinstance(mats, Sequence) and not isinstance(mats, (str, bytes))):
+        raise DomainError(f"expected a sequence of matrices, got {type(mats).__name__}")
+    mats = np.asarray(mats) if isinstance(mats, memoryview) else mats
+    if len(mats) == 0:
         raise DomainError("expected at least one matrix, got none")
     try:
-        stack = np.asarray(mats)
-    except ValueError:  # ragged: read matrix by matrix below
-        pass
-    else:
+        stack = _real(mats, "the stack")
         if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
-            if _real_entries(stack, mats):
-                return np.asarray(stack, dtype=float)
-            if stack is mats:
-                first = stack.imag.any(axis=(1, 2)).argmax() if stack.dtype.kind == "c" else 0
-                _real(stack[first], name_of(int(first)))
+            return stack
+    except (DimensionMismatch, DomainError):  # ragged or not real: read matrix by matrix below
+        if (isinstance(mats, np.ndarray) and mats.dtype.kind == "c" and mats.ndim == 3
+                and mats.shape[1] == mats.shape[2]):
+            first = int(mats.imag.any(axis=(1, 2)).argmax())
+            _real(mats[first], name_of(first))
     checked = [check_spd(a, name_of(i)) for i, a in enumerate(mats)]
     for i, a in enumerate(checked):
         if a.shape != checked[0].shape:
             raise DimensionMismatch(f"{name_of(i)} has dim {len(a)}, expected {len(checked[0])}")
+    return np.array(checked)  # all pass with one shape, as in a 1-d object array of matrices
 
 
 def _tri_inv(l, in_place=False):

@@ -51,6 +51,39 @@ class TestEnsemble:
         with pytest.raises(DomainError, match="^expected at least one matrix, got none$"):
             Ensemble.from_matrices(mats)
 
+    @pytest.mark.parametrize("read", [spd_core.check_spd_stack, Ensemble.from_matrices],
+                             ids=["check_spd_stack", "from_matrices"])
+    @pytest.mark.parametrize("mats, kind", [
+        ("ab", "str"),
+        (b"ab", "bytes"),
+        ({0: np.eye(2)}, "dict"),
+        ({0: np.eye(2)}.keys(), "dict_keys"),
+        ({0: np.eye(2)}.values(), "dict_values"),
+        ({((2.0, 0.0), (0.0, 2.0))}, "set"),
+        (frozenset({((2.0, 0.0), (0.0, 2.0))}), "frozenset"),
+        ((m for m in [np.eye(2)]), "generator"),
+        (None, "NoneType"),
+        (3.0, "float"),
+        (np.array(1.0), "ndarray"),
+    ], ids=["str", "bytes", "dict", "dict-keys", "dict-values", "set", "frozenset", "generator",
+            "None", "float", "0-d-array"])
+    def test_refuses_what_is_not_a_sequence_of_matrices(self, read, mats, kind):
+        # numpy would read a set or a dict view of valid matrices as a 0-d object array
+        with pytest.raises(DomainError) as info:
+            read(mats)
+        assert str(info.value) == f"expected a sequence of matrices, got {kind}"
+
+    @pytest.mark.parametrize("read", [spd_core.check_spd_stack, Ensemble.from_matrices],
+                             ids=["check_spd_stack", "from_matrices"])
+    @pytest.mark.parametrize("wrap", [tuple, deque, UserList, memoryview,
+                                      lambda s: np.array([*s, None], dtype=object)[:-1]],
+                             ids=["tuple", "deque", "UserList", "memoryview", "object-array"])
+    def test_reads_any_sequence_of_matrices_as_the_array(self, rng, read, wrap):
+        stack = np.stack([random_spd(rng, 2), random_spd(rng, 2)])
+        parts = lambda out: (out.mats, out.inv_factors) if isinstance(out, Ensemble) else out
+        for got, want in zip(parts(read(wrap(stack))), parts(read(stack)), strict=True):
+            assert np.array_equal(got, want)
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             Ensemble.from_matrices([np.eye(2), np.eye(3)])
@@ -93,6 +126,9 @@ class TestEnsemble:
          "matrix 2 is not positive definite (eigenvalue -1)"),
         ([np.eye(2), np.eye(3)], DimensionMismatch,
          "matrix 1 has dim 3, expected 2"),
+        # a buffer is read by its format, as the array numpy makes of it
+        (memoryview(np.ones((2, 2, 3))), DimensionMismatch,
+         "expected matrix 0 to be square, got shape (2, 3)"),
         # the only bad matrix is the last, tiny and skewed
         ([np.eye(2)] * 9 + [np.array([[1.0, 0.5], [0.0, 1.0]]) * 1e-200], DomainError,
          "matrix 9 is not symmetric"),
@@ -163,6 +199,10 @@ class TestEnsemble:
         (deque([[[2, True], [True, 2]]]), "matrix 0 has a non-numeric entry"),
         ([UserList([[2, True], [True, 2]])], "matrix 0 has a non-numeric entry"),
         (UserList([UserList([[2, True], [True, 2]])]), "matrix 0 has a non-numeric entry"),
+        # a buffer is read by its format, not walked
+        (memoryview(np.ones((2, 2, 2), dtype=bool)), "matrix 0 has a non-numeric entry"),
+        (memoryview(np.array([np.eye(2), [[2.0, 1j], [-1j, 2.0]]])),
+         "matrix 1 has a complex entry"),
     ])
     def test_complex_matrix_rejected(self, mats, message):
         # refused before any float conversion, which would drop the imaginary

@@ -130,6 +130,25 @@ class TestCheckSpd:
         # numpy reads an int beyond uint64 as an object: each entry is a real number
         assert np.array_equal(fn(a), want)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                        reason="the long double is float64 on this platform")
+    @pytest.mark.parametrize("call, message", [
+        (check_spd, "matrix has a non-numeric entry"),
+        (lambda m: frob_inner(m, m), "a has a non-numeric entry"),
+        (lambda m: Ensemble.from_matrices(m[None]), "matrix 0 has a non-numeric entry"),
+    ], ids=["check_spd", "frob_inner", "from_matrices"])
+    def test_rejects_a_wide_float_beyond_float64(self, call, message):
+        # held to the object-array rule, not cast to inf with an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                call(np.array([[np.longdouble("1e400"), 0], [0, 1]]))
+        assert str(info.value) == message
+
+    def test_reads_a_wide_float_within_float64_as_float64(self):
+        assert np.array_equal(check_spd(np.diag(np.array([2, 0.5], dtype=np.longdouble))),
+                              np.diag([2.0, 0.5]))
+
     def test_relative_floor_survives_scaling(self, rng):
         a = random_spd(rng, 3) * 1e4
         check_spd(a)
@@ -606,6 +625,15 @@ _BAD_MATRICES = {
     "scalar": lambda: 3.0,
     "None": lambda: None,
     "generator": lambda: (row for row in _I2),
+    # numpy reads each of these as a 0-d object or string array
+    "dict-values": lambda: {0: _I2}.values(),
+    "set": lambda: {((2.0, 0.0), (0.0, 2.0))},
+    "str": lambda: "ab",
+    # a buffer, read by its format: a valid matrix, or as a stack two rows
+    "memoryview": lambda: memoryview(np.eye(2)),
+    # beyond float64, where the platform's long double reaches it
+    **({"longdouble-1e400": lambda: np.array([[np.longdouble("1e400"), 0], [0, 1]])}
+       if np.finfo(np.longdouble).max > np.finfo(float).max else {}),
 }
 
 # valid matrices whose value leaves float64 or the cone: the error speaks of that value
