@@ -15,9 +15,10 @@ cannot be written, 2 a solve that did not converge or failed (also any
 failed ``bench`` run), 3 failed consistency check. :func:`main` prints
 every input and output error, ``--out`` included, as one ``error: …``
 line, and ``check`` reports a check that raises as its FAIL line, so no
-subcommand ends in a traceback. Only this module writes files: ``mean``
-and ``bench`` check every output (:func:`_check_out`) before they solve
-and write all of them or none (:func:`_write_files`).
+subcommand ends in a traceback. ``mean`` checks only its file's envelope
+and prints the library's refusal of a bad matrix as is (:func:`read_ensemble`).
+Only this module writes files: ``mean`` and ``bench`` check every output
+(:func:`_check_out`) before they solve and write all or none (:func:`_write_files`).
 """
 
 import argparse
@@ -35,7 +36,6 @@ from .karcher import Ensemble
 from .selfcheck import run_checks
 from .solvers import (DEFAULT_GRAD_TOL_PER_MAT, LS_FACTOR, LS_MAX_J, SOLVERS, STATUS_CONVERGED,
                       SolverConfig, arithmetic_mean_init)
-from .spd_core import _real
 
 
 class InputError(Exception):
@@ -53,10 +53,9 @@ def _load_json(path):
 def read_ensemble(path) -> Ensemble:
     """Parse ``{"dim": p, "matrices": [...]}`` into a validated ensemble.
 
-    Only the file format is checked here; ``Ensemble.from_matrices``
-    validates the matrices and names the first bad one. Each matrix is
-    read by ``spd_core._real``, the library's converter, so a JSON boolean,
-    string or null inside a matrix is not a number, even where numpy could convert it.
+    Only the envelope is checked here: ``dim`` a positive integer, ``matrices`` a nonempty
+    list. ``Ensemble.from_matrices`` reads that list, and its refusal of the first bad matrix
+    is the error (a JSON boolean, string or null is not a number); then ``dim`` must match.
     """
     data = _load_json(Path(path))
     if not isinstance(data, dict) or "dim" not in data or "matrices" not in data:
@@ -67,16 +66,10 @@ def read_ensemble(path) -> Ensemble:
         raise InputError("'dim' must be a positive integer")
     if not isinstance(raw, list) or not raw:
         raise InputError("'matrices' must be a nonempty list")
-    mats = []
-    for i, entry in enumerate(raw):
-        try:
-            a = _real(entry, f"matrix {i}")
-        except SpdMeanError:  # ragged rows, or an entry such as true, "2.0" or 10**400
-            raise InputError(f"matrix {i} is not an array of numbers")
-        if a.shape != (p, p):
-            raise InputError(f"matrix {i} has shape {a.shape}, expected ({p}, {p})")
-        mats.append(a)
-    return Ensemble.from_matrices(mats)
+    ensemble = Ensemble.from_matrices(raw)
+    if ensemble.dim != p:
+        raise InputError(f"matrix 0 has shape {ensemble.mats[0].shape}, expected ({p}, {p})")
+    return ensemble
 
 
 def ensemble_to_json(mats) -> str:

@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotCommuting
 from .karcher import Ensemble
-from .spd_core import (_checked_pair, _geodesic, _real, _real_finite, _real_number, check_spd,
-                       exp_m, log_m, sym)
+from .spd_core import (_checked_pair, _finite, _geodesic, _real, _real_finite, _real_number,
+                       check_spd, exp_m, log_m, sym)
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -71,6 +71,4 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
         for sign in (1.0, -1.0):
             check_spd(x + sign * step, "perturbed matrix")
         value = (f(x + step) - f(x - step)) / (2.0 * h)
-    if not np.isfinite(value).all():
-        raise DomainError("finite difference of f at x along h_dir is not finite in float64")
-    return value
+    return _finite(value, "finite difference of f at x along h_dir is not finite in float64")

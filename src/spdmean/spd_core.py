@@ -68,10 +68,10 @@ def _real_number(value, message, positive=True) -> float:
 def _real(a, name, square=False):
     """``a``, read once, as a float array of real numbers (:func:`_real_entries`).
 
-    Refuses, naming ``name``, in this order: a ragged nested sequence and,
-    where ``square``, anything but a square matrix (DimensionMismatch); then
-    a complex or non-numeric entry (DomainError), before the conversion could
-    drop an imaginary part with a ComplexWarning, take a bool as 0 or 1 or parse "2".
+    Refuses, naming ``name``, in this order: a ragged nested sequence and, where ``square``,
+    anything but a square matrix (DimensionMismatch); then a complex or non-numeric entry
+    (DomainError), before the conversion could drop an imaginary part with a ComplexWarning,
+    take a bool as 0 or 1 or parse "2"; then, where ``square``, a 0×0 matrix (DimensionMismatch).
     """
     try:
         arr = np.asarray(a)
@@ -82,6 +82,8 @@ def _real(a, name, square=False):
     if not _real_entries(arr, a):
         kind = "complex" if arr.dtype.kind == "c" else "non-numeric"
         raise DomainError(f"{name} has a {kind} entry")
+    if square and arr.size == 0:
+        raise DimensionMismatch(f"expected {name} to be at least 1x1, got shape {arr.shape}")
     return np.asarray(arr, dtype=float)
 
 
@@ -116,7 +118,7 @@ def check_symmetric(a, name="matrix"):
 
     ``name`` is how error messages refer to ``a``.
     """
-    out, _, symmetric, _ = _symmetrized(_real_finite(a, name, square=True)[None], lambda i: name)
+    out, _, symmetric, _ = _symmetrized(_real_finite(a, name, square=True)[None])
     if not symmetric[0]:
         raise DomainError(f"{name} is not symmetric")
     return out[0]
@@ -127,10 +129,10 @@ def _scales(mats):
     return np.maximum.reduce(np.abs(mats), axis=(1, 2), initial=0.0)
 
 
-def _symmetrized(mats, name_of):
-    """The tests of a float (k, p, p) stack that come before positivity, and sym(A).
+def _symmetrized(mats):
+    """The tests of a float (k, p, p) stack, p ≥ 1, that come before positivity, and sym(A).
 
-    Refuses 0×0 matrices. Returns ``(sym(A), finite, symmetric, norms)``: which
+    Names and refuses nothing. Returns ``(sym(A), finite, symmetric, norms)``: which
     matrices are finite (``None`` when all are; the others are zeroed),
     which have ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F, and each ‖A‖_F. Where every
     max |entry| lies in (1e-100, 1e100), the common case, the squared sums
@@ -139,9 +141,6 @@ def _symmetrized(mats, name_of):
     half + halfᵀ. Any other matrix is divided by its max |entry| for the
     test and the norm, so the test holds at any float64 scale.
     """
-    if mats.shape[-1] == 0:
-        raise DimensionMismatch(f"expected {name_of(0)} to be at least 1x1, "
-                                f"got shape {mats.shape[1:]}")
     top = _scales(mats)
     finite = scale = None
     if not (top.min() > 1e-100 and top.max() < 1e100):
@@ -201,12 +200,11 @@ def _check_spd_factor(a, name="matrix"):
 def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True):
     """Validate a sequence of k matrices as SPD; factor them by one stacked Cholesky.
 
-    Anything but a sequence of matrices (:func:`_stack`), or no matrix at
-    all, is a DomainError. Each matrix gets the tests of :func:`check_spd`;
-    the first that fails one raises, with the first test it fails in the
-    order non-finite, symmetric, positive definite, and a dimension
-    mismatch only when every matrix passes them; ``name_of(i)`` names
-    matrix i in the message.
+    :func:`_stack` reads ``mats``: anything but a sequence of matrices, or none, is a
+    DomainError, and what :func:`_real` does not read as one real (k, p, p) stack, p ≥ 1,
+    is checked matrix by matrix. Then each matrix gets the tests of :func:`check_spd` in one
+    pass; the first that fails one raises, with the first test it fails in the order
+    non-finite, symmetric, positive definite. ``name_of(i)`` names matrix i in every message.
 
     The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the
     eigenvalues from :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ,
@@ -234,7 +232,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
         factor Lᵢ, or, where the stack has none in float64, Uᵢ D(wᵢ)^{1/2}
         from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ of the test.
     """
-    mats, finite, symmetric, norms = _symmetrized(_stack(mats, name_of), name_of)
+    mats, finite, symmetric, norms = _symmetrized(_stack(mats, name_of))
     try:
         factors = cholesky(mats, "stack has no Cholesky factor")
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
@@ -275,8 +273,8 @@ def _stack(mats, name_of):
     """``mats`` as a float (k, p, p) array for the stacked pass, or the error of its first bad
     matrix. A sequence of matrices is an ndarray of at least one dimension (a memoryview is read
     as one) or a ``Sequence`` but a string or bytes; anything else, or no matrix, is a DomainError.
-    What :func:`_real` does not read as one real (k, p, p) array gets :func:`check_spd` matrix by
-    matrix, then the dimension check, but a complex array first names its first non-real matrix."""
+    What :func:`_real` does not read as one real (k, p, p) array, p ≥ 1, gets :func:`check_spd`
+    per matrix, then the dimension check; a complex array first names its first non-real matrix."""
     if not (mats.ndim if isinstance(mats, (np.ndarray, memoryview))
             else isinstance(mats, Sequence) and not isinstance(mats, (str, bytes))):
         raise DomainError(f"expected a sequence of matrices, got {type(mats).__name__}")
@@ -285,7 +283,7 @@ def _stack(mats, name_of):
         raise DomainError("expected at least one matrix, got none")
     try:
         stack = _real(mats, "the stack")
-        if stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+        if stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0:
             return stack
     except (DimensionMismatch, DomainError):  # ragged or not real: read matrix by matrix below
         if (isinstance(mats, np.ndarray) and mats.dtype.kind == "c" and mats.ndim == 3

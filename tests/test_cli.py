@@ -10,8 +10,8 @@ import spdmean.selfcheck as selfcheck
 from spdmean import cli, karcher, oracle, solvers
 from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, report_to_csv,
                            run_experiment)
-from spdmean.cli import InputError, ensemble_to_json, main, read_ensemble
-from spdmean.errors import DomainError
+from spdmean.cli import ensemble_to_json, main, read_ensemble
+from spdmean.errors import DomainError, SpdMeanError
 
 
 def write_json(path, payload):
@@ -164,6 +164,38 @@ class TestMean:
         assert capsys.readouterr().err.splitlines() == [
             "error: mm solve failed: A^(-1/2) X A^(-1/2) overflows float64 for matrix 1"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        [[2, True], [True, 2]],
+        [["1", "0"], ["0", "1"]],
+        [[1.0, 0.0], [0.0]],
+        [[1, 1, 1], [1, 1, 1]],
+        [[float("nan"), 0.0], [0.0, 1.0]],
+        [[1, 2], [0, 1]],
+        [[1, 0], [0, -1]],
+        np.eye(3).tolist(),
+        10 ** 400,
+        [[10 ** 400, 0], [0, 1]],
+        None,
+        [[None, 0], [0, 1]],
+        3.0,
+    ], ids=["true", "strings", "ragged", "non-square", "nan", "not-symmetric",
+            "not-positive-definite", "3x3", "int-beyond-float64", "entry-beyond-float64",
+            "null", "null-entry", "scalar"])
+    def test_refuses_a_matrix_as_the_library_does(self, tmp_path, capsys, bad):
+        # the CLI reads no matrix itself: its error is from_matrices' refusal, word for word
+        with pytest.raises(SpdMeanError) as info:
+            karcher.Ensemble.from_matrices([np.eye(2).tolist(), bad])
+        inp = ensemble_file(tmp_path, [np.eye(2).tolist(), bad], dim=2)
+        assert main(["mean", inp]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("second", [[[True, 0], [0, 1]], np.eye(3).tolist()],
+                             ids=["true", "3x3"])
+    def test_first_bad_matrix_is_named_first(self, tmp_path, capsys, second):
+        inp = ensemble_file(tmp_path, [[[2, 1], [0, 2]], second], dim=2)
+        assert main(["mean", inp]) == 1
+        assert capsys.readouterr().err == "error: matrix 0 is not symmetric\n"
 
     def test_shape_mismatch_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]]], dim=2)
@@ -382,7 +414,7 @@ class TestEnsembleRoundTrip:
     def test_booleans_and_strings_are_not_numbers(self, tmp_path, matrices):
         # numpy would read these as [[2, 1], [1, 2]] and [[2]]
         bad = len(matrices) - 1
-        with pytest.raises(InputError, match=f"^matrix {bad} is not an array of numbers$"):
+        with pytest.raises(DomainError, match=f"^matrix {bad} has a non-numeric entry$"):
             read_ensemble(ensemble_file(tmp_path, matrices))
 
     def test_integer_entries_read_as_floats(self, tmp_path):

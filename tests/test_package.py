@@ -38,6 +38,19 @@ def test_every_module_level_def_is_exported_or_used():
 
 
 
+def test_the_cli_imports_no_private_name():
+    # the CLI reads its input through the library's API, so it has no refusals of its own
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    aliases = [a for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+               for a in n.names]
+    modules = {a.asname or a.name.split(".")[0] for a in aliases}
+    private = [a.name for a in aliases if any(s.startswith("_") for s in a.name.split("."))]
+    private += [f"{n.value.id}.{n.attr}" for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id in modules
+                and n.attr.startswith("_")]
+    assert private == []
+
+
 def _touches_files(func) -> bool:
     """Whether a call's target is open, write_text, write_bytes, unlink or os.remove."""
     if isinstance(func, ast.Name):
