@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from . import spd_core
-from .errors import DimensionMismatch, DomainError, NonConvergence
-from .spd_core import check_dims, check_spd, check_spd_stack, eigh, sym
+from .errors import DimensionMismatch
+from .spd_core import check_dims, check_spd, check_spd_stack, sym
 
 
 @dataclass(frozen=True)
@@ -123,30 +123,16 @@ def _frame_eigh(e: Ensemble, g, vectors=True):
     The Ŷᵢ have the spectra of Aᵢ^{-1/2} X Aᵢ^{-1/2} for X = G Gᵀ. With
     the stacked eigendecomposition Ŷᵢ = Ûᵢ D(wᵢ) Ûᵢᵀ, returns the
     objective Σ z², the (n, p) z = log w and, with ``vectors``, the
-    (n, p, p) eigenvectors Û (else ``None``). The eigensolver reads the
-    lower triangle only, so the stack is not symmetrized first. A NaN
-    spectrum fails the positivity test and an infinite one the finite
-    objective test; when a matrix of the stack is not finite, the error
-    names the first one, also where the eigensolver fails on it.
+    (n, p, p) eigenvectors Û (else ``None``). The eigensolver reads the lower triangle
+    only, so the stack is not symmetrized first; :func:`spd_core._positive_eigh` refuses it.
     """
     wm = e.inv_factors @ g
     y = wm.swapaxes(1, 2) @ wm
     del wm  # the eigensolver holds y and Û: two (n, p, p) stacks, not three
-    try:
-        w, u = eigh(y, vectors)
-        if w[:, 0].min() > 0:
-            z = np.log(w)
-            f_val = _sum_sq(z)
-            if f_val < math.inf:  # an infinite eigenvalue passes the test above
-                return f_val, z, u
-    except NonConvergence:
-        if np.isfinite(y).all():
-            raise
-    finite = np.isfinite(y).all(axis=(1, 2))
-    if not finite.all():
-        raise DomainError(f"A^(-1/2) X A^(-1/2) overflows float64 for matrix "
-                          f"{int(np.argmin(finite))}")
-    raise DomainError("objective requires a positive definite point")
+    w, u = spd_core._positive_eigh(y, vectors, "A^(-1/2) X A^(-1/2)",
+                                   "objective requires a positive definite point")
+    z = np.log(w)
+    return _sum_sq(z), z, u
 
 
 def _sum_sq(log_w):
@@ -293,7 +279,7 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     ------
     DimensionMismatch, DomainError
         If c1 or c2 fails :func:`spdmean.spd_core.check_spd`, their shapes
-        differ, or c2^(1/2) c1 c2^(1/2) overflows float64.
+        differ, or c2^(1/2) c1 c2^(1/2) overflows float64, in an entry or an eigenvalue.
     """
     c1 = check_spd(c1, "c1")
     c2, r, _ = spd_core._check_spd_factor(c2, "c2")
@@ -305,22 +291,9 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
 def _minimizer_factor(c1, r):
     """A factor F of the surrogate minimizer X = F Fᵀ, given a factor R with R Rᵀ = c2.
 
-    With Rᵀ c1 R = V D Vᵀ, X c1 X = c2 holds for X = (RV) D^{-1/2} (RV)ᵀ,
-    so F = R V D^{-1/4}: one eigendecomposition, reading the lower
-    triangle of Rᵀ c1 R only. The eigenvalues come back ascending, so
-    the positivity test reads the smallest, which a NaN fails. Only when
-    the test fails, or the eigensolver does, is Rᵀ c1 R tested for
-    overflow, as in :func:`_frame_eigh`: an overflow raises a
-    :class:`DomainError` that names it, a non-positive-definite c1 one
-    that says so.
+    With Rᵀ c1 R = V D Vᵀ, X c1 X = c2 holds for X = (RV) D^{-1/2} (RV)ᵀ, so F = R V D^{-1/4}:
+    one eigendecomposition (:func:`spd_core._positive_eigh`), of the lower triangle only.
     """
-    m = r.T @ c1 @ r
-    try:
-        w, v = eigh(m)
-        if w[0] > 0:
-            return (r @ v) / np.sqrt(np.sqrt(w))
-    except NonConvergence:
-        if np.isfinite(m).all():
-            raise
-    spd_core._finite(m, "c2^(1/2) c1 c2^(1/2) overflows float64")
-    raise DomainError("surrogate_minimizer requires positive definite c1 and c2")
+    w, v = spd_core._positive_eigh(r.T @ c1 @ r, True, "c2^(1/2) c1 c2^(1/2)",
+                                   "surrogate_minimizer requires positive definite c1 and c2")
+    return (r @ v) / np.sqrt(np.sqrt(w))

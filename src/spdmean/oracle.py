@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NotCommuting
 from .karcher import Ensemble
 from .spd_core import (_checked_pair, _finite, _geodesic, _real, _real_finite, _real_number,
-                       check_spd, exp_m, log_m, sym)
+                       _scales, check_spd, exp_m, log_m, sym)
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -28,11 +28,12 @@ def commuting_oracle(e: Ensemble) -> np.ndarray:
     Raises
     ------
     NotCommuting
-        If some pair fails ‖AB − BA‖_F ≤ 1e-10 · ‖A‖_F ‖B‖_F.
+        If some pair fails ‖AB − BA‖_F ≤ 1e-10 · ‖A‖_F ‖B‖_F, tested at any float64 scale
+        on the pair scaled exactly by powers of two to max |entries| in [1/2, 1).
     """
-    for i in range(e.n):
-        for j in range(i + 1, e.n):
-            a, b = e.mats[i], e.mats[j]
+    unit = np.ldexp(e.mats, -np.frexp(_scales(e.mats))[1][:, None, None])
+    for i, a in enumerate(unit):
+        for j, b in enumerate(unit[i + 1:], i + 1):
             comm = np.linalg.norm(a @ b - b @ a)
             if comm > COMMUTE_CHECK_TOL * np.linalg.norm(a) * np.linalg.norm(b):
                 raise NotCommuting(f"matrices {i} and {j} do not commute")

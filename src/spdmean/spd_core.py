@@ -68,15 +68,17 @@ def _real_number(value, message, positive=True) -> float:
 def _real(a, name, square=False):
     """``a``, read once, as a float array of real numbers (:func:`_real_entries`).
 
-    Refuses, naming ``name``, in this order: a ragged nested sequence and, where ``square``,
-    anything but a square matrix (DimensionMismatch); then a complex or non-numeric entry
-    (DomainError), before the conversion could drop an imaginary part with a ComplexWarning,
+    Refuses, naming ``name``, in this order: a ragged or too deeply nested sequence and, where
+    ``square``, anything but a square matrix (DimensionMismatch); then a complex or non-numeric
+    entry (DomainError), before the conversion could drop an imaginary part with a ComplexWarning,
     take a bool as 0 or 1 or parse "2"; then, where ``square``, a 0×0 matrix (DimensionMismatch).
     """
     try:
         arr = np.asarray(a)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise DimensionMismatch(f"{name} is a ragged nested sequence") from exc
+    except ValueError as exc:  # numpy's "inhomogeneous shape", or "… maximum number of dimension"
+        fault = ("nested deeper than numpy's maximum number of dimensions"
+                 if "maximum number of dimension" in str(exc) else "a ragged nested sequence")
+        raise DimensionMismatch(f"{name} is {fault}") from exc
     if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
         raise DimensionMismatch(f"expected {name} to be square, got shape {arr.shape}")
     if not _real_entries(arr, a):
@@ -180,7 +182,7 @@ def check_spd(a, name="matrix"):
     Raises
     ------
     DimensionMismatch
-        If ``a`` is a ragged nested sequence, is not a square matrix, or is 0×0.
+        If ``a`` is a ragged or too deeply nested sequence, is not a square matrix, or is 0×0.
     DomainError
         If ``a`` has a complex, non-numeric (:func:`_real`) or non-finite entry, is not
         symmetric, or its smallest eigenvalue is not above ``POSITIVITY_FLOOR`` times the largest.
@@ -363,6 +365,28 @@ def eigh(m, vectors=True):
         return np.linalg.eigvalsh(m), None
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _positive_eigh(m, vectors, what, not_positive):
+    """:func:`eigh` of an unvalidated matrix or (k, p, p) stack whose eigenvalues are all positive
+    and finite. Else raises, in this order: DomainError("``what`` overflows float64", with " for
+    matrix i", the first, for a stack) for a matrix not finite or with an infinite eigenvalue, also
+    where the eigensolver fails on it; its NonConvergence; DomainError(``not_positive``)."""
+    try:
+        w, u = eigh(m, vectors)
+    except NonConvergence:
+        if np.isfinite(m).all():
+            raise
+        w = np.zeros(m.shape[:-1])  # no spectrum: the entries name the overflow
+    # the ends of each ascending spectrum; one p×p matrix's are read without a reduction
+    lo, hi = (w[0], w[-1]) if w.ndim == 1 else (w[:, 0].min(), w[:, -1].max())
+    if lo > 0 and hi < np.inf:  # a NaN fails
+        return w, u
+    over = np.isinf(w).any(axis=-1) | ~np.isfinite(m).all(axis=(-2, -1))
+    if over.any():
+        which = f" for matrix {int(over.argmax())}" if m.ndim == 3 else ""
+        raise DomainError(f"{what} overflows float64{which}")
+    raise DomainError(not_positive)
 
 
 def cholesky(a, message):

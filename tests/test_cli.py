@@ -197,6 +197,14 @@ class TestMean:
         assert main(["mean", inp]) == 1
         assert capsys.readouterr().err == "error: matrix 0 is not symmetric\n"
 
+    def test_names_a_matrix_nested_deeper_than_numpy_reads(self, tmp_path, capsys):
+        # matrix 0 is one number 900 lists deep: not ragged, but beyond numpy's dimensions
+        inp = tmp_path / "deep.json"
+        inp.write_text('{"dim": 2, "matrices": [' + "[" * 900 + "1" + "]" * 900 + "]}")
+        assert main(["mean", str(inp)]) == 1
+        assert capsys.readouterr().err == ("error: matrix 0 is nested deeper than numpy's "
+                                           "maximum number of dimensions\n")
+
     def test_shape_mismatch_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]]], dim=2)
         assert main(["mean", inp]) == 1

@@ -239,6 +239,21 @@ class TestEnsemble:
         assert (library is not None, cli is not None) == (accepted, accepted)
         assert library is None or np.array_equal(library, cli)
 
+    @pytest.mark.parametrize("call", [Ensemble.from_matrices, spd_core.check_spd_stack],
+                             ids=["from_matrices", "check_spd_stack"])
+    def test_names_a_matrix_nested_deeper_than_numpy_reads(self, call):
+        # each entry of matrix 1 sits 70 lists deep: a 2 × 2 × 1 × … × 1 list is not
+        # ragged, but has more dimensions than numpy's arrays can; a ragged one keeps its message
+        deep = 1.0
+        for _ in range(70):
+            deep = [deep]
+        for bad, fault in [([[deep, deep], [deep, deep]],
+                            "nested deeper than numpy's maximum number of dimensions"),
+                           ([[1.0, deep], [0.0, 1.0]], "a ragged nested sequence")]:
+            with pytest.raises(DimensionMismatch) as info:
+                call([np.eye(2), bad])
+            assert str(info.value) == f"matrix 1 is {fault}"
+
     def test_roots_match_matrix_functions(self, rng):
         e = random_ensemble(rng, 5, 4)
         for i in range(e.n):
@@ -324,6 +339,23 @@ def test_views_at_a_subnormal_point_raise(call, what, rng):
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=f"^{what} at point overflows float64$"):
                 call(e, 1e-310 * x)
+
+
+def test_views_name_a_gram_spectrum_that_overflows():
+    # X = 1e298 C is SPD and Ŷ₀ = X / 1e-10 is finite, but its top eigenvalue,
+    # 2.5e308, is not: every view and solver refuses the point by the same overflow
+    e = Ensemble.from_matrices([1e-10 * np.eye(2)])
+    x = 1e298 * np.array([[1.5, 1.0], [1.0, 1.5]])
+    calls = [objective, grad_sum, euclidean_gradient, surrogate_coeffs,
+             *(lambda e, x, solve=solve: solve(e, SolverConfig(), x) for solve in SOLVERS.values())]
+    messages = []
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                call(e, x)
+        messages.append(str(info.value))
+    assert messages == ["A^(-1/2) X A^(-1/2) overflows float64 for matrix 0"] * len(calls)
 
 
 class TestGradDirection:
@@ -697,9 +729,12 @@ class TestSurrogateMinimizer:
     @pytest.mark.parametrize("c1, c2", [
         (np.diag([1.0, 2.0]), 1e308 * np.eye(2)),
         (1e308 * np.eye(2), 1e308 * np.eye(2)),
-    ], ids=["overflow", "inf-times-zero"])
+        # Rᵀ c1 R = 1e308 C is finite, but its top eigenvalue, 2.5e308, is not: the
+        # minimizer built from it would be the singular [[1, −1], [−1, 1]]/√2
+        (1e154 * np.array([[1.5, 1.0], [1.0, 1.5]]), 1e154 * np.eye(2)),
+    ], ids=["overflow", "inf-times-zero", "spectrum"])
     def test_names_the_overflow_of_the_product(self, c1, c2):
-        # both are positive definite, but Rᵀ c1 R, R Rᵀ = c2, is not finite
+        # both are positive definite, but Rᵀ c1 R, R Rᵀ = c2, or its spectrum is not finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"^c2\^\(1/2\) c1 c2\^\(1/2\) overflows float64$"):

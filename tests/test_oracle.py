@@ -69,6 +69,26 @@ class TestCommutingOracle:
         with pytest.raises(NotCommuting, match=r"0 and 1"):
             commuting_oracle(e)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_commutation_is_tested_at_any_scale(self, scale):
+        # at 1e200 AB − BA overflows to NaN, at 1e-200 it underflows to 0: the
+        # pair is tested at unit scale, where it is as far from commuting as at 1
+        a, b = np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = Ensemble.from_matrices([scale * a, scale * b])
+            with pytest.raises(NotCommuting, match="^matrices 0 and 1 do not commute$"):
+                commuting_oracle(e)
+
+    def test_commuting_pair_near_the_float64_maximum(self):
+        # the products of the test would overflow, with a warning, at the pair's scale
+        e = Ensemble.from_matrices([1e200 * np.eye(2), 1e200 * np.diag([1.0, 2.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = commuting_oracle(e)
+        want = 1e200 * np.diag([1.0, math.sqrt(2.0)])
+        assert np.allclose(m, want, rtol=1e-12, atol=0.0)  # exp(log 1e200) loses 1e-14
+
 
 class TestTwoMatrixOracle:
     def test_scalar_midpoint(self):

@@ -543,6 +543,56 @@ class TestFiniteOrFail:
             else:
                 karcher.surrogate_minimizer(e.mats[0], e.mats[1])
 
+    @pytest.mark.parametrize("site, solver, ndim", [
+        ("mm-pass", "eigh", 3),
+        ("objective", "eigvalsh", 3),
+        ("gd-ls-probe", "eigvalsh", 3),
+        ("surrogate_minimizer", "eigh", 2),
+        ("mm-minimizer", "eigh", 2),
+    ])
+    def test_infinite_eigenvalue_of_a_finite_input_is_an_overflow(self, site, solver, ndim,
+                                                                  monkeypatch, rng):
+        # the eigensolver returns +inf as the top eigenvalue of a finite input: of
+        # matrix 1 of the Gram stack, or of the minimizer's Rᵀc1R; each refusal names
+        # that overflow, where a positive test alone would pass an infinite eigenvalue
+        def inf_top(m, *args, **kwargs):
+            out = real(m, *args, **kwargs)
+            if np.ndim(m) == ndim:
+                w = out[0] if isinstance(out, tuple) else out
+                w[(1, -1) if ndim == 3 else -1] = np.inf
+            return out
+
+        real = getattr(np.linalg, solver)
+        e = random_ensemble(rng, 3, 3)
+        x0 = arithmetic_mean_init(e)
+        refusals = []
+
+        def probe(e, g):
+            try:
+                return real_probe(e, g)
+            except DomainError as exc:
+                refusals.append(str(exc))
+                raise
+
+        real_probe = solvers._frame_objective
+        monkeypatch.setattr(solvers, "_frame_objective", probe)
+        monkeypatch.setattr(np.linalg, solver, inf_top)
+        want = ("A^(-1/2) X A^(-1/2) overflows float64 for matrix 1" if ndim == 3
+                else "c2^(1/2) c1 c2^(1/2) overflows float64")
+        if site == "gd-ls-probe":  # a refused probe is a rejected step
+            res = gd_linesearch_solve(e, SolverConfig(), x0)
+            assert res.status == STATUS_LINE_SEARCH_STALLED
+            assert refusals == [want] * (LS_MAX_J + 1)
+            return
+        with pytest.raises(DomainError) as info:
+            if site == "objective":
+                objective(e, x0)
+            elif site == "surrogate_minimizer":
+                karcher.surrogate_minimizer(e.mats[0], e.mats[1])
+            else:
+                mm_solve(e, SolverConfig(), x0)
+        assert str(info.value) == want
+
     def test_start_point_without_cholesky_factor(self, monkeypatch, rng):
         # validation accepts the start point on its eigenvalues and hands
         # the solve its spectral factor U D^{1/2}, as for an ensemble member;

@@ -96,6 +96,17 @@ class TestCheckSpd:
             check_spd(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("fn", [check_spd, check_symmetric])
+    def test_rejects_a_list_nested_deeper_than_numpy_reads(self, fn):
+        # a 2 × 2 × 1 × … × 1 list, 72 deep: not ragged, but with more dimensions
+        # than numpy's arrays can have
+        deep = 1.0
+        for _ in range(70):
+            deep = [deep]
+        with pytest.raises(DimensionMismatch, match="^matrix is nested deeper than numpy's "
+                                                    "maximum number of dimensions$"):
+            fn([[deep, deep], [deep, deep]])
+
+    @pytest.mark.parametrize("fn", [check_spd, check_symmetric])
     def test_rejects_complex(self, fn):
         # refused by dtype, not cast to the real part with a ComplexWarning
         with warnings.catch_warnings():
