@@ -93,28 +93,15 @@ def _point(e: Ensemble, x):
 
 
 def g1_scalar(x: float) -> float:
-    """Weight g1(x) = (√((log x)² + 1) + log x) / x for x > 0.
-
-    The branch with log x < 0 is evaluated through the reciprocal form
-    1 / (x (√(z²+1) − z)) so no cancellation occurs and
-    ``g1_scalar(x) * g2_scalar(x) == 1`` to machine precision.
-    """
+    """Weight g1(x) = (√((log x)² + 1) + log x) / x = e^{asinh(log x)} / x for x > 0."""
     x = spd_core._real_number(x, f"g1 requires x to be a positive finite real number, got {x!r}")
-    z = np.log(x)
-    s = np.sqrt(z * z + 1.0)
-    if z >= 0:
-        return float((s + z) / x)
-    return float(1.0 / (x * (s - z)))
+    return math.exp(math.asinh(math.log(x))) / x
 
 
 def g2_scalar(x: float) -> float:
-    """Weight g2(x) = (√((log x)² + 1) − log x) · x for x > 0; g2 = 1/g1."""
+    """Weight g2(x) = (√((log x)² + 1) − log x) · x = x / e^{asinh(log x)} for x > 0; g2 = 1/g1."""
     x = spd_core._real_number(x, f"g2 requires x to be a positive finite real number, got {x!r}")
-    z = np.log(x)
-    s = np.sqrt(z * z + 1.0)
-    if z <= 0:
-        return float((s - z) * x)
-    return float(x / (s + z))
+    return x / math.exp(math.asinh(math.log(x)))
 
 
 def _frame_eigh(e: Ensemble, g, vectors=True):
@@ -178,7 +165,8 @@ def _frame_terms(frame):
     """Objective, gradient and surrogate coefficients in the frame of G: the MM kernel.
 
     From the pass ``(objective, z, Û)`` of :func:`_frame_eigh`, with z = log w
-    and r = √(z² + 1) + z = e^{asinh z} = w·g1(w) = w / g2(w), the
+    and r = √(z² + 1) + z = e^{asinh z}, the public weights are
+    g1(w) = r/w and g2(w) = w/r (:func:`g1_scalar`, :func:`g2_scalar`), and the
     surrogate coefficients for X̃ in X = G X̃ Gᵀ are
     c̃1 = Gᵀ c1 G = Σᵢ Ûᵢ D(rᵢ) Ûᵢᵀ and c̃2 = G⁻¹ c2 G⁻ᵀ = Σᵢ Ûᵢ D(1/rᵢ) Ûᵢᵀ,
     the two Gram matrices aᵀa of the (n·p, p) eigenvector rows scaled by
@@ -272,20 +260,24 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     """Closed-form minimizer of ⟨c1, X⟩ + ⟨c2, X⁻¹⟩ over SPD X.
 
     The minimizer is the unique SPD root of the stationarity equation
-    X c1 X = c2, returned as F Fᵀ with F from :func:`_minimizer_factor`;
-    it equals c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}.
+    X c1 X = c2; it equals c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}.
+    The equation is homogeneous, so c1 and c2 are first scaled exactly, by
+    4^{-k₁} and 4^{-k₂}, to a max |entry| in [1/2, 2); the minimizer F Fᵀ of
+    the scaled pair (F from :func:`_minimizer_factor`) times 2^{k₂ − k₁} is
+    returned, at any scale of c1 and c2 at which float64 holds it.
 
     Raises
     ------
     DimensionMismatch, DomainError
         If c1 or c2 fails :func:`spdmean.spd_core.check_spd`, their shapes
-        differ, or c2^(1/2) c1 c2^(1/2) overflows float64, in an entry or an eigenvalue.
+        differ, or the minimizer overflows float64.
     """
     c1 = check_spd(c1, "c1")
     c2, r, _ = spd_core._check_spd_factor(c2, "c2")
     check_dims(c1, c2)
-    f = _minimizer_factor(c1, r)
-    return f @ f.T
+    k1, k2 = np.frexp(spd_core._scales(np.stack((c1, c2))))[1] // 2
+    f = _minimizer_factor(np.ldexp(c1, -2 * k1), np.ldexp(r, -k2))
+    return spd_core._finite(np.ldexp(f @ f.T, k2 - k1), "the surrogate minimizer overflows float64")
 
 
 def _minimizer_factor(c1, r):

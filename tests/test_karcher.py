@@ -466,6 +466,14 @@ class TestCoefficientMatrices:
         assert abs(surrogate_coeffs(e, x).c1[0, 0] - g1_scalar(math.e)) <= 1e-14
         assert abs(surrogate_coeffs(e, x).c2[0, 0] - g2_scalar(math.e)) <= 1e-14
 
+    def test_scalar_reduction_at_every_scale(self):
+        # the kernel's weights r = e^{asinh(log x)} are the public g1 = r/x and g2 = x/r
+        e = Ensemble.from_matrices([np.array([[1.0]])])
+        for x in 10.0 ** np.linspace(-300, 300, 601):
+            s = surrogate_coeffs(e, [[x]])
+            assert abs(s.c1[0, 0] - g1_scalar(x)) <= 1e-14 * g1_scalar(x)
+            assert abs(s.c2[0, 0] - g2_scalar(x)) <= 1e-14 * g2_scalar(x)
+
     def test_identity_pair(self):
         e = Ensemble.from_matrices([np.eye(2), np.eye(2)])
         assert np.allclose(surrogate_coeffs(e, np.eye(2)).c1, 2 * np.eye(2), atol=1e-14)
@@ -673,6 +681,12 @@ class TestSurrogate:
             surrogate_value(s, np.ones((2, 3)))
 
 
+# C has eigenvalues 1/2 and 5/2 on (1, −1)/√2 and (1, 1)/√2, so C^(-1/2) in closed form
+_C = np.array([[1.5, 1.0], [1.0, 1.5]])
+_C_INV_SQRT = (np.array([[1.0, -1.0], [-1.0, 1.0]]) / math.sqrt(2)
+               + np.ones((2, 2)) / (2 * math.sqrt(2.5)))
+
+
 class TestSurrogateMinimizer:
     def test_identity(self):
         assert np.allclose(surrogate_minimizer(np.eye(3), np.eye(3)), np.eye(3))
@@ -726,19 +740,32 @@ class TestSurrogateMinimizer:
                                                   r"\(eigenvalue -?[01]\)|has a non-finite entry)$"):
                 surrogate_minimizer(c1, c2)
 
-    @pytest.mark.parametrize("c1, c2", [
-        (np.diag([1.0, 2.0]), 1e308 * np.eye(2)),
-        (1e308 * np.eye(2), 1e308 * np.eye(2)),
-        # Rᵀ c1 R = 1e308 C is finite, but its top eigenvalue, 2.5e308, is not: the
-        # minimizer built from it would be the singular [[1, −1], [−1, 1]]/√2
-        (1e154 * np.array([[1.5, 1.0], [1.0, 1.5]]), 1e154 * np.eye(2)),
-    ], ids=["overflow", "inf-times-zero", "spectrum"])
-    def test_names_the_overflow_of_the_product(self, c1, c2):
-        # both are positive definite, but Rᵀ c1 R, R Rᵀ = c2, or its spectrum is not finite
+    @pytest.mark.parametrize("c1, c2, expected", [
+        (np.diag([1.0, 2.0]), 1e308 * np.eye(2), 1e154 * np.diag([1.0, 1.0 / math.sqrt(2)])),
+        (1e308 * np.eye(2), 1e308 * np.eye(2), np.eye(2)),
+        # unscaled, Rᵀ c1 R = 1e308 C is finite but its top eigenvalue, 2.5e308, is not
+        (1e154 * _C, 1e154 * np.eye(2), _C_INV_SQRT),
+        # unscaled, Rᵀ c1 R = 1e-320 I is subnormal, and 1e-400 I underflows to 0
+        (1e-160 * np.eye(2), 1e-160 * np.eye(2), np.eye(2)),
+        (1e-200 * np.eye(2), 1e-200 * np.eye(2), np.eye(2)),
+    ], ids=["overflow", "inf-times-zero", "spectrum", "subnormal-product", "zero-product"])
+    def test_returns_the_minimizer_at_any_scale(self, c1, c2, expected):
+        # X c1 X = c2 is homogeneous: the answer does not depend on the scale of the product
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"^c2\^\(1/2\) c1 c2\^\(1/2\) overflows float64$"):
-                surrogate_minimizer(c1, c2)
+            x = surrogate_minimizer(c1, c2)
+            residual = np.max(np.abs(x @ c1 @ x - c2)) / np.max(np.abs(c2))
+        assert np.max(np.abs(x - expected)) <= 1e-15 * np.max(np.abs(expected))
+        assert residual <= 1e-15
+
+    def test_names_the_overflow_of_the_minimizer(self):
+        # c1 = 1e-305 [[1, 1 − 1e-6], [1 − 1e-6, 1]] has eigenvalues 2e-305 and 1e-311, so
+        # X = 1e154 c1^(-1/2) has an eigenvalue of 1e309.5
+        c1 = 1e-305 * np.array([[1.0, 1.0 - 1e-6], [1.0 - 1e-6, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the surrogate minimizer overflows float64$"):
+                surrogate_minimizer(c1, 1e308 * np.eye(2))
 
     def test_minimizer_factor_rejects_a_c1_that_is_not_positive_definite(self):
         # the solvers hand _minimizer_factor c1 unvalidated

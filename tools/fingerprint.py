@@ -1,0 +1,120 @@
+"""Fingerprint a checkout: its line counts, and hashes of its solver results and spec reports.
+
+Usage:
+
+    python3 tools/fingerprint.py <checkout root>
+
+Imports the checkout's ``src/spdmean`` and ``perfbench/workloads.py`` and
+writes nothing into it. Prints:
+
+- ``lines <all> <code>``: the lines of ``src/spdmean/*.py``, counted every
+  one, then without docstrings, comments and blank lines (``ast`` finds
+  the docstrings, ``tokenize`` the lines that hold code);
+- ``solve <workload> <instance> <kind> <hash>`` for seed-1 instances 0-1 of
+  ``mm-small``, ``fig3-rescale`` and ``mm-large`` and every kind in
+  ``solvers.SOLVERS`` at the default ``SolverConfig``, from the arithmetic
+  mean: a hash of the mean's bytes, the status and every trace column but
+  ``elapsed``, or of the ``repr`` of the error the solve raised;
+- ``spec <name> <hash>`` for each bundled spec: a hash of its
+  ``report_to_csv`` text and its sidecar JSON, as ``spdmean bench`` writes them.
+
+Two checkouts whose arithmetic agrees bit for bit print the same
+``solve`` and ``spec`` lines. One BLAS thread is used, so the hashes do not
+depend on how the host splits a product.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import ast  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tokenize  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+WORKLOADS = ("mm-small", "fig3-rescale", "mm-large")
+INSTANCES = (0, 1)
+SEED = 1
+
+
+def _docstring_lines(source):
+    return {line for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+            for line in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+
+
+def _code_lines(source):
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER)
+    return {line for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type not in skip for line in range(tok.start[0], tok.end[0] + 1)}
+
+
+def line_counts(package):
+    """(all lines, lines without docstrings, comments and blanks) of the package's modules."""
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+    return (sum(len(s.splitlines()) for s in sources),
+            sum(len(_code_lines(s) - _docstring_lines(s)) for s in sources))
+
+
+def _digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else part.encode())
+        h.update(b"\0")
+    return h.hexdigest()[:16]
+
+
+def _load(root):
+    """The checkout's spdmean ``bench`` and ``solvers`` modules and perfbench workload module."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "src"))
+    spd = importlib.import_module("spdmean")
+    if Path(spd.__file__).resolve().parent != (root / "src" / "spdmean").resolve():
+        sys.exit(f"fingerprint: spdmean imported from {spd.__file__}, not {root / 'src'}")
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return (importlib.import_module("spdmean.bench"), importlib.import_module("spdmean.solvers"),
+            workloads)
+
+
+def solve_hash(solvers, fn, e, x0):
+    try:
+        res = fn(e, solvers.SolverConfig(), x0)
+    except Exception as exc:  # a refusal is part of the fingerprint
+        return _digest(repr(exc))
+    rows = [[v for col, v in t._asdict().items() if col != "elapsed"] for t in res.trace]
+    return _digest(res.mean.tobytes(), res.status, np.array(rows, dtype=np.float64).tobytes())
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: python3 tools/fingerprint.py <checkout root>")
+    root = Path(argv[0]).resolve()
+    bench, solvers, workloads = _load(root)
+    print("lines", *line_counts(root / "src" / "spdmean"))
+    for name in WORKLOADS:
+        w = workloads.WORKLOADS[name]
+        for i in INSTANCES:
+            raw = workloads.instance_matrices(w.name, SEED, i, w.n, w.p, w.scale_first_by)
+            e = solvers.Ensemble.from_matrices(raw)
+            x0 = solvers.arithmetic_mean_init(e)
+            for kind, fn in solvers.SOLVERS.items():
+                print("solve", name, i, kind, solve_hash(solvers, fn, e, x0), flush=True)
+    for path in sorted((root / "src" / "spdmean" / "specs").glob("*.json")):
+        report = bench.run_experiment(bench.ExperimentSpec.from_dict(json.loads(path.read_text())))
+        sidecar = json.dumps(report.spec.to_dict(), indent=2) + "\n"
+        print("spec", path.stem, _digest(bench.report_to_csv(report), sidecar), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
