@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NotCommuting
 from .karcher import Ensemble
 from .spd_core import (_checked_pair, _finite, _geodesic, _real, _real_finite, _real_number,
-                       _scales, check_spd, exp_m, log_m, sym)
+                       _unit, check_spd, exp_m, log_m, sym)
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -29,9 +29,9 @@ def commuting_oracle(e: Ensemble) -> np.ndarray:
     ------
     NotCommuting
         If some pair fails ‖AB − BA‖_F ≤ 1e-10 · ‖A‖_F ‖B‖_F, tested at any float64 scale
-        on the pair scaled exactly by powers of two to max |entries| in [1/2, 1).
+        on the pair scaled exactly by powers of two (:func:`spdmean.spd_core._unit`).
     """
-    unit = np.ldexp(e.mats, -np.frexp(_scales(e.mats))[1][:, None, None])
+    unit = _unit(e.mats)
     for i, a in enumerate(unit):
         for j, b in enumerate(unit[i + 1:], i + 1):
             comm = np.linalg.norm(a @ b - b @ a)

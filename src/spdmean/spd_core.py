@@ -120,7 +120,7 @@ def check_symmetric(a, name="matrix"):
 
     ``name`` is how error messages refer to ``a``.
     """
-    out, _, symmetric, _ = _symmetrized(_real_finite(a, name, square=True)[None])
+    out, _, symmetric = _symmetrized(_real_finite(a, name, square=True)[None])
     if not symmetric[0]:
         raise DomainError(f"{name} is not symmetric")
     return out[0]
@@ -131,37 +131,34 @@ def _scales(mats):
     return np.maximum.reduce(np.abs(mats), axis=(1, 2), initial=0.0)
 
 
+def _unit(mats):
+    """Each matrix of a finite (k, p, p) stack times the power of two that puts max |entry| in [1/2, 1)."""
+    return np.ldexp(mats, -np.frexp(_scales(mats))[1][:, None, None])
+
+
 def _symmetrized(mats):
     """The tests of a float (k, p, p) stack, p ≥ 1, that come before positivity, and sym(A).
 
-    Names and refuses nothing. Returns ``(sym(A), finite, symmetric, norms)``: which
-    matrices are finite (``None`` when all are; the others are zeroed),
-    which have ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F, and each ‖A‖_F. Where every
-    max |entry| lies in (1e-100, 1e100), the common case, the squared sums
-    can neither overflow nor lose the skew part, and one ``half = A/2``
-    serves the test, as 4‖half − halfᵀ‖² = ‖A − Aᵀ‖², and sym(A) =
-    half + halfᵀ. Any other matrix is divided by its max |entry| for the
-    test and the norm, so the test holds at any float64 scale.
+    Names and refuses nothing. Returns ``(sym(A), top, symmetric)``: each
+    matrix's max |entry| (:func:`_scales`; inf or NaN where it is not
+    finite, and then the matrix is zeroed), and which matrices have
+    ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F. Where every top lies in
+    (1e-100, 1e100), the common case, the squared sums can neither
+    overflow nor lose the skew part, and one ``half = A/2`` serves the
+    test, as 4‖half − halfᵀ‖² = ‖A − Aᵀ‖², and sym(A) = half + halfᵀ.
+    Otherwise the test reads :func:`_unit` of the stack, scaled exactly, so
+    it decides alike at every power-of-two scale of a matrix.
     """
     top = _scales(mats)
-    finite = scale = None
+    test = mats
     if not (top.min() > 1e-100 and top.max() < 1e100):
-        finite = top < np.inf
-        if not finite.all():
-            mats = np.where(finite[:, None, None], mats, 0.0)
-            top = np.where(finite, top, 0.0)
-        plain = (top > 1e-100) & (top < 1e100)
-        scale = np.where(plain | (top == 0), 1.0, top)[:, None, None]
-    scaled = mats if scale is None else mats / scale
-    half = scaled * 0.5
-    sq = _sq_norms(scaled)
-    symmetric = _sq_norms(half - half.swapaxes(1, 2)) <= 0.25 * SYM_TOL * SYM_TOL * sq
-    norms = np.sqrt(sq)
-    if scale is not None:
+        mats = np.where((top < np.inf)[:, None, None], mats, 0.0)
+        test = _unit(mats)
+    half = test * 0.5
+    symmetric = _sq_norms(half - half.swapaxes(1, 2)) <= 0.25 * SYM_TOL * SYM_TOL * _sq_norms(test)
+    if test is not mats:
         half = mats * 0.5
-        with np.errstate(over="ignore"):
-            norms *= scale[:, 0, 0]
-    return half + half.swapaxes(1, 2), finite, symmetric, norms
+    return half + half.swapaxes(1, 2), top, symmetric
 
 
 def _sq_norms(mats):
@@ -210,8 +207,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
 
     The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the
     eigenvalues from :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ,
-    w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and w_max ≤ ‖Aᵢ‖_F, so a matrix with
-    ‖Lᵢ⁻¹‖_F²·‖Aᵢ‖_F < 1/(10·``POSITIVITY_FLOOR``) passes it, with a
+    w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and |w_max| ≤ ‖Aᵢ‖_F ≤ p·max|aⱼₗ|, so a matrix with
+    ‖Lᵢ⁻¹‖_F²·p·max|aⱼₗ| < 1/(10·``POSITIVITY_FLOOR``) passes it, with a
     margin of ten for rounding, and is not decomposed; a bound that
     overflows clears nothing. The pass returns as soon as the bound
     clears every matrix of a symmetric stack, the common case. The
@@ -234,7 +231,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
         factor Lᵢ, or, where the stack has none in float64, Uᵢ D(wᵢ)^{1/2}
         from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ of the test.
     """
-    mats, finite, symmetric, norms = _symmetrized(_stack(mats, name_of))
+    mats, top, symmetric = _symmetrized(_stack(mats, name_of))
     try:
         factors = cholesky(mats, "stack has no Cholesky factor")
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
@@ -244,7 +241,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
         inv_factors = _tri_inv(factors, in_place=not _keep_factors)
         factors = factors if _keep_factors else None  # overwritten by inv_factors
         with np.errstate(over="ignore"):
-            clear = _sq_norms(inv_factors) * norms < 0.1 / POSITIVITY_FLOOR
+            clear = _sq_norms(inv_factors) * mats.shape[-1] * top < 0.1 / POSITIVITY_FLOOR
         if (clear & symmetric).all():
             return mats, factors, inv_factors
         exact = ~clear
@@ -259,7 +256,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     ok = symmetric & positive
     if not ok.all():
         i = int(ok.argmin())
-        if finite is not None and not finite[i]:
+        if not top[i] < np.inf:
             raise DomainError(f"{name_of(i)} has a non-finite entry")
         if not symmetric[i]:
             raise DomainError(f"{name_of(i)} is not symmetric")

@@ -317,6 +317,32 @@ class TestCheckSpdStack:
                         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
         assert 0 < accepted < len(stacks)
 
+    def test_symmetry_decision_is_the_same_at_every_power_of_two_scale(self):
+        # the pass before its rewrite divided wide-range matrices by their max |entry|, so a
+        # matrix on the tolerance could be refused at scale 1 and accepted at 2^±600
+        scales = range(-1000, 1001, 25)
+        a3 = np.array([[7.709473369764309, 0.7867725711308785, -0.8445594253466813],
+                       [0.786772571128158, 6.0554757504890375, -1.2131371673532305],
+                       [-0.8445594253394708, -1.2131371673572677, 7.047521900120623]])
+        for k in scales:
+            with pytest.raises(DomainError, match="^matrix 0 is not symmetric$"):
+                Ensemble.from_matrices([np.ldexp(a3, k)])
+
+        def accepted(a):
+            return _outcome([a])[0] is None
+
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            g, h = rng.standard_normal((2, 3, 3))
+            s, skew = g @ g.T + 3.0 * np.eye(3), h - h.T
+            lo, hi = 0.0, 1e-10  # bisect t onto the tolerance of s + t·skew
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if accepted(s + mid * skew) else (lo, mid)
+            for t, want in ((lo, True), (hi, False)):
+                a = s + t * skew
+                assert [accepted(np.ldexp(a, k)) for k in scales] == [want] * len(scales)
+
     @pytest.mark.parametrize("mats", [[], (), np.zeros((0, 3, 3)), np.zeros((0, 0))],
                              ids=["list", "tuple", "(0, 3, 3)", "(0, 0)"])
     def test_no_matrix_is_a_named_error(self, mats):

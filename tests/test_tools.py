@@ -1,0 +1,66 @@
+"""The repository's tools: ``tools/pairs.py`` against the committed BENCH files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_pr*.json"))
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _load("pairs")
+
+
+def test_there_are_bench_files():
+    assert len(BENCH_FILES) >= 8
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_recomputes_a_committed_bench_file(path):
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == pairs.SCHEMA
+    assert doc["claim"]["rule"] == pairs.CLAIM_RULE
+    for workload in doc["workloads"].values():
+        for record in workload["metrics"].values():
+            assert pairs.metric_record(record["parent_runs"], record["change_runs"],
+                                       record["better"], record["unit"]) == record
+    claim = doc["claim"]
+    record = doc["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    assert pairs.claim_met(record) is claim["met"]
+
+
+def test_ties_count_for_neither_side_and_wins_follow_better():
+    lower = pairs.metric_record([2.0, 2.0, 3.0], [1.0, 2.0, 4.0], "lower", "s")
+    higher = pairs.metric_record([2.0, 2.0, 3.0], [1.0, 2.0, 4.0], "higher", "1/s")
+    assert (lower["change_wins"], lower["ties"]) == (1, 1)
+    assert (higher["change_wins"], higher["ties"]) == (1, 1)
+    slower = pairs.metric_record([2.0, 2.0, 3.0], [3.0, 3.0, 4.0], "lower", "s")
+    faster = pairs.metric_record([2.0, 2.0, 3.0], [3.0, 3.0, 4.0], "higher", "1/s")
+    assert slower["change_over_parent"] == faster["change_over_parent"] == 0.5
+    assert pairs.beyond_bound(slower, 0.4) and not pairs.beyond_bound(slower, 0.6)
+    assert not pairs.beyond_bound(faster, 0.4)
+
+
+def test_a_tiny_two_pair_run_writes_nothing_into_the_checkouts(tmp_path, capsys):
+    before = sorted(p for p in ROOT.rglob("*") if ".git" not in p.parts)
+    out = tmp_path / "bench.json"
+    assert pairs.main([str(ROOT), str(ROOT), "--workload", "mm-small", "--pairs", "2",
+                       "--tiny", "--seconds", "0.1", "--claim", "setup_s", "--out", str(out)]) == 0
+    assert sorted(p for p in ROOT.rglob("*") if ".git" not in p.parts) == before
+    doc = json.loads(out.read_text())
+    workload = doc["workloads"]["mm-small"]
+    assert workload["seeds"] == [1, 2]
+    assert workload["failed"] == {"parent": 0, "change": 0}
+    assert set(workload["metrics"]) == {m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert doc["claim"]["met"] is pairs.claim_met(workload["metrics"]["setup_s"])
+    assert "claim mm-small setup_s" in capsys.readouterr().out

@@ -10,17 +10,21 @@ writes nothing into it. Prints:
 - ``lines <all> <code>``: the lines of ``src/spdmean/*.py``, counted every
   one, then without docstrings, comments and blank lines (``ast`` finds
   the docstrings, ``tokenize`` the lines that hold code);
-- ``solve <workload> <instance> <kind> <hash>`` for seed-1 instances 0-1 of
-  ``mm-small``, ``fig3-rescale`` and ``mm-large`` and every kind in
-  ``solvers.SOLVERS`` at the default ``SolverConfig``, from the arithmetic
-  mean: a hash of the mean's bytes, the status and every trace column but
-  ``elapsed``, or of the ``repr`` of the error the solve raised;
+- ``setup <workload> <instance> <hash>`` for seed-1 instances 0-1 of
+  ``mm-small``, ``fig3-rescale`` and ``mm-large``: a hash of the bytes of
+  ``Ensemble.from_matrices``' ``mats`` and ``inv_factors`` and of
+  ``arithmetic_mean_init``;
+- ``solve <workload> <instance> <kind> <hash>`` for those instances and
+  every kind in ``solvers.SOLVERS`` at the default ``SolverConfig``, from
+  the arithmetic mean: a hash of the mean's bytes, the status and every
+  trace column but ``elapsed``, or of the ``repr`` of the error the solve
+  raised;
 - ``spec <name> <hash>`` for each bundled spec: a hash of its
   ``report_to_csv`` text and its sidecar JSON, as ``spdmean bench`` writes them.
 
 Two checkouts whose arithmetic agrees bit for bit print the same
-``solve`` and ``spec`` lines. One BLAS thread is used, so the hashes do not
-depend on how the host splits a product.
+``setup``, ``solve`` and ``spec`` lines. One BLAS thread is used, so the
+hashes do not depend on how the host splits a product.
 """
 
 import os
@@ -108,6 +112,8 @@ def main(argv):
             raw = workloads.instance_matrices(w.name, SEED, i, w.n, w.p, w.scale_first_by)
             e = solvers.Ensemble.from_matrices(raw)
             x0 = solvers.arithmetic_mean_init(e)
+            print("setup", name, i, _digest(e.mats.tobytes(), e.inv_factors.tobytes(),
+                                            x0.tobytes()))
             for kind, fn in solvers.SOLVERS.items():
                 print("solve", name, i, kind, solve_hash(solvers, fn, e, x0), flush=True)
     for path in sorted((root / "src" / "spdmean" / "specs").glob("*.json")):
