@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .solvers import SOLVERS, SolverConfig, SolverResult, arithmetic_mean_init
-from .spd_core import _is_a, _python, _real_number, sym
+from .spd_core import _is_a, _python, _real_number, _whole_number, sym
 
 
 def _known_fields(cls, d, what: str) -> dict:
@@ -72,10 +72,7 @@ class SpectrumSpec:
     values: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if not _is_a(self.dim, numbers.Integral):
-            raise DomainError(f"spectrum dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise DomainError("spectrum dim must be >= 1")
+        _whole_number(self.dim, f"spectrum dim must be an integer >= 1, got {self.dim!r}")
         if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
         foreign = [name for names in _KIND_FIELDS.values() for name in names
@@ -208,15 +205,9 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "p", "runs", "seed"):
-            if not _is_a(getattr(self, name), numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n < 1 or self.p < 1:
-            raise DomainError("n and p must be >= 1")
-        if self.runs < 1:
-            raise DomainError("runs must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
+        for name, least in (("n", 1), ("p", 1), ("runs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            _whole_number(value, f"{name} must be an integer >= {least}, got {value!r}", least)
         scale = _real_number(self.scale_first_by, "scale_first_by must be positive and finite, "
                              f"got {self.scale_first_by!r}")
         if not isinstance(self.spectrum, SpectrumSpec):
@@ -265,9 +256,13 @@ def random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
 
     Mirrors the generator used for the simulation regimes (orth of a
     uniform random square matrix, via SVD); not Haar-distributed.
+
+    Raises
+    ------
+    DomainError
+        If ``p`` is not an integer >= 1 (a bool is not one).
     """
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    p = _whole_number(p, f"p must be an integer >= 1, got {p!r}")
     m = rng.uniform(size=(p, p))
     u, _, _ = np.linalg.svd(m)
     return u

@@ -30,7 +30,6 @@ gradient, is G exp(t ĝ/n) Gᵀ = G⁺ G⁺ᵀ for G⁺ = (GV) exp(tΛ/2), where
 
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -42,7 +41,7 @@ from . import spd_core
 from .errors import DomainError
 from .karcher import (Ensemble, _frame_eigh, _frame_grad, _frame_objective, _frame_terms,
                       _minimizer_factor, _point)
-from .spd_core import _is_a, _real_number, eigh
+from .spd_core import _real_number, _whole_number, eigh
 
 DEFAULT_MAX_ITERS = 500
 DEFAULT_GRAD_TOL_PER_MAT = 1e-10
@@ -73,8 +72,7 @@ class SolverConfig:
     nu: float = 1.0
 
     def __post_init__(self):
-        if not _is_a(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise DomainError("max_iters must be an integer >= 1")
+        _whole_number(self.max_iters, f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.grad_tol is not None:
             _real_number(self.grad_tol, "grad_tol must be positive and finite")
         _real_number(self.nu, "nu must be positive and finite")

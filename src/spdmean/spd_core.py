@@ -65,6 +65,13 @@ def _real_number(value, message, positive=True) -> float:
     raise DomainError(message)
 
 
+def _whole_number(value, message, least=1) -> int:
+    """``value`` as an int once it is an integer, not a bool, >= ``least``; else DomainError(``message``)."""
+    if _is_a(value, numbers.Integral) and value >= least:
+        return int(value)
+    raise DomainError(message)
+
+
 def _real(a, name, square=False):
     """``a``, read once, as a float array of real numbers (:func:`_real_entries`).
 
@@ -171,9 +178,11 @@ def check_spd(a, name="matrix"):
     """Validate that ``a`` is SPD; returns the symmetrized matrix.
 
     Positivity uses a relative floor: the smallest eigenvalue must exceed
-    ``POSITIVITY_FLOOR`` times the largest, so the check survives rescaling.
-    The test runs as in :func:`check_spd_stack`: a Cholesky factor with a
-    small enough inverse passes it without an eigendecomposition.
+    ``POSITIVITY_FLOOR`` times the largest, so the check survives rescaling,
+    and exactly so: it reads ``a`` at an exact power-of-two scale, and
+    2ʲ·``a`` gets ``a``'s decision for every j. The test runs as in
+    :func:`check_spd_stack`: a Cholesky factor with a small enough inverse
+    passes it without an eigendecomposition.
     ``name`` is how error messages refer to ``a``.
 
     Raises
@@ -205,19 +214,18 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     pass; the first that fails one raises, with the first test it fails in the order
     non-finite, symmetric, positive definite. ``name_of(i)`` names matrix i in every message.
 
-    The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the
-    eigenvalues from :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ,
-    w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and |w_max| ≤ ‖Aᵢ‖_F ≤ p·max|aⱼₗ|, so a matrix with
-    ‖Lᵢ⁻¹‖_F²·p·max|aⱼₗ| < 1/(10·``POSITIVITY_FLOOR``) passes it, with a
-    margin of ten for rounding, and is not decomposed; a bound that
-    overflows clears nothing. The pass returns as soon as the bound
-    clears every matrix of a symmetric stack, the common case. The
-    matrices it does not clear get the eigenvalue test itself, and a
-    stack with no Cholesky factor in float64 is decomposed whole, so
-    every decision, message and first bad index is that of the
-    eigenvalue test alone. The Lᵢ⁻¹ come from :func:`_tri_inv`, a
-    blocked forward substitution that inverts the diagonal blocks of
-    the whole stack together (``np.linalg.inv`` itself for
+    The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the eigenvalues from
+    :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ, w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and
+    |w_max| ≤ ‖Aᵢ‖_F ≤ p·max|aⱼₗ|, so a matrix with ‖Lᵢ⁻¹‖_F²·p·max|aⱼₗ| <
+    1/(10·``POSITIVITY_FLOOR``) passes it, with a margin of ten for rounding, and is not
+    decomposed; a bound that overflows clears nothing. The pass returns as soon as the bound
+    clears every matrix of a symmetric stack, the common case. The matrices it does not clear,
+    or all of a stack with no Cholesky factor in float64, get the eigenvalue test itself, so
+    every decision, message and first bad index is that of the eigenvalue test alone. It reads
+    2⁻ᵏAᵢ, k = ``np.frexp(max|aⱼₗ|)[1]``, an exact scaling, so it decides alike at every
+    power-of-two scale of a matrix; 2ᵏ scales back the eigenvalue a refusal names and the
+    spectral factors. The Lᵢ⁻¹ come from :func:`_tri_inv`, a blocked forward substitution that
+    inverts the diagonal blocks of the whole stack together (``np.linalg.inv`` itself for
     p ≤ ``TRI_BLOCK``).
 
     Internal: with ``_keep_factors=False``, for a caller that keeps only the
@@ -236,7 +244,7 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
         factors = cholesky(mats, "stack has no Cholesky factor")
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
         factors = inv_factors = None
-        exact = np.ones(len(mats), dtype=bool)
+        test = np.arange(len(mats))
     else:
         inv_factors = _tri_inv(factors, in_place=not _keep_factors)
         factors = factors if _keep_factors else None  # overwritten by inv_factors
@@ -244,26 +252,24 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
             clear = _sq_norms(inv_factors) * mats.shape[-1] * top < 0.1 / POSITIVITY_FLOOR
         if (clear & symmetric).all():
             return mats, factors, inv_factors
-        exact = ~clear
-    positive = np.ones(len(mats), dtype=bool)
-    w0 = np.zeros(len(mats))
-    if exact.any():
-        # with vectors: eigvalsh's eigenvalues differ from eigh's at round-off,
-        # which decides the test near condition 1 / POSITIVITY_FLOOR
-        w, u = eigh(mats[exact])
-        w0[exact] = w[:, 0]
-        positive[exact] = w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1])
-    ok = symmetric & positive
+        test = np.flatnonzero(~clear)
+    k = np.frexp(top[test])[1]
+    # with vectors: eigvalsh's eigenvalues differ from eigh's at round-off,
+    # which decides the test near condition 1 / POSITIVITY_FLOOR
+    w, u = eigh(np.ldexp(mats[test], -k[:, None, None]))
+    ok = symmetric.copy()
+    ok[test] &= w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1])
     if not ok.all():
         i = int(ok.argmin())
         if not top[i] < np.inf:
             raise DomainError(f"{name_of(i)} has a non-finite entry")
         if not symmetric[i]:
             raise DomainError(f"{name_of(i)} is not symmetric")
+        j = test.searchsorted(i)
         raise DomainError(f"{name_of(i)} is not positive definite "
-                          f"(eigenvalue {w0[i]:.6g})")
+                          f"(eigenvalue {np.ldexp(w[j, 0], k[j]):.6g})")
     if inv_factors is None:
-        root = np.sqrt(w)
+        root = np.sqrt(np.ldexp(w, k[:, None]))
         factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
     return mats, factors, inv_factors
 

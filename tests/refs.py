@@ -159,7 +159,9 @@ def frozen_check_spd_stack(mats, name_of=lambda i: f"matrix {i}"):
     positive = np.ones(len(mats), dtype=bool)
     w0 = np.zeros(len(mats))
     if exact.any():
-        w, u = eigh(mats[exact])
+        k = np.frexp(top[exact])[1]
+        w, u = eigh(np.ldexp(mats[exact], -k[:, None, None]))
+        w = np.ldexp(w, k[:, None])
         w0[exact] = w[:, 0]
         positive[exact] = w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1])
     ok = symmetric & positive

@@ -106,7 +106,7 @@ class TestMean:
         inp = ensemble_file(tmp_path, [[[1.0]], [[4.0]]])
         assert main(["mean", inp, "--max-iters", "0"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: max_iters must be an integer >= 1"]
+            "error: max_iters must be an integer >= 1, got 0"]
 
     def test_infinite_tolerance_rejected(self, tmp_path, capsys):
         inp = ensemble_file(tmp_path, [[[1.0]], [[4.0]]])
@@ -472,7 +472,8 @@ class TestBench:
     def test_negative_seed_override_refused(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", self.spec_payload())
         assert main(["bench", spec, "--seed", "-1", "--out", str(tmp_path / "rep")]) == 1
-        assert capsys.readouterr().err == "error: invalid experiment spec: seed must be >= 0\n"
+        assert capsys.readouterr().err == ("error: invalid experiment spec: "
+                                           "seed must be an integer >= 0, got -1\n")
         assert not list(tmp_path.glob("rep*"))
 
     def test_invalid_field_diagnostic(self, tmp_path, capsys):

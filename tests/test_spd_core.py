@@ -186,7 +186,9 @@ def _eigen_rule(mats, name_of=lambda i: f"matrix {i}"):
     finite = top < np.inf
     mats = np.where(finite[:, None, None], mats, 0.0)
     symmetric = frozen_symmetric(mats, np.where(finite, top, 0.0))[0]
-    w, u = np.linalg.eigh(frozen_sym(mats))
+    k = np.frexp(top)[1]
+    w, u = np.linalg.eigh(np.ldexp(frozen_sym(mats), -k[:, None, None]))
+    w = np.ldexp(w, k[:, None])
     ok = symmetric & (w[:, 0] > spd_core.POSITIVITY_FLOOR * np.abs(w[:, -1]))
     if ok.all():
         return None, (u * np.sqrt(w)[:, None, :], np.swapaxes(u, 1, 2) / np.sqrt(w)[:, :, None])
@@ -342,6 +344,29 @@ class TestCheckSpdStack:
             for t, want in ((lo, True), (hi, False)):
                 a = s + t * skew
                 assert [accepted(np.ldexp(a, k)) for k in scales] == [want] * len(scales)
+
+    def test_positivity_decision_is_the_same_at_every_power_of_two_scale(self):
+        # the eigenvalues were read at each matrix's own scale, so a matrix near the floor
+        # could be refused at some 2^k and accepted at others
+        scales = range(-1000, 1001, 50)
+        a2 = np.array([[0.5622088186448961, 0.4961149694201564],
+                       [0.4961149694201564, 0.43779118135520406]])
+        for k in scales:
+            check_spd(np.ldexp(a2, k))
+            Ensemble.from_matrices([np.ldexp(a2, k)])
+
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            p, kappa = int(rng.integers(2, 8)), 1e13 * (1 + rng.uniform(-1e-3, 1e-3))
+            w, u = np.geomspace(1.0, 1.0 / kappa, p), random_orthogonal(p, rng)
+            a = sym((u * w) @ u.T)
+            assert len({_outcome([np.ldexp(a, k)])[0] is None for k in scales}) == 1
+
+        # the refusal names the eigenvalue at the matrix's own scale
+        for k in (-900, 900):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"matrix is not positive definite (eigenvalue {np.ldexp(-2.0, k):.6g})")):
+                check_spd(np.ldexp(np.diag([1.0, -2.0]), k))
 
     @pytest.mark.parametrize("mats", [[], (), np.zeros((0, 3, 3)), np.zeros((0, 0))],
                              ids=["list", "tuple", "(0, 3, 3)", "(0, 0)"])
@@ -592,6 +617,33 @@ def test_every_scalar_site_takes_a_real_number_as_its_float(site, value):
         assert got == want and getattr(got, site) is value
     else:
         assert np.array_equal(got, want)
+
+
+# spd_core._whole_number: the call, the field its refusal names and the least value it takes.
+_SPECTRUM_1 = SpectrumSpec("uniform", 1, lo=1.0, hi=2.0)
+_WHOLE_NUMBER_SITES = {
+    "max_iters": (lambda v: SolverConfig(max_iters=v), "max_iters", 1),
+    "dim": (lambda v: SpectrumSpec(kind="uniform", dim=v, lo=1.0, hi=2.0), "spectrum dim", 1),
+    "n": (lambda v: ExperimentSpec(v, 1, _SPECTRUM_1, [SolverSpec("mm")]), "n", 1),
+    "p": (lambda v: ExperimentSpec(1, v, _SPECTRUM_1, [SolverSpec("mm")]), "p", 1),
+    "runs": (lambda v: ExperimentSpec(1, 1, _SPECTRUM_1, [SolverSpec("mm")], runs=v), "runs", 1),
+    "seed": (lambda v: ExperimentSpec(1, 1, _SPECTRUM_1, [SolverSpec("mm")], seed=v), "seed", 0),
+    "random_orthogonal": (lambda v: random_orthogonal(v, np.random.default_rng(0)), "p", 1),
+    "random_spd": (lambda v: random_spd(np.random.default_rng(0), v), "p", 1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_WHOLE_NUMBER_SITES))
+def test_every_whole_number_site_refuses_alike(site):
+    # one rule and one message shape; a float, bool, string or None is no whole number
+    call, field, least = _WHOLE_NUMBER_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (2.5, True, np.float64(3.0), "3", None, least - 1):
+            with pytest.raises(DomainError) as info:
+                call(value)
+            assert str(info.value) == f"{field} must be an integer >= {least}, got {value!r}"
+        call(np.int64(least))
 
 
 # The matrix half of the input-contract drift guard. A row feeds one matrix
