@@ -106,31 +106,28 @@ class SpectrumSpec:
             if not all(v > 0 for v in self.values):
                 raise DomainError("explicit spectrum values must be positive")
 
-    @property
-    def top(self) -> float:
-        """The spectrum's largest value (inf where it overflows float64)."""
-        if self.kind == "uniform":
-            return float(self.hi)
+    def _fixed_values(self) -> np.ndarray:
+        """The values of a geometric or explicit spectrum (inf where one overflows float64)."""
         if self.kind == "geometric":
             with np.errstate(over="ignore"):
-                return float(np.float64(10.0) ** (self.a * (self.dim - 1)))
-        return float(max(self.values))
+                return 10.0 ** (self.a * np.arange(self.dim))
+        return np.asarray(self.values, dtype=float)
+
+    @property
+    def top(self) -> float:
+        """The largest value the spectrum draws (inf where it overflows float64)."""
+        return float(self.hi if self.kind == "uniform" else self._fixed_values().max())
 
     @property
     def bottom(self) -> float:
-        """The spectrum's smallest value."""
-        if self.kind == "uniform":
-            return float(self.lo)
-        if self.kind == "geometric":
-            return 1.0
-        return float(min(self.values))
+        """The smallest value the spectrum draws."""
+        return float(self.lo if self.kind == "uniform" else self._fixed_values().min())
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """The dim values of one draw: uniform ones from ``rng``, else the fixed values."""
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi, size=self.dim)
-        if self.kind == "geometric":
-            return 10.0 ** (self.a * np.arange(self.dim))
-        return np.asarray(self.values, dtype=float)
+        return self._fixed_values()
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "dim": int(self.dim)}
@@ -269,15 +266,16 @@ def random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_ensemble(spec: ExperimentSpec, rng: np.random.Generator) -> Ensemble:
-    """Draw one problem instance A_i = U_i S_i U_i^T per the spec."""
+    """Draw one problem instance A_i = U_i S_i U_i^T per the spec, then scale A₁.
+
+    Each matrix draws its U_i, then its spectrum S_i, from ``rng``;
+    A₁ is multiplied by ``scale_first_by`` once all n are drawn.
+    """
     mats = []
-    for i in range(spec.n):
+    for _ in range(spec.n):
         u = random_orthogonal(spec.p, rng)
-        s = spec.spectrum.sample(rng)
-        a = sym((u * s) @ u.T)
-        if i == 0:
-            a = a * spec.scale_first_by
-        mats.append(a)
+        mats.append(sym((u * spec.spectrum.sample(rng)) @ u.T))
+    mats[0] = mats[0] * spec.scale_first_by
     return Ensemble.from_matrices(mats)
 
 

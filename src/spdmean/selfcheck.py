@@ -20,7 +20,7 @@ from . import karcher, oracle, solvers
 from .bench import random_orthogonal
 from .errors import SpdMeanError
 from .karcher import Ensemble
-from .spd_core import frob_inner, inv_m, riem_dist, sym
+from .spd_core import _whole_number, frob_inner, inv_m, riem_dist, sym
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,40 @@ def random_spd(rng, p, lo=0.5, hi=5.0):
 
 
 def random_ensemble(rng, n, p, lo=0.5, hi=5.0):
-    """Ensemble of n independent :func:`random_spd` matrices."""
+    """Ensemble of n independent :func:`random_spd` matrices.
+
+    Raises
+    ------
+    DomainError
+        If ``n`` or ``p`` is not an integer >= 1 (a bool is not one).
+    """
+    n = _whole_number(n, f"n must be an integer >= 1, got {n!r}")
     return Ensemble.from_matrices([random_spd(rng, p, lo, hi) for _ in range(n)])
 
 
 def commuting_ensemble(rng, n, p, lo=0.5, hi=5.0):
-    """Ensemble sharing one eigenbasis, so all members commute."""
+    """Ensemble sharing one eigenbasis, so all members commute.
+
+    Raises
+    ------
+    DomainError
+        If ``n`` or ``p`` is not an integer >= 1 (a bool is not one).
+    """
+    n = _whole_number(n, f"n must be an integer >= 1, got {n!r}")
     u = random_orthogonal(p, rng)
     return Ensemble.from_matrices(
         [sym((u * rng.uniform(lo, hi, size=p)) @ u.T) for _ in range(n)])
 
 
 def random_sym(rng, p, scale=1.0):
-    """Symmetric matrix with standard normal entries, times ``scale``."""
+    """Symmetric matrix with standard normal entries, times ``scale``.
+
+    Raises
+    ------
+    DomainError
+        If ``p`` is not an integer >= 1 (a bool is not one).
+    """
+    p = _whole_number(p, f"p must be an integer >= 1, got {p!r}")
     return sym(rng.standard_normal((p, p))) * scale
 
 

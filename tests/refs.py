@@ -5,15 +5,17 @@ package computes another way: the per-matrix loop behind the stacked
 ensemble sums, the square-root form of the surrogate minimizer, a
 matrix function that calls a Python scalar function once per
 eigenvalue, a grid argmin of a scalar function, a frozen copy of the
-stacked SPD validation pass as it stood before its one-pass rewrite, and
-a frozen copy of the triangular inverse as it stood before it could
-write over its input.
+stacked SPD validation pass as it stood before its one-pass rewrite, a
+frozen copy of the triangular inverse as it stood before it could write
+over its input, and a frozen copy of the experiment generator's draw
+loop as it stood before it scaled A₁ after the loop.
 """
 
 from typing import Callable, Tuple
 
 import numpy as np
 
+from spdmean.bench import ExperimentSpec, random_orthogonal
 from spdmean.errors import DomainError
 from spdmean.karcher import Ensemble, g1_scalar, g2_scalar
 from spdmean.spd_core import (POSITIVITY_FLOOR, SYM_TOL, TRI_BLOCK, _diag_blocks, _eig_apply,
@@ -202,3 +204,16 @@ def frozen_tri_inv(l):
         e = min(s + b, p)
         x[:, s:e, :s] = -(x[:, s:e, s:e] @ (l[:, s:e, :s] @ x[:, :s, :s]))
     return x
+
+
+def frozen_generate_ensemble(spec: ExperimentSpec, rng: np.random.Generator) -> Ensemble:
+    """Draw one problem instance A_i = U_i S_i U_i^T per the spec."""
+    mats = []
+    for i in range(spec.n):
+        u = random_orthogonal(spec.p, rng)
+        s = spec.spectrum.sample(rng)
+        a = sym((u * s) @ u.T)
+        if i == 0:
+            a = a * spec.scale_first_by
+        mats.append(a)
+    return Ensemble.from_matrices(mats)

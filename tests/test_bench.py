@@ -24,6 +24,8 @@ from spdmean.bench import (
 from spdmean.errors import DomainError
 from spdmean.solvers import SolverConfig
 
+from refs import frozen_generate_ensemble
+
 
 def small_spec(**overrides):
     base = dict(
@@ -98,6 +100,17 @@ class TestSpectrumSpec:
             vals = SpectrumSpec(kind="geometric", dim=2, a=308.0).sample(rng)
         assert np.isfinite(vals).all()
 
+    def test_ends_are_the_drawn_values(self, rng):
+        # top and bottom bound what scale_first_by may multiply, so they are the
+        # extremes of the values drawn, to the last bit
+        specs = [SpectrumSpec(kind="geometric", dim=dim, a=k / 20)
+                 for dim in range(2, 11) for k in range(1, 60)]
+        specs += [SpectrumSpec(kind="explicit", dim=4, values=[3, 1, 7, 2]),
+                  SpectrumSpec(kind="explicit", dim=3, values=[1e300, 1e-300, 1.0])]
+        missed = [s for s in specs
+                  if (s.top, s.bottom) != (s.sample(rng).max(), s.sample(rng).min())]
+        assert missed == []
+
     def test_round_trip(self):
         for s in (SpectrumSpec(kind="uniform", dim=3, lo=1.0, hi=10.0),
                   SpectrumSpec(kind="geometric", dim=4, a=0.3),
@@ -157,6 +170,19 @@ class TestGenerateEnsemble:
         base = generate_ensemble(small_spec(), seed_rng)
         assert np.allclose(e.mats[0], 10_000.0 * base.mats[0])
         assert np.allclose(e.mats[1], base.mats[1])
+
+    @pytest.mark.parametrize("spectrum", [
+        SpectrumSpec(kind="uniform", dim=10, lo=1.0, hi=10.0),
+        SpectrumSpec(kind="geometric", dim=10, a=0.3),
+        SpectrumSpec(kind="explicit", dim=10, values=[float(v) for v in range(1, 11)]),
+    ], ids=["uniform", "geometric", "explicit"])
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 2.0**-30])
+    def test_draws_match_the_frozen_loop_bit_for_bit(self, spectrum, scale):
+        spec = small_spec(n=3, p=10, spectrum=spectrum, scale_first_by=scale)
+        for seed in range(5):
+            got = generate_ensemble(spec, np.random.default_rng(seed)).mats
+            want = frozen_generate_ensemble(spec, np.random.default_rng(seed)).mats
+            assert got.tobytes() == want.tobytes()
 
 
 # the start of the message that refuses a field of

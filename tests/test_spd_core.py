@@ -13,7 +13,7 @@ from spdmean.bench import ExperimentSpec, SolverSpec, SpectrumSpec, random_ortho
 from spdmean.karcher import (Ensemble, SurrogateCoeffs, g1_scalar, g2_scalar, objective,
                              surrogate_coeffs, surrogate_minimizer, surrogate_value)
 from spdmean.oracle import finite_diff_directional, scalar_karcher_oracle, two_matrix_oracle
-from spdmean.selfcheck import random_spd, random_sym
+from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd, random_sym
 from spdmean.solvers import SolverConfig
 from spdmean import karcher, spd_core
 from spdmean.spd_core import (
@@ -630,6 +630,9 @@ _WHOLE_NUMBER_SITES = {
     "seed": (lambda v: ExperimentSpec(1, 1, _SPECTRUM_1, [SolverSpec("mm")], seed=v), "seed", 0),
     "random_orthogonal": (lambda v: random_orthogonal(v, np.random.default_rng(0)), "p", 1),
     "random_spd": (lambda v: random_spd(np.random.default_rng(0), v), "p", 1),
+    "random_ensemble": (lambda v: random_ensemble(np.random.default_rng(0), v, 3), "n", 1),
+    "commuting_ensemble": (lambda v: commuting_ensemble(np.random.default_rng(0), v, 3), "n", 1),
+    "random_sym": (lambda v: random_sym(np.random.default_rng(0), v), "p", 1),
 }
 
 

@@ -1,4 +1,5 @@
-"""The repository's tools: ``tools/pairs.py`` against the committed BENCH files."""
+"""The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
+``tools/fingerprint.py``'s line counter."""
 
 import importlib.util
 import json
@@ -64,3 +65,28 @@ def test_a_tiny_two_pair_run_writes_nothing_into_the_checkouts(tmp_path, capsys)
         (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     assert doc["claim"]["met"] is pairs.claim_met(workload["metrics"]["setup_s"])
     assert "claim mm-small setup_s" in capsys.readouterr().out
+
+
+# A module whose counts are worked out by hand: 11 lines in all, and the code
+# lines are 7 (def), 9-10 (a string that is no docstring) and 11 (code and a comment).
+COUNTED_MODULE = '''"""Module docstring,
+on two lines."""
+
+# a comment line
+
+
+def f(x):
+    """Function docstring."""
+    s = """a string
+that is not a docstring"""
+    return s + x  # a comment after code
+'''
+
+
+def test_line_counts_skip_docstrings_comments_and_blank_lines(tmp_path, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # loading fingerprint sets them; teardown restores them
+    fingerprint = _load("fingerprint")
+    (tmp_path / "module.py").write_text(COUNTED_MODULE)
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    assert fingerprint.line_counts(tmp_path) == (11, 4)
