@@ -7,9 +7,11 @@ or fixed spectrum. An experiment runs every configured solver on
 iteration index, the mean logarithmic error; runs that converge early
 are padded by repeating their final value.
 
-Randomness uses numpy's PCG64: run ``r`` draws from the child stream
-``SeedSequence(seed).spawn(runs)[r]``, so reports are deterministic for
-a given spec and unaffected by any parallel scheduling of runs.
+Randomness uses numpy's PCG64: run ``r`` draws from
+``SeedSequence(seed, spawn_key=(r,))``, numpy's definition of the child
+stream ``SeedSequence(seed).spawn(runs)[r]``, made for that run alone, so
+reports are deterministic for a given spec and unaffected by any parallel
+scheduling of runs.
 Nothing here writes a file: ``spdmean bench`` writes the report.
 
 A spec is checked once, where it is built: each spec class's
@@ -19,7 +21,7 @@ Python alike, and ``from_dict`` only names unknown and missing keys.
 
 import csv
 import io
-import numbers
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import DomainError, SpdMeanError
 from .karcher import Ensemble
 from .solvers import SOLVERS, SolverConfig, SolverResult, arithmetic_mean_init
-from .spd_core import _is_a, _python, _real_number, _whole_number, sym
+from .spd_core import _python, _real_number, _whole_number, sym
 
 
 def _known_fields(cls, d, what: str) -> dict:
@@ -51,6 +53,17 @@ def _known_fields(cls, d, what: str) -> dict:
 
 # The fields each spectrum kind takes besides kind and dim.
 _KIND_FIELDS = {"uniform": ("lo", "hi"), "geometric": ("a",), "explicit": ("values",)}
+# numpy holds no array of more bytes than this.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
+
+def _check_array_size(name, value, shape) -> None:
+    """DomainError naming the size field ``name`` where its float64 array of ``shape`` is more
+    than numpy can hold, raised before anything of that size is allocated."""
+    nbytes = 8 * math.prod(map(int, shape))  # Python ints: a product of np.int64 can wrap
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise DomainError(f"{name} {value} asks for a float64 array of {nbytes:.3g} bytes, "
+                          f"over numpy's limit of {_MAX_ARRAY_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +73,11 @@ class SpectrumSpec:
     kind "uniform": dim draws from uniform(lo, hi), 0 < lo < hi.
     kind "geometric": the fixed series 10^0, 10^a, ..., 10^{(dim-1)a},
     a > 0, whose top value must not overflow float64.
-    kind "explicit": the given values verbatim (length dim).
-    Every number given must be finite.
+    kind "explicit": the given values verbatim (length dim), a list.
+    A dim whose dim values numpy could not hold as float64 is refused.
+    ``lo``, ``hi``, ``a`` and each entry of ``values`` meet one rule,
+    ``spd_core._real_number``, under one message:
+    ``spectrum field 'lo' must be a finite number, got 'x'``.
     """
 
     kind: str
@@ -73,6 +89,7 @@ class SpectrumSpec:
 
     def __post_init__(self):
         _whole_number(self.dim, f"spectrum dim must be an integer >= 1, got {self.dim!r}")
+        _check_array_size("spectrum dim", self.dim, (self.dim,))
         if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
         foreign = [name for names in _KIND_FIELDS.values() for name in names
@@ -83,14 +100,11 @@ class SpectrumSpec:
             value = getattr(self, name)
             if value is None:
                 continue
-            if name != "values" and not _is_a(value, numbers.Real):
-                raise DomainError(f"spectrum field {name!r} must be a number, got {value!r}")
-            if name == "values" and not (isinstance(value, list)
-                                         and all(_is_a(v, numbers.Real) for v in value)):
-                raise DomainError("spectrum field 'values' must be a list, each element "
-                                  f"a number, got {value!r}")
-            for v in value if name == "values" else [value]:
-                _real_number(v, f"spectrum field {name!r} must be finite, got {value!r}", False)
+            if name == "values" and not isinstance(value, list):
+                raise DomainError(f"spectrum field 'values' must be a list, got {value!r}")
+            for i, v in enumerate(value) if name == "values" else [(None, value)]:
+                where = repr(name) if i is None else f"'values' entry {i}"
+                _real_number(v, f"spectrum field {where} must be a finite number, got {v!r}", False)
         if self.kind == "uniform":
             if self.lo is None or self.hi is None or not 0 < self.lo < self.hi:
                 raise DomainError("uniform spectrum requires 0 < lo < hi")
@@ -190,6 +204,9 @@ class ExperimentSpec:
 
     ``scale_first_by`` scales A₁; times the spectrum's ``top`` it must be
     finite, and times its ``bottom`` at least the smallest normal float64.
+    ``p``, ``n`` and ``runs``, like the spectrum's ``dim``, are refused
+    where numpy could not hold their float64 array: a p×p matrix, the
+    (n, p, p) ensemble, one log error per run.
     The solvers' column ids (``SolverSpec.solver_id``) must be distinct.
     """
 
@@ -205,6 +222,9 @@ class ExperimentSpec:
         for name, least in (("n", 1), ("p", 1), ("runs", 1), ("seed", 0)):
             value = getattr(self, name)
             _whole_number(value, f"{name} must be an integer >= {least}, got {value!r}", least)
+        for name, shape in (("p", (self.p, self.p)), ("n", (self.n, self.p, self.p)),
+                            ("runs", (self.runs,))):
+            _check_array_size(name, getattr(self, name), shape)
         scale = _real_number(self.scale_first_by, "scale_first_by must be positive and finite, "
                              f"got {self.scale_first_by!r}")
         if not isinstance(self.spectrum, SpectrumSpec):
@@ -305,9 +325,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     ids = [s.solver_id for s in spec.solvers]
     results: Dict[str, List[Optional[SolverResult]]] = {i: [] for i in ids}
     errors: List[str] = []
-    children = np.random.SeedSequence(spec.seed).spawn(spec.runs)
     for r in range(spec.runs):
-        rng = np.random.Generator(np.random.PCG64(children[r]))
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(r,)))
         try:
             ensemble = generate_ensemble(spec, rng)
         except SpdMeanError as exc:  # an invalid draw fails only its run

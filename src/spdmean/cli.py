@@ -13,10 +13,12 @@ Three subcommands:
 Exit codes: 0 success/converged, 1 invalid input or an output that
 cannot be written, 2 a solve that did not converge or failed (also any
 failed ``bench`` run), 3 failed consistency check. :func:`main` prints
-every input and output error, ``--out`` included, as one ``error: …``
-line, and ``check`` reports a check that raises as its FAIL line, so no
-subcommand ends in a traceback. ``mean`` checks only its file's envelope
-and prints the library's refusal of a bad matrix as is (:func:`read_ensemble`).
+every input and output error, ``--out`` included, and a ``MemoryError``
+as one ``error: …`` line: a fault in a file's content is the library's
+:class:`SpdMeanError`, one in a path an ``OSError``. ``check`` reports a
+check that raises as its FAIL line, so no subcommand ends in a
+traceback. ``mean`` checks only its file's ``dim`` and prints the
+library's refusal of its matrices as is (:func:`read_ensemble`).
 Only this module writes files: ``mean`` and ``bench`` check every output
 (:func:`_check_out`) before they solve and write all or none (:func:`_write_files`).
 """
@@ -31,44 +33,38 @@ from pathlib import Path
 import numpy as np
 
 from .bench import ExperimentSpec, report_to_csv, run_experiment
-from .errors import DomainError, SpdMeanError
+from .errors import DimensionMismatch, DomainError, SpdMeanError
 from .karcher import Ensemble
 from .selfcheck import run_checks
 from .solvers import (DEFAULT_GRAD_TOL_PER_MAT, LS_FACTOR, LS_MAX_J, SOLVERS, STATUS_CONVERGED,
                       SolverConfig, arithmetic_mean_init)
 
 
-class InputError(Exception):
-    """A malformed or invalid input file (exit code 1)."""
-
-
 def _load_json(path):
-    """Parse a UTF-8 JSON file; a file that does not parse is an InputError."""
+    """Parse a UTF-8 JSON file; a file that does not parse is a DomainError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
-        raise InputError(f"{path} is not valid JSON: {exc}")
+        raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def read_ensemble(path) -> Ensemble:
     """Parse ``{"dim": p, "matrices": [...]}`` into a validated ensemble.
 
-    Only the envelope is checked here: ``dim`` a positive integer, ``matrices`` a nonempty
-    list. ``Ensemble.from_matrices`` reads that list, and its refusal of the first bad matrix
-    is the error (a JSON boolean, string or null is not a number); then ``dim`` must match.
+    Only ``dim`` is checked here, a positive integer. ``Ensemble.from_matrices`` reads
+    ``matrices``, and its refusal is the error: of anything but a nonempty sequence of
+    matrices, or of the first bad matrix (a JSON boolean, string or null is not a number).
+    Then ``dim`` must match (DimensionMismatch).
     """
     data = _load_json(Path(path))
     if not isinstance(data, dict) or "dim" not in data or "matrices" not in data:
-        raise InputError(f"{path} must be an object with 'dim' and 'matrices'")
+        raise DomainError(f"{path} must be an object with 'dim' and 'matrices'")
     p = data["dim"]
-    raw = data["matrices"]
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise InputError("'dim' must be a positive integer")
-    if not isinstance(raw, list) or not raw:
-        raise InputError("'matrices' must be a nonempty list")
-    ensemble = Ensemble.from_matrices(raw)
+        raise DomainError("'dim' must be a positive integer")
+    ensemble = Ensemble.from_matrices(data["matrices"])
     if ensemble.dim != p:
-        raise InputError(f"matrix 0 has shape {ensemble.mats[0].shape}, expected ({p}, {p})")
+        raise DimensionMismatch(f"matrix 0 has shape {ensemble.mats[0].shape}, expected ({p}, {p})")
     return ensemble
 
 
@@ -89,12 +85,12 @@ def _check_out(outputs, inputs) -> None:
     sources = {Path(str(path)).resolve() for path in inputs}
     for path in outputs:
         if path.is_dir():
-            raise InputError(f"cannot write {path}: it is a directory")
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
-            raise InputError(f"cannot write {path}: {path.parent} is not a directory")
+            raise NotADirectoryError(f"cannot write {path}: {path.parent} is not a directory")
         if path.resolve() in sources:
-            raise InputError(f"cannot write {path}: it is the command's input file; "
-                             "choose another --out")
+            raise OSError(f"cannot write {path}: it is the command's input file; "
+                          "choose another --out")
 
 
 def _write_files(*files) -> None:
@@ -138,7 +134,7 @@ def _resolve_spec_path(name: str):
         bundled = resources.files("spdmean").joinpath("specs", file_name)
         if bundled.is_file():
             return bundled
-    raise InputError(f"spec file {name!r} not found (and no bundled spec matches)")
+    raise FileNotFoundError(f"spec file {name!r} not found (and no bundled spec matches)")
 
 
 def cmd_bench(args) -> int:
@@ -152,7 +148,7 @@ def cmd_bench(args) -> int:
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
     except DomainError as exc:
-        raise InputError(f"invalid experiment spec: {exc}")
+        raise DomainError(f"invalid experiment spec: {exc}") from exc
     report = run_experiment(spec)
     _write_files((csv_out, report_to_csv(report)),
                  (sidecar_out, json.dumps(report.spec.to_dict(), indent=2) + "\n"))
@@ -209,8 +205,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SpdMeanError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpdMeanError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

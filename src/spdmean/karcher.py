@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spd_core
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainError
 from .spd_core import check_dims, check_spd, check_spd_stack, sym
 
 
@@ -93,9 +93,15 @@ def _point(e: Ensemble, x):
 
 
 def g1_scalar(x: float) -> float:
-    """Weight g1(x) = (√((log x)² + 1) + log x) / x = e^{asinh(log x)} / x for x > 0."""
+    """Weight g1(x) = (√((log x)² + 1) + log x) / x = e^{asinh(log x)} / x for x > 0.
+
+    g1 overflows float64 below about x = 3.9e-312, and is refused there (DomainError).
+    """
     x = spd_core._real_number(x, f"g1 requires x to be a positive finite real number, got {x!r}")
-    return math.exp(math.asinh(math.log(x))) / x
+    g1 = math.exp(math.asinh(math.log(x))) / x
+    if g1 == math.inf:
+        raise DomainError(f"g1(x) overflows float64 for x = {x!r}")
+    return g1
 
 
 def g2_scalar(x: float) -> float:

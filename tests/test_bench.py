@@ -11,6 +11,7 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
+import spdmean.bench as bench
 import spdmean.solvers as solvers
 from spdmean.bench import (
     ExperimentSpec,
@@ -75,14 +76,15 @@ class TestSpectrumSpec:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"kind": "uniform", "dim": 3, "lo": 1.0, "hi": math.inf},
-         "spectrum field 'hi' must be finite, got inf"),
+         "spectrum field 'hi' must be a finite number, got inf"),
         ({"kind": "uniform", "dim": 3, "lo": math.nan, "hi": 2.0},
-         "spectrum field 'lo' must be finite, got nan"),
+         "spectrum field 'lo' must be a finite number, got nan"),
         ({"kind": "uniform", "dim": 3, "lo": 1.0, "hi": 10**400},
-         "spectrum field 'hi' must be finite"),
-        ({"kind": "geometric", "dim": 3, "a": math.inf}, "spectrum field 'a' must be finite"),
+         "spectrum field 'hi' must be a finite number"),
+        ({"kind": "geometric", "dim": 3, "a": math.inf},
+         "spectrum field 'a' must be a finite number"),
         ({"kind": "explicit", "dim": 2, "values": [1.0, math.inf]},
-         "spectrum field 'values' must be finite, got [1.0, inf]"),
+         "spectrum field 'values' entry 1 must be a finite number, got inf"),
         ({"kind": "explicit", "dim": 2, "values": [1.0, math.nan]}, "spectrum field 'values'"),
         # the top value 10^{(dim-1)a} overflows float64
         ({"kind": "geometric", "dim": 3, "a": 200.0}, "top value 10^(2·200.0) overflows float64"),
@@ -188,9 +190,9 @@ class TestGenerateEnsemble:
 # the start of the message that refuses a field of
 # test_python_spec_holds_the_json_types other than "(spectrum )?<field> must be"
 REFUSED = {
-    "spectrum.lo": "spectrum field 'lo' must be a number, got ",
+    "spectrum.lo": "spectrum field 'lo' must be a finite number, got ",
     "spectrum.kind": re.escape("unknown spectrum kind ['uniform']"),
-    "spectrum.values": "spectrum field 'values' must be a list, each element a number",
+    "spectrum.values": "spectrum field 'values' must be a list, got ",
     "solver.kind": re.escape("unknown solver kind ['mm']"),
     "solver.id": "solver id must be a string, got 5",
     "solver.config": "solver config must be a SolverConfig, got ",
@@ -310,6 +312,21 @@ class TestExperimentSpec:
                                                   "smallest normal float64$"):
                 small_spec(spectrum=spectrum, scale_first_by=scale)
 
+    # sizes whose float64 array numpy cannot hold, refused before anything is allocated
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SpectrumSpec(kind="geometric", dim=10**19, a=0.5),
+         "spectrum dim 10000000000000000000 asks for a float64 array of 8e+19"),
+        (lambda: small_spec(p=10**19), "p 10000000000000000000 asks for a float64 array of 8e+38"),
+        (lambda: small_spec(n=10**19),
+         "n 10000000000000000000 asks for a float64 array of 7.2e+20"),
+        (lambda: small_spec(runs=10**19),
+         "runs 10000000000000000000 asks for a float64 array of 8e+19"),
+    ], ids=["dim", "p", "n", "runs"])
+    def test_refuses_a_size_numpy_cannot_hold(self, build, message):
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"{message} bytes, over numpy's limit of {np.iinfo(np.intp).max}") + "$"):
+            build()
+
     def test_rejects_spectrum_dim_mismatch(self):
         with pytest.raises(DomainError):
             small_spec(p=4)
@@ -390,6 +407,21 @@ class TestRunExperiment:
         csv1 = report_to_csv(run_experiment(spec))
         csv2 = report_to_csv(run_experiment(spec))
         assert csv1 == csv2
+
+    def test_run_r_draws_the_rth_spawned_stream(self, monkeypatch):
+        # SeedSequence(seed, spawn_key=(r,)) is numpy's SeedSequence(seed).spawn(runs)[r]
+        states, generate = [], bench.generate_ensemble
+
+        def recorded(spec, rng):
+            states.append(rng.bit_generator.state)
+            return generate(spec, rng)
+
+        monkeypatch.setattr(bench, "generate_ensemble", recorded)
+        for seed in (0, 1, 3, 2**70):
+            states.clear()
+            run_experiment(small_spec(seed=seed, runs=3))
+            spawned = np.random.SeedSequence(seed).spawn(3)
+            assert states == [np.random.PCG64(child).state for child in spawned]
 
     def test_seed_changes_output(self):
         c1 = report_to_csv(run_experiment(small_spec(seed=1)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spdmean.selfcheck as selfcheck
-from spdmean import cli, karcher, oracle, solvers
+from spdmean import bench, cli, karcher, oracle, solvers
 from spdmean.bench import (ExperimentSpec, SolverSpec, SpectrumSpec, report_to_csv,
                            run_experiment)
 from spdmean.cli import ensemble_to_json, main, read_ensemble
@@ -235,6 +235,9 @@ SPEC = {"n": 1, "p": 1, "runs": 1, "seed": 5,
         "spectrum": {"kind": "explicit", "dim": 1, "values": [3.0]},
         "solvers": [{"kind": "mm"}]}
 
+# the content of a MALFORMED case whose input file is not made
+NO_FILE = "no file"
+
 # (command, file content) pairs that used to end in a traceback or,
 # for "dim": true, be accepted as dim 1
 MALFORMED = {
@@ -248,8 +251,17 @@ MALFORMED = {
     "mean-top-level-list": ("mean", [[[2.0]]]),
     "mean-no-matrices": ("mean", {"dim": 1}),
     "mean-empty-matrices": ("mean", {"dim": 1, "matrices": []}),
+    "mean-matrices-object": ("mean", {"dim": 1, "matrices": {}}),
+    "mean-matrices-string": ("mean", {"dim": 1, "matrices": "x"}),
     "mean-deeply-nested": ("mean", b"[" * 100000 + b"]" * 100000),
     "bench-directory": ("bench", None),
+    "bench-missing-spec": ("bench", NO_FILE),
+    # sizes whose float64 arrays numpy cannot hold
+    "bench-geometric-dim-past-numpy": ("bench", {**SPEC, "spectrum": {
+        "kind": "geometric", "dim": 10 ** 20, "a": 0.5}}),
+    "bench-p-past-numpy": ("bench", {**SPEC, "p": 10 ** 20, "spectrum": {
+        "kind": "uniform", "dim": 10 ** 20, "lo": 1.0, "hi": 2.0}}),
+    "bench-runs-past-numpy": ("bench", {**SPEC, "runs": 10 ** 20}),
     "bench-not-utf8": ("bench", b'{"n": 1\xff}'),
     "bench-deeply-nested": ("bench", b"[" * 100000 + b"]" * 100000),
     "bench-top-level-list": ("bench", [SPEC]),
@@ -282,7 +294,19 @@ MALFORMED = {
 MALFORMED_MESSAGES = {
     "mean-top-level-list": "input.json must be an object with 'dim' and 'matrices'",
     "mean-no-matrices": "input.json must be an object with 'dim' and 'matrices'",
-    "mean-empty-matrices": "error: 'matrices' must be a nonempty list",
+    "mean-empty-matrices": "error: expected at least one matrix, got none",
+    "mean-matrices-object": "error: expected a sequence of matrices, got dict",
+    "mean-matrices-string": "error: expected a sequence of matrices, got str",
+    "bench-missing-spec": "input.json' not found (and no bundled spec matches)",
+    "bench-geometric-dim-past-numpy": (
+        "error: invalid experiment spec: spectrum dim 100000000000000000000 asks for a float64 "
+        "array of 8e+20 bytes, over numpy's limit of 9223372036854775807"),
+    "bench-p-past-numpy": ("error: invalid experiment spec: spectrum dim 100000000000000000000 "
+                           "asks for a float64 array of 8e+20 bytes, over numpy's limit of "
+                           "9223372036854775807"),
+    "bench-runs-past-numpy": ("error: invalid experiment spec: runs 100000000000000000000 asks "
+                              "for a float64 array of 8e+20 bytes, over numpy's limit of "
+                              "9223372036854775807"),
     "bench-spectrum-without-dim": ("error: invalid experiment spec: "
                                    "spectrum spec requires field 'dim'"),
     "bench-line-search-settings": ("error: invalid experiment spec: unknown solver fields: "
@@ -304,7 +328,7 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
         path.mkdir()
     elif isinstance(content, bytes):
         path.write_bytes(content)
-    else:
+    elif content != NO_FILE:
         write_json(path, content)
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -313,6 +337,26 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err
     assert "__init__" not in err
     assert "invalid experiment spec: invalid experiment spec" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("message, line", [
+    ("", "error: out of memory"),
+    ("Unable to allocate 8 GiB", "error: Unable to allocate 8 GiB"),
+], ids=["bare", "numpy"])
+@pytest.mark.parametrize("command", ["mean", "bench"])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, command, message, line):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    if command == "mean":
+        path = ensemble_file(tmp_path, [[[1.0]], [[4.0]]])
+        monkeypatch.setitem(solvers.SOLVERS, "mm", exhausted)
+    else:
+        path = write_json(tmp_path / "spec.json", SPEC)
+        monkeypatch.setattr(bench, "generate_ensemble", exhausted)
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == line + "\n"
     assert not list(tmp_path.glob("out*"))
 
 
@@ -485,10 +529,10 @@ class TestBench:
 
     @pytest.mark.parametrize("fields, message", [
         ({"spectrum": {"kind": "uniform", "dim": 1, "lo": 1.0, "hi": float("inf")}},
-         "spectrum field 'hi' must be finite, got inf"),
+         "spectrum field 'hi' must be a finite number, got inf"),
         ({"scale_first_by": float("inf")}, "scale_first_by must be positive and finite, got inf"),
         ({"p": 2, "spectrum": {"kind": "explicit", "dim": 2, "values": [1, float("inf")]}},
-         "spectrum field 'values' must be finite, got [1, inf]"),
+         "spectrum field 'values' entry 1 must be a finite number, got inf"),
         ({"p": 2, "spectrum": {"kind": "geometric", "dim": 2, "a": 400}},
          "geometric spectrum's top value 10^(1·400) overflows float64"),
         ({"n": 3, "p": 4, "spectrum": {"kind": "uniform", "dim": 4, "lo": 1.0, "hi": 10.0},

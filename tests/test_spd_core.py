@@ -560,10 +560,8 @@ def test_spd_functions_reject_non_finite(call, match):
             call()
 
 
-# Every real scalar the package takes outside the spectrum fields (whose
-# "must be a number" test speaks first: tests/test_bench.py), each read by
-# spd_core._real_number: the call, its refusal ({v!r} the value) and whether
-# the value must be positive.
+# Every real scalar the package takes, each read by spd_core._real_number: the
+# call, its refusal ({v!r} the value) and whether the value must be positive.
 _SCALAR_SITES = {
     "grad_tol": (lambda v: SolverConfig(grad_tol=v), "grad_tol must be positive and finite", True),
     "nu": (lambda v: SolverConfig(nu=v), "nu must be positive and finite", True),
@@ -580,6 +578,14 @@ _SCALAR_SITES = {
                  "geodesic requires t to be a finite real number, got {v!r}", False),
     "c0": (lambda v: surrogate_value(SurrogateCoeffs(np.eye(2), np.eye(2), v), np.eye(2)),
            "c0 must be a finite real number, got {v!r}", False),
+    "lo": (lambda v: SpectrumSpec("uniform", 2, lo=v, hi=4.0),
+           "spectrum field 'lo' must be a finite number, got {v!r}", False),
+    "hi": (lambda v: SpectrumSpec("uniform", 2, lo=0.25, hi=v),
+           "spectrum field 'hi' must be a finite number, got {v!r}", False),
+    "a": (lambda v: SpectrumSpec("geometric", 2, a=v),
+          "spectrum field 'a' must be a finite number, got {v!r}", False),
+    "values": (lambda v: SpectrumSpec("explicit", 2, values=[1.0, v]),
+               "spectrum field 'values' entry 1 must be a finite number, got {v!r}", False),
 }
 
 _NOT_A_REAL_NUMBER = {
@@ -593,7 +599,7 @@ _NOT_A_REAL_NUMBER = {
     pytest.param(site, value, id=f"{site}-{label}")
     for site, (_, _, positive) in _SCALAR_SITES.items()
     for label, value in {**_NOT_A_REAL_NUMBER, **({"0": 0, "-1": -1} if positive else {})}.items()
-    if not (site == "grad_tol" and value is None)  # None is grad_tol's default
+    if not (site in ("grad_tol", "lo", "hi", "a") and value is None)  # None is their default
 ])
 def test_every_scalar_site_refuses_alike(site, value):
     # the scalar half of the input-contract drift guard: one rule, each site's own message
@@ -614,7 +620,8 @@ def test_every_scalar_site_takes_a_real_number_as_its_float(site, value):
         warnings.simplefilter("error")
         got, want = call(value), call(float(value))
     if dataclasses.is_dataclass(got):  # a config or spec keeps the value it was given
-        assert got == want and getattr(got, site) is value
+        kept = getattr(got, site)
+        assert got == want and (kept[1] if site == "values" else kept) is value
     else:
         assert np.array_equal(got, want)
 

@@ -1,11 +1,13 @@
 """The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
-``tools/fingerprint.py``'s line counter."""
+``tools/fingerprint.py``'s line counter and ``check`` lines."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+import spdmean.selfcheck as selfcheck
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted(ROOT.glob("BENCH_pr*.json"))
@@ -90,3 +92,13 @@ def test_line_counts_skip_docstrings_comments_and_blank_lines(tmp_path, monkeypa
     (tmp_path / "module.py").write_text(COUNTED_MODULE)
     (tmp_path / "notes.txt").write_text("not a module\n")
     assert fingerprint.line_counts(tmp_path) == (11, 4)
+
+
+def test_check_lines_are_one_per_table_entry_and_repeat(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    lines = fingerprint.check_lines(selfcheck)
+    assert [line.split()[:2] for line in lines] == [["check", str(i)]
+                                                    for i in range(len(selfcheck.TABLE))]
+    assert fingerprint.check_lines(selfcheck) == lines

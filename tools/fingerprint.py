@@ -1,4 +1,5 @@
-"""Fingerprint a checkout: its line counts, and hashes of its solver results and spec reports.
+"""Fingerprint a checkout: its line counts, and hashes of its solver results, spec reports
+and paper checks.
 
 Usage:
 
@@ -20,10 +21,15 @@ writes nothing into it. Prints:
   trace column but ``elapsed``, or of the ``repr`` of the error the solve
   raised;
 - ``spec <name> <hash>`` for each bundled spec: a hash of its
-  ``report_to_csv`` text and its sidecar JSON, as ``spdmean bench`` writes them.
+  ``report_to_csv`` text and its sidecar JSON, as ``spdmean bench`` writes them;
+- ``check <i> <hash>`` for each entry i of ``selfcheck.TABLE``, drawing from
+  ``np.random.default_rng([20240, i])`` as ``run_checks`` runs it: a hash of
+  its unformatted worst values and its pass flag, or of the ``repr`` of the
+  error it raised. These reach the views no ``solve`` line calls: the
+  objective, gradients, surrogate, oracles, g1 and g2.
 
 Two checkouts whose arithmetic agrees bit for bit print the same
-``setup``, ``solve`` and ``spec`` lines. One BLAS thread is used, so the
+``setup``, ``solve``, ``spec`` and ``check`` lines. One BLAS thread is used, so the
 hashes do not depend on how the host splits a product.
 """
 
@@ -78,7 +84,8 @@ def _digest(*parts):
 
 
 def _load(root):
-    """The checkout's spdmean ``bench`` and ``solvers`` modules and perfbench workload module."""
+    """The checkout's spdmean ``bench``, ``solvers`` and ``selfcheck`` modules and perfbench
+    workload module."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(root / "src"))
     spd = importlib.import_module("spdmean")
@@ -87,8 +94,8 @@ def _load(root):
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return (importlib.import_module("spdmean.bench"), importlib.import_module("spdmean.solvers"),
-            workloads)
+    modules = [importlib.import_module(f"spdmean.{m}") for m in ("bench", "solvers", "selfcheck")]
+    return (*modules, workloads)
 
 
 def solve_hash(solvers, fn, e, x0):
@@ -100,11 +107,24 @@ def solve_hash(solvers, fn, e, x0):
     return _digest(res.mean.tobytes(), res.status, np.array(rows, dtype=np.float64).tobytes())
 
 
+def check_lines(selfcheck):
+    """One ``check <i> <hash>`` line per entry of ``selfcheck.TABLE``, checked at seed 20240."""
+    lines = []
+    for i, (_, _, run, _) in enumerate(selfcheck.TABLE):
+        try:
+            *worst, passed = run(np.random.default_rng([20240, i]))
+            digest = _digest(np.array(worst, dtype=np.float64).tobytes(), str(bool(passed)))
+        except Exception as exc:  # a refusal is part of the fingerprint
+            digest = _digest(repr(exc))
+        lines.append(f"check {i} {digest}")
+    return lines
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit("usage: python3 tools/fingerprint.py <checkout root>")
     root = Path(argv[0]).resolve()
-    bench, solvers, workloads = _load(root)
+    bench, solvers, selfcheck, workloads = _load(root)
     print("lines", *line_counts(root / "src" / "spdmean"))
     for name in WORKLOADS:
         w = workloads.WORKLOADS[name]
@@ -120,6 +140,7 @@ def main(argv):
         report = bench.run_experiment(bench.ExperimentSpec.from_dict(json.loads(path.read_text())))
         sidecar = json.dumps(report.spec.to_dict(), indent=2) + "\n"
         print("spec", path.stem, _digest(bench.report_to_csv(report), sidecar), flush=True)
+    print(*check_lines(selfcheck), sep="\n")
 
 
 if __name__ == "__main__":
