@@ -66,6 +66,14 @@ def _check_array_size(name, value, shape) -> None:
                           f"over numpy's limit of {_MAX_ARRAY_BYTES}")
 
 
+def _matrix_dim(p) -> int:
+    """``p`` as an int once it is an integer >= 1 (:func:`spd_core._whole_number`) whose p×p
+    float64 matrix numpy can hold (:func:`_check_array_size`); DomainError naming p otherwise."""
+    p = _whole_number(p, f"p must be an integer >= 1, got {p!r}")
+    _check_array_size("p", p, (p, p))
+    return p
+
+
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Eigenvalue model for generated matrices.
@@ -277,9 +285,10 @@ def random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``p`` is not an integer >= 1 (a bool is not one).
+        If ``p`` is not an integer >= 1 (a bool is not one), or numpy could
+        not hold a p×p float64 matrix; before anything is drawn.
     """
-    p = _whole_number(p, f"p must be an integer >= 1, got {p!r}")
+    p = _matrix_dim(p)
     m = rng.uniform(size=(p, p))
     u, _, _ = np.linalg.svd(m)
     return u

@@ -268,9 +268,10 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     The minimizer is the unique SPD root of the stationarity equation
     X c1 X = c2; it equals c2^{1/2} (c2^{1/2} c1 c2^{1/2})^{-1/2} c2^{1/2}.
     The equation is homogeneous, so c1 and c2 are first scaled exactly, by
-    4^{-k₁} and 4^{-k₂}, to a max |entry| in [1/2, 2); the minimizer F Fᵀ of
-    the scaled pair (F from :func:`_minimizer_factor`) times 2^{k₂ − k₁} is
-    returned, at any scale of c1 and c2 at which float64 holds it.
+    4^{-k₁} and 4^{-k₂}, to a max |entry| in [1/2, 2) (:func:`spd_core._unit`,
+    the rule validation scales by; c2 through its factor, times 2^{-k₂}); the
+    minimizer F Fᵀ of the scaled pair (F from :func:`_minimizer_factor`) times
+    2^{k₂ − k₁} is returned, at any scale of c1 and c2 at which float64 holds it.
 
     Raises
     ------
@@ -281,8 +282,8 @@ def surrogate_minimizer(c1, c2) -> np.ndarray:
     c1 = check_spd(c1, "c1")
     c2, r, _ = spd_core._check_spd_factor(c2, "c2")
     check_dims(c1, c2)
-    k1, k2 = np.frexp(spd_core._scales(np.stack((c1, c2))))[1] // 2
-    f = _minimizer_factor(np.ldexp(c1, -2 * k1), np.ldexp(r, -k2))
+    (c1, _), (k1, k2) = spd_core._unit(np.stack((c1, c2)))
+    f = _minimizer_factor(c1, np.ldexp(r, -k2))
     return spd_core._finite(np.ldexp(f @ f.T, k2 - k1), "the surrogate minimizer overflows float64")
 
 

@@ -29,9 +29,10 @@ def commuting_oracle(e: Ensemble) -> np.ndarray:
     ------
     NotCommuting
         If some pair fails ‖AB − BA‖_F ≤ 1e-10 · ‖A‖_F ‖B‖_F, tested at any float64 scale
-        on the pair scaled exactly by powers of two (:func:`spdmean.spd_core._unit`).
+        on the pair scaled exactly by powers of four to max |entry| in [1/2, 2)
+        (:func:`spdmean.spd_core._unit`, the rule validation scales by).
     """
-    unit = _unit(e.mats)
+    unit, _ = _unit(e.mats)
     for i, a in enumerate(unit):
         for j, b in enumerate(unit[i + 1:], i + 1):
             comm = np.linalg.norm(a @ b - b @ a)

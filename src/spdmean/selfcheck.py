@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from . import karcher, oracle, solvers
-from .bench import random_orthogonal
+from .bench import _check_array_size, _matrix_dim, random_orthogonal
 from .errors import SpdMeanError
 from .karcher import Ensemble
 from .spd_core import _whole_number, frob_inner, inv_m, riem_dist, sym
@@ -31,9 +31,25 @@ class CheckResult:
 
 
 def random_spd(rng, p, lo=0.5, hi=5.0):
-    """Random SPD matrix with eigenvalues drawn uniformly from [lo, hi]."""
+    """Random SPD matrix with eigenvalues drawn uniformly from [lo, hi].
+
+    Raises
+    ------
+    DomainError
+        As :func:`spdmean.bench.random_orthogonal` does for ``p``, before anything is drawn.
+    """
     u = random_orthogonal(p, rng)
     return sym((u * rng.uniform(lo, hi, size=p)) @ u.T)
+
+
+def _ensemble_size(n, p):
+    """``(n, p)`` as ints once each is an integer >= 1 and numpy could hold the p×p matrix and the
+    (n, p, p) float64 ensemble, the size rule of ``ExperimentSpec``; DomainError naming the field
+    otherwise, n's whole-number test first."""
+    n = _whole_number(n, f"n must be an integer >= 1, got {n!r}")
+    p = _matrix_dim(p)
+    _check_array_size("n", n, (n, p, p))
+    return n, p
 
 
 def random_ensemble(rng, n, p, lo=0.5, hi=5.0):
@@ -42,9 +58,10 @@ def random_ensemble(rng, n, p, lo=0.5, hi=5.0):
     Raises
     ------
     DomainError
-        If ``n`` or ``p`` is not an integer >= 1 (a bool is not one).
+        If ``n`` or ``p`` is not an integer >= 1 (a bool is not one), or numpy
+        could not hold the (n, p, p) float64 ensemble; before anything is drawn.
     """
-    n = _whole_number(n, f"n must be an integer >= 1, got {n!r}")
+    n, p = _ensemble_size(n, p)
     return Ensemble.from_matrices([random_spd(rng, p, lo, hi) for _ in range(n)])
 
 
@@ -54,9 +71,10 @@ def commuting_ensemble(rng, n, p, lo=0.5, hi=5.0):
     Raises
     ------
     DomainError
-        If ``n`` or ``p`` is not an integer >= 1 (a bool is not one).
+        If ``n`` or ``p`` is not an integer >= 1 (a bool is not one), or numpy
+        could not hold the (n, p, p) float64 ensemble; before anything is drawn.
     """
-    n = _whole_number(n, f"n must be an integer >= 1, got {n!r}")
+    n, p = _ensemble_size(n, p)
     u = random_orthogonal(p, rng)
     return Ensemble.from_matrices(
         [sym((u * rng.uniform(lo, hi, size=p)) @ u.T) for _ in range(n)])
@@ -68,9 +86,10 @@ def random_sym(rng, p, scale=1.0):
     Raises
     ------
     DomainError
-        If ``p`` is not an integer >= 1 (a bool is not one).
+        If ``p`` is not an integer >= 1 (a bool is not one), or numpy could
+        not hold a p×p float64 matrix; before anything is drawn.
     """
-    p = _whole_number(p, f"p must be an integer >= 1, got {p!r}")
+    p = _matrix_dim(p)
     return sym(rng.standard_normal((p, p))) * scale
 
 

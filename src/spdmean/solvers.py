@@ -134,8 +134,11 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
     step function that returns has stalled: its last probe failed, and
     the loop records that probe at the current point without the cap
     test. A NaN objective or gradient norm raises :class:`DomainError`,
-    so no run ends with a NaN mean. Float overflow in the steps does not
-    warn: the kernel's guards raise on the values it leaves.
+    so no run ends with a NaN mean. Every step runs under one
+    floating-point policy: overflow and invalid operations (0 · inf,
+    inf − inf) do not warn, and the kernel's guards,
+    :func:`spdmean.spd_core._positive_eigh` and the NaN test above, are the
+    only refusals of the values they leave.
     """
     x0, g0, _ = _point(e, x0)
     tol = cfg.effective_grad_tol(e.n)
@@ -148,7 +151,7 @@ def _solve(steps, e: Ensemble, cfg: SolverConfig, x0) -> SolverResult:
                                  perf_counter() - t0))
 
     status = STATUS_MAX_ITERS
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for g, f_val, grad in steps(e, cfg, g0):
             v = grad.ravel("K")
             gnorm = math.sqrt(v.dot(v))  # np.linalg.norm's own computation
@@ -214,12 +217,11 @@ def _gd_linesearch_steps(e: Ensemble, cfg: SolverConfig, g):
         lam, v = eigh(grad / e.n)
         gv = g @ v
         for j in range(LS_MAX_J + 1):
-            with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf: the probe is rejected
-                g_trial = gv * np.exp(0.5 * LS_FACTOR**j * cfg.nu * lam)
-                try:
-                    f_trial = _frame_objective(e, g_trial)
-                except DomainError:  # the probe left the cone in float64
-                    f_trial = math.inf
+            g_trial = gv * np.exp(0.5 * LS_FACTOR**j * cfg.nu * lam)
+            try:
+                f_trial = _frame_objective(e, g_trial)
+            except DomainError:  # the probe left the cone in float64
+                f_trial = math.inf
             if f_trial <= f_cur:
                 g = g_trial
                 # the kernel's objective, not the probe's: measured in the

@@ -138,9 +138,15 @@ def _scales(mats):
     return np.maximum.reduce(np.abs(mats), axis=(1, 2), initial=0.0)
 
 
-def _unit(mats):
-    """Each matrix of a finite (k, p, p) stack times the power of two that puts max |entry| in [1/2, 1)."""
-    return np.ldexp(mats, -np.frexp(_scales(mats))[1][:, None, None])
+def _unit(mats, top=None):
+    """The one exact rescaling: ``(4⁻ʲ·A, j)`` for each matrix A of a finite (k, p, p) stack,
+    j = ``np.frexp(max|a|)[1] // 2``, which puts max |entry| in [1/2, 2) (0 stays 0).
+
+    ``top`` is the stack's :func:`_scales`, where the caller has them (j is 0 where one is not
+    finite). A power of four scales the eigenvalues by 4⁻ʲ and their square roots by 2⁻ʲ.
+    """
+    j = np.frexp(_scales(mats) if top is None else top)[1] // 2
+    return np.ldexp(mats, -2 * j[:, None, None]), j
 
 
 def _symmetrized(mats):
@@ -153,14 +159,15 @@ def _symmetrized(mats):
     (1e-100, 1e100), the common case, the squared sums can neither
     overflow nor lose the skew part, and one ``half = A/2`` serves the
     test, as 4‖half − halfᵀ‖² = ‖A − Aᵀ‖², and sym(A) = half + halfᵀ.
-    Otherwise the test reads :func:`_unit` of the stack, scaled exactly, so
-    it decides alike at every power-of-two scale of a matrix.
+    Otherwise the test reads :func:`_unit` of the stack, max |entry| in
+    [1/2, 2), scaled exactly, so it decides alike at every power-of-two
+    scale of a matrix.
     """
     top = _scales(mats)
     test = mats
     if not (top.min() > 1e-100 and top.max() < 1e100):
         mats = np.where((top < np.inf)[:, None, None], mats, 0.0)
-        test = _unit(mats)
+        test = _unit(mats, top)[0]
     half = test * 0.5
     symmetric = _sq_norms(half - half.swapaxes(1, 2)) <= 0.25 * SYM_TOL * SYM_TOL * _sq_norms(test)
     if test is not mats:
@@ -222,9 +229,10 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     clears every matrix of a symmetric stack, the common case. The matrices it does not clear,
     or all of a stack with no Cholesky factor in float64, get the eigenvalue test itself, so
     every decision, message and first bad index is that of the eigenvalue test alone. It reads
-    2⁻ᵏAᵢ, k = ``np.frexp(max|aⱼₗ|)[1]``, an exact scaling, so it decides alike at every
-    power-of-two scale of a matrix; 2ᵏ scales back the eigenvalue a refusal names and the
-    spectral factors. The Lᵢ⁻¹ come from :func:`_tri_inv`, a blocked forward substitution that
+    4⁻ʲAᵢ, max |entry| in [1/2, 2) (:func:`_unit`), an exact scaling, so it decides alike at
+    every power-of-two scale of a matrix; 4ʲ scales back the eigenvalue a refusal names, and 2ʲ
+    the square roots of the spectral factors, which so stay normal where Aᵢ is subnormal.
+    The Lᵢ⁻¹ come from :func:`_tri_inv`, a blocked forward substitution that
     inverts the diagonal blocks of the whole stack together (``np.linalg.inv`` itself for
     p ≤ ``TRI_BLOCK``).
 
@@ -253,10 +261,10 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
         if (clear & symmetric).all():
             return mats, factors, inv_factors
         test = np.flatnonzero(~clear)
-    k = np.frexp(top[test])[1]
+    unit, j = _unit(mats[test], top[test])
     # with vectors: eigvalsh's eigenvalues differ from eigh's at round-off,
     # which decides the test near condition 1 / POSITIVITY_FLOOR
-    w, u = eigh(np.ldexp(mats[test], -k[:, None, None]))
+    w, u = eigh(unit)
     ok = symmetric.copy()
     ok[test] &= w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1])
     if not ok.all():
@@ -265,11 +273,11 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
             raise DomainError(f"{name_of(i)} has a non-finite entry")
         if not symmetric[i]:
             raise DomainError(f"{name_of(i)} is not symmetric")
-        j = test.searchsorted(i)
+        t = test.searchsorted(i)
         raise DomainError(f"{name_of(i)} is not positive definite "
-                          f"(eigenvalue {np.ldexp(w[j, 0], k[j]):.6g})")
+                          f"(eigenvalue {np.ldexp(w[t, 0], 2 * j[t]):.6g})")
     if inv_factors is None:
-        root = np.sqrt(np.ldexp(w, k[:, None]))
+        root = np.ldexp(np.sqrt(w), j[:, None])
         factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
     return mats, factors, inv_factors
 

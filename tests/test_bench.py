@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import spdmean.bench as bench
+import spdmean.selfcheck as selfcheck
 import spdmean.solvers as solvers
 from spdmean.bench import (
     ExperimentSpec,
@@ -139,6 +140,26 @@ class TestRandomOrthogonal:
     def test_rejects_bad_dim(self, rng):
         with pytest.raises(DomainError):
             random_orthogonal(0, rng)
+
+    # each public generator keeps the specs' size rule, refusing before it draws anything
+    @pytest.mark.parametrize("draw, field, nbytes", [
+        (lambda rng: random_orthogonal(10**20, rng), "p", "8e+40"),
+        (lambda rng: selfcheck.random_spd(rng, 10**20), "p", "8e+40"),
+        (lambda rng: selfcheck.random_sym(rng, 10**20), "p", "8e+40"),
+        (lambda rng: selfcheck.commuting_ensemble(rng, 2, 10**20), "p", "8e+40"),
+        (lambda rng: selfcheck.random_ensemble(rng, 2, 10**20), "p", "8e+40"),
+        (lambda rng: selfcheck.random_ensemble(rng, 10**20, 2), "n", "3.2e+21"),
+        (lambda rng: selfcheck.commuting_ensemble(rng, 10**20, 2), "n", "3.2e+21"),
+    ], ids=["random_orthogonal-p", "random_spd-p", "random_sym-p", "commuting_ensemble-p",
+            "random_ensemble-p", "random_ensemble-n", "commuting_ensemble-n"])
+    def test_generators_refuse_a_size_numpy_cannot_hold(self, draw, field, nbytes):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"{field} {10**20} asks for a float64 array of {nbytes} bytes, "
+                f"over numpy's limit of {np.iinfo(np.intp).max}") + "$"):
+            draw(rng)
+        assert rng.bit_generator.state == state
 
 
 class TestGenerateEnsemble:

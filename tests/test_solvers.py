@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -263,6 +264,21 @@ class TestGdFixedStep:
                                               r"cone at iterate \d+: objective requires a "
                                               r"positive definite point$"):
             gd_fixed_step_solve(e, SolverConfig(nu=4.0), arithmetic_mean_init(e))
+
+    @pytest.mark.parametrize("nu", [1e16, 1e300])
+    def test_a_step_that_overflows_is_refused_without_a_warning(self, nu):
+        # exp(nu·λ/2) overflows, and Fᵢ⁻¹G then meets 0 · inf: one policy for every step
+        # keeps that quiet, and the kernel's guard names the overflow
+        rng = np.random.default_rng(7)
+        a, b = random_spd(rng, 3), random_spd(rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^" + re.escape(
+                    f"gd-fixed step nu={nu:g} left the positive definite cone at iterate 1: "
+                    "A^(-1/2) X A^(-1/2) overflows float64 for matrix 0") + "$"):
+                gd_fixed_step_solve(Ensemble.from_matrices([a, b]), SolverConfig(nu=nu), a)
+            res = gd_linesearch_solve(Ensemble.from_matrices([a, b]), SolverConfig(nu=nu), a)
+        assert res.status in (STATUS_MAX_ITERS, STATUS_LINE_SEARCH_STALLED, STATUS_CONVERGED)
 
     def test_small_step_converges_slower_than_unit(self, rng):
         e = random_ensemble(rng, 5, 4)

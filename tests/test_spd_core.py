@@ -14,7 +14,7 @@ from spdmean.karcher import (Ensemble, SurrogateCoeffs, g1_scalar, g2_scalar, ob
                              surrogate_coeffs, surrogate_minimizer, surrogate_value)
 from spdmean.oracle import finite_diff_directional, scalar_karcher_oracle, two_matrix_oracle
 from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd, random_sym
-from spdmean.solvers import SolverConfig
+from spdmean.solvers import SolverConfig, mm_solve
 from spdmean import karcher, spd_core
 from spdmean.spd_core import (
     check_spd,
@@ -32,6 +32,10 @@ from spdmean.spd_core import (
 )
 
 from refs import frozen_check_spd_stack, frozen_scales, frozen_sym, frozen_symmetric, matrix_fn
+
+# w₀/w_max = 1.00031e-13: just above the positivity floor
+A2 = np.array([[0.5622088186448961, 0.4961149694201564],
+               [0.4961149694201564, 0.43779118135520406]])
 
 
 class TestCheckSymmetric:
@@ -349,11 +353,9 @@ class TestCheckSpdStack:
         # the eigenvalues were read at each matrix's own scale, so a matrix near the floor
         # could be refused at some 2^k and accepted at others
         scales = range(-1000, 1001, 50)
-        a2 = np.array([[0.5622088186448961, 0.4961149694201564],
-                       [0.4961149694201564, 0.43779118135520406]])
         for k in scales:
-            check_spd(np.ldexp(a2, k))
-            Ensemble.from_matrices([np.ldexp(a2, k)])
+            check_spd(np.ldexp(A2, k))
+            Ensemble.from_matrices([np.ldexp(A2, k)])
 
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -367,6 +369,48 @@ class TestCheckSpdStack:
             with pytest.raises(DomainError, match=re.escape(
                     f"matrix is not positive definite (eigenvalue {np.ldexp(-2.0, k):.6g})")):
                 check_spd(np.ldexp(np.diag([1.0, -2.0]), k))
+
+    def test_every_scale_ends_in_finite_factors_or_a_refusal_without_a_warning(self):
+        # the spectral factors were scaled back as sqrt(2^k w), which underflows to 0 for a
+        # subnormal matrix near the floor, and the inverse factor then divided by it
+        rng = np.random.default_rng(1)
+        mats = [A2]
+        for _ in range(20):
+            p, kappa = int(rng.integers(2, 8)), 1e13 * (1 + rng.uniform(-1e-3, 1e-3))
+            w, u = np.geomspace(1.0, 1.0 / kappa, p), random_orthogonal(p, rng)
+            mats.append(sym((u * w) @ u.T))
+        accepted = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (np.ldexp(a, k) for a in mats for k in range(-1074, 1024, 7)):
+                try:
+                    x, f, f_inv = spd_core._check_spd_factor(m)  # check_spd returns its x
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        Ensemble.from_matrices([m])
+                    continue
+                e = Ensemble.from_matrices([m])
+                assert np.array_equal(e.mats[0], x) and np.array_equal(e.inv_factors[0], f_inv)
+                assert np.isfinite(f).all() and np.isfinite(f_inv).all()
+                # round-off: p ulps at the matrix's scale, and p of the subnormal spacing
+                tol = len(x) * (1e-14 * np.abs(x).max() + 2.0 ** -1074)
+                assert np.abs(f @ f.T - x).max() <= tol
+                accepted += 1
+        assert 0 < accepted < len(mats) * len(range(-1074, 1024, 7))
+
+    @pytest.mark.parametrize("k", [-1045, -1060])
+    def test_a_subnormal_matrix_near_the_floor_solves(self, k):
+        a = check_spd(np.ldexp(A2, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mm_solve(Ensemble.from_matrices([a, a]), SolverConfig(), a)
+        assert (res.status, res.iters_used) == ("converged", 0)
+        assert np.array_equal(res.mean, a)
+
+    def test_a_subnormal_matrix_past_the_floor_is_refused(self):
+        with pytest.raises(DomainError, match=re.escape(
+                "matrix is not positive definite (eigenvalue -0)")):
+            check_spd(np.ldexp(A2, -1050))
 
     @pytest.mark.parametrize("mats", [[], (), np.zeros((0, 3, 3)), np.zeros((0, 0))],
                              ids=["list", "tuple", "(0, 3, 3)", "(0, 0)"])

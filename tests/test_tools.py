@@ -1,8 +1,9 @@
 """The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
-``tools/fingerprint.py``'s line counter and ``check`` lines."""
+``tools/fingerprint.py``'s line counter, ``check`` lines and warning count."""
 
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,23 @@ def test_check_lines_are_one_per_table_entry_and_repeat(monkeypatch):
     assert [line.split()[:2] for line in lines] == [["check", str(i)]
                                                     for i in range(len(selfcheck.TABLE))]
     assert fingerprint.check_lines(selfcheck) == lines
+
+
+def test_warnings_line_counts_a_warning_planted_in_a_check(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+
+    def planted(rng):
+        warnings.warn("planted", RuntimeWarning)
+        return 0.0, True
+
+    clean = selfcheck.TABLE[0]
+    monkeypatch.setattr(selfcheck, "TABLE", [clean, ("planted", None, planted, "")])
+    lines = list(fingerprint.counted(lambda: fingerprint.check_lines(selfcheck)))
+    assert [line.split()[:2] for line in lines] == [["check", "0"], ["check", "1"]] + [
+        ["warnings", "1"]]
+    assert lines[-1] == "warnings 1"
+    monkeypatch.setattr(selfcheck, "TABLE", [clean])
+    assert list(fingerprint.counted(lambda: fingerprint.check_lines(selfcheck))) == [
+        lines[0], "warnings 0"]

@@ -26,7 +26,10 @@ writes nothing into it. Prints:
   ``np.random.default_rng([20240, i])`` as ``run_checks`` runs it: a hash of
   its unformatted worst values and its pass flag, or of the ``repr`` of the
   error it raised. These reach the views no ``solve`` line calls: the
-  objective, gradients, surrogate, oracles, g1 and g2.
+  objective, gradients, surrogate, oracles, g1 and g2;
+- ``warnings <n>``, last: the number of warnings raised while the other
+  lines were computed, each one counted (the ``"always"`` filter), so a
+  change that lets a new warning through shows in the output.
 
 Two checkouts whose arithmetic agrees bit for bit print the same
 ``setup``, ``solve``, ``spec`` and ``check`` lines. One BLAS thread is used, so the
@@ -45,6 +48,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tokenize  # noqa: E402
+import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -120,27 +124,42 @@ def check_lines(selfcheck):
     return lines
 
 
-def main(argv):
-    if len(argv) != 1:
-        sys.exit("usage: python3 tools/fingerprint.py <checkout root>")
-    root = Path(argv[0]).resolve()
+def counted(make_lines):
+    """Yield the lines ``make_lines()`` yields or returns, then ``warnings <n>``: every warning
+    raised while they were computed, each one counted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield from make_lines()
+    yield f"warnings {len(caught)}"
+
+
+def fingerprint_lines(root):
+    """Every line but ``warnings``, in the order the module docstring lists them."""
     bench, solvers, selfcheck, workloads = _load(root)
-    print("lines", *line_counts(root / "src" / "spdmean"))
+    yield "lines {} {}".format(*line_counts(root / "src" / "spdmean"))
     for name in WORKLOADS:
         w = workloads.WORKLOADS[name]
         for i in INSTANCES:
             raw = workloads.instance_matrices(w.name, SEED, i, w.n, w.p, w.scale_first_by)
             e = solvers.Ensemble.from_matrices(raw)
             x0 = solvers.arithmetic_mean_init(e)
-            print("setup", name, i, _digest(e.mats.tobytes(), e.inv_factors.tobytes(),
-                                            x0.tobytes()))
+            yield f"setup {name} {i} " + _digest(e.mats.tobytes(), e.inv_factors.tobytes(),
+                                                 x0.tobytes())
             for kind, fn in solvers.SOLVERS.items():
-                print("solve", name, i, kind, solve_hash(solvers, fn, e, x0), flush=True)
+                yield f"solve {name} {i} {kind} {solve_hash(solvers, fn, e, x0)}"
     for path in sorted((root / "src" / "spdmean" / "specs").glob("*.json")):
         report = bench.run_experiment(bench.ExperimentSpec.from_dict(json.loads(path.read_text())))
         sidecar = json.dumps(report.spec.to_dict(), indent=2) + "\n"
-        print("spec", path.stem, _digest(bench.report_to_csv(report), sidecar), flush=True)
-    print(*check_lines(selfcheck), sep="\n")
+        yield f"spec {path.stem} {_digest(bench.report_to_csv(report), sidecar)}"
+    yield from check_lines(selfcheck)
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: python3 tools/fingerprint.py <checkout root>")
+    root = Path(argv[0]).resolve()
+    for line in counted(lambda: fingerprint_lines(root)):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
