@@ -19,7 +19,8 @@ so it can read z and Û first and keeps no pass after its reduction.
 All three solvers carry such a factor; the public views take the
 factor that validating their point takes (:func:`grad_sum`,
 G = X^{1/2}). Sums over i are single matrix products over the stack, so
-results are bitwise reproducible for a given numpy and BLAS.
+results are bitwise reproducible for a given numpy, BLAS library and BLAS
+thread count (a threaded product can split a sum differently).
 """
 
 import math
@@ -45,11 +46,10 @@ class Ensemble:
         Fᵢ⁻¹ for the factor Aᵢ = Fᵢ Fᵢᵀ that validation takes
         (:func:`spdmean.spd_core.check_spd_stack`), so that
         Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹ and Fᵢ⁻¹ Aᵢ Fᵢ⁻ᵀ = I: the inverse of the lower
-        Cholesky factor Lᵢ by blocked forward substitution, whose diagonal
-        blocks are inverted together over the whole stack
-        (``np.linalg.inv`` for dim ≤ ``spd_core.TRI_BLOCK``), or
-        D(wᵢ)^{-1/2} Uᵢᵀ where the stack has no Cholesky factor in float64.
-        Lᵢ⁻¹ is written over Lᵢ: set-up allocates no stack for it.
+        Cholesky factor Lᵢ (:func:`spdmean.spd_core._cholesky_pair`): a block
+        of one bordered factorization of a small stack, else blocked forward
+        substitution written over Lᵢ; or D(wᵢ)^{-1/2} Uᵢᵀ where the stack has
+        no Cholesky factor in float64. The ensemble keeps no stack for Lᵢ.
     """
 
     mats: np.ndarray

@@ -22,6 +22,9 @@ SYM_TOL = 1e-12
 POSITIVITY_FLOOR = 1e-13
 # Block width of the triangular inverse of the Cholesky factors.
 TRI_BLOCK = 16
+# The largest bordered stack, in bytes, that :func:`_cholesky_pair` factors in one call:
+# at p = 5-16, past 250-500 KB, forward substitution takes L⁻¹ faster (one BLAS thread).
+BORDER_BYTES = 1 << 18
 # The dtype kinds taken as real numbers: float, signed and unsigned int.
 REAL_KINDS = "fiu"
 
@@ -232,12 +235,11 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     4⁻ʲAᵢ, max |entry| in [1/2, 2) (:func:`_unit`), an exact scaling, so it decides alike at
     every power-of-two scale of a matrix; 4ʲ scales back the eigenvalue a refusal names, and 2ʲ
     the square roots of the spectral factors, which so stay normal where Aᵢ is subnormal.
-    The Lᵢ⁻¹ come from :func:`_tri_inv`, a blocked forward substitution that
-    inverts the diagonal blocks of the whole stack together (``np.linalg.inv`` itself for
-    p ≤ ``TRI_BLOCK``).
+    The Lᵢ and Lᵢ⁻¹ come from :func:`_cholesky_pair`: one bordered Cholesky factorization
+    for a small stack, else the factor and :func:`_tri_inv`, a blocked forward substitution.
 
     Internal: with ``_keep_factors=False``, for a caller that keeps only the
-    Fᵢ⁻¹, each Lᵢ⁻¹ overwrites Lᵢ and the Cholesky factors are returned as ``None``.
+    Fᵢ⁻¹, the Cholesky factors are returned as ``None`` and no stack is kept for them.
 
     Returns
     -------
@@ -249,13 +251,11 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     """
     mats, top, symmetric = _symmetrized(_stack(mats, name_of))
     try:
-        factors = cholesky(mats, "stack has no Cholesky factor")
+        factors, inv_factors = _cholesky_pair(mats, keep=_keep_factors)
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
         factors = inv_factors = None
         test = np.arange(len(mats))
     else:
-        inv_factors = _tri_inv(factors, in_place=not _keep_factors)
-        factors = factors if _keep_factors else None  # overwritten by inv_factors
         with np.errstate(over="ignore"):
             clear = _sq_norms(inv_factors) * mats.shape[-1] * top < 0.1 / POSITIVITY_FLOOR
         if (clear & symmetric).all():
@@ -310,6 +310,34 @@ def _stack(mats, name_of):
     return np.array(checked)  # all pass with one shape, as in a 1-d object array of matrices
 
 
+def _cholesky_pair(mats, keep=True):
+    """(L, L⁻¹) for the lower Cholesky factor Lᵢ of each matrix of a symmetric (k, p, p) stack;
+    DomainError where the stack has none in float64. L is ``None`` unless ``keep``.
+
+    For p ≤ ``TRI_BLOCK`` and a bordered stack of at most ``BORDER_BYTES``, one
+    :func:`cholesky` call factors the bordered Mᵢ = [[Aᵢ, ·], [I, ∞·I]] (only the lower
+    triangle is read), whose factor is [[Lᵢ, 0], [Lᵢ⁻ᵀ, ·]]: its lower-left block comes
+    from the forward substitution Xᵢ Lᵢᵀ = I inside the factorization, exactly upper
+    triangular. L is a view of that factor and L⁻¹ a copy, so a caller that keeps only L⁻¹
+    (an ensemble) does not hold the bordered stack, four times its size. Neither reads the
+    trailing block, which is thrown away: ∞ on its diagonal and 0 below it, or NaN where
+    Lᵢ⁻ᵀLᵢ⁻¹ overflows, which a LAPACK that tests its pivots for NaN refuses as no factor.
+    A finite corner makes the updates of that block subnormal, and slow. Past that size L⁻¹
+    is :func:`_tri_inv` of the factor, faster there, written over it unless ``keep``.
+    """
+    k, p = mats.shape[:2]
+    if p <= TRI_BLOCK and 32 * k * p * p <= BORDER_BYTES:
+        m = np.zeros((k, 2 * p, 2 * p))
+        m[:, :p, :p] = mats
+        flat = m.reshape(k, -1)  # entry (p + i, j) of Mᵢ is flat[2p(p + i) + j]
+        flat[:, 2 * p * p::2 * p + 1] = 1.0  # j = i
+        flat[:, 2 * p * p + p::2 * p + 1] = np.inf  # j = p + i
+        f = cholesky(m, "stack has no Cholesky factor")
+        return (f[:, :p, :p] if keep else None), f[:, p:, :p].swapaxes(1, 2).copy()
+    l = cholesky(mats, "stack has no Cholesky factor")
+    return (l if keep else None), _tri_inv(l, in_place=not keep)
+
+
 def _tri_inv(l, in_place=False):
     """Inverse of each lower triangular matrix of a (k, p, p) stack, written over L if ``in_place``.
 
@@ -320,8 +348,7 @@ def _tri_inv(l, in_place=False):
     stack, by :func:`_lower_inv` (a partial last block as a second), so
     X is exactly lower triangular. This is about a third of the
     floating-point work of an LU inverse, and as accurate (Du Croz &
-    Higham, IMA J. Numer. Anal. 12, 1992). For p ≤ ``TRI_BLOCK`` the
-    result is ``np.linalg.inv(l)`` itself, a new array, which is faster there.
+    Higham, IMA J. Numer. Anal. 12, 1992).
 
     The block stacks are views of L and X (:func:`_diag_blocks`),
     inverted in place, so no block is copied. Block row i reads only L's
@@ -329,11 +356,10 @@ def _tri_inv(l, in_place=False):
     itself, bitwise as a fresh X, where L is 0 above the diagonal.
     """
     p = l.shape[-1]
-    if p <= TRI_BLOCK:
-        return np.linalg.inv(l)
     b, m = TRI_BLOCK, p // TRI_BLOCK
     x = l if in_place else np.zeros_like(l)
-    _lower_inv(_diag_blocks(l, b, m), _diag_blocks(x, b, m))
+    if m:
+        _lower_inv(_diag_blocks(l, b, m), _diag_blocks(x, b, m))
     if m * b < p:
         _lower_inv(l[:, m * b:, m * b:], x[:, m * b:, m * b:])
     for s in range(b, p, b):

@@ -38,7 +38,7 @@ from refs import grid_minimize_1d, per_matrix_terms, two_root_minimizer
 
 class TestEnsemble:
     def test_cache_coherence(self, rng):
-        # p = 40 takes the blocked triangular inverse, p = 5 numpy's
+        # p = 40 takes the blocked triangular inverse, p = 5 the bordered factorization
         for p in (5, 40):
             e = random_ensemble(rng, 4, p)
             for i in range(e.n):
@@ -790,7 +790,8 @@ class TestSurrogateMinimizer:
             surrogate_minimizer(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_factors_c2_once(self, monkeypatch, rng):
-        # validation factors c1 and c2; the minimizer reuses the factor of c2
+        # validation factors c1 and c2, each bordered as [[c, ·], [I, ∞·I]]; the minimizer
+        # reuses the factor of c2
         shapes = []
 
         def counted(a):
@@ -800,7 +801,7 @@ class TestSurrogateMinimizer:
         real = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         surrogate_minimizer(random_spd(rng, 4), random_spd(rng, 4))
-        assert shapes == [(1, 4, 4), (1, 4, 4)]
+        assert shapes == [(1, 8, 8), (1, 8, 8)]
 
     @pytest.mark.parametrize("p", [1, 4, 10])
     def test_c2_without_cholesky_factor(self, p, monkeypatch, rng):

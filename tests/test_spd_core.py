@@ -266,6 +266,17 @@ def _no_cholesky(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", fail)
 
 
+def _assert_cholesky_pair(a, l, x):
+    """L and X = L⁻¹ of a stack A = L Lᵀ: both exactly lower triangular, with max|L Lᵀ − A| within
+    10·p·ε of max|A|, and max|X L − I| within 10·p·ε of p·max|X|·max|L|, each matrix at its own
+    scale; the scales are maxima, so none overflows."""
+    p, eps = a.shape[-1], np.finfo(float).eps
+    assert not np.triu(l, 1).any() and not np.triu(x, 1).any()
+    assert (frozen_scales(l @ l.swapaxes(1, 2) - a) <= 10 * p * eps * frozen_scales(a)).all()
+    assert (frozen_scales(x @ l - np.eye(p))
+            <= 10 * p * eps * p * frozen_scales(x) * frozen_scales(l)).all()
+
+
 class TestCheckSpdStack:
     """The Cholesky-first validation against the rule on the spectra alone."""
 
@@ -298,7 +309,8 @@ class TestCheckSpdStack:
 
     @pytest.mark.parametrize("forced", [False, True], ids=["cholesky", "no-cholesky"])
     def test_same_as_the_pass_before_its_rewrite(self, forced, monkeypatch, rng):
-        # messages, and the symmetrized stack and factors byte for byte
+        # messages, and the symmetrized stack and factors byte for byte; at p ≤ TRI_BLOCK the
+        # Cholesky factors come from one bordered factorization, and are checked to round-off
         stacks = _decision_stacks(rng) + _edge_stacks()
         for p in (1, 10, 100):
             stacks += [[random_spd(rng, p) * 10.0 ** rng.uniform(-300, 300) for _ in range(3)],
@@ -319,8 +331,11 @@ class TestCheckSpdStack:
                 assert got_message == message
                 if got is not None:
                     accepted += 1
-                    for a, b in zip(got, want):
+                    bordered = not forced and got[0].shape[-1] <= spd_core.TRI_BLOCK
+                    for a, b in zip(got[:1] if bordered else got, want):
                         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+                    if bordered:
+                        _assert_cholesky_pair(*got)
         assert 0 < accepted < len(stacks)
 
     def test_symmetry_decision_is_the_same_at_every_power_of_two_scale(self):
@@ -424,8 +439,68 @@ class TestCheckSpdStack:
     def test_cholesky_factor_and_its_inverse(self, rng):
         mats = np.array([random_spd(rng, 5) * 10.0 ** k for k in (-200, 0, 200)])
         out, factors, inv_factors = spd_core.check_spd_stack(mats)
-        assert np.array_equal(factors, np.linalg.cholesky(out))
-        assert np.array_equal(inv_factors, np.linalg.inv(factors))
+        assert np.array_equal(out, sym(mats))
+        _assert_cholesky_pair(out, factors, inv_factors)
+
+    @pytest.mark.parametrize("p", [1, 2, 10, spd_core.TRI_BLOCK])
+    def test_bordered_factorization_gives_cholesky_factors(self, monkeypatch, rng, p):
+        # a BLAS that mishandles the ∞ corner fails here: by a warning, a non-finite L or L⁻¹,
+        # or a silent fall back onto the eigendecomposition and its factors U·D^{1/2}
+        def no_eigh(m, vectors=True):
+            raise AssertionError("a well-conditioned stack was decomposed")
+
+        monkeypatch.setattr(spd_core, "eigh", no_eigh)
+        mats = np.array([random_spd(rng, p) for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, factors, inv_factors = spd_core.check_spd_stack(mats)
+            e = Ensemble.from_matrices(mats)
+        assert np.isfinite(factors).all() and np.isfinite(inv_factors).all()
+        _assert_cholesky_pair(out, factors, inv_factors)
+        assert np.array_equal(e.inv_factors, inv_factors)
+
+    def test_edge_stacks_keep_their_outcomes_under_the_bordered_factorization(self, rng):
+        # non-finite and zero matrices are refused as before; the subnormal A2 near the floor
+        # has no Cholesky factor and keeps its spectral one; at 10^±300 a matrix keeps its
+        # Cholesky factor
+        refused = [([np.eye(2), np.diag([np.nan, 1.0])], "matrix 1 has a non-finite entry"),
+                   ([np.diag([np.inf, 1.0])], "matrix 0 has a non-finite entry"),
+                   ([np.eye(3), np.zeros((3, 3))],
+                    "matrix 1 is not positive definite (eigenvalue 0)")]
+        spectral = [[np.ldexp(A2, -1045)], [np.ldexp(A2, -1060)], [np.ldexp(A2, -1045)] * 2]
+        cholesky = [[random_spd(rng, 10) * 1e300, random_spd(rng, 10)],
+                    [random_spd(rng, 10) * 1e-300, random_spd(rng, 10)],
+                    [random_spd(rng, spd_core.TRI_BLOCK) * 1e-300]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mats, message in refused:
+                assert _outcome(mats)[0] == message
+            for mats in spectral:
+                _, factors, inv_factors = spd_core.check_spd_stack(mats)
+                assert np.isfinite(factors).all() and np.isfinite(inv_factors).all()
+                assert np.triu(factors, 1).any()
+            for mats in cholesky:
+                _assert_cholesky_pair(*spd_core.check_spd_stack(mats))
+
+    def test_path_follows_the_stack_size(self, monkeypatch, rng):
+        # one bordered factorization while the (k, 2p, 2p) stack holds at most BORDER_BYTES
+        # and p ≤ TRI_BLOCK; else the factor and its forward substitution
+        shapes = []
+
+        def counted(a, message):
+            shapes.append(a.shape)
+            return real(a, message)
+
+        real = spd_core.cholesky
+        monkeypatch.setattr(spd_core, "cholesky", counted)
+        p, b = 10, spd_core.TRI_BLOCK
+        most = spd_core.BORDER_BYTES // (32 * p * p)
+        for k, p, want in ((most, p, (most, 2 * p, 2 * p)), (most + 1, p, (most + 1, p, p)),
+                           (1, b, (1, 2 * b, 2 * b)), (1, b + 1, (1, b + 1, b + 1))):
+            mats = np.array([random_spd(rng, p) for _ in range(k)])
+            shapes.clear()
+            _assert_cholesky_pair(*spd_core.check_spd_stack(mats))
+            assert shapes == [want]
 
 
 B = spd_core.TRI_BLOCK
@@ -439,9 +514,12 @@ def _factors(rng, p, k=4):
 
 class TestTriInv:
     @pytest.mark.parametrize("p", [1, 2, 5, B])
-    def test_small_stacks_are_numpys_inverse(self, rng, p):
+    def test_small_stacks_are_one_forward_substitution(self, rng, p):
+        # a stack past the bordered size at p ≤ TRI_BLOCK: one stacked substitution, no LU
         l = _factors(rng, p)
-        assert np.array_equal(spd_core._tri_inv(l), np.linalg.inv(l))
+        x = np.zeros_like(l)
+        spd_core._lower_inv(l, x)
+        assert np.array_equal(spd_core._tri_inv(l), x)
 
     # a partial last block of width 1, 3, 4 or B − 1, or none; one matrix and a stack
     @pytest.mark.parametrize("p", [B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, 7 * B, 100])

@@ -1,11 +1,12 @@
 """The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
-``tools/fingerprint.py``'s line counter, ``check`` lines and warning count."""
+``tools/fingerprint.py``'s line counter, ``blas`` and ``check`` lines and warning count."""
 
 import importlib.util
 import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdmean.selfcheck as selfcheck
@@ -103,6 +104,16 @@ def test_check_lines_are_one_per_table_entry_and_repeat(monkeypatch):
     assert [line.split()[:2] for line in lines] == [["check", str(i)]
                                                     for i in range(len(selfcheck.TABLE))]
     assert fingerprint.check_lines(selfcheck) == lines
+
+
+def test_blas_line_names_numpy_the_blas_and_the_pinned_threads(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    line = fingerprint.blas_line().split()
+    assert line[:4] == ["blas", f"numpy={np.__version__}", blas["name"], blas["version"]]
+    assert line[4:] == ["OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=1", "MKL_NUM_THREADS=1"]
 
 
 def test_warnings_line_counts_a_warning_planted_in_a_check(monkeypatch):

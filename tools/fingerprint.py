@@ -11,6 +11,9 @@ writes nothing into it. Prints:
 - ``lines <all> <code>``: the lines of ``src/spdmean/*.py``, counted every
   one, then without docstrings, comments and blank lines (``ast`` finds
   the docstrings, ``tokenize`` the lines that hold code);
+- ``blas numpy=<version> <BLAS name> <BLAS version> <VAR>=<value> ...``: what
+  the hashes below depend on, from ``np.show_config(mode="dicts")``, and the
+  three BLAS thread variables this tool pins;
 - ``setup <workload> <instance> <hash>`` for seed-1 instances 0-1 of
   ``mm-small``, ``fig3-rescale`` and ``mm-large``: a hash of the bytes of
   ``Ensemble.from_matrices``' ``mats`` and ``inv_factors`` and of
@@ -32,13 +35,15 @@ writes nothing into it. Prints:
   change that lets a new warning through shows in the output.
 
 Two checkouts whose arithmetic agrees bit for bit print the same
-``setup``, ``solve``, ``spec`` and ``check`` lines. One BLAS thread is used, so the
-hashes do not depend on how the host splits a product.
+``setup``, ``solve``, ``spec`` and ``check`` lines under one ``blas`` line: results
+are bitwise for a given numpy, BLAS library and BLAS thread count. One BLAS
+thread is used, so the hashes do not depend on how the host splits a product.
 """
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import ast  # noqa: E402
@@ -77,6 +82,13 @@ def line_counts(package):
     sources = [path.read_text() for path in sorted(package.glob("*.py"))]
     return (sum(len(s.splitlines()) for s in sources),
             sum(len(_code_lines(s) - _docstring_lines(s)) for s in sources))
+
+
+def blas_line():
+    """``blas numpy=<version> <name> <version> <VAR>=<value> ...`` of the running numpy."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = " ".join(f"{var}={os.environ.get(var, '')}" for var in THREAD_VARS)
+    return f"blas numpy={np.__version__} {blas.get('name', '?')} {blas.get('version', '?')} {threads}"
 
 
 def _digest(*parts):
@@ -137,6 +149,7 @@ def fingerprint_lines(root):
     """Every line but ``warnings``, in the order the module docstring lists them."""
     bench, solvers, selfcheck, workloads = _load(root)
     yield "lines {} {}".format(*line_counts(root / "src" / "spdmean"))
+    yield blas_line()
     for name in WORKLOADS:
         w = workloads.WORKLOADS[name]
         for i in INSTANCES:
