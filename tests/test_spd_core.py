@@ -493,9 +493,8 @@ class TestCheckSpdStack:
 
         real = spd_core.cholesky
         monkeypatch.setattr(spd_core, "cholesky", counted)
-        p, b = 10, spd_core.TRI_BLOCK
-        most = spd_core.BORDER_BYTES // (32 * p * p)
-        for k, p, want in ((most, p, (most, 2 * p, 2 * p)), (most + 1, p, (most + 1, p, p)),
+        b, most = spd_core.TRI_BLOCK, spd_core.BORDER_BYTES // (32 * 10 * 10)
+        for k, p, want in ((most, 10, (most, 20, 20)), (most + 1, 10, (most + 1, 10, 10)),
                            (1, b, (1, 2 * b, 2 * b)), (1, b + 1, (1, b + 1, b + 1))):
             mats = np.array([random_spd(rng, p) for _ in range(k)])
             shapes.clear()

@@ -88,7 +88,8 @@ def blas_line():
     """``blas numpy=<version> <name> <version> <VAR>=<value> ...`` of the running numpy."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     threads = " ".join(f"{var}={os.environ.get(var, '')}" for var in THREAD_VARS)
-    return f"blas numpy={np.__version__} {blas.get('name', '?')} {blas.get('version', '?')} {threads}"
+    name, version = blas.get("name", "?"), blas.get("version", "?")
+    return f"blas numpy={np.__version__} {name} {version} {threads}"
 
 
 def _digest(*parts):
