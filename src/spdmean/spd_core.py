@@ -158,18 +158,24 @@ def _symmetrized(mats):
     Names and refuses nothing. Returns ``(sym(A), top, symmetric)``: each
     matrix's max |entry| (:func:`_scales`; inf or NaN where it is not
     finite, and then the matrix is zeroed), and which matrices have
-    ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F. Where every top lies in
-    (1e-100, 1e100), the common case, the squared sums can neither
-    overflow nor lose the skew part, and one ``half = A/2`` serves the
-    test, as 4‖half − halfᵀ‖² = ‖A − Aᵀ‖², and sym(A) = half + halfᵀ.
-    Otherwise the test reads :func:`_unit` of the stack, max |entry| in
-    [1/2, 2), scaled exactly, so it decides alike at every power-of-two
-    scale of a matrix.
+    ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F. A finite stack equal to its transpose,
+    the common case, passes that test at any scale and is not measured:
+    sym(A) = half + halfᵀ with ``half = A/2``, which turns a −0.0 whose
+    mirror is +0.0 into +0.0, as on the measured path. Any other stack is
+    measured. Where every top lies in (1e-100, 1e100), the squared sums
+    can neither overflow nor lose the skew part, and one ``half`` serves
+    the test, as 4‖half − halfᵀ‖² = ‖A − Aᵀ‖². Otherwise the test reads
+    :func:`_unit` of the stack, max |entry| in [1/2, 2), scaled exactly,
+    so it decides alike at every power-of-two scale of a matrix.
     """
     top = _scales(mats)
+    finite = top < np.inf
+    if finite.all() and (mats == mats.swapaxes(1, 2)).all():
+        half = mats * 0.5
+        return half + half.swapaxes(1, 2), top, finite
     test = mats
     if not (top.min() > 1e-100 and top.max() < 1e100):
-        mats = np.where((top < np.inf)[:, None, None], mats, 0.0)
+        mats = np.where(finite[:, None, None], mats, 0.0)
         test = _unit(mats, top)[0]
     half = test * 0.5
     symmetric = _sq_norms(half - half.swapaxes(1, 2)) <= 0.25 * SYM_TOL * SYM_TOL * _sq_norms(test)
@@ -190,9 +196,10 @@ def check_spd(a, name="matrix"):
     Positivity uses a relative floor: the smallest eigenvalue must exceed
     ``POSITIVITY_FLOOR`` times the largest, so the check survives rescaling,
     and exactly so: it reads ``a`` at an exact power-of-two scale, and
-    2ʲ·``a`` gets ``a``'s decision for every j. The test runs as in
-    :func:`check_spd_stack`: a Cholesky factor with a small enough inverse
-    passes it without an eigendecomposition.
+    2ʲ·``a`` gets ``a``'s decision for every j. The tests run as in
+    :func:`check_spd_stack`: an ``a`` equal to its transpose is symmetric
+    without a norm being taken, and a Cholesky factor with a small enough
+    inverse passes positivity without an eigendecomposition.
     ``name`` is how error messages refer to ``a``.
 
     Raises
@@ -223,6 +230,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     is checked matrix by matrix. Then each matrix gets the tests of :func:`check_spd` in one
     pass; the first that fails one raises, with the first test it fails in the order
     non-finite, symmetric, positive definite. ``name_of(i)`` names matrix i in every message.
+    A finite stack equal to its transpose, as every stack the package builds is, passes the
+    symmetry test by that one comparison; any other stack is measured (:func:`_symmetrized`).
 
     The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the eigenvalues from
     :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ, w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and
@@ -231,7 +240,9 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     decomposed; a bound that overflows clears nothing. The pass returns as soon as the bound
     clears every matrix of a symmetric stack, the common case. The matrices it does not clear,
     or all of a stack with no Cholesky factor in float64, get the eigenvalue test itself, so
-    every decision, message and first bad index is that of the eigenvalue test alone. It reads
+    every decision, message and first bad index is that of the eigenvalue test alone. A stack
+    with an ‖Lᵢ⁻¹‖_F² that overflows is taken as one with no factor on every LAPACK build, as
+    a build that tests its pivots for NaN refuses its bordered factorization. The test reads
     4⁻ʲAᵢ, max |entry| in [1/2, 2) (:func:`_unit`), an exact scaling, so it decides alike at
     every power-of-two scale of a matrix; 4ʲ scales back the eigenvalue a refusal names, and 2ʲ
     the square roots of the spectral factors, which so stay normal where Aᵢ is subnormal.
@@ -246,21 +257,24 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     (mats, factors, inv_factors)
         The symmetrized stack, factors Fᵢ with Fᵢ Fᵢᵀ = Aᵢ, and their
         inverses Fᵢ⁻¹, so that Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹. Fᵢ is the lower Cholesky
-        factor Lᵢ, or, where the stack has none in float64, Uᵢ D(wᵢ)^{1/2}
-        from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ of the test.
+        factor Lᵢ, or, where the stack has none in float64 or some ‖Lᵢ⁻¹‖_F²
+        overflows, Uᵢ D(wᵢ)^{1/2} from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ
+        of the test.
     """
     mats, top, symmetric = _symmetrized(_stack(mats, name_of))
     try:
         factors, inv_factors = _cholesky_pair(mats, keep=_keep_factors)
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
         factors = inv_factors = None
-        test = np.arange(len(mats))
     else:
         with np.errstate(over="ignore"):
-            clear = _sq_norms(inv_factors) * mats.shape[-1] * top < 0.1 / POSITIVITY_FLOOR
+            sq = _sq_norms(inv_factors)
+            clear = sq * mats.shape[-1] * top < 0.1 / POSITIVITY_FLOOR
         if (clear & symmetric).all():
             return mats, factors, inv_factors
-        test = np.flatnonzero(~clear)
+        if not (sq < np.inf).all():  # as where the bordered factorization's NaN pivot is refused
+            factors = inv_factors = None
+    test = np.arange(len(mats)) if inv_factors is None else np.flatnonzero(~clear)
     unit, j = _unit(mats[test], top[test])
     # with vectors: eigvalsh's eigenvalues differ from eigh's at round-off,
     # which decides the test near condition 1 / POSITIVITY_FLOOR
@@ -321,7 +335,8 @@ def _cholesky_pair(mats, keep=True):
     triangular. L is a view of that factor and L⁻¹ a copy, so a caller that keeps only L⁻¹
     (an ensemble) does not hold the bordered stack, four times its size. Neither reads the
     trailing block, which is thrown away: ∞ on its diagonal and 0 below it, or NaN where
-    Lᵢ⁻ᵀLᵢ⁻¹ overflows, which a LAPACK that tests its pivots for NaN refuses as no factor.
+    Lᵢ⁻ᵀLᵢ⁻¹ overflows, which a LAPACK that tests its pivots for NaN refuses as no factor
+    (:func:`check_spd_stack` takes such a stack as one with no factor on every build).
     A finite corner makes the updates of that block subnormal, and slow. Past that size L⁻¹
     is :func:`_tri_inv` of the factor, faster there, written over it unless ``keep``.
     """

@@ -251,6 +251,12 @@ _EDGE_INPUTS = [
     np.eye(2) * 1.5e308, np.eye(2) * 1e-300, np.diag([3e-300, 1e-300]),
     *(np.where(np.arange(4).reshape(2, 2) == k, v, np.eye(2))
       for v in (np.nan, np.inf, -np.inf) for k in (0, 1)),
+    # equal to their transpose, so not measured: a −0.0/+0.0 pair, whose symmetrized pair is
+    # +0.0, symmetric ±∞ pairs, refused as non-finite, and scales 1e±300
+    [[2.0, -0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]],
+    np.array([[2.0, 1.0], [1.0, 3.0]]) * 1e300, np.array([[2.0, 1.0], [1.0, 3.0]]) * 1e-300,
+    # within SYM_TOL of symmetric, so measured; next to I they make a mixed stack
+    *(np.array([[2.0, 1.0], [1.0 + 2.0**-44, 3.0]]) * s for s in (1e-300, 1.0, 1e300)),
 ]
 
 
@@ -320,6 +326,10 @@ class TestCheckSpdStack:
             stacks.append([_skewed(rng, 4, ratio, scale)
                            for ratio in (0.5, 0.9, 0.99, 1.01, 1.1, 1.3, 2.0)])
             stacks += [[m] for m in stacks[-1]]
+        # exactly symmetric matrices next to near-symmetric ones: the stack is measured whole
+        for scale in (1e-300, 1.0, 1e300):
+            stacks.append([random_spd(rng, 4) * scale, _skewed(rng, 4, 0.5, scale),
+                           random_spd(rng, 4) * scale, _skewed(rng, 4, 2.0, scale)])
         if forced:
             _no_cholesky(monkeypatch)
         accepted = 0
@@ -337,6 +347,69 @@ class TestCheckSpdStack:
                     if bordered:
                         _assert_cholesky_pair(*got)
         assert 0 < accepted < len(stacks)
+
+    def test_an_exact_stack_gets_what_the_measured_test_gives_it(self):
+        # a matrix a little off symmetric sends the whole stack through the measured test, so
+        # the rest of that stack gets what the measured test gives it; the subnormal A2 near
+        # the floor is here, not in _EDGE_INPUTS, as the frozen pass refused it
+        stacks = [[np.ldexp(A2, -1060)], [np.ldexp(A2, -1045), A2], [A2 * 1e300, A2 * 1e-300],
+                  [np.array([[2.0, -0.0], [0.0, 1.0]])], [np.zeros((2, 2)), -np.eye(2)],
+                  [np.array([[1.0, np.inf], [np.inf, 1.0]]), np.eye(2)]]
+        off = np.array([[1.0, 2.0**-44], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mats in stacks:
+                exact = np.array(mats)
+                measured = np.concatenate([exact, off[None]])
+                for a, b in zip(spd_core._symmetrized(exact), spd_core._symmetrized(measured)):
+                    assert a.tobytes() == b[:-1].tobytes()
+                (message, got), (want_message, want) = _outcome(exact), _outcome(measured)
+                assert message == want_message
+                if got is not None:
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b[:-1].tobytes()
+
+    def test_an_exact_stack_takes_one_squared_norm(self, monkeypatch, rng):
+        # the clear bound's; a stack a little off symmetric takes two more, for its test
+        sizes = []
+
+        def counted(mats):
+            sizes.append(len(mats))
+            return real(mats)
+
+        real = spd_core._sq_norms
+        monkeypatch.setattr(spd_core, "_sq_norms", counted)
+        for mats in ([random_spd(rng, 4) for _ in range(3)],
+                     [random_spd(rng, 10) for _ in range(10)],
+                     [random_spd(rng, 10) * 1e300, random_spd(rng, 10) * 1e-300],
+                     [random_spd(rng, spd_core.TRI_BLOCK + 1)]):
+            exact = np.array(mats)
+            skew = exact.copy()
+            skew[:, 0, 1] *= 1 + 2.0**-44
+            for stack, want in ((exact, [len(mats)]), (skew, [len(mats)] * 3)):
+                sizes.clear()
+                assert _outcome(stack)[0] is None
+                assert sizes == want
+            sizes.clear()
+            Ensemble.from_matrices(exact)
+            check_spd(exact[0])
+            assert sizes == [len(mats), 1]
+
+    @pytest.mark.parametrize("p", [3, spd_core.TRI_BLOCK + 4])
+    def test_an_overflowing_inverse_factor_takes_the_spectral_factors(self, monkeypatch, p):
+        # ‖L⁻¹‖_F² overflows: a LAPACK that tests its pivots for NaN refuses the bordered stack
+        # and OpenBLAS does not, so the stack takes the factors of a refused factorization,
+        # at every p; it is accepted, as before
+        mats = [random_spd(np.random.default_rng(3), p) * 1e-320]
+        np.linalg.cholesky(np.array(mats))  # it has a Cholesky factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spd_core.check_spd_stack(mats)
+            _no_cholesky(monkeypatch)
+            want = spd_core.check_spd_stack(mats)
+        for a, b in zip(got, want):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        assert np.triu(got[1], 1).any()
 
     def test_symmetry_decision_is_the_same_at_every_power_of_two_scale(self):
         # the pass before its rewrite divided wide-range matrices by their max |entry|, so a

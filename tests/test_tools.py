@@ -1,5 +1,6 @@
 """The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
-``tools/fingerprint.py``'s line counter, ``blas`` and ``check`` lines and warning count."""
+``tools/fingerprint.py``'s line counter, ``blas``, ``setup`` and ``check`` lines and warning
+count."""
 
 import importlib.util
 import json
@@ -10,13 +11,15 @@ import numpy as np
 import pytest
 
 import spdmean.selfcheck as selfcheck
+import spdmean.solvers as solvers
+from spdmean import spd_core
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted(ROOT.glob("BENCH_pr*.json"))
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def _load(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -114,6 +117,36 @@ def test_blas_line_names_numpy_the_blas_and_the_pinned_threads(monkeypatch):
     line = fingerprint.blas_line().split()
     assert line[:4] == ["blas", f"numpy={np.__version__}", blas["name"], blas["version"]]
     assert line[4:] == ["OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=1", "MKL_NUM_THREADS=1"]
+
+
+def test_skew_setup_lines_take_the_measured_symmetry_test(monkeypatch):
+    # a setup line's instance is equal to its transpose and skips the measurement of
+    # ‖A − Aᵀ‖; its skew copy is not, stays within SYM_TOL, and is measured
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    workloads = _load("workloads", "perfbench")
+    sizes = []
+
+    def counted(mats):
+        sizes.append(len(mats))
+        return real(mats)
+
+    real = spd_core._sq_norms
+    monkeypatch.setattr(spd_core, "_sq_norms", counted)
+    for name in fingerprint.WORKLOADS:
+        w = workloads.WORKLOADS[name]
+        raw = workloads.instance_matrices(w.name, fingerprint.SEED, 0, w.n, w.p, w.scale_first_by)
+        skew = fingerprint.skewed(raw)
+        changed = np.zeros(raw.shape, dtype=bool)
+        changed[:, 0, 1] = True
+        assert np.array_equal(raw, raw.swapaxes(1, 2)) and np.array_equal(skew != raw, changed)
+        hashes = []
+        for stack, want in ((raw, [w.n]), (skew, [w.n] * 3)):
+            sizes.clear()
+            hashes.append(fingerprint.setup_hash(solvers, stack)[2])
+            assert sizes == want
+        assert hashes[0] != hashes[1] == fingerprint.setup_hash(solvers, skew)[2]
 
 
 def test_warnings_line_counts_a_warning_planted_in_a_check(monkeypatch):

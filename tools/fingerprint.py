@@ -18,6 +18,11 @@ writes nothing into it. Prints:
   ``mm-small``, ``fig3-rescale`` and ``mm-large``: a hash of the bytes of
   ``Ensemble.from_matrices``' ``mats`` and ``inv_factors`` and of
   ``arithmetic_mean_init``;
+- ``setup <workload> <instance> skew <hash>``, after each ``setup`` line: the
+  same hash for a copy of the instance with entry (0, 1) of every matrix
+  scaled by 1 + 2⁻⁴⁴, inside ``SYM_TOL``. The instances are exactly
+  symmetric and skip the measurement of ‖A − Aᵀ‖ that their copies take,
+  so the two lines cover both symmetry paths;
 - ``solve <workload> <instance> <kind> <hash>`` for those instances and
   every kind in ``solvers.SOLVERS`` at the default ``SolverConfig``, from
   the arithmetic mean: a hash of the mean's bytes, the status and every
@@ -115,6 +120,21 @@ def _load(root):
     return (*modules, workloads)
 
 
+def skewed(raw):
+    """A float copy of a (k, p, p) stack, p ≥ 2, with entry (0, 1) of each matrix times 1 + 2⁻⁴⁴."""
+    out = np.array(raw, dtype=np.float64)
+    out[:, 0, 1] *= 1 + 2.0**-44
+    return out
+
+
+def setup_hash(solvers, raw):
+    """``(ensemble, start point, hash)`` of the set-up of ``raw``: its ``Ensemble.from_matrices``'
+    ``mats`` and ``inv_factors`` and its ``arithmetic_mean_init``."""
+    e = solvers.Ensemble.from_matrices(raw)
+    x0 = solvers.arithmetic_mean_init(e)
+    return e, x0, _digest(e.mats.tobytes(), e.inv_factors.tobytes(), x0.tobytes())
+
+
 def solve_hash(solvers, fn, e, x0):
     try:
         res = fn(e, solvers.SolverConfig(), x0)
@@ -155,10 +175,9 @@ def fingerprint_lines(root):
         w = workloads.WORKLOADS[name]
         for i in INSTANCES:
             raw = workloads.instance_matrices(w.name, SEED, i, w.n, w.p, w.scale_first_by)
-            e = solvers.Ensemble.from_matrices(raw)
-            x0 = solvers.arithmetic_mean_init(e)
-            yield f"setup {name} {i} " + _digest(e.mats.tobytes(), e.inv_factors.tobytes(),
-                                                 x0.tobytes())
+            e, x0, digest = setup_hash(solvers, raw)
+            yield f"setup {name} {i} {digest}"
+            yield f"setup {name} {i} skew {setup_hash(solvers, skewed(raw))[2]}"
             for kind, fn in solvers.SOLVERS.items():
                 yield f"solve {name} {i} {kind} {solve_hash(solvers, fn, e, x0)}"
     for path in sorted((root / "src" / "spdmean" / "specs").glob("*.json")):
