@@ -184,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
                               f"probe is {LS_FACTOR:g}^{LS_MAX_J}·nu, so a nu well above "
                               "1e18 can stall it at the start"))
     p_mean.add_argument("--tol", type=float, default=SolverConfig.grad_tol, help=(
-        f"gradient-sum norm tolerance (default {DEFAULT_GRAD_TOL_PER_MAT:g} * n)"))
+        f"gradient-sum norm tolerance (default {DEFAULT_GRAD_TOL_PER_MAT:g} * n); a mean that "
+        "converges at tol lies within Riemannian distance tol / n of the Karcher mean, so the "
+        f"default means d <= {DEFAULT_GRAD_TOL_PER_MAT:g} up to round-off"))
     p_mean.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p_mean.add_argument("--out", default=None, help="output mean JSON path")
     p_mean.set_defaults(func=cmd_mean)

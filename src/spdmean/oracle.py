@@ -56,9 +56,10 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
     ------
     DomainError
         If ``h`` is not a positive finite real number, ``x`` fails
-        :func:`spdmean.spd_core.check_spd`, ``h_dir`` is not real and finite, either
-        perturbed matrix fails ``check_spd``, or f's values or their
-        difference are not finite.
+        :func:`spdmean.spd_core.check_spd`, ``h_dir`` is not real and finite, a nonzero
+        ``h_dir`` leaves either perturbed matrix equal to ``x`` in float64 (so the quotient
+        would read 0 or a rounding step, not the derivative), either perturbed matrix
+        fails ``check_spd``, or f's values or their difference are not finite.
     DimensionMismatch
         If ``x`` is not a square matrix, or ``h_dir`` does not have its shape.
     """
@@ -70,7 +71,11 @@ def finite_diff_directional(f, x, h_dir, h: float = 1e-6) -> float:
             f"expected h_dir to have the shape of x, {shape}, got {h_dir.shape}")
     with np.errstate(all="ignore"):  # an overflow is refused: by check_spd, or by the test below
         step = h * h_dir
-        for sign in (1.0, -1.0):
-            check_spd(x + sign * step, "perturbed matrix")
-        value = (f(x + step) - f(x - step)) / (2.0 * h)
+        moved = x + step, x - step
+        if h_dir.any() and any((m == x).all() for m in moved):
+            raise DomainError(f"finite difference step h={h!r} along h_dir does not move x "
+                              "in float64")
+        for m in moved:
+            check_spd(m, "perturbed matrix")
+        value = (f(moved[0]) - f(moved[1])) / (2.0 * h)
     return _finite(value, "finite difference of f at x along h_dir is not finite in float64")

@@ -63,6 +63,9 @@ class SolverConfig:
 
     ``grad_tol`` applies to the unnormalized gradient sum; when ``None``
     it defaults to ``1e-10 * n`` at solve time (the sum scales with n).
+    F = Σ d²(·, Aᵢ) is 2n-strongly geodesically convex, so a mean X whose
+    trace ends at ``grad_norm`` ‖ĝ‖ lies within d(X, X*) ≤ ‖ĝ‖/n of the
+    Karcher mean X*: the default means d ≤ 1e-10, up to round-off.
     ``nu`` is the fixed step, or the line search's first probe. ``grad_tol``
     and ``nu`` must be positive finite numbers, ``max_iters`` an integer >= 1.
     """

@@ -159,28 +159,23 @@ def _symmetrized(mats):
     matrix's max |entry| (:func:`_scales`; inf or NaN where it is not
     finite, and then the matrix is zeroed), and which matrices have
     ‖A − Aᵀ‖_F ≤ ``SYM_TOL``·‖A‖_F. A finite stack equal to its transpose,
-    the common case, passes that test at any scale and is not measured:
-    sym(A) = half + halfᵀ with ``half = A/2``, which turns a −0.0 whose
-    mirror is +0.0 into +0.0, as on the measured path. Any other stack is
-    measured. Where every top lies in (1e-100, 1e100), the squared sums
-    can neither overflow nor lose the skew part, and one ``half`` serves
-    the test, as 4‖half − halfᵀ‖² = ‖A − Aᵀ‖². Otherwise the test reads
-    :func:`_unit` of the stack, max |entry| in [1/2, 2), scaled exactly,
-    so it decides alike at every power-of-two scale of a matrix.
+    the common case, passes that test at any scale and is not measured.
+    Any other stack is measured on :func:`_unit` of the stack U, max |entry|
+    in [1/2, 2), scaled exactly, so the test decides alike at every
+    power-of-two scale of a matrix, and ‖U − Uᵀ‖² can neither overflow nor
+    lose the skew part. sym(A) = half + halfᵀ with ``half = A/2`` on both
+    paths, which turns a −0.0 whose mirror is +0.0 into +0.0.
     """
     top = _scales(mats)
     finite = top < np.inf
-    if finite.all() and (mats == mats.swapaxes(1, 2)).all():
+    if not finite.all():
+        mats = np.where(finite[:, None, None], mats, 0.0)
+    elif (mats == mats.swapaxes(1, 2)).all():
         half = mats * 0.5
         return half + half.swapaxes(1, 2), top, finite
-    test = mats
-    if not (top.min() > 1e-100 and top.max() < 1e100):
-        mats = np.where(finite[:, None, None], mats, 0.0)
-        test = _unit(mats, top)[0]
-    half = test * 0.5
-    symmetric = _sq_norms(half - half.swapaxes(1, 2)) <= 0.25 * SYM_TOL * SYM_TOL * _sq_norms(test)
-    if test is not mats:
-        half = mats * 0.5
+    unit = _unit(mats, top)[0]
+    symmetric = _sq_norms(unit - unit.swapaxes(1, 2)) <= SYM_TOL * SYM_TOL * _sq_norms(unit)
+    half = mats * 0.5
     return half + half.swapaxes(1, 2), top, symmetric
 
 
@@ -231,7 +226,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     pass; the first that fails one raises, with the first test it fails in the order
     non-finite, symmetric, positive definite. ``name_of(i)`` names matrix i in every message.
     A finite stack equal to its transpose, as every stack the package builds is, passes the
-    symmetry test by that one comparison; any other stack is measured (:func:`_symmetrized`).
+    symmetry test by that one comparison; any other stack is measured on :func:`_unit` of it,
+    at every scale alike (:func:`_symmetrized`).
 
     The positivity test is w₀ > ``POSITIVITY_FLOOR``·|w_max| on the eigenvalues from
     :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ, w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and

@@ -13,6 +13,7 @@ from spdmean.oracle import (
     two_matrix_oracle,
 )
 from spdmean.selfcheck import commuting_ensemble, random_spd
+from spdmean.solvers import SolverConfig, arithmetic_mean_init, mm_solve
 from spdmean.spd_core import frob_inner, riem_dist, sym
 
 from refs import grid_minimize_1d
@@ -213,6 +214,22 @@ class TestFiniteDiffDirectional:
             with pytest.raises(DomainError, match="^h_dir has a complex entry$"):
                 finite_diff_directional(np.trace, np.eye(2), [[1j, 0], [0, 0]])
 
+    def test_refuses_a_step_that_does_not_move_x(self):
+        # 1 + 1e-16 rounds to 1, and 1 ± 1e-17 to 1: the quotient read -5.55 and 0.0
+        e = Ensemble.from_matrices([[[2, .5], [.5, 1]], [[1, .2], [.2, 3]]])
+
+        def f(m):
+            return objective(e, m)
+
+        x = np.eye(2)
+        for h in (1e-16, 1e-17, 1e-300):
+            with pytest.raises(DomainError, match=rf"^finite difference step h={h!r} along h_dir "
+                                                  r"does not move x in float64$"):
+                finite_diff_directional(f, x, np.eye(2), h)
+        want = (f(x + 1e-6 * np.eye(2)) - f(x - 1e-6 * np.eye(2))) / 2e-6
+        assert finite_diff_directional(f, x, np.eye(2), 1e-6) == want
+        assert finite_diff_directional(f, x, np.zeros((2, 2)), 1e-17) == 0.0
+
     @pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan, True,
                                    pytest.param(10**400, id="10**400")])
     def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
@@ -221,3 +238,32 @@ class TestFiniteDiffDirectional:
             with pytest.raises(DomainError, match="^finite difference step h must be positive "
                                                   "and finite, got "):
                 finite_diff_directional(np.trace, np.eye(2), np.eye(2), h=h)
+
+
+def _scalar_case(rng):
+    vals = rng.uniform(0.2, 8.0, size=int(rng.integers(1, 7)))
+    return Ensemble.from_matrices([[[v]] for v in vals]), np.array([[scalar_karcher_oracle(vals)]])
+
+
+def _commuting_case(rng):
+    e = commuting_ensemble(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
+    return e, commuting_oracle(e)
+
+
+def _two_matrix_case(rng):
+    p = int(rng.integers(2, 7))
+    a, b = random_spd(rng, p), random_spd(rng, p)
+    return Ensemble.from_matrices([a, b]), two_matrix_oracle(a, b)
+
+
+@pytest.mark.parametrize("case", [_scalar_case, _commuting_case, _two_matrix_case],
+                         ids=["scalar", "commuting", "two-matrix"])
+def test_the_default_tolerance_bounds_the_distance_to_the_mean(case):
+    # F = Σ d²(·, Aᵢ) is 2n-strongly geodesically convex, so d(X, X*) ≤ ‖ĝ‖/n: at the default
+    # grad_tol of 1e-10·n, d ≤ 1e-10; round-off lifts d above ‖ĝ‖/n by about 3e-15 at most
+    for seed in range(8):
+        e, want = case(np.random.default_rng(seed))
+        res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
+        assert res.status == "converged"
+        assert riem_dist(res.mean, want) <= res.trace[-1].grad_norm / e.n + 1e-13
+        assert res.trace[-1].grad_norm / e.n <= 1e-10

@@ -395,6 +395,26 @@ class TestCheckSpdStack:
             check_spd(exact[0])
             assert sizes == [len(mats), 1]
 
+    def test_a_measured_stack_is_read_at_its_unit_scale_alone(self, monkeypatch, rng):
+        # one rule at every scale: a stack a little off symmetric is measured on _unit of it,
+        # at scale 1 too, and an exactly symmetric one is not measured
+        calls = []
+
+        def counted(mats, top=None):
+            calls.append(len(mats))
+            return real(mats, top)
+
+        real = spd_core._unit
+        monkeypatch.setattr(spd_core, "_unit", counted)
+        exact = np.array([random_spd(rng, 4) for _ in range(3)])
+        skew = exact.copy()
+        skew[:, 0, 1] *= 1 + 2.0**-44
+        for scale in (1.0, 1e-300, 1e300):
+            for stack, want in ((exact, []), (skew, [3])):
+                calls.clear()
+                assert spd_core._symmetrized(stack * scale)[2].all()
+                assert calls == want
+
     @pytest.mark.parametrize("p", [3, spd_core.TRI_BLOCK + 4])
     def test_an_overflowing_inverse_factor_takes_the_spectral_factors(self, monkeypatch, p):
         # ‖L⁻¹‖_F² overflows: a LAPACK that tests its pivots for NaN refuses the bordered stack

@@ -1,6 +1,6 @@
 """The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
-``tools/fingerprint.py``'s line counter, ``blas``, ``setup`` and ``check`` lines and warning
-count."""
+``tools/fingerprint.py``'s line counter, ``blas``, ``setup`` (with their ``skew`` and ``wide``
+copies) and ``check`` lines and warning count."""
 
 import importlib.util
 import json
@@ -147,6 +147,37 @@ def test_skew_setup_lines_take_the_measured_symmetry_test(monkeypatch):
             hashes.append(fingerprint.setup_hash(solvers, stack)[2])
             assert sizes == want
         assert hashes[0] != hashes[1] == fingerprint.setup_hash(solvers, skew)[2]
+
+
+def test_wide_setup_lines_measure_the_skew_copy_at_both_ends_of_the_range(monkeypatch):
+    # each copy is measured, and scaling by 2^±600 is exact: its symmetrized stack is the
+    # skew copy's scaled alike, so the line fingerprints the same decisions at 2^±600
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    workloads = _load("workloads", "perfbench")
+    sizes = []
+
+    def counted(mats):
+        sizes.append(len(mats))
+        return real(mats)
+
+    real = spd_core._sq_norms
+    monkeypatch.setattr(spd_core, "_sq_norms", counted)
+    for name in fingerprint.WORKLOADS:
+        w = workloads.WORKLOADS[name]
+        raw = workloads.instance_matrices(w.name, fingerprint.SEED, 0, w.n, w.p, w.scale_first_by)
+        skew = fingerprint.skewed(raw)
+        mats = solvers.Ensemble.from_matrices(skew).mats
+        hashes = []
+        for e in (600, -600):
+            sizes.clear()
+            got, _, digest = fingerprint.setup_hash(solvers, np.ldexp(skew, e))
+            assert sizes == [w.n] * 3
+            assert got.mats.tobytes() == np.ldexp(mats, e).tobytes()
+            hashes.append(digest)
+        wide = fingerprint.wide_hash(solvers, skew)
+        assert wide == fingerprint._digest(*hashes) != fingerprint.setup_hash(solvers, skew)[2]
 
 
 def test_warnings_line_counts_a_warning_planted_in_a_check(monkeypatch):

@@ -23,6 +23,9 @@ writes nothing into it. Prints:
   scaled by 1 + 2⁻⁴⁴, inside ``SYM_TOL``. The instances are exactly
   symmetric and skip the measurement of ‖A − Aᵀ‖ that their copies take,
   so the two lines cover both symmetry paths;
+- ``setup <workload> <instance> wide <hash>``, after each ``skew`` line: one hash
+  of the set-ups of that skew copy scaled by 2⁶⁰⁰ and by 2⁻⁶⁰⁰, so the
+  measured test is also fingerprinted at both ends of the float64 range;
 - ``solve <workload> <instance> <kind> <hash>`` for those instances and
   every kind in ``solvers.SOLVERS`` at the default ``SolverConfig``, from
   the arithmetic mean: a hash of the mean's bytes, the status and every
@@ -135,6 +138,11 @@ def setup_hash(solvers, raw):
     return e, x0, _digest(e.mats.tobytes(), e.inv_factors.tobytes(), x0.tobytes())
 
 
+def wide_hash(solvers, skew):
+    """One hash of the :func:`setup_hash` of ``skew`` scaled by 2⁶⁰⁰ and by 2⁻⁶⁰⁰."""
+    return _digest(*(setup_hash(solvers, np.ldexp(skew, e))[2] for e in (600, -600)))
+
+
 def solve_hash(solvers, fn, e, x0):
     try:
         res = fn(e, solvers.SolverConfig(), x0)
@@ -177,7 +185,9 @@ def fingerprint_lines(root):
             raw = workloads.instance_matrices(w.name, SEED, i, w.n, w.p, w.scale_first_by)
             e, x0, digest = setup_hash(solvers, raw)
             yield f"setup {name} {i} {digest}"
-            yield f"setup {name} {i} skew {setup_hash(solvers, skewed(raw))[2]}"
+            skew = skewed(raw)
+            yield f"setup {name} {i} skew {setup_hash(solvers, skew)[2]}"
+            yield f"setup {name} {i} wide {wide_hash(solvers, skew)}"
             for kind, fn in solvers.SOLVERS.items():
                 yield f"solve {name} {i} {kind} {solve_hash(solvers, fn, e, x0)}"
     for path in sorted((root / "src" / "spdmean" / "specs").glob("*.json")):
