@@ -234,9 +234,9 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     |w_max| ≤ ‖Aᵢ‖_F ≤ p·max|aⱼₗ|, so a matrix with ‖Lᵢ⁻¹‖_F²·p·max|aⱼₗ| <
     1/(10·``POSITIVITY_FLOOR``) passes it, with a margin of ten for rounding, and is not
     decomposed; a bound that overflows clears nothing. The pass returns as soon as the bound
-    clears every matrix of a symmetric stack, the common case. The matrices it does not clear,
-    or all of a stack with no Cholesky factor in float64, get the eigenvalue test itself, so
-    every decision, message and first bad index is that of the eigenvalue test alone. A stack
+    clears every matrix of a symmetric stack, the common case. Any other stack gets the
+    eigenvalue test itself on all its matrices, by one stacked :func:`eigh`, so every decision,
+    message and first bad index is that of the eigenvalue test alone. A stack
     with an ‖Lᵢ⁻¹‖_F² that overflows is taken as one with no factor on every LAPACK build, as
     a build that tests its pivots for NaN refuses its bordered factorization. The test reads
     4⁻ʲAᵢ, max |entry| in [1/2, 2) (:func:`_unit`), an exact scaling, so it decides alike at
@@ -270,22 +270,19 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
             return mats, factors, inv_factors
         if not (sq < np.inf).all():  # as where the bordered factorization's NaN pivot is refused
             factors = inv_factors = None
-    test = np.arange(len(mats)) if inv_factors is None else np.flatnonzero(~clear)
-    unit, j = _unit(mats[test], top[test])
+    unit, j = _unit(mats, top)
     # with vectors: eigvalsh's eigenvalues differ from eigh's at round-off,
     # which decides the test near condition 1 / POSITIVITY_FLOOR
     w, u = eigh(unit)
-    ok = symmetric.copy()
-    ok[test] &= w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1])
+    ok = symmetric & (w[:, 0] > POSITIVITY_FLOOR * np.abs(w[:, -1]))
     if not ok.all():
         i = int(ok.argmin())
         if not top[i] < np.inf:
             raise DomainError(f"{name_of(i)} has a non-finite entry")
         if not symmetric[i]:
             raise DomainError(f"{name_of(i)} is not symmetric")
-        t = test.searchsorted(i)
         raise DomainError(f"{name_of(i)} is not positive definite "
-                          f"(eigenvalue {np.ldexp(w[t, 0], 2 * j[t]):.6g})")
+                          f"(eigenvalue {np.ldexp(w[i, 0], 2 * j[i]):.6g})")
     if inv_factors is None:
         root = np.ldexp(np.sqrt(w), j[:, None])
         factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]

@@ -340,6 +340,16 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, case):
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("dim", [0, -1, 2.0, "2", None],
+                         ids=["zero", "negative", "float", "string", "null"])
+def test_dim_that_is_no_positive_integer_is_refused(tmp_path, capsys, dim):
+    # the one field the CLI checks itself: one error line, and no output file
+    path = write_json(tmp_path / "ens.json", {"dim": dim, "matrices": [np.eye(2).tolist()]})
+    assert main(["mean", path]) == 1
+    assert capsys.readouterr().err == "error: 'dim' must be a positive integer\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ens.json"]
+
+
 @pytest.mark.parametrize("message, line", [
     ("", "error: out of memory"),
     ("Unable to allocate 8 GiB", "error: Unable to allocate 8 GiB"),

@@ -594,6 +594,40 @@ class TestCheckSpdStack:
             _assert_cholesky_pair(*spd_core.check_spd_stack(mats))
             assert shapes == [want]
 
+    @pytest.mark.parametrize("p", [10, spd_core.TRI_BLOCK + 1], ids=["bordered", "tri-inv"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e300])
+    def test_a_stack_the_bound_does_not_clear_takes_one_eigh_over_every_matrix(
+            self, monkeypatch, rng, p, scale):
+        # one condition-1e12 matrix among well-conditioned ones: the bound clears all but it,
+        # and positivity is decided per stack, by one stacked eigh over all k matrices; with a
+        # condition-1e14 matrix in its place the stack is refused, by that one call too
+        shapes = []
+
+        def counted(m, vectors=True):
+            shapes.append(m.shape)
+            return real(m, vectors)
+
+        real = spd_core.eigh
+        monkeypatch.setattr(spd_core, "eigh", counted)
+        well = [random_spd(rng, p) * scale for _ in range(4)]
+        for kappa, accepted in ((1e12, True), (1e14, False)):
+            mats = well[:2] + [_conditioned(rng, p, kappa, scale)] + well[2:]
+            message, want = _outcome(mats, frozen_check_spd_stack)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                shapes.clear()
+                got_message, got = _outcome(mats)
+            assert shapes == [(5, p, p)]
+            assert got_message == message and (got is not None) is accepted
+            if accepted:
+                bordered = p <= spd_core.TRI_BLOCK
+                for a, b in zip(got[:1] if bordered else got, want):
+                    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+                if bordered:
+                    _assert_cholesky_pair(*got)
+            else:
+                assert message.startswith("matrix 2 is not positive definite (eigenvalue ")
+
 
 B = spd_core.TRI_BLOCK
 

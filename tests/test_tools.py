@@ -1,6 +1,6 @@
 """The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
-``tools/fingerprint.py``'s line counter, ``blas``, ``setup`` (with their ``skew`` and ``wide``
-copies) and ``check`` lines and warning count."""
+``tools/fingerprint.py``'s line counter, ``blas``, ``setup`` (with their ``skew``, ``wide`` and
+``floor`` copies) and ``check`` lines and warning count."""
 
 import importlib.util
 import json
@@ -13,6 +13,7 @@ import pytest
 import spdmean.selfcheck as selfcheck
 import spdmean.solvers as solvers
 from spdmean import spd_core
+from spdmean.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted(ROOT.glob("BENCH_pr*.json"))
@@ -178,6 +179,36 @@ def test_wide_setup_lines_measure_the_skew_copy_at_both_ends_of_the_range(monkey
             hashes.append(digest)
         wide = fingerprint.wide_hash(solvers, skew)
         assert wide == fingerprint._digest(*hashes) != fingerprint.setup_hash(solvers, skew)[2]
+
+
+def test_floor_setup_lines_take_the_eigenvalue_test_and_repeat(monkeypatch):
+    # matrix 0 at condition 1e12 is not cleared by the Cholesky bound, so the copy's set-up
+    # decomposes the whole stack by one eigh; the copy at condition 1e14 is refused
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    workloads = _load("workloads", "perfbench")
+    shapes = []
+
+    def counted(m, vectors=True):
+        shapes.append(m.shape)
+        return real(m, vectors)
+
+    real = spd_core.eigh
+    monkeypatch.setattr(spd_core, "eigh", counted)
+    for name in fingerprint.WORKLOADS:
+        w = workloads.WORKLOADS[name]
+        raw = workloads.instance_matrices(w.name, fingerprint.SEED, 0, w.n, w.p, w.scale_first_by)
+        copy = fingerprint.conditioned(raw, 1e12)
+        assert np.array_equal(copy[1:], raw[1:]) and np.array_equal(copy[0], copy[0].T)
+        shapes.clear()
+        digest = fingerprint.setup_hash(solvers, copy)[2]
+        assert shapes == [(w.n, w.p, w.p)]
+        with pytest.raises(DomainError, match="^matrix 0 is not positive definite "):
+            solvers.Ensemble.from_matrices(fingerprint.conditioned(raw, 1e14))
+        floor = fingerprint.floor_hash(solvers, raw)
+        assert floor == fingerprint.floor_hash(solvers, raw)
+        assert floor not in (digest, fingerprint.setup_hash(solvers, raw)[2])
 
 
 def test_warnings_line_counts_a_warning_planted_in_a_check(monkeypatch):

@@ -26,6 +26,10 @@ writes nothing into it. Prints:
 - ``setup <workload> <instance> wide <hash>``, after each ``skew`` line: one hash
   of the set-ups of that skew copy scaled by 2⁶⁰⁰ and by 2⁻⁶⁰⁰, so the
   measured test is also fingerprinted at both ends of the float64 range;
+- ``setup <workload> <instance> floor <hash>``, after each ``wide`` line: one hash
+  of the set-up of a copy of the instance whose matrix 0 has condition 1e12, which
+  the Cholesky bound does not clear, so the stack takes the eigenvalue test, and of
+  the refusal text of the copy at condition 1e14 (:func:`conditioned`);
 - ``solve <workload> <instance> <kind> <hash>`` for those instances and
   every kind in ``solvers.SOLVERS`` at the default ``SolverConfig``, from
   the arithmetic mean: a hash of the mean's bytes, the status and every
@@ -143,6 +147,29 @@ def wide_hash(solvers, skew):
     return _digest(*(setup_hash(solvers, np.ldexp(skew, e))[2] for e in (600, -600)))
 
 
+def conditioned(raw, kappa):
+    """A float copy of a (k, p, p) stack with matrix 0 replaced by sym(Q·diag(σ)·Qᵀ), σ from 1
+    down to 1/``kappa`` geometrically, Q the QR factor of a ``default_rng(0)`` uniform p×p draw."""
+    out = np.array(raw, dtype=np.float64)
+    p = out.shape[-1]
+    q = np.linalg.qr(np.random.default_rng(0).uniform(size=(p, p)))[0]
+    a = (q * np.geomspace(1.0, 1.0 / kappa, p)) @ q.T
+    out[0] = 0.5 * a + 0.5 * a.T
+    return out
+
+
+def floor_hash(solvers, raw):
+    """One hash of the :func:`setup_hash` of ``raw``'s :func:`conditioned` copy at condition
+    1e12, which the Cholesky bound does not clear, and of the refusal of its copy at 1e14."""
+    parts = []
+    for kappa in (1e12, 1e14):
+        try:
+            parts.append(setup_hash(solvers, conditioned(raw, kappa))[2])
+        except Exception as exc:  # a refusal is part of the fingerprint
+            parts.append(str(exc))
+    return _digest(*parts)
+
+
 def solve_hash(solvers, fn, e, x0):
     try:
         res = fn(e, solvers.SolverConfig(), x0)
@@ -188,6 +215,7 @@ def fingerprint_lines(root):
             skew = skewed(raw)
             yield f"setup {name} {i} skew {setup_hash(solvers, skew)[2]}"
             yield f"setup {name} {i} wide {wide_hash(solvers, skew)}"
+            yield f"setup {name} {i} floor {floor_hash(solvers, raw)}"
             for kind, fn in solvers.SOLVERS.items():
                 yield f"solve {name} {i} {kind} {solve_hash(solvers, fn, e, x0)}"
     for path in sorted((root / "src" / "spdmean" / "specs").glob("*.json")):
