@@ -46,10 +46,11 @@ class Ensemble:
         Fᵢ⁻¹ for the factor Aᵢ = Fᵢ Fᵢᵀ that validation takes
         (:func:`spdmean.spd_core.check_spd_stack`), so that
         Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹ and Fᵢ⁻¹ Aᵢ Fᵢ⁻ᵀ = I: the inverse of the lower
-        Cholesky factor Lᵢ (:func:`spdmean.spd_core._cholesky_pair`): a block
+        Cholesky factor Lᵢ (:func:`spdmean.spd_core._cholesky_pair`: a block
         of one bordered factorization of a small stack, else blocked forward
-        substitution written over Lᵢ; or D(wᵢ)^{-1/2} Uᵢᵀ where the stack has
-        no Cholesky factor in float64. The ensemble keeps no stack for Lᵢ.
+        substitution written over Lᵢ) where validation's Cholesky bound clears
+        the stack, else D(wᵢ)^{-1/2} Uᵢᵀ from its eigenvalue test. The ensemble
+        keeps no stack for Lᵢ.
     """
 
     mats: np.ndarray

@@ -65,7 +65,9 @@ class SolverConfig:
     it defaults to ``1e-10 * n`` at solve time (the sum scales with n).
     F = Σ d²(·, Aᵢ) is 2n-strongly geodesically convex, so a mean X whose
     trace ends at ``grad_norm`` ‖ĝ‖ lies within d(X, X*) ≤ ‖ĝ‖/n of the
-    Karcher mean X*: the default means d ≤ 1e-10, up to round-off.
+    Karcher mean X*: the default means d ≤ 1e-10, up to round-off in the
+    computed ĝ, which grows with the Aᵢ's condition: with one Aᵢ at 2e12
+    (n = 5, p = 3), MM stops at ‖ĝ‖/n ≈ 1e-10 with d up to 3e-5.
     ``nu`` is the fixed step, or the line search's first probe. ``grad_tol``
     and ``nu`` must be positive finite numbers, ``max_iters`` an integer >= 1.
     """

@@ -233,12 +233,11 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     :func:`eigh`. With the Cholesky factor Aᵢ = LᵢLᵢᵀ, w₀ ≥ 1/‖Lᵢ⁻¹‖_F² and
     |w_max| ≤ ‖Aᵢ‖_F ≤ p·max|aⱼₗ|, so a matrix with ‖Lᵢ⁻¹‖_F²·p·max|aⱼₗ| <
     1/(10·``POSITIVITY_FLOOR``) passes it, with a margin of ten for rounding, and is not
-    decomposed; a bound that overflows clears nothing. The pass returns as soon as the bound
-    clears every matrix of a symmetric stack, the common case. Any other stack gets the
-    eigenvalue test itself on all its matrices, by one stacked :func:`eigh`, so every decision,
-    message and first bad index is that of the eigenvalue test alone. A stack
-    with an ‖Lᵢ⁻¹‖_F² that overflows is taken as one with no factor on every LAPACK build, as
-    a build that tests its pivots for NaN refuses its bordered factorization. The test reads
+    decomposed; a bound that overflows, or a stack with no factor, clears nothing. One rule
+    picks the factors: a symmetric stack whose every matrix the bound clears, the common case,
+    returns at once with its (Lᵢ, Lᵢ⁻¹). Any other stack gets the eigenvalue test itself on all
+    its matrices, by one stacked :func:`eigh`, so every decision, message and first bad index is
+    that of the eigenvalue test alone, and keeps that test's spectral factors. The test reads
     4⁻ʲAᵢ, max |entry| in [1/2, 2) (:func:`_unit`), an exact scaling, so it decides alike at
     every power-of-two scale of a matrix; 4ʲ scales back the eigenvalue a refusal names, and 2ʲ
     the square roots of the spectral factors, which so stay normal where Aᵢ is subnormal.
@@ -253,23 +252,19 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
     (mats, factors, inv_factors)
         The symmetrized stack, factors Fᵢ with Fᵢ Fᵢᵀ = Aᵢ, and their
         inverses Fᵢ⁻¹, so that Fᵢ⁻ᵀ Fᵢ⁻¹ = Aᵢ⁻¹. Fᵢ is the lower Cholesky
-        factor Lᵢ, or, where the stack has none in float64 or some ‖Lᵢ⁻¹‖_F²
-        overflows, Uᵢ D(wᵢ)^{1/2} from the eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ
-        of the test.
+        factor Lᵢ where the bound clears the stack, else Uᵢ D(wᵢ)^{1/2} from the
+        eigendecomposition Aᵢ = Uᵢ D(wᵢ) Uᵢᵀ of the test.
     """
     mats, top, symmetric = _symmetrized(_stack(mats, name_of))
     try:
         factors, inv_factors = _cholesky_pair(mats, keep=_keep_factors)
     except DomainError:  # as for a zeroed non-finite matrix: every matrix gets the test
-        factors = inv_factors = None
+        pass
     else:
         with np.errstate(over="ignore"):
-            sq = _sq_norms(inv_factors)
-            clear = sq * mats.shape[-1] * top < 0.1 / POSITIVITY_FLOOR
+            clear = _sq_norms(inv_factors) * mats.shape[-1] * top < 0.1 / POSITIVITY_FLOOR
         if (clear & symmetric).all():
             return mats, factors, inv_factors
-        if not (sq < np.inf).all():  # as where the bordered factorization's NaN pivot is refused
-            factors = inv_factors = None
     unit, j = _unit(mats, top)
     # with vectors: eigvalsh's eigenvalues differ from eigh's at round-off,
     # which decides the test near condition 1 / POSITIVITY_FLOOR
@@ -283,10 +278,8 @@ def check_spd_stack(mats, name_of=lambda i: f"matrix {i}", *, _keep_factors=True
             raise DomainError(f"{name_of(i)} is not symmetric")
         raise DomainError(f"{name_of(i)} is not positive definite "
                           f"(eigenvalue {np.ldexp(w[i, 0], 2 * j[i]):.6g})")
-    if inv_factors is None:
-        root = np.ldexp(np.sqrt(w), j[:, None])
-        factors, inv_factors = u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
-    return mats, factors, inv_factors
+    root = np.ldexp(np.sqrt(w), j[:, None])
+    return mats, u * root[:, None, :], np.swapaxes(u, 1, 2) / root[:, :, None]
 
 
 def _stack(mats, name_of):
@@ -327,11 +320,9 @@ def _cholesky_pair(mats, keep=True):
     from the forward substitution Xᵢ Lᵢᵀ = I inside the factorization, exactly upper
     triangular. L is a view of that factor and L⁻¹ a copy, so a caller that keeps only L⁻¹
     (an ensemble) does not hold the bordered stack, four times its size. Neither reads the
-    trailing block, which is thrown away: ∞ on its diagonal and 0 below it, or NaN where
-    Lᵢ⁻ᵀLᵢ⁻¹ overflows, which a LAPACK that tests its pivots for NaN refuses as no factor
-    (:func:`check_spd_stack` takes such a stack as one with no factor on every build).
-    A finite corner makes the updates of that block subnormal, and slow. Past that size L⁻¹
-    is :func:`_tri_inv` of the factor, faster there, written over it unless ``keep``.
+    trailing block, which is thrown away; a finite corner makes its updates subnormal, and
+    slow. Past that size L⁻¹ is :func:`_tri_inv` of the factor, faster there, written over it
+    unless ``keep``. :func:`check_spd_stack` keeps the pair only for a stack its bound clears.
     """
     k, p = mats.shape[:2]
     if p <= TRI_BLOCK and 32 * k * p * p <= BORDER_BYTES:

@@ -12,9 +12,9 @@ from spdmean.oracle import (
     scalar_karcher_oracle,
     two_matrix_oracle,
 )
-from spdmean.selfcheck import commuting_ensemble, random_spd
+from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd
 from spdmean.solvers import SolverConfig, arithmetic_mean_init, mm_solve
-from spdmean.spd_core import frob_inner, riem_dist, sym
+from spdmean.spd_core import frob_inner, geodesic, riem_dist, sym
 
 from refs import grid_minimize_1d
 
@@ -267,3 +267,46 @@ def test_the_default_tolerance_bounds_the_distance_to_the_mean(case):
         assert res.status == "converged"
         assert riem_dist(res.mean, want) <= res.trace[-1].grad_norm / e.n + 1e-13
         assert res.trace[-1].grad_norm / e.n <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_copies_of_two_matrices_have_the_weighted_geodesic_point_as_mean(k, m):
+    # k copies of A and m of B: the mean minimizes k·d²(X, A) + m·d²(X, B), the point at
+    # t = m/(k + m) on the geodesic from A to B; the swapped t = k/(k + m), which the symmetric
+    # two-matrix oracle cannot tell apart, lies |m − k|/(k + m)·d(A, B) from it
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 7))
+        a, b = random_spd(rng, p), random_spd(rng, p)
+        e = Ensemble.from_matrices([a] * k + [b] * m)
+        res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
+        assert res.status == "converged"
+        bound = res.trace[-1].grad_norm / e.n + 1e-13
+        assert riem_dist(res.mean, geodesic(a, b, m / (k + m))) <= bound
+        if k != m:
+            assert riem_dist(res.mean, geodesic(a, b, k / (k + m))) > 1e3 * bound
+
+
+def _fig1_case(rng):
+    return random_ensemble(rng, 10, 10, 1.0, 10.0), None
+
+
+def _log_det(a):
+    sign, log_det = np.linalg.slogdet(a)
+    assert sign == 1
+    return log_det
+
+
+@pytest.mark.parametrize("case", [_fig1_case, _scalar_case, _commuting_case, _two_matrix_case],
+                         ids=["fig1", "scalar", "commuting", "two-matrix"])
+def test_the_log_det_of_the_mean_is_the_mean_log_det(case):
+    # tr ĝ = Σ log det(X^{-1/2} Aᵢ X^{-1/2}) = Σ log det Aᵢ − n·log det X, so at MM's mean
+    # |log det X − (1/n) Σ log det Aᵢ| = |tr ĝ|/n ≤ √p‖ĝ‖/n, with no reference mean; the band
+    # of 1e-13 covers the slogdet calls, each good to about p·κ·ε ≤ 2.2e-14 here (κ ≤ 10)
+    for seed in range(8):
+        e = case(np.random.default_rng(seed))[0]
+        res = mm_solve(e, SolverConfig(), arithmetic_mean_init(e))
+        assert res.status == "converged"
+        residual = abs(_log_det(res.mean) - math.fsum(map(_log_det, e.mats)) / e.n)
+        assert residual <= math.sqrt(e.dim) * res.trace[-1].grad_norm / e.n + 1e-13

@@ -272,6 +272,26 @@ def _no_cholesky(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", fail)
 
 
+def _eigh_calls(monkeypatch):
+    """A list that :func:`spdmean.spd_core.eigh` appends each argument's shape to."""
+    shapes = []
+    real = spd_core.eigh
+
+    def counted(m, vectors=True):
+        shapes.append(m.shape)
+        return real(m, vectors)
+
+    monkeypatch.setattr(spd_core, "eigh", counted)
+    return shapes
+
+
+def _spectral(monkeypatch, mats):
+    """The spectral factors of an SPD stack: the pass before its rewrite, with no Cholesky factor."""
+    with monkeypatch.context() as patch:
+        _no_cholesky(patch)
+        return frozen_check_spd_stack(mats)
+
+
 def _assert_cholesky_pair(a, l, x):
     """L and X = L⁻¹ of a stack A = L Lᵀ: both exactly lower triangular, with max|L Lᵀ − A| within
     10·p·ε of max|A|, and max|X L − I| within 10·p·ε of p·max|X|·max|L|, each matrix at its own
@@ -288,23 +308,27 @@ class TestCheckSpdStack:
 
     @pytest.mark.parametrize("forced", [False, True], ids=["cholesky", "no-cholesky"])
     def test_same_decisions_as_the_eigenvalue_rule(self, forced, monkeypatch, rng):
+        # a stack that takes the eigenvalue test keeps its spectral factors, with or without
+        # a Cholesky factor; one the bound clears keeps its Cholesky factor
         stacks = _decision_stacks(rng) + _edge_stacks()
         if forced:
             _no_cholesky(monkeypatch)
+        tested = _eigh_calls(monkeypatch)
         accepted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for mats in stacks:
                 message, want = _eigen_rule(mats)
+                tested.clear()
                 got_message, got = _outcome(mats)
                 assert got_message == message
                 if got is not None:
                     accepted += 1
                     out, factors, inv_factors = got
                     assert np.array_equal(out, sym(np.asarray(mats)))
-                    if forced:  # the spectral factors, bit for bit
-                        assert np.array_equal(factors, want[0])
-                        assert np.array_equal(inv_factors, want[1])
+                    if forced or tested:  # the spectral factors, byte for byte
+                        assert factors.tobytes() == want[0].tobytes()
+                        assert inv_factors.tobytes() == want[1].tobytes()
                     else:
                         assert np.array_equal(factors, np.tril(factors))
                     # F Fᵀ = A to round-off, at each matrix's own scale
@@ -316,7 +340,9 @@ class TestCheckSpdStack:
     @pytest.mark.parametrize("forced", [False, True], ids=["cholesky", "no-cholesky"])
     def test_same_as_the_pass_before_its_rewrite(self, forced, monkeypatch, rng):
         # messages, and the symmetrized stack and factors byte for byte; at p ≤ TRI_BLOCK the
-        # Cholesky factors come from one bordered factorization, and are checked to round-off
+        # Cholesky factors come from one bordered factorization, and are checked to round-off;
+        # a stack that takes the eigenvalue test keeps the factors the pass gave a stack with
+        # no Cholesky factor
         stacks = _decision_stacks(rng) + _edge_stacks()
         for p in (1, 10, 100):
             stacks += [[random_spd(rng, p) * 10.0 ** rng.uniform(-300, 300) for _ in range(3)],
@@ -332,16 +358,20 @@ class TestCheckSpdStack:
                            random_spd(rng, 4) * scale, _skewed(rng, 4, 2.0, scale)])
         if forced:
             _no_cholesky(monkeypatch)
+        tested = _eigh_calls(monkeypatch)
         accepted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for mats in stacks:
                 message, want = _outcome(mats, frozen_check_spd_stack)
+                tested.clear()
                 got_message, got = _outcome(mats)
                 assert got_message == message
                 if got is not None:
                     accepted += 1
-                    bordered = not forced and got[0].shape[-1] <= spd_core.TRI_BLOCK
+                    if tested and not forced:
+                        want = _spectral(monkeypatch, mats)
+                    bordered = not (forced or tested) and got[0].shape[-1] <= spd_core.TRI_BLOCK
                     for a, b in zip(got[:1] if bordered else got, want):
                         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
                     if bordered:
@@ -599,20 +629,14 @@ class TestCheckSpdStack:
     def test_a_stack_the_bound_does_not_clear_takes_one_eigh_over_every_matrix(
             self, monkeypatch, rng, p, scale):
         # one condition-1e12 matrix among well-conditioned ones: the bound clears all but it,
-        # and positivity is decided per stack, by one stacked eigh over all k matrices; with a
-        # condition-1e14 matrix in its place the stack is refused, by that one call too
-        shapes = []
-
-        def counted(m, vectors=True):
-            shapes.append(m.shape)
-            return real(m, vectors)
-
-        real = spd_core.eigh
-        monkeypatch.setattr(spd_core, "eigh", counted)
+        # and positivity is decided per stack, by one stacked eigh over all k matrices, whose
+        # spectral factors the accepted stack keeps; with a condition-1e14 matrix in its place
+        # the stack is refused, by that one call too
+        shapes = _eigh_calls(monkeypatch)
         well = [random_spd(rng, p) * scale for _ in range(4)]
         for kappa, accepted in ((1e12, True), (1e14, False)):
             mats = well[:2] + [_conditioned(rng, p, kappa, scale)] + well[2:]
-            message, want = _outcome(mats, frozen_check_spd_stack)
+            message = _outcome(mats, frozen_check_spd_stack)[0]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 shapes.clear()
@@ -620,11 +644,8 @@ class TestCheckSpdStack:
             assert shapes == [(5, p, p)]
             assert got_message == message and (got is not None) is accepted
             if accepted:
-                bordered = p <= spd_core.TRI_BLOCK
-                for a, b in zip(got[:1] if bordered else got, want):
+                for a, b in zip(got, _spectral(monkeypatch, mats)):
                     assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-                if bordered:
-                    _assert_cholesky_pair(*got)
             else:
                 assert message.startswith("matrix 2 is not positive definite (eigenvalue ")
 

@@ -211,6 +211,33 @@ def test_floor_setup_lines_take_the_eigenvalue_test_and_repeat(monkeypatch):
         assert floor not in (digest, fingerprint.setup_hash(solvers, raw)[2])
 
 
+def test_floor_copies_keep_the_spectral_factors_with_or_without_a_cholesky_factor(monkeypatch):
+    # the bound does not clear a floor copy, so its set-up keeps the spectral factors of its
+    # eigenvalue test: the same bytes where LAPACK refuses every Cholesky factorization
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    workloads = _load("workloads", "perfbench")
+
+    def refused(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    def setup(copy):
+        e = solvers.Ensemble.from_matrices(copy)
+        return e.mats.tobytes(), e.inv_factors.tobytes(), solvers.arithmetic_mean_init(e).tobytes()
+
+    for name in fingerprint.WORKLOADS:
+        w = workloads.WORKLOADS[name]
+        for i in fingerprint.INSTANCES:
+            raw = workloads.instance_matrices(w.name, fingerprint.SEED, i, w.n, w.p,
+                                              w.scale_first_by)
+            copy = fingerprint.conditioned(raw, 1e12)
+            got = setup(copy)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "cholesky", refused)
+                assert setup(copy) == got
+
+
 def test_warnings_line_counts_a_warning_planted_in_a_check(monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")

@@ -28,8 +28,9 @@ writes nothing into it. Prints:
   measured test is also fingerprinted at both ends of the float64 range;
 - ``setup <workload> <instance> floor <hash>``, after each ``wide`` line: one hash
   of the set-up of a copy of the instance whose matrix 0 has condition 1e12, which
-  the Cholesky bound does not clear, so the stack takes the eigenvalue test, and of
-  the refusal text of the copy at condition 1e14 (:func:`conditioned`);
+  the Cholesky bound does not clear, so the stack takes the eigenvalue test and keeps
+  its spectral factors, and of the refusal text of the copy at condition 1e14
+  (:func:`conditioned`);
 - ``solve <workload> <instance> <kind> <hash>`` for those instances and
   every kind in ``solvers.SOLVERS`` at the default ``SolverConfig``, from
   the arithmetic mean: a hash of the mean's bytes, the status and every
@@ -160,7 +161,8 @@ def conditioned(raw, kappa):
 
 def floor_hash(solvers, raw):
     """One hash of the :func:`setup_hash` of ``raw``'s :func:`conditioned` copy at condition
-    1e12, which the Cholesky bound does not clear, and of the refusal of its copy at 1e14."""
+    1e12, which the Cholesky bound does not clear, so it keeps its spectral factors, and of
+    the refusal of its copy at 1e14."""
     parts = []
     for kappa in (1e12, 1e14):
         try:
