@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotCommuting
 from .karcher import Ensemble
-from .spd_core import (_checked_pair, _finite, _geodesic, _real, _real_finite, _real_number,
-                       _unit, check_spd, exp_m, log_m, sym)
+from .spd_core import (_checked_pair, _eig_apply, _finite, _geodesic, _real, _real_finite,
+                       _real_number, _unit, check_spd, sym)
 
 COMMUTE_CHECK_TOL = 1e-10
 
@@ -38,10 +38,8 @@ def commuting_oracle(e: Ensemble) -> np.ndarray:
             comm = np.linalg.norm(a @ b - b @ a)
             if comm > COMMUTE_CHECK_TOL * np.linalg.norm(a) * np.linalg.norm(b):
                 raise NotCommuting(f"matrices {i} and {j} do not commute")
-    avg_log = np.zeros((e.dim, e.dim))
-    for i in range(e.n):
-        avg_log = avg_log + log_m(e.mats[i])
-    return exp_m(sym(avg_log / e.n))
+    avg_log = sum(_eig_apply(a, np.log, spd_valued=False) for a in e.mats)
+    return _eig_apply(sym(avg_log / e.n), np.exp)
 
 
 def two_matrix_oracle(a, b) -> np.ndarray:

@@ -8,7 +8,8 @@ eigenvalue, a grid argmin of a scalar function, a frozen copy of the
 stacked SPD validation pass as it stood before its one-pass rewrite, a
 frozen copy of the triangular inverse as it stood before it could write
 over its input, and a frozen copy of the experiment generator's draw
-loop as it stood before it scaled A₁ after the loop.
+loop as it stood before it scaled A₁ after the loop, and the spectral
+radius of MM's Jacobian by central differences of the public map.
 """
 
 from typing import Callable, Tuple
@@ -17,7 +18,8 @@ import numpy as np
 
 from spdmean.bench import ExperimentSpec, random_orthogonal
 from spdmean.errors import DomainError
-from spdmean.karcher import Ensemble, g1_scalar, g2_scalar
+from spdmean.karcher import (Ensemble, g1_scalar, g2_scalar, surrogate_coeffs,
+                             surrogate_minimizer)
 from spdmean.spd_core import (POSITIVITY_FLOOR, SYM_TOL, TRI_BLOCK, _diag_blocks, _eig_apply,
                               check_symmetric, cholesky, eigh, inv_m, inv_sqrt_m, log_m, sqrt_m,
                               sym)
@@ -217,3 +219,34 @@ def frozen_generate_ensemble(spec: ExperimentSpec, rng: np.random.Generator) -> 
             a = a * spec.scale_first_by
         mats.append(a)
     return Ensemble.from_matrices(mats)
+
+
+def mm_rate(e: Ensemble, x) -> float:
+    """ρ(J), the spectral radius of the Jacobian of MM's map at its fixed point x.
+
+    The map is X ↦ :func:`surrogate_minimizer` of the :func:`surrogate_coeffs`
+    c1, c2 at X. It is read in whitened symmetric coordinates, X = S(I + E)S
+    with S = x^{1/2}, on a Frobenius-orthonormal basis of the symmetric E,
+    and each column of J is a central difference of step h = 1e-4: the map
+    at S(I ± hE)S, whitened back by S⁻¹·S⁻¹. Whitening is a congruence, so J
+    has the spectrum of the Jacobian in X itself; near-identity coordinates
+    keep the differences well scaled.
+    """
+    s, s_inv = sqrt_m(x), inv_sqrt_m(x)
+    p, h = len(x), 1e-4
+    basis = []
+    for i in range(p):
+        for j in range(i + 1):
+            b = np.zeros((p, p))
+            b[i, j] = b[j, i] = 1.0 if i == j else np.sqrt(0.5)
+            basis.append(b)
+
+    def step(b):
+        c = surrogate_coeffs(e, sym(s @ (np.eye(p) + b) @ s))
+        return s_inv @ surrogate_minimizer(c.c1, c.c2) @ s_inv
+
+    def coords(m):
+        return np.array([np.sum(m * b) for b in basis])
+
+    jac = np.column_stack([coords(step(h * b) - step(-h * b)) / (2 * h) for b in basis])
+    return float(np.max(np.abs(np.linalg.eigvals(jac))))

@@ -718,7 +718,7 @@ class TestSurrogateMinimizer:
 
         best = val(x)
         for _ in range(1000):
-            pert = x + random_sym(rng, 3, scale=1e-2 * np.linalg.norm(x))
+            pert = x + random_sym(rng, 3) * (1e-2 * np.linalg.norm(x))
             if np.linalg.eigvalsh(pert)[0] <= 0:
                 continue
             assert val(pert) >= best - 1e-12 * abs(best)

@@ -12,7 +12,7 @@ from spdmean.oracle import (
     scalar_karcher_oracle,
     two_matrix_oracle,
 )
-from spdmean.selfcheck import commuting_ensemble, random_ensemble, random_spd
+from spdmean.selfcheck import commuting_ensemble, random_spd
 from spdmean.solvers import SolverConfig, arithmetic_mean_init, mm_solve
 from spdmean.spd_core import frob_inner, geodesic, riem_dist, sym
 
@@ -289,7 +289,7 @@ def test_copies_of_two_matrices_have_the_weighted_geodesic_point_as_mean(k, m):
 
 
 def _fig1_case(rng):
-    return random_ensemble(rng, 10, 10, 1.0, 10.0), None
+    return Ensemble.from_matrices([random_spd(rng, 10, 1.0, 10.0) for _ in range(10)]), None
 
 
 def _log_det(a):

@@ -1,15 +1,18 @@
 """The repository's tools: ``tools/pairs.py`` against the committed BENCH files, and
 ``tools/fingerprint.py``'s line counter, ``blas``, ``setup`` (with their ``skew``, ``wide`` and
-``floor`` copies) and ``check`` lines and warning count."""
+``floor`` copies), ``check`` and ``census`` lines and warning count."""
 
 import importlib.util
 import json
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdmean.cli as cli
 import spdmean.selfcheck as selfcheck
 import spdmean.solvers as solvers
 from spdmean import spd_core
@@ -256,3 +259,46 @@ def test_warnings_line_counts_a_warning_planted_in_a_check(monkeypatch):
     monkeypatch.setattr(selfcheck, "TABLE", [clean])
     assert list(fingerprint.counted(lambda: fingerprint.check_lines(selfcheck))) == [
         lines[0], "warnings 0"]
+
+
+def test_census_of_a_small_corpus_finds_no_violation(monkeypatch):
+    # the first 300 files of the census's stream, about a second; the counts are reported,
+    # not gated, but no file may end in a violation
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    assert fingerprint.CENSUS_FIELDS == ("refused", "converged", "max_iters", "stalled", "errors",
+                                         "violation")
+    line = fingerprint.census(cli, selfcheck, files=300)
+    assert re.fullmatch(r"census( \d+){6}", line)
+    counts = [int(v) for v in line.split()[1:]]
+    assert sum(counts) == 300 and counts[-1] == 0
+
+
+def test_census_counts_a_traceback_a_warning_and_a_bad_mean_as_violations(monkeypatch, tmp_path):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    fingerprint = _load("fingerprint")
+    data = {"dim": 2, "matrices": [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]]}
+    assert fingerprint.census_outcome(cli, tmp_path, data, "mm") == "converged"
+    assert fingerprint.census_outcome(cli, tmp_path, dict(data, dim=3), "mm") == "refused"
+
+    def refusing(e, cfg, x0):
+        raise DomainError("planted")
+
+    def raising(e, cfg, x0):
+        raise RuntimeError("planted")
+
+    def warning(e, cfg, x0):
+        warnings.warn("planted", RuntimeWarning)
+        return solvers.mm_solve(e, cfg, x0)
+
+    def nan_mean(e, cfg, x0):
+        res = solvers.mm_solve(e, cfg, x0)
+        return replace(res, mean=np.full_like(res.mean, np.nan))
+
+    for planted, outcome in ((refusing, "errors"), (raising, "violation"),
+                             (warning, "violation"), (nan_mean, "violation")):
+        monkeypatch.setitem(cli.SOLVERS, "mm", planted)
+        assert fingerprint.census_outcome(cli, tmp_path, data, "mm") == outcome
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "ensemble.json"]

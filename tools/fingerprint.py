@@ -43,6 +43,9 @@ writes nothing into it. Prints:
   its unformatted worst values and its pass flag, or of the ``repr`` of the
   error it raised. These reach the views no ``solve`` line calls: the
   objective, gradients, surrogate, oracles, g1 and g2;
+- ``census <refused> <converged> <max_iters> <stalled> <errors> <violations>``: how
+  ``CENSUS_FILES`` mutated ensemble files, drawn from ``default_rng(CENSUS_SEED)``,
+  end when each runs through ``cli.main(["mean", ...])`` (:func:`census`);
 - ``warnings <n>``, last: the number of warnings raised while the other
   lines were computed, each one counted (the ``"always"`` filter), so a
   change that lets a new warning through shows in the output.
@@ -60,11 +63,14 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import ast  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import tokenize  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -74,6 +80,12 @@ import numpy as np  # noqa: E402
 WORKLOADS = ("mm-small", "fig3-rescale", "mm-large")
 INSTANCES = (0, 1)
 SEED = 1
+CENSUS_SEED = 26
+CENSUS_FILES = 2000
+# What a census mutation writes over one entry: the float64 extremes, integers past int64
+# and float64, and JSON values that are no number (NaN and ±Infinity are written as such)
+CENSUS_ENTRIES = (0, 1e308, -1e308, 5e-324, 2**63, 10**400, True, None, "1", [], {},
+                  math.nan, math.inf, -math.inf, -0.0)
 
 
 def _docstring_lines(source):
@@ -114,8 +126,8 @@ def _digest(*parts):
 
 
 def _load(root):
-    """The checkout's spdmean ``bench``, ``solvers`` and ``selfcheck`` modules and perfbench
-    workload module."""
+    """The checkout's spdmean ``bench``, ``solvers``, ``selfcheck`` and ``cli`` modules and
+    perfbench workload module."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(root / "src"))
     spd = importlib.import_module("spdmean")
@@ -124,7 +136,8 @@ def _load(root):
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    modules = [importlib.import_module(f"spdmean.{m}") for m in ("bench", "solvers", "selfcheck")]
+    modules = [importlib.import_module(f"spdmean.{m}")
+               for m in ("bench", "solvers", "selfcheck", "cli")]
     return (*modules, workloads)
 
 
@@ -194,6 +207,109 @@ def check_lines(selfcheck):
     return lines
 
 
+def census_file(selfcheck, rng):
+    """One ensemble file's JSON object: n and p from 1 to 4, each matrix :func:`random_spd` times
+    10^U(−300, 300), then 0–3 mutations (:func:`mutate`)."""
+    n, p = (int(v) for v in rng.integers(1, 5, size=2))
+    mats = [(selfcheck.random_spd(rng, p) * 10.0 ** rng.uniform(-300, 300)).tolist()
+            for _ in range(n)]
+    data = {"dim": p, "matrices": mats}
+    for _ in range(int(rng.integers(0, 4))):
+        mutate(data, rng)
+    return data
+
+
+def mutate(data, rng):
+    """Apply one random mutation to an ensemble file's object: an entry replaced by one of
+    ``CENSUS_ENTRIES`` or rescaled by 10^U(−300, 300), a row or a matrix dropped or repeated, or
+    ``dim`` changed. A mutation whose target an earlier one removed does nothing."""
+    kind = int(rng.integers(0, 4))
+    if kind == 3:
+        data["dim"] = int(rng.integers(0, 6))
+        return
+    seq = data["matrices"]
+    for _ in range(2 if kind < 2 else int(rng.integers(0, 2))):  # down to a row or a matrix
+        if not seq or not isinstance(seq, list):
+            return
+        seq = seq[int(rng.integers(len(seq)))]
+    if not seq or not isinstance(seq, list):
+        return
+    i = int(rng.integers(len(seq)))
+    if kind == 0:
+        seq[i] = CENSUS_ENTRIES[int(rng.integers(len(CENSUS_ENTRIES)))]
+    elif kind == 1 and isinstance(seq[i], float):
+        seq[i] *= 10.0 ** rng.uniform(-300, 300)
+    elif kind == 2:
+        seq[i:i + 1] = [] if rng.integers(2) else [seq[i], seq[i]]
+
+
+def census_outcome(cli, folder, data, kind):
+    """How ``spdmean mean`` ends on ``data``: ``refused`` (exit 1, one ``error:`` line),
+    ``errors`` (exit 2, one ``error: <kind> solve failed`` line), or, with a mean written, its
+    status (``converged`` at exit 0, ``max_iters`` or ``stalled`` for any other status at exit
+    2). Anything else is a ``violation``: an exception or a warning out of ``main``, another
+    exit code or message, an output file left by a refusal, or a mean not finite and SPD."""
+    path = folder / "ensemble.json"
+    path.write_text(json.dumps(data))
+    outputs = (folder / "ensemble.mean.json", folder / "ensemble.mean.trace.csv")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(["mean", str(path), "--solver", kind])
+    except Exception:  # a traceback, or a warning raised as one
+        code = None
+    written = [o for o in outputs if o.exists()]
+    mean = outputs[0].read_text() if outputs[0] in written else None
+    for o in written:
+        o.unlink()
+    out, err = out.getvalue().splitlines(), err.getvalue().splitlines()
+    if code in (1, 2) and not out and not written and len(err) == 1:
+        if code == 1 and err[0].startswith("error: "):
+            return "refused"
+        if code == 2 and err[0].startswith(f"error: {kind} solve failed: "):
+            return "errors"
+    if code not in (0, 2) or err or len(written) != 2 or not out:
+        return "violation"
+    status = out[0].split(":")[0]
+    if (code == 0) != (status == "converged") or not _finite_spd(mean):
+        return "violation"
+    return status if status in ("converged", "max_iters") else "stalled"
+
+
+def _finite_spd(text):
+    """Whether the mean JSON ``text`` holds one finite matrix, symmetric to 1e-12 of its largest
+    entry and positive definite."""
+    try:
+        m = np.array(json.loads(text)["matrices"][0], dtype=np.float64)
+        top = np.abs(m).max()
+        if not (np.isfinite(m).all() and top > 0 and np.abs(m - m.T).max() <= 1e-12 * top):
+            return False
+        np.linalg.cholesky(m / top)  # at max |entry| 1 no step under- or overflows
+    except (ValueError, TypeError, LookupError, np.linalg.LinAlgError):
+        return False
+    return True
+
+
+CENSUS_FIELDS = ("refused", "converged", "max_iters", "stalled", "errors", "violation")
+
+
+def census(cli, selfcheck, files=CENSUS_FILES):
+    """The ``census`` line: counts of :data:`CENSUS_FIELDS` over the first ``files`` files drawn
+    from ``default_rng(CENSUS_SEED)``, each with a solver kind drawn from ``cli.SOLVERS``, run in
+    a temporary directory."""
+    rng = np.random.default_rng(CENSUS_SEED)
+    kinds = sorted(cli.SOLVERS)
+    counts = dict.fromkeys(CENSUS_FIELDS, 0)
+    with tempfile.TemporaryDirectory() as folder:
+        for _ in range(files):
+            data = census_file(selfcheck, rng)
+            kind = kinds[int(rng.integers(len(kinds)))]
+            counts[census_outcome(cli, Path(folder), data, kind)] += 1
+    return " ".join(["census"] + [str(counts[f]) for f in CENSUS_FIELDS])
+
+
 def counted(make_lines):
     """Yield the lines ``make_lines()`` yields or returns, then ``warnings <n>``: every warning
     raised while they were computed, each one counted."""
@@ -205,7 +321,7 @@ def counted(make_lines):
 
 def fingerprint_lines(root):
     """Every line but ``warnings``, in the order the module docstring lists them."""
-    bench, solvers, selfcheck, workloads = _load(root)
+    bench, solvers, selfcheck, cli, workloads = _load(root)
     yield "lines {} {}".format(*line_counts(root / "src" / "spdmean"))
     yield blas_line()
     for name in WORKLOADS:
@@ -225,6 +341,7 @@ def fingerprint_lines(root):
         sidecar = json.dumps(report.spec.to_dict(), indent=2) + "\n"
         yield f"spec {path.stem} {_digest(bench.report_to_csv(report), sidecar)}"
     yield from check_lines(selfcheck)
+    yield census(cli, selfcheck)
 
 
 def main(argv):
